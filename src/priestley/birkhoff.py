@@ -12,8 +12,7 @@ inclusion the image is always an upset, no orientation flip needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 from .errors import (
     NotALattice,
@@ -24,18 +23,30 @@ from .errors import (
     UnknownElement,
     UnknownLabel,
 )
-from .poset import FinitePoset, build_poset, enumerate_upsets, order_closure
+from .poset import (
+    FinitePoset,
+    _mask_union,
+    build_poset,
+    enumerate_upsets,
+    order_closure,
+    upset_masks,
+)
 
 
 class DistLattice:
-    """Finite bounded distributive lattice with validated operation tables."""
+    """Finite bounded distributive lattice with validated operation tables.
 
-    __slots__ = ("labels", "leq", "meet", "join", "bottom", "top",
+    ``up`` and ``down`` are the principal upsets and downsets as bitmask
+    rows; ``meet[a][b]`` and ``join[a][b]`` are element indices.
+    """
+
+    __slots__ = ("labels", "up", "down", "meet", "join", "bottom", "top",
                  "space", "member_sets", "_index", "_dual")
 
-    def __init__(self, labels, leq, meet, join, bottom, top):
+    def __init__(self, labels, up, down, meet, join, bottom, top):
         self.labels = tuple(labels)
-        self.leq = leq
+        self.up = up
+        self.down = down
         self.meet = meet
         self.join = join
         self.bottom = int(bottom)
@@ -56,7 +67,7 @@ class DistLattice:
             raise UnknownElement(f"unknown lattice element {label!r}") from None
 
     def le(self, a, b):
-        return bool(self.leq[a, b])
+        return bool(self.up[a] >> b & 1)
 
     def __repr__(self):
         return f"DistLattice({self.n} elements, bottom={self.labels[self.bottom]!r}, top={self.labels[self.top]!r})"
@@ -88,49 +99,54 @@ def validate_lattice(P, bottom=None, top=None):
     n = P.n
     if n == 0:
         raise Unbounded("empty order has no bounds")
-    leq = P.leq
-    meet = np.zeros((n, n), dtype=np.int64)
-    join = np.zeros((n, n), dtype=np.int64)
+    up, down = P.up, P.down
+    # the common lower bounds of a and b have a greatest element c
+    # exactly when they form the principal downset of c
+    by_down = {m: c for c, m in enumerate(down)}
+    by_up = {m: c for c, m in enumerate(up)}
+    meet, join = [], []
     for a in range(n):
+        meet_row, join_row = [], []
         for b in range(n):
-            lower = leq[:, a] & leq[:, b]
-            cand = [c for c in np.flatnonzero(lower) if leq[lower, c].all()]
-            if len(cand) != 1:
+            c = by_down.get(down[a] & down[b])
+            if c is None:
                 raise NotALattice("meet", (P.labels[a], P.labels[b]))
-            meet[a, b] = cand[0]
-            upper = leq[a, :] & leq[b, :]
-            cand = [c for c in np.flatnonzero(upper) if leq[c, upper].all()]
-            if len(cand) != 1:
+            meet_row.append(c)
+            c = by_up.get(up[a] & up[b])
+            if c is None:
                 raise NotALattice("join", (P.labels[a], P.labels[b]))
-            join[a, b] = cand[0]
-    bot_candidates = np.flatnonzero(leq[:, :].all(axis=1))
-    top_candidates = np.flatnonzero(leq[:, :].all(axis=0))
-    if len(bot_candidates) != 1 or len(top_candidates) != 1:
+            join_row.append(c)
+        meet.append(tuple(meet_row))
+        join.append(tuple(join_row))
+    full = (1 << n) - 1
+    bot, top_ = by_up.get(full), by_down.get(full)
+    if bot is None or top_ is None:
         raise Unbounded("order lacks a unique bottom or top")
-    bot, top_ = int(bot_candidates[0]), int(top_candidates[0])
     if bottom is not None and P.index(bottom) != bot:
         raise Unbounded(f"declared bottom {bottom!r} is not the least element")
     if top is not None and P.index(top) != top_:
         raise Unbounded(f"declared top {top!r} is not the greatest element")
-    # a /\ (b \/ c) == (a /\ b) \/ (a /\ c), all triples at once
-    idx = np.arange(n)
-    lhs = meet[idx[:, None, None], join[None, :, :]]
-    rhs = join[meet[:, :, None], meet[:, None, :]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        a, b, c = bad[0]
-        raise NotDistributive((P.labels[a], P.labels[b], P.labels[c]))
-    meet.flags.writeable = False
-    join.flags.writeable = False
-    return DistLattice(P.labels, leq, meet, join, bot, top_)
+    # a /\ (b \/ c) == (a /\ b) \/ (a /\ c), row by row over c
+    meet_at = [itemgetter(*row) for row in meet]
+    join_at = [itemgetter(*row) for row in join]
+    for a in range(n):
+        for b in range(n):
+            lhs = join_at[b](meet[a])
+            rhs = meet_at[a](join[meet[a][b]])
+            if lhs != rhs:
+                c = next(c for c in range(n)
+                         if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]])
+                raise NotDistributive((P.labels[a], P.labels[b], P.labels[c]))
+    return DistLattice(P.labels, up, down, tuple(meet), tuple(join), bot, top_)
 
 
 def _join_irreducibles(D):
     """Elements with exactly one lower cover (excludes the bottom)."""
-    n = D.n
-    lt = D.leq & ~np.eye(n, dtype=bool)
-    covers_below = lt & ~np.matmul(lt, lt)
-    return [j for j in range(n) if covers_below[:, j].sum() == 1]
+    strict = [m & ~(1 << j) for j, m in enumerate(D.down)]
+    return [
+        j for j, m in enumerate(strict)
+        if (m & ~_mask_union(strict, m)).bit_count() == 1
+    ]
 
 
 def priestley_dual(D):
@@ -143,13 +159,9 @@ def priestley_dual(D):
     if D._dual is not None:
         return D._dual[0]
     ji = _join_irreducibles(D)
-    m = len(ji)
-    mat = np.zeros((m, m), dtype=bool)
-    for i, p in enumerate(ji):
-        for j, q in enumerate(ji):
-            # up(p) included in up(q)  iff  q <= p
-            mat[i, j] = D.leq[q, p]
-    space = FinitePoset([D.labels[p] for p in ji], mat)
+    # up(p) included in up(q)  iff  q <= p
+    up = [sum(1 << j for j, q in enumerate(ji) if D.le(q, p)) for p in ji]
+    space = FinitePoset([D.labels[p] for p in ji], up)
     D._dual = (space, ji)
     return space
 
@@ -162,31 +174,26 @@ def stone_map(D, a):
         raise UnknownElement(f"element index {a} out of range")
     space = priestley_dual(D)
     ji = D._dual[1]
-    members = frozenset(i for i, p in enumerate(ji) if D.leq[p, a])
+    members = frozenset(i for i, p in enumerate(ji) if D.le(p, a))
     return ClopenUpset(space, members)
 
 
 def clopen_upset_lattice(X):
     """The finite frame of all upsets of X under intersection and union."""
-    upsets = enumerate_upsets(X)
-    index = {u: i for i, u in enumerate(upsets)}
-    n = len(upsets)
-    leq = np.zeros((n, n), dtype=bool)
-    meet = np.zeros((n, n), dtype=np.int64)
-    join = np.zeros((n, n), dtype=np.int64)
-    for i, u in enumerate(upsets):
-        for j, v in enumerate(upsets):
-            leq[i, j] = u <= v
-            meet[i, j] = index[u & v]
-            join[i, j] = index[u | v]
-    leq.flags.writeable = False
-    meet.flags.writeable = False
-    join.flags.writeable = False
-    labels = [_upset_label(X, u) for u in upsets]
-    D = DistLattice(labels, leq, meet, join, index[frozenset()],
-                    index[frozenset(range(X.n))])
+    masks = upset_masks(X)
+    index = {u: i for i, u in enumerate(masks)}
+    up = tuple(sum(1 << j for j, v in enumerate(masks) if u & ~v == 0)
+               for u in masks)
+    down = tuple(sum(1 << j for j, v in enumerate(masks) if v & ~u == 0)
+                 for u in masks)
+    meet = tuple(tuple(index[u & v] for v in masks) for u in masks)
+    join = tuple(tuple(index[u | v] for v in masks) for u in masks)
+    member_sets = tuple(enumerate_upsets(X))
+    labels = [_upset_label(X, u) for u in member_sets]
+    D = DistLattice(labels, up, down, meet, join, index[0],
+                    index[(1 << X.n) - 1])
     D.space = X
-    D.member_sets = tuple(upsets)
+    D.member_sets = member_sets
     return D
 
 

@@ -184,7 +184,7 @@ def cmd_analyze(args):
         return EXIT_INPUT
     try:
         report = sp.spectrum_report(engine)
-    except (InternalAssertionError, AssertionError) as e:
+    except InternalAssertionError as e:
         print(f"internal assertion failed: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":

@@ -78,6 +78,7 @@ from dataclasses import dataclass
 from .errors import (
     FamilyMismatch,
     InternalAssertionError,
+    NotClopenUpset,
     NotRepresentable,
 )
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
+    InternalAssertionError,
     NotIdempotent,
     NotInflationary,
     NotMeetPreserving,
     SpaceMismatch,
 )
-from .poset import FinitePoset, enumerate_upsets, extrema, order_closure
+from .poset import FinitePoset, _bits, enumerate_upsets, extrema, order_closure
 
 
 class Nucleus:
@@ -141,7 +142,8 @@ def admissible_upset(j):
         if j.table[u] == full:
             h &= u
     expected = order_closure(space, nuclear_of_nucleus(j).members, "up")
-    assert h == expected, "admissible upset differs from up(N_j)"
+    if h != expected:
+        raise InternalAssertionError("admissible upset differs from up(N_j)")
     return h
 
 
@@ -155,9 +157,8 @@ def double_negation(space):
     }
     j = Nucleus(space, table)
     full = frozenset(range(space.n))
-    assert nuclear_of_nucleus(j).members == extrema(space, full, "max"), (
-        "double negation nuclear set is not max X"
-    )
+    if nuclear_of_nucleus(j).members != extrema(space, full, "max"):
+        raise InternalAssertionError("double negation nuclear set is not max X")
     return j
 
 
@@ -172,15 +173,18 @@ def booleanization(space):
     # intersections, so binary closure plus the empty meet (the top)
     # already gives closure under all of them
     full = frozenset(range(space.n))
-    assert full in fixset
+    if full not in fixset:
+        raise InternalAssertionError("the top is not a fixpoint")
     for u, v in combinations(fix, 2):
-        assert u & v in fixset, "fixpoints not closed under meets"
+        if u & v not in fixset:
+            raise InternalAssertionError("fixpoints not closed under meets")
     # a -> s stays a fixpoint for every upset a
     for a in enumerate_upsets(space):
         for s in fix:
-            assert implies_set(space, a, s) in fixset, (
-                "fixpoints not closed under Heyting implication"
-            )
+            if implies_set(space, a, s) not in fixset:
+                raise InternalAssertionError(
+                    "fixpoints not closed under Heyting implication"
+                )
     return fix
 
 
@@ -190,7 +194,8 @@ def density_check(j):
     full = frozenset(range(space.n))
     dense = j.table[frozenset()] == frozenset()
     cofinal = extrema(space, full, "max") <= nuclear_of_nucleus(j).members
-    assert dense == cofinal, "density and cofinality disagree"
+    if dense != cofinal:
+        raise InternalAssertionError("density and cofinality disagree")
     return {"dense": dense, "cofinal": cofinal}
 
 
@@ -234,9 +239,8 @@ def all_nuclei(space):
     bijection onto all nuclei, which is far cheaper than filtering
     monotone tables.
     """
-    n = space.n
-    for bits in range(1 << n):
-        members = frozenset(i for i in range(n) if bits >> i & 1)
+    for bits in range(1 << space.n):
+        members = frozenset(_bits(bits))
         yield nucleus_of_nuclear(NuclearSet(space, members))
 
 

@@ -27,7 +27,7 @@ from .birkhoff import (
     stone_map,
     validate_lattice,
 )
-from .errors import BoundExceeded, UnknownTheoremId, WorkbenchError
+from .errors import BoundExceeded, InternalAssertionError, UnknownTheoremId, WorkbenchError
 from .fans import (
     FAMILIES,
     OmegaFansEngine,
@@ -48,7 +48,7 @@ from .nuclei import (
     sublocale_of_nucleus,
     validate_nucleus,
 )
-from .poset import FinitePoset, canonical_form, relabel_canonically
+from .poset import FinitePoset, _bits, _restrict, canonical_form, relabel_canonically
 
 DEFAULT_BOUND = 6
 NUCLEI_BOUND = 4
@@ -96,28 +96,10 @@ def enumerate_posets(n_points, cap=DEFAULT_BOUND):
         for b, (i, j) in enumerate(pairs):
             if mask >> b & 1:
                 rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            r = rows[i]
-            j = 0
-            while r:
-                if r & 1 and rows[j] & ~rows[i]:
-                    ok = False
-                    break
-                r >>= 1
-                j += 1
-            if not ok:
-                break
-        if not ok:
+        if any(rows[j] & ~rows[i] for i in range(n) for j in _bits(rows[i])):
             continue
-        import numpy as np
-
-        leq = np.eye(n, dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if rows[i] >> j & 1:
-                    leq[i, j] = True
-        P = FinitePoset([f"p{i}" for i in range(n)], leq)
+        P = FinitePoset([f"p{i}" for i in range(n)],
+                        [rows[i] | 1 << i for i in range(n)])
         key = canonical_form(P)
         if key not in found:
             found[key] = relabel_canonically(P)
@@ -199,9 +181,9 @@ def check_duality_round_trip(bound):
                     for a in range(D.n):
                         for b in range(D.n):
                             if (
-                                D.leq[a, b] != E.leq[snd[a], snd[b]]
-                                or snd[D.meet[a, b]] != E.meet[snd[a], snd[b]]
-                                or snd[D.join[a, b]] != E.join[snd[a], snd[b]]
+                                D.le(a, b) != E.le(snd[a], snd[b])
+                                or snd[D.meet[a][b]] != E.meet[snd[a]][snd[b]]
+                                or snd[D.join[a][b]] != E.join[snd[a]][snd[b]]
                             ):
                                 ok, witness = False, f"table mismatch at {a},{b}"
         cases.append(_case(tid, inst, ok, witness))
@@ -293,7 +275,7 @@ def check_nuclei_galois(bound):
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
+            members = frozenset(_bits(bits))
             N = NuclearSet(P, members)
             j = nucleus_of_nuclear(N)
             if nuclear_of_nucleus(j).members != members:
@@ -309,8 +291,7 @@ def check_nuclei_order_reversal(bound):
     cases = []
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        subsets = [frozenset(i for i in range(P.n) if bits >> i & 1)
-                   for bits in _all_subsets(P.n)]
+        subsets = [frozenset(_bits(bits)) for bits in _all_subsets(P.n)]
         js = {s: nucleus_of_nuclear(NuclearSet(P, s)) for s in subsets}
         for a in subsets:
             for b in subsets:
@@ -329,11 +310,11 @@ def check_upset_nj_eq_fj(bound):
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
+            members = frozenset(_bits(bits))
             j = nucleus_of_nuclear(NuclearSet(P, members))
             try:
                 h = admissible_upset(j)
-            except AssertionError:
+            except InternalAssertionError:
                 ok, witness = False, f"subset {sorted(members)}"
                 continue
             if h != order_closure(P, members, "up"):
@@ -351,7 +332,7 @@ def check_dense_iff_cofinal(bound):
         ok, witness = True, None
         maxx = extrema(P, frozenset(range(P.n)), "max")
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
+            members = frozenset(_bits(bits))
             j = nucleus_of_nuclear(NuclearSet(P, members))
             dense = j.table[frozenset()] == frozenset()
             cofinal = maxx <= members
@@ -374,9 +355,7 @@ def check_max_least_cofinal(bound):
         if dneg != maxx:
             ok, witness = False, "double negation nuclear set"
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
-            if maxx <= members and not maxx <= members:  # pragma: no cover
-                pass
+            members = frozenset(_bits(bits))
             if maxx <= members:
                 continue
             # not cofinal: fine; cofinal ones must contain max X, which
@@ -396,11 +375,11 @@ def check_booleanization(bound):
         ok, witness = True, None
         try:
             booleans = set(booleanization(P))
-        except AssertionError:
+        except InternalAssertionError:
             cases.append(_case(tid, repr(P), False, "sublocale laws"))
             continue
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
+            members = frozenset(_bits(bits))
             j = nucleus_of_nuclear(NuclearSet(P, members))
             if density_check(j)["dense"]:
                 fix = {u for u in j.table if j.table[u] == u}
@@ -420,7 +399,7 @@ def check_lemma_nj_restrict(bound):
         ok, witness = True, None
         ups = enumerate_upsets(P)
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
+            members = frozenset(_bits(bits))
             j = nucleus_of_nuclear(NuclearSet(P, members))
             for u in ups:
                 if u & members != j.table[u] & members:
@@ -435,7 +414,7 @@ def check_sublocale_roundtrip(bound):
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
+            members = frozenset(_bits(bits))
             j = nucleus_of_nuclear(NuclearSet(P, members))
             if nucleus_of_sublocale(P, sublocale_of_nucleus(j)) != j:
                 ok, witness = False, f"subset {sorted(members)}"
@@ -455,7 +434,7 @@ def check_inductive_core_collapse(bound):
         ok, witness = True, None
         ups = enumerate_upsets(P)
         for bits in _all_subsets(P.n):
-            members = frozenset(i for i in range(P.n) if bits >> i & 1)
+            members = frozenset(_bits(bits))
             j = nucleus_of_nuclear(NuclearSet(P, members))
             for f in ups:
                 lifted = order_closure(P, f & members, "up")
@@ -590,15 +569,8 @@ def check_max_y_in_yd(bound):
 
 def _subposet(P, members):
     """Induced subposet on a subset of points."""
-    import numpy as np
-
     members = sorted(members)
-    m = len(members)
-    leq = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            leq[a, b] = P.leq[members[a], members[b]]
-    return FinitePoset([P.labels[i] for i in members], leq)
+    return FinitePoset([P.labels[i] for i in members], _restrict(P, members))
 
 
 def check_regularity_equivalences(bound):

@@ -1,19 +1,19 @@
 """Finite posets: the substrate for every finite Priestley-space computation.
 
 Points carry opaque string labels but are addressed by dense integer
-indices everywhere else.  The order is a read-only boolean matrix,
-validated for reflexivity, transitivity and antisymmetry at
-construction.  Subsets are exact ``frozenset``s of indices; equality is
-always exact, never tolerance-based.  Iteration orders are
-deterministic so downstream reports are byte-identical across runs.
+indices everywhere else.  The order is stored as read-only bitmask rows
+(bit j of ``up[i]`` is set iff point i lies below point j, and ``down``
+is the transpose), validated for reflexivity, antisymmetry and
+transitivity at construction.  Point sets in the public API are exact
+``frozenset``s of indices, cached per poset; equality is always exact,
+never tolerance-based.  Iteration orders are deterministic so
+downstream reports are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-
-import numpy as np
 
 from .errors import (
     CycleDetected,
@@ -23,38 +23,61 @@ from .errors import (
 )
 
 
+def _bits(mask):
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask(members):
+    out = 0
+    for i in members:
+        out |= 1 << i
+    return out
+
+
 class FinitePoset:
     """Immutable finite partial order.
 
-    ``leq[i, j]`` is True iff point i lies below point j.  In the finite
-    Priestley picture the topology is discrete, so the order carries all
-    the structure.
+    ``up[i]`` and ``down[i]`` are the principal upset and downset of
+    point i as bitmasks.  In the finite Priestley picture the topology is
+    discrete, so the order carries all the structure.
     """
 
-    __slots__ = ("labels", "leq", "_index", "_down", "_up", "_upsets", "_covers")
+    __slots__ = ("labels", "up", "down", "_index", "_up_sets", "_down_sets",
+                 "_upsets", "_upset_masks", "_covers")
 
-    def __init__(self, labels, leq):
+    def __init__(self, labels, up):
         labels = tuple(labels)
-        leq = np.asarray(leq, dtype=bool)
+        up = tuple(up)
         n = len(labels)
         if len(set(labels)) != n:
             raise DuplicateLabel(f"labels are not unique: {labels}")
-        if leq.shape != (n, n):
-            raise ValueError(f"leq must be {n}x{n}, got {leq.shape}")
-        if n and not leq[np.diag_indices(n)].all():
+        if len(up) != n or any(r >> n for r in up):
+            raise ValueError(f"up must be {n} rows of {n} bits")
+        if any(not up[i] >> i & 1 for i in range(n)):
             raise ValueError("order is not reflexive")
-        if np.any(leq & leq.T & ~np.eye(n, dtype=bool)):
-            i, j = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))[0]
-            raise CycleDetected(f"{labels[i]} and {labels[j]} lie below each other")
-        if np.any(np.matmul(leq, leq) & ~leq):
+        down = [0] * n
+        for i in range(n):
+            for j in _bits(up[i]):
+                down[j] |= 1 << i
+        for i in range(n):
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                j = next(_bits(both))
+                raise CycleDetected(f"{labels[i]} and {labels[j]} lie below each other")
+        if any(up[j] & ~up[i] for i in range(n) for j in _bits(up[i])):
             raise ValueError("order is not transitive")
-        leq.flags.writeable = False
         self.labels = labels
-        self.leq = leq
+        self.up = up
+        self.down = tuple(down)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._down = None
-        self._up = None
+        self._up_sets = None
+        self._down_sets = None
         self._upsets = None
+        self._upset_masks = None
         self._covers = None
 
     # -- basic accessors --------------------------------------------
@@ -70,42 +93,38 @@ class FinitePoset:
             raise UnknownLabel(f"unknown point label {label!r}") from None
 
     def le(self, i, j):
-        return bool(self.leq[i, j])
+        return bool(self.up[i] >> j & 1)
 
     def down_set(self, i):
         """All points below i, as a frozenset (principal downset)."""
-        if self._down is None:
-            self._down = tuple(
-                frozenset(np.flatnonzero(self.leq[:, j]).tolist())
-                for j in range(self.n)
-            )
-        return self._down[i]
+        if self._down_sets is None:
+            self._down_sets = tuple(frozenset(_bits(m)) for m in self.down)
+        return self._down_sets[i]
 
     def up_set(self, i):
-        if self._up is None:
-            self._up = tuple(
-                frozenset(np.flatnonzero(self.leq[j, :]).tolist())
-                for j in range(self.n)
-            )
-        return self._up[i]
+        if self._up_sets is None:
+            self._up_sets = tuple(frozenset(_bits(m)) for m in self.up)
+        return self._up_sets[i]
 
     def covers(self):
         """Cover pairs (i, j) with j covering i, for Hasse diagrams."""
         if self._covers is None:
-            lt = self.leq & ~np.eye(self.n, dtype=bool)
-            strict2 = np.matmul(lt, lt)
-            cov = lt & ~strict2
+            strict = [m & ~(1 << i) for i, m in enumerate(self.up)]
             self._covers = tuple(
-                (int(i), int(j)) for i, j in np.argwhere(cov)
+                (i, j)
+                for i, m in enumerate(strict)
+                for j in _bits(m & ~_mask_union(strict, m))
             )
         return self._covers
 
     def is_upset(self, members):
-        return all(self.up_set(i) <= members for i in members)
+        m = _mask(members)
+        return _mask_union(self.up, m) == m
 
     def _check_points(self, members):
+        n = len(self.labels)
         for i in members:
-            if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n):
+            if not (isinstance(i, int) and 0 <= i < n):
                 raise UnknownPoint(f"point index {i!r} out of range")
 
     # -- equality / hashing -----------------------------------------
@@ -114,14 +133,22 @@ class FinitePoset:
         return (
             isinstance(other, FinitePoset)
             and self.labels == other.labels
-            and np.array_equal(self.leq, other.leq)
+            and self.up == other.up
         )
 
     def __hash__(self):
-        return hash((self.labels, self.leq.tobytes()))
+        return hash((self.labels, self.up))
 
     def __repr__(self):
         return f"FinitePoset({list(self.labels)}, covers={[(self.labels[i], self.labels[j]) for i, j in self.covers()]})"
+
+
+def _mask_union(rows, members):
+    """The union of ``rows[i]`` over the points i of a mask."""
+    out = 0
+    for i in _bits(members):
+        out |= rows[i]
+    return out
 
 
 # -- construction -----------------------------------------------------
@@ -142,17 +169,19 @@ def build_poset(labels, covers):
             seen.add(lab)
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    rel = np.eye(n, dtype=bool)
+    up = [1 << i for i in range(n)]
     for a, b in covers:
         if a not in index:
             raise UnknownLabel(f"unknown point label {a!r}")
         if b not in index:
             raise UnknownLabel(f"unknown point label {b!r}")
-        rel[index[a], index[b]] = True
+        up[index[a]] |= 1 << index[b]
     # Warshall closure
     for k in range(n):
-        rel |= np.outer(rel[:, k], rel[k, :])
-    return FinitePoset(labels, rel)
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return FinitePoset(labels, up)
 
 
 def order_closure(P, members, direction):
@@ -160,16 +189,15 @@ def order_closure(P, members, direction):
     members = frozenset(members)
     P._check_points(members)
     if direction == "up":
-        out = set(members)
-        for i in members:
-            out |= P.up_set(i)
+        rows = P.up
     elif direction == "down":
-        out = set(members)
-        for i in members:
-            out |= P.down_set(i)
+        rows = P.down
     else:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    return frozenset(out)
+    out = 0
+    for i in members:  # no mask round trip: the nuclei path's hottest call
+        out |= rows[i]
+    return frozenset(_bits(out))
 
 
 def extrema(P, members, which):
@@ -177,16 +205,22 @@ def extrema(P, members, which):
     members = frozenset(members)
     P._check_points(members)
     if which == "min":
-        return frozenset(
-            i for i in members
-            if not any(P.leq[j, i] and j != i for j in members)
-        )
-    if which == "max":
-        return frozenset(
-            i for i in members
-            if not any(P.leq[i, j] and j != i for j in members)
-        )
-    raise ValueError(f"which must be 'min' or 'max', got {which!r}")
+        rows = P.down
+    elif which == "max":
+        rows = P.up
+    else:
+        raise ValueError(f"which must be 'min' or 'max', got {which!r}")
+    m = _mask(members)
+    return frozenset(i for i in members if rows[i] & m == 1 << i)
+
+
+def upset_masks(P):
+    """All upsets as bitmasks, in the order of :func:`enumerate_upsets`."""
+    if P._upset_masks is None:
+        found = [m for m in range(1 << P.n) if _mask_union(P.up, m) == m]
+        found.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
+        P._upset_masks = tuple(found)
+    return P._upset_masks
 
 
 def enumerate_upsets(P):
@@ -195,17 +229,9 @@ def enumerate_upsets(P):
     In the finite case every upset is clopen, so this is the full frame
     of clopen upsets of the space.
     """
-    if P._upsets is not None:
-        return list(P._upsets)
-    n = P.n
-    found = []
-    for bits in itertools.product((0, 1), repeat=n):
-        members = frozenset(i for i in range(n) if bits[i])
-        if P.is_upset(members):
-            found.append(members)
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    P._upsets = tuple(found)
-    return list(found)
+    if P._upsets is None:
+        P._upsets = tuple(frozenset(_bits(m)) for m in upset_masks(P))
+    return list(P._upsets)
 
 
 # -- canonical forms ---------------------------------------------------
@@ -220,13 +246,13 @@ def _canonical(P):
     for every poset of workbench size.
     """
     n = P.n
-    leq = P.leq
-    colors = [(len(P.down_set(i)), len(P.up_set(i))) for i in range(n)]
+    up = P.up
+    colors = [(d.bit_count(), u.bit_count()) for d, u in zip(P.down, up)]
     for _ in range(n):
         new = []
         for i in range(n):
-            below = sorted(colors[j] for j in P.down_set(i) if j != i)
-            above = sorted(colors[j] for j in P.up_set(i) if j != i)
+            below = sorted(colors[j] for j in _bits(P.down[i] & ~(1 << i)))
+            above = sorted(colors[j] for j in _bits(up[i] & ~(1 << i)))
             new.append((colors[i], tuple(below), tuple(above)))
         ranking = {c: r for r, c in enumerate(sorted(set(new)))}
         new = [(ranking[c],) for c in new]
@@ -244,7 +270,7 @@ def _canonical(P):
     ):
         perm = [i for part in perm_parts for i in part]
         key = tuple(
-            bool(leq[perm[i], perm[j]]) for i in range(n) for j in range(n)
+            bool(up[perm[i]] >> perm[j] & 1) for i in range(n) for j in range(n)
         )
         if best is None or key < best:
             best = key
@@ -264,15 +290,14 @@ def canonical_form(P):
 
 def relabel_canonically(P, prefix="p"):
     """Return an isomorphic copy with labels p0..p{n-1} in canonical order."""
-    n = P.n
     _, perm = _canonical(P)
-    if perm is None:
-        return FinitePoset([], np.zeros((0, 0), dtype=bool))
-    mat = np.array(
-        [[P.leq[perm[i], perm[j]] for j in range(n)] for i in range(n)],
-        dtype=bool,
-    )
-    return FinitePoset([f"{prefix}{i}" for i in range(n)], mat)
+    return FinitePoset([f"{prefix}{i}" for i in range(P.n)], _restrict(P, perm))
+
+
+def _restrict(P, points):
+    """Up rows of the order induced on ``points``, numbered in list order."""
+    return [_mask(b for b, y in enumerate(points) if P.up[x] >> y & 1)
+            for x in points]
 
 
 # -- JSON interchange ---------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     NotLocalic,
     NotRepresentable,
 )
-from .poset import FinitePoset, enumerate_upsets
+from .poset import FinitePoset, _bits, _mask_union, upset_masks
 
 
 # ---------------------------------------------------------------------
@@ -456,14 +456,8 @@ class FiniteEngine:
         self.n = n
         self.full = (1 << n) - 1
         self.empty = 0
-        self._up_masks = [0] * n
-        self._down_masks = [0] * n
-        for i in range(n):
-            for j in poset.up_set(i):
-                self._up_masks[i] |= 1 << j
-            for j in poset.down_set(i):
-                self._down_masks[i] |= 1 << j
-        self._upsets = None
+        self._up_masks = poset.up
+        self._down_masks = poset.down
         self.name = f"finite poset on {{{', '.join(poset.labels)}}}"
 
     # -- set primitives ----------------------------------------------
@@ -496,16 +490,10 @@ class FiniteEngine:
         return isinstance(a, int) and 0 <= a <= self.full
 
     def up(self, a):
-        out = 0
-        for i in _bits(a):
-            out |= self._up_masks[i]
-        return out
+        return _mask_union(self._up_masks, a)
 
     def down(self, a):
-        out = 0
-        for i in _bits(a):
-            out |= self._down_masks[i]
-        return out
+        return _mask_union(self._down_masks, a)
 
     def strict_up(self, a):
         out = 0
@@ -554,20 +542,10 @@ class FiniteEngine:
         return out
 
     def all_upsets(self):
-        if self._upsets is None:
-            self._upsets = [
-                self.mask_of(u) for u in enumerate_upsets(self.poset)
-            ]
-        return list(self._upsets)
+        return list(upset_masks(self.poset))
 
     def sample_clopen_upsets(self, count, seed=0):
         return self.all_upsets()
-
-    def mask_of(self, members):
-        out = 0
-        for i in members:
-            out |= 1 << i
-        return out
 
     def set_of(self, mask):
         return frozenset(_bits(mask))
@@ -591,11 +569,3 @@ class FiniteEngine:
             return "empty family (min Y_d is empty)"
         return "; ".join(descriptions)
 
-
-def _bits(mask):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1

@@ -21,6 +21,7 @@ from priestley.errors import (
     SpaceMismatch,
     Unbounded,
 )
+from priestley.oracle import enumerate_posets
 from priestley.poset import order_closure
 
 
@@ -123,9 +124,9 @@ def test_round_trip_via_stone_map():
         assert sorted(send) == list(range(E.n))  # bijection
         for a in range(D.n):
             for b in range(D.n):
-                assert D.leq[a, b] == E.leq[send[a], send[b]]
-                assert send[D.meet[a, b]] == E.meet[send[a], send[b]]
-                assert send[D.join[a, b]] == E.join[send[a], send[b]]
+                assert D.le(a, b) == E.le(send[a], send[b])
+                assert send[D.meet[a][b]] == E.meet[send[a]][send[b]]
+                assert send[D.join[a][b]] == E.join[send[a]][send[b]]
 
 
 def test_dual_satisfies_priestley_separation():
@@ -202,3 +203,46 @@ def test_lattice_from_json():
             "covers": [["0", "a"], ["a", "1"]],
             "bottom": "a",
         })
+
+
+def _literal_verdict(P):
+    """The first missing meet or join (pair order) or failing
+    distributive law (triple order), straight from the definitions."""
+    n, le, lab = P.n, P.le, P.labels
+    meet, join = {}, {}
+    for a in range(n):
+        for b in range(n):
+            lower = [c for c in range(n) if le(c, a) and le(c, b)]
+            glb = [c for c in lower if all(le(d, c) for d in lower)]
+            if not glb:
+                return f"no meet for pair {(lab[a], lab[b])}"
+            upper = [c for c in range(n) if le(a, c) and le(b, c)]
+            lub = [c for c in upper if all(le(c, d) for d in upper)]
+            if not lub:
+                return f"no join for pair {(lab[a], lab[b])}"
+            meet[a, b], join[a, b] = glb[0], lub[0]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
+                    return f"distributivity fails at triple {(lab[a], lab[b], lab[c])}"
+    return None
+
+
+def test_validation_witnesses_match_the_definitions():
+    verdicts = set()
+    for n in range(1, 7):
+        for P in enumerate_posets(n):
+            try:
+                D = validate_lattice(P)
+            except (NotALattice, NotDistributive) as e:
+                got = str(e)
+            else:
+                got = None
+                for a in range(n):
+                    for b in range(n):
+                        assert P.le(D.meet[a][b], a) and P.le(a, D.join[a][b])
+            expected = _literal_verdict(P)
+            assert got == expected, repr(P)
+            verdicts.add(expected.split()[0] if expected else "ok")
+    assert verdicts == {"no", "distributivity", "ok"}

@@ -3,13 +3,14 @@
 import pytest
 
 from priestley import spectrum as sp
-from priestley.errors import FamilyMismatch
+from priestley.errors import FamilyMismatch, NotClopenUpset
 from priestley.fans import (
     FAMILIES,
     OMEGA,
     OMEGA_STAR,
     FanSpaceDescriptor,
     Region,
+    clop_sup_test,
     engine_for,
     fan_point,
     fan_star,
@@ -216,3 +217,11 @@ def test_core_density(engines):
     for fam, E in engines.items():
         for u in E.sample_clopen_upsets(40, seed=12):
             assert E.closure(E.core(u)) == u, (fam, E.describe_set(u))
+
+
+def test_clop_sup_test_rejects_non_clopen_upsets(engines):
+    # up(X*(0)) is an upset but not closed in any family
+    for E in engines.values():
+        u = E.up(E.point_set(fan_star(0)))
+        with pytest.raises(NotClopenUpset):
+            clop_sup_test(u)

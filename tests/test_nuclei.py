@@ -1,5 +1,11 @@
 """The nucleus/nuclear-set dictionary on small finite frames."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from priestley import (
@@ -197,3 +203,30 @@ def test_nucleus_json_round_trip():
     P = two_chain()
     j = double_negation(P)
     assert nucleus_from_json(P, nucleus_to_json(j)) == j
+
+
+def test_booleanization_checks_survive_optimized_mode():
+    # a broken implication must still be caught when asserts are stripped
+    script = textwrap.dedent("""
+        import sys
+        import priestley.birkhoff as birkhoff
+        from priestley import booleanization, build_poset
+        from priestley.errors import InternalAssertionError
+
+        birkhoff.implies_set = lambda X, u, v: u
+        P = build_poset(["x1", "x2"], [("x1", "x2")])
+        try:
+            booleanization(P)
+        except InternalAssertionError as e:
+            print(sys.flags.optimize, "raised:", e)
+        else:
+            print(sys.flags.optimize, "no error")
+    """)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == (
+        "1 raised: fixpoints not closed under Heyting implication")
