@@ -339,19 +339,6 @@ def tame_diff(a, b):
     return tame_meet(a, tame_complement(b))
 
 
-def tame_op(a, b, op):
-    """Dispatcher: meet | join | complement | diff."""
-    if op == "meet":
-        return tame_meet(a, b)
-    if op == "join":
-        return tame_join(a, b)
-    if op == "diff":
-        return tame_diff(a, b)
-    if op == "complement":
-        return tame_complement(a)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def tame_closure(a):
     """Add the star over cofinite fan parts, omega over a cofinite spine,
     and the top blob when almost every fan closes up to its star."""
@@ -371,15 +358,6 @@ def tame_closure(a):
 
 def tame_interior(a):
     return tame_complement(tame_closure(tame_complement(a)))
-
-
-def closure_interior(a, which):
-    """Dispatcher matching the two-sided operation name."""
-    if which == "cl":
-        return tame_closure(a)
-    if which == "int":
-        return tame_interior(a)
-    raise ValueError(f"which must be 'cl' or 'int', got {which!r}")
 
 
 def tame_is_open(a):
@@ -870,23 +848,14 @@ class OmegaFansEngine(FanEngine):
     the blob above omega.
 
     Order: y_i below fan i and its star; every y_i below omega; omega
-    below the blob.  ``_drop_spine_link`` severs the fan-to-spine edge
-    of one fan; it exists purely as a fault-injection hook for the
-    mutation tests and must stay None in real use.
+    below the blob.
     """
 
     family = "omega_fans"
 
-    def __init__(self, _drop_spine_link=None):
-        self._drop = _drop_spine_link
-        super().__init__()
-
     def _content_region(self, a):
         """Which fans have points or star, as an index region."""
-        reg = _fan_pred_region(a, lambda r: r.has_points() or r.flag)
-        if self._drop is not None:
-            reg = region_meet(reg, Region("cofin", frozenset({self._drop})))
-        return reg
+        return _fan_pred_region(a, lambda r: r.has_points() or r.flag)
 
     def strict_down(self, a):
         spine_pts = self._content_region(a)
@@ -1289,16 +1258,6 @@ def tame_from_json(family, obj):
     if "spine" in obj:
         spine = _region_from_json(obj["spine"], "omega")
     return make_tame(family, default, exc, spine, bool(obj.get("omega_star", False)))
-
-
-def updown(a, direction):
-    """Order closure of a tame set in its own family's order."""
-    E = engine_for(a.family)
-    if direction == "up":
-        return E.up(a)
-    if direction == "down":
-        return E.down(a)
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
 def clop_sup_test(u):

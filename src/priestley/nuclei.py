@@ -11,6 +11,13 @@ nucleus is stored as an explicit table.  The dictionary runs both ways:
 On finite spaces every subset is a nuclear set and the two directions
 are mutually inverse, which is what the exhaustive sweeps in the oracle
 lean on.  Sublocales are represented by their fixpoint sets.
+
+Point sets are int bitmasks here (bit i for point i): a nucleus holds
+``masks``, upset mask -> image mask in ``upset_masks`` order, and a
+nuclear set holds ``mask``.  Frozensets appear only at the public
+boundary: ``validate_nucleus``, ``nucleus_from_json`` and ``NuclearSet``
+convert their input once; ``j(U)``, the cached view ``j.table``,
+``.members``, ``admissible_upset`` and ``booleanization`` return them.
 """
 
 from __future__ import annotations
@@ -20,113 +27,154 @@ from itertools import combinations
 
 from .errors import (
     InternalAssertionError,
+    NotAnUpset,
     NotIdempotent,
     NotInflationary,
     NotMeetPreserving,
     SpaceMismatch,
 )
-from .poset import FinitePoset, _bits, enumerate_upsets, extrema, order_closure
+from .poset import (FinitePoset, _bits, _mask, _mask_union, enumerate_upsets,
+                    extrema, order_closure, upset_masks, upset_views)
+
+
+def _mask_of(space, members):
+    """The mask of a point set given from outside, its points checked."""
+    members = tuple(members)
+    space._check_points(members)
+    return _mask(members)
 
 
 class Nucleus:
-    """A validated nucleus table on the upset frame of a finite space."""
+    """A validated nucleus table on the upset frame of a finite space.
 
-    __slots__ = ("space", "table")
+    ``masks`` maps every upset mask to its image mask; the first failing
+    law raises with the offending upset(s) as frozensets.
+    """
 
-    def __init__(self, space, table):
-        upsets = enumerate_upsets(space)
-        table = {frozenset(k): frozenset(v) for k, v in table.items()}
-        if set(table) != set(upsets):
+    __slots__ = ("space", "masks", "_table")
+
+    def __init__(self, space, masks):
+        ups = upset_masks(space)
+        if masks.keys() != set(ups):
             raise ValueError("table must be total on the upsets of the space")
-        for u in upsets:
-            if not space.is_upset(table[u]):
-                raise ValueError(f"image of {sorted(u)} is not an upset")
-        for u in upsets:
-            if not u <= table[u]:
-                raise NotInflationary(u)
-        for u in upsets:
-            if table[table[u]] != table[u]:
-                raise NotIdempotent(u)
-        for u, v in combinations(upsets, 2):
-            if table[u & v] != table[u] & table[v]:
-                raise NotMeetPreserving(u, v)
+        masks = {u: masks[u] for u in ups}
+        views = upset_views(space)
+        for u, v in masks.items():
+            if v not in views:
+                raise ValueError(f"image of {list(_bits(u))} is not an upset")
+        for u, v in masks.items():
+            if u & ~v:
+                raise NotInflationary(views[u])
+        for u, v in masks.items():
+            if masks[v] != v:
+                raise NotIdempotent(views[u])
+        for u, v in combinations(ups, 2):
+            if masks[u & v] != masks[u] & masks[v]:
+                raise NotMeetPreserving(views[u], views[v])
         self.space = space
-        self.table = table
+        self.masks = masks
+        self._table = None
+
+    @property
+    def table(self):
+        """The table as upset frozenset -> image frozenset (cached)."""
+        if self._table is None:
+            views = upset_views(self.space)
+            self._table = {views[u]: views[v] for u, v in self.masks.items()}
+        return self._table
 
     def __call__(self, u):
-        return self.table[frozenset(u)]
+        m = _mask_of(self.space, u)
+        if m not in self.masks:
+            raise NotAnUpset(f"{list(_bits(m))} is not an upset")
+        return upset_views(self.space)[self.masks[m]]
 
     def __eq__(self, other):
         return (
             isinstance(other, Nucleus)
             and self.space == other.space
-            and self.table == other.table
+            and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((self.space, tuple(sorted(self.table.items(),
-                                              key=lambda kv: (len(kv[0]), sorted(kv[0]))))))
+        return hash((self.space, tuple(self.masks.values())))
 
     def leq(self, other):
         """Pointwise order on nuclei: self(U) contained in other(U) for all U."""
-        return all(self.table[u] <= other.table[u] for u in self.table)
+        return all(v & ~other.masks[u] == 0 for u, v in self.masks.items())
 
     @classmethod
     def identity(cls, space):
-        return cls(space, {u: u for u in enumerate_upsets(space)})
+        return cls(space, {u: u for u in upset_masks(space)})
 
     @classmethod
     def constant_top(cls, space):
-        full = frozenset(range(space.n))
-        return cls(space, {u: full for u in enumerate_upsets(space)})
+        full = (1 << space.n) - 1
+        return cls(space, {u: full for u in upset_masks(space)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NuclearSet:
     """A point subset of a finite space, in its role as a nuclear set.
 
     Every subset of a finite Priestley space is nuclear: all subsets are
     closed and down(U & N) is clopen; ``sanity_check`` asserts exactly
-    that definition once.
+    that definition once.  ``members`` is the subset ``mask`` as a
+    frozenset.
     """
 
     space: FinitePoset
-    members: frozenset
+    mask: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        self.space._check_points(self.members)
+    def __init__(self, space, members):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", _mask_of(space, members))
+
+    @classmethod
+    def _of_mask(cls, space, mask):
+        N = cls.__new__(cls)
+        object.__setattr__(N, "space", space)
+        object.__setattr__(N, "mask", mask)
+        return N
+
+    @property
+    def members(self):
+        return frozenset(_bits(self.mask))
 
     def sanity_check(self):
-        for u in enumerate_upsets(self.space):
-            order_closure(self.space, u & self.members, "down")
+        for u in upset_masks(self.space):
+            _mask_union(self.space.down, u & self.mask)
         return True
 
 
 def validate_nucleus(space, raw_table):
-    """Table in, Nucleus out; errors carry the first violating upset(s)."""
-    return Nucleus(space, raw_table)
+    """Table of point sets in, Nucleus out; errors carry the first
+    violating upset(s)."""
+    return Nucleus(space, {_mask_of(space, u): _mask_of(space, v)
+                           for u, v in raw_table.items()})
+
+
+def _nuclear_mask(j):
+    """N_j as a mask: the points x with no upset U where x is in jU \\ U."""
+    moved = 0
+    for u, v in j.masks.items():
+        moved |= v & ~u
+    return (1 << j.space.n) - 1 & ~moved
 
 
 def nuclear_of_nucleus(j):
     """N_j: the points that cannot tell jU from U."""
-    upsets = enumerate_upsets(j.space)
-    members = frozenset(
-        x for x in range(j.space.n)
-        if all(x in u for u in upsets if x in j.table[u])
-    )
-    return NuclearSet(j.space, members)
+    return NuclearSet._of_mask(j.space, _nuclear_mask(j))
 
 
 def nucleus_of_nuclear(N):
     """j_N U = X \\ down(N \\ U); always passes validation."""
     space = N.space
-    full = frozenset(range(space.n))
-    table = {
-        u: full - order_closure(space, N.members - u, "down")
-        for u in enumerate_upsets(space)
-    }
-    return Nucleus(space, table)
+    full = (1 << space.n) - 1
+    return Nucleus(space, {
+        u: full & ~_mask_union(space.down, N.mask & ~u)
+        for u in upset_masks(space)
+    })
 
 
 def admissible_upset(j):
@@ -136,64 +184,65 @@ def admissible_upset(j):
     is asserted against the up-closure of the nuclear set.
     """
     space = j.space
-    full = frozenset(range(space.n))
+    full = (1 << space.n) - 1
     h = full
-    for u in enumerate_upsets(space):
-        if j.table[u] == full:
+    for u, v in j.masks.items():
+        if v == full:
             h &= u
-    expected = order_closure(space, nuclear_of_nucleus(j).members, "up")
-    if h != expected:
+    h = upset_views(space)[h]
+    if h != order_closure(space, _bits(_nuclear_mask(j)), "up"):
         raise InternalAssertionError("admissible upset differs from up(N_j)")
     return h
 
 
+def _maximal_mask(space):
+    return _mask(extrema(space, range(space.n), "max"))
+
+
 def double_negation(space):
     """The nucleus U |-> U**; its nuclear set is max X."""
-    from .birkhoff import pseudocomplement_set
+    from . import birkhoff
 
-    table = {
-        u: pseudocomplement_set(space, pseudocomplement_set(space, u))
-        for u in enumerate_upsets(space)
-    }
-    j = Nucleus(space, table)
-    full = frozenset(range(space.n))
-    if nuclear_of_nucleus(j).members != extrema(space, full, "max"):
+    j = Nucleus(space, {
+        u: _mask(birkhoff.pseudocomplement_set(
+            space, birkhoff.pseudocomplement_set(space, s)))
+        for u, s in zip(upset_masks(space), enumerate_upsets(space))
+    })
+    if _nuclear_mask(j) != _maximal_mask(space):
         raise InternalAssertionError("double negation nuclear set is not max X")
     return j
 
 
 def booleanization(space):
     """Fixpoints of double negation, with the sublocale laws asserted."""
-    from .birkhoff import implies_set
+    from . import birkhoff
 
     j = double_negation(space)
-    fix = [u for u in enumerate_upsets(space) if j.table[u] == u]
+    fix = [u for u, v in j.masks.items() if u == v]
     fixset = set(fix)
     # closed under arbitrary meets: in a finite frame meets are
     # intersections, so binary closure plus the empty meet (the top)
     # already gives closure under all of them
-    full = frozenset(range(space.n))
-    if full not in fixset:
+    if (1 << space.n) - 1 not in fixset:
         raise InternalAssertionError("the top is not a fixpoint")
     for u, v in combinations(fix, 2):
         if u & v not in fixset:
             raise InternalAssertionError("fixpoints not closed under meets")
     # a -> s stays a fixpoint for every upset a
+    views = upset_views(space)
     for a in enumerate_upsets(space):
         for s in fix:
-            if implies_set(space, a, s) not in fixset:
+            if _mask(birkhoff.implies_set(space, a, views[s])) not in fixset:
                 raise InternalAssertionError(
                     "fixpoints not closed under Heyting implication"
                 )
-    return fix
+    return [views[u] for u in fix]
 
 
 def density_check(j):
     """dense: j(empty) = empty; cofinal: max X inside N_j; always equal."""
-    space = j.space
-    full = frozenset(range(space.n))
-    dense = j.table[frozenset()] == frozenset()
-    cofinal = extrema(space, full, "max") <= nuclear_of_nucleus(j).members
+    dense = j.masks[0] == 0
+    cofinal = _maximal_mask(j.space) & ~_nuclear_mask(j) == 0
     if dense != cofinal:
         raise InternalAssertionError("density and cofinality disagree")
     return {"dense": dense, "cofinal": cofinal}
@@ -205,31 +254,34 @@ def nuclear_join(sets):
     if not sets:
         raise ValueError("need at least one nuclear set")
     space = sets[0].space
-    members = set()
+    mask = 0
     for s in sets:
         if s.space != space:
             raise SpaceMismatch("nuclear sets live on different spaces")
-        members |= s.members
-    return NuclearSet(space, frozenset(members))
+        mask |= s.mask
+    return NuclearSet._of_mask(space, mask)
 
 
 def sublocale_of_nucleus(j):
-    """The fixpoint set j[L], representing the sublocale."""
-    return frozenset(j.table[u] for u in j.table)
+    """The fixpoint set j[L], representing the sublocale, as upset masks."""
+    return set(j.masks.values())
 
 
 def nucleus_of_sublocale(space, fixpoints):
-    """j_S(U) = meet of the members of S above U; inverse to j |-> j[L]."""
-    fixpoints = [frozenset(s) for s in fixpoints]
-    full = frozenset(range(space.n))
-    table = {}
-    for u in enumerate_upsets(space):
+    """j_S(U) = meet of the members of S above U; inverse to j |-> j[L].
+
+    ``fixpoints`` are upset masks, as :func:`sublocale_of_nucleus` gives.
+    """
+    fixpoints = list(fixpoints)
+    full = (1 << space.n) - 1
+    masks = {}
+    for u in upset_masks(space):
         img = full
         for s in fixpoints:
-            if u <= s:
+            if u & ~s == 0:
                 img &= s
-        table[u] = img
-    return Nucleus(space, table)
+        masks[u] = img
+    return Nucleus(space, masks)
 
 
 def all_nuclei(space):
@@ -239,26 +291,23 @@ def all_nuclei(space):
     bijection onto all nuclei, which is far cheaper than filtering
     monotone tables.
     """
-    for bits in range(1 << space.n):
-        members = frozenset(_bits(bits))
-        yield nucleus_of_nuclear(NuclearSet(space, members))
+    for mask in range(1 << space.n):
+        yield nucleus_of_nuclear(NuclearSet._of_mask(space, mask))
 
 
 # -- JSON interchange ---------------------------------------------------
 
 
 def nucleus_to_json(j):
-    def render(u):
-        return sorted(j.space.labels[i] for i in u)
+    def render(m):
+        return sorted(j.space.labels[i] for i in _bits(m))
 
-    return [[render(u), render(j.table[u])]
-            for u in enumerate_upsets(j.space)]
+    return [[render(u), render(v)] for u, v in j.masks.items()]
 
 
 def nucleus_from_json(space, obj):
-    table = {}
+    masks = {}
     for pair in obj:
-        u = frozenset(space.index(lab) for lab in pair[0])
-        v = frozenset(space.index(lab) for lab in pair[1])
-        table[u] = v
-    return validate_nucleus(space, table)
+        u = _mask(space.index(lab) for lab in pair[0])
+        masks[u] = _mask(space.index(lab) for lab in pair[1])
+    return Nucleus(space, masks)

@@ -31,13 +31,16 @@ from .errors import BoundExceeded, InternalAssertionError, UnknownTheoremId, Wor
 from .fans import (
     FAMILIES,
     OmegaFansEngine,
+    Region,
     engine_for,
     noncanonical_twin,
+    region_meet,
     tame_is_closed,
     tame_is_open,
 )
 from .nuclei import (
     NuclearSet,
+    Nucleus,
     admissible_upset,
     booleanization,
     density_check,
@@ -46,9 +49,9 @@ from .nuclei import (
     nucleus_of_nuclear,
     nucleus_of_sublocale,
     sublocale_of_nucleus,
-    validate_nucleus,
 )
-from .poset import FinitePoset, _bits, _restrict, canonical_form, relabel_canonically
+from .poset import (FinitePoset, _bits, _mask, _mask_union, _restrict, canonical_form,
+                    extrema, relabel_canonically, upset_masks)
 
 DEFAULT_BOUND = 6
 NUCLEI_BOUND = 4
@@ -118,10 +121,6 @@ def posets_up_to(bound, cap=DEFAULT_BOUND):
 
 def _engines(bound):
     return [sp.FiniteEngine(P) for P in posets_up_to(bound)]
-
-
-def _all_subsets(n):
-    return range(1 << n)
 
 
 # ---------------------------------------------------------------------
@@ -269,19 +268,22 @@ def _nuclei_spaces(bound):
     return posets_up_to(min(bound, NUCLEI_BOUND))
 
 
+def _nuclei_of_subsets(P):
+    """(N, j_N) for every point subset N of P, as masks, ascending."""
+    for members in range(1 << P.n):
+        yield members, nucleus_of_nuclear(NuclearSet._of_mask(P, members))
+
+
 def check_nuclei_galois(bound):
     tid = "nuclei-galois"
     cases = []
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            N = NuclearSet(P, members)
-            j = nucleus_of_nuclear(N)
-            if nuclear_of_nucleus(j).members != members:
-                ok, witness = False, f"subset {sorted(members)}"
+        for members, j in _nuclei_of_subsets(P):
+            if nuclear_of_nucleus(j).mask != members:
+                ok, witness = False, f"subset {list(_bits(members))}"
             if nucleus_of_nuclear(nuclear_of_nucleus(j)) != j:
-                ok, witness = False, f"nucleus of {sorted(members)}"
+                ok, witness = False, f"nucleus of {list(_bits(members))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -291,12 +293,11 @@ def check_nuclei_order_reversal(bound):
     cases = []
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        subsets = [frozenset(_bits(bits)) for bits in _all_subsets(P.n)]
-        js = {s: nucleus_of_nuclear(NuclearSet(P, s)) for s in subsets}
-        for a in subsets:
-            for b in subsets:
-                if (a <= b) != js[b].leq(js[a]):
-                    ok, witness = False, f"{sorted(a)} vs {sorted(b)}"
+        js = [j for _, j in _nuclei_of_subsets(P)]
+        for a in range(1 << P.n):
+            for b in range(1 << P.n):
+                if (a & ~b == 0) != js[b].leq(js[a]):
+                    ok, witness = False, f"{list(_bits(a))} vs {list(_bits(b))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -305,20 +306,16 @@ def check_upset_nj_eq_fj(bound):
     """The admissible upset of a nucleus is the up-closure of its nuclear set."""
     tid = "upset-Nj-eq-Fj"
     cases = []
-    from .poset import order_closure
-
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            j = nucleus_of_nuclear(NuclearSet(P, members))
+        for members, j in _nuclei_of_subsets(P):
             try:
                 h = admissible_upset(j)
             except InternalAssertionError:
-                ok, witness = False, f"subset {sorted(members)}"
+                ok, witness = False, f"subset {list(_bits(members))}"
                 continue
-            if h != order_closure(P, members, "up"):
-                ok, witness = False, f"subset {sorted(members)}"
+            if _mask(h) != _mask_union(P.up, members):
+                ok, witness = False, f"subset {list(_bits(members))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -326,18 +323,14 @@ def check_upset_nj_eq_fj(bound):
 def check_dense_iff_cofinal(bound):
     tid = "dense-iff-cofinal"
     cases = []
-    from .poset import extrema
-
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        maxx = extrema(P, frozenset(range(P.n)), "max")
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            j = nucleus_of_nuclear(NuclearSet(P, members))
-            dense = j.table[frozenset()] == frozenset()
-            cofinal = maxx <= members
+        maxx = _mask(extrema(P, range(P.n), "max"))
+        for members, j in _nuclei_of_subsets(P):
+            dense = j.masks[0] == 0
+            cofinal = maxx & ~members == 0
             if dense != cofinal:
-                ok, witness = False, f"subset {sorted(members)}"
+                ok, witness = False, f"subset {list(_bits(members))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -346,23 +339,19 @@ def check_max_least_cofinal(bound):
     """max X is a nuclear set, cofinal, and contained in every cofinal one."""
     tid = "max-least-cofinal"
     cases = []
-    from .poset import extrema
-
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        maxx = extrema(P, frozenset(range(P.n)), "max")
-        dneg = nuclear_of_nucleus(double_negation(P)).members
-        if dneg != maxx:
+        maxx = _mask(extrema(P, range(P.n), "max"))
+        if nuclear_of_nucleus(double_negation(P)).mask != maxx:
             ok, witness = False, "double negation nuclear set"
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            if maxx <= members:
+        for members in range(1 << P.n):
+            if maxx & ~members == 0:
                 continue
             # not cofinal: fine; cofinal ones must contain max X, which
             # is immediate from the definition, so check the dense side
-            j = nucleus_of_nuclear(NuclearSet(P, members))
+            j = nucleus_of_nuclear(NuclearSet._of_mask(P, members))
             if density_check(j)["dense"]:
-                ok, witness = False, f"dense nucleus from {sorted(members)}"
+                ok, witness = False, f"dense nucleus from {list(_bits(members))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -374,17 +363,15 @@ def check_booleanization(bound):
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
         try:
-            booleans = set(booleanization(P))
+            booleans = {_mask(u) for u in booleanization(P)}
         except InternalAssertionError:
             cases.append(_case(tid, repr(P), False, "sublocale laws"))
             continue
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            j = nucleus_of_nuclear(NuclearSet(P, members))
+        for members, j in _nuclei_of_subsets(P):
             if density_check(j)["dense"]:
-                fix = {u for u in j.table if j.table[u] == u}
+                fix = {u for u, v in j.masks.items() if u == v}
                 if not booleans <= fix:
-                    ok, witness = False, f"dense nucleus from {sorted(members)}"
+                    ok, witness = False, f"dense nucleus from {list(_bits(members))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -393,17 +380,12 @@ def check_lemma_nj_restrict(bound):
     """U and jU agree when restricted to the nuclear set."""
     tid = "lemma-nj-restrict"
     cases = []
-    from .poset import enumerate_upsets
-
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        ups = enumerate_upsets(P)
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            j = nucleus_of_nuclear(NuclearSet(P, members))
-            for u in ups:
-                if u & members != j.table[u] & members:
-                    ok, witness = False, f"{sorted(members)} at {sorted(u)}"
+        for members, j in _nuclei_of_subsets(P):
+            for u, v in j.masks.items():
+                if u & members != v & members:
+                    ok, witness = False, f"{list(_bits(members))} at {list(_bits(u))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -413,11 +395,9 @@ def check_sublocale_roundtrip(bound):
     cases = []
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            j = nucleus_of_nuclear(NuclearSet(P, members))
+        for members, j in _nuclei_of_subsets(P):
             if nucleus_of_sublocale(P, sublocale_of_nucleus(j)) != j:
-                ok, witness = False, f"subset {sorted(members)}"
+                ok, witness = False, f"subset {list(_bits(members))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -428,25 +408,21 @@ def check_inductive_core_collapse(bound):
     jU equals the closure of the union of jV over upsets V inside U."""
     tid = "inductive-core-collapse"
     cases = []
-    from .poset import enumerate_upsets, order_closure
-
     for P in _nuclei_spaces(bound):
         ok, witness = True, None
-        ups = enumerate_upsets(P)
-        for bits in _all_subsets(P.n):
-            members = frozenset(_bits(bits))
-            j = nucleus_of_nuclear(NuclearSet(P, members))
+        ups = upset_masks(P)
+        for members, j in _nuclei_of_subsets(P):
             for f in ups:
-                lifted = order_closure(P, f & members, "up")
-                if not P.is_upset(lifted):
-                    ok, witness = False, f"{sorted(members)}, F={sorted(f)}"
+                lifted = _mask_union(P.up, f & members)
+                if _mask_union(P.up, lifted) != lifted:
+                    ok, witness = False, f"{list(_bits(members))}, F={list(_bits(f))}"
             for u in ups:
-                union = frozenset()
+                union = 0
                 for v in ups:
-                    if v <= u:
-                        union |= j.table[v]
-                if union != j.table[u]:
-                    ok, witness = False, f"{sorted(members)}, U={sorted(u)}"
+                    if v & ~u == 0:
+                        union |= j.masks[v]
+                if union != j.masks[u]:
+                    ok, witness = False, f"{list(_bits(members))}, U={list(_bits(u))}"
         cases.append(_case(tid, repr(P), ok, witness))
     return cases
 
@@ -487,12 +463,8 @@ def check_d_nucleus_laws(bound):
     tid = "d-nucleus-laws"
     cases = []
     for E in _engines(bound):
-        P = E.poset
-        table = {
-            E.set_of(u): E.set_of(v) for u, v in _d_table(E).items()
-        }
         try:
-            j = validate_nucleus(P, table)
+            j = Nucleus(E.poset, _d_table(E))
             ok = density_check(j)["dense"]
             witness = None if ok else "d is not dense"
         except WorkbenchError as e:
@@ -673,10 +645,10 @@ def check_rho_forms(bound):
                     meet_form &= w
             if not (display == via_nuclear == meet_form):
                 ok, witness = False, E.describe_set(u)
-            table[E.set_of(u)] = E.set_of(via_nuclear)
+            table[u] = via_nuclear
         if ok:
-            j = validate_nucleus(E.poset, table)
-            if nuclear_of_nucleus(j).members != E.set_of(E.closure(m)):
+            j = Nucleus(E.poset, table)
+            if nuclear_of_nucleus(j).mask != E.closure(m):
                 ok, witness = False, "nuclear set of rho"
         cases.append(_case(tid, E.name, ok, witness))
     return cases
@@ -1038,7 +1010,13 @@ def mutation_corrupt_d_table():
 def mutation_drop_spine_link():
     """Sever one fan-to-spine order pair in the omega family; the
     published verdicts can no longer be reproduced."""
-    broken = OmegaFansEngine(_drop_spine_link=0)
+    class DroppedSpineLink(OmegaFansEngine):
+        def _content_region(self, a):
+            # fan 0 no longer lies above its spine point
+            return region_meet(super()._content_region(a),
+                               Region("cofin", frozenset({0})))
+
+    broken = DroppedSpineLink()
     return [
         c for c in check_fan_figures(0, engines={"omega_fans": broken})
         if c.instance == "omega_fans"

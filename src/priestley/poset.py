@@ -223,15 +223,21 @@ def upset_masks(P):
     return P._upset_masks
 
 
+def upset_views(P):
+    """Upset mask -> the same upset as a frozenset, cached per poset, in
+    the order of :func:`upset_masks`."""
+    if P._upsets is None:
+        P._upsets = {m: frozenset(_bits(m)) for m in upset_masks(P)}
+    return P._upsets
+
+
 def enumerate_upsets(P):
     """All upward-closed subsets, sorted by size then lexicographically.
 
     In the finite case every upset is clopen, so this is the full frame
     of clopen upsets of the space.
     """
-    if P._upsets is None:
-        P._upsets = tuple(frozenset(_bits(m)) for m in upset_masks(P))
-    return list(P._upsets)
+    return list(upset_views(P).values())
 
 
 # -- canonical forms ---------------------------------------------------

@@ -1,5 +1,6 @@
-"""Golden corpus: ``dual``, lattice rejections, ``analyze`` and the poset
-enumeration, compared byte for byte with the files in ``tests/golden/``.
+"""Golden corpus: ``dual``, lattice rejections, ``analyze``, the poset
+enumeration and the nucleus dictionary, compared byte for byte with the
+files in ``tests/golden/``.
 
 Regenerate the files (only when an output change is intended) with::
 
@@ -14,7 +15,20 @@ import pathlib
 import sys
 import tempfile
 
-from priestley import cli, lattice_from_json
+from priestley import (
+    NuclearSet,
+    admissible_upset,
+    booleanization,
+    build_poset,
+    cli,
+    density_check,
+    enumerate_upsets,
+    lattice_from_json,
+    nuclear_of_nucleus,
+    nucleus_of_nuclear,
+    validate_nucleus,
+)
+from priestley.nuclei import all_nuclei, nucleus_to_json
 from priestley.oracle import enumerate_posets
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -58,6 +72,65 @@ SPACES = {
     "omega_fans": {"family": "omega_fans"},
     "chain_fans": {"family": "chain_fans"},
 }
+
+
+NUCLEI_SPACES = {
+    # graded: two minimal and two maximal points in a zigzag
+    "zigzag": build_poset(["a", "b", "c", "d"],
+                          [("a", "c"), ("b", "c"), ("b", "d")]),
+    # not graded: maximal chains bot<mid<top and bot<side; labels listed
+    # out of alphabetical order, so label and index order differ
+    "nongraded": build_poset(["top", "mid", "bot", "side"],
+                             [("bot", "mid"), ("mid", "top"), ("bot", "side")]),
+}
+
+
+def _planted_tables(P):
+    """Name -> a raw table on P that breaks exactly one nucleus law
+    (inflation, idempotence, meets), or totality or upset images."""
+    ups = enumerate_upsets(P)
+    ident = {u: u for u in ups}
+    full = frozenset(range(P.n))
+    top = next(u for u in ups if len(u) == 1)
+    above = next(u for u in ups if top < u and u != full)
+    low = next(i for i in range(P.n) if P.up_set(i) != {i})
+    return {
+        "non-inflationary": {**ident, above: top, full: top},
+        "non-idempotent": {**ident, top: above, above: full},
+        "non-meet-preserving": {**ident, frozenset(): top},
+        "not-total": {u: u for u in ups[1:]},
+        "image-not-an-upset": {**ident, frozenset(): frozenset({low})},
+    }
+
+
+def nuclei_golden():
+    """Every nucleus of two 4-point frames with its dictionary images,
+    the Booleanization, and the errors of planted bad tables."""
+    out = []
+    for name, P in NUCLEI_SPACES.items():
+        def show(s):
+            return json.dumps(sorted(P.labels[i] for i in s))
+
+        out.append(f"# {name}: {P!r}\n")
+        for j in all_nuclei(P):
+            back = nuclear_of_nucleus(j).members
+            out.append(
+                f"N={show(back)} table={json.dumps(nucleus_to_json(j))} "
+                f"admissible={show(admissible_upset(j))} "
+                f"density={json.dumps(density_check(j), sort_keys=True)}\n")
+            assert nucleus_of_nuclear(NuclearSet(P, back)) == j
+        out.append("booleanization=" + json.dumps(
+            [sorted(P.labels[i] for i in u) for u in booleanization(P)]) + "\n")
+        for kind, table in _planted_tables(P).items():
+            try:
+                validate_nucleus(P, table)
+            except Exception as e:  # the class and message are the output
+                carried = getattr(e, "upset", getattr(e, "pair", None))
+                out.append(f"{kind}: {type(e).__name__}: {e}"
+                           f" | carries {carried!r}\n")
+            else:
+                out.append(f"{kind}: nothing\n")
+    return "".join(out)
 
 
 def _run(argv):
@@ -108,6 +181,7 @@ def golden_outputs():
     for n in range(1, 6):
         files[f"posets_{n}.txt"] = "".join(
             repr(P) + "\n" for P in enumerate_posets(n))
+    files["nuclei.txt"] = nuclei_golden()
     return files
 
 

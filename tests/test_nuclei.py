@@ -24,7 +24,12 @@ from priestley import (
     order_closure,
     validate_nucleus,
 )
-from priestley.errors import NotInflationary, SpaceMismatch
+from priestley.errors import (
+    NotAnUpset,
+    NotInflationary,
+    SpaceMismatch,
+    UnknownPoint,
+)
 from priestley.nuclei import (
     all_nuclei,
     nucleus_from_json,
@@ -67,6 +72,24 @@ def test_swap_table_not_inflationary():
     tbl = {frozenset(): full, frozenset({1}): frozenset({1}), full: frozenset()}
     with pytest.raises(NotInflationary):
         validate_nucleus(P, tbl)
+
+
+def test_validate_nucleus_rejects_unknown_points():
+    P = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    with pytest.raises(UnknownPoint):
+        validate_nucleus(P, {u: u | {9} for u in enumerate_upsets(P)})
+    with pytest.raises(UnknownPoint):
+        validate_nucleus(P, {u | {-1}: u for u in enumerate_upsets(P)})
+
+
+def test_applying_a_nucleus_checks_its_argument():
+    P = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    j = Nucleus.identity(P)
+    assert j({1, 2}) == frozenset({1, 2})
+    with pytest.raises(NotAnUpset):
+        j({0, 1})
+    with pytest.raises(UnknownPoint):
+        j({5})
 
 
 def test_nuclear_of_double_negation_two_chain():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from priestley import oracle
+from priestley import NuclearSet, enumerate_upsets, oracle
 from priestley.errors import BoundExceeded, UnknownTheoremId
 
 
@@ -62,3 +62,39 @@ def test_small_bound_suite_green():
     s = oracle.summarize(cases)
     assert s["failed"] == 0
     assert s["total"] > 0
+
+
+def _drop_point_zero(fn):
+    """Wrap a nuclear-set consumer or producer so point 0 goes missing."""
+    def broken(arg):
+        if isinstance(arg, NuclearSet):
+            return fn(NuclearSet(arg.space, set(arg.members) - {0}))
+        N = fn(arg)
+        return NuclearSet(N.space, set(N.members) - {0})
+    return broken
+
+
+# (check id, oracle name to patch, replacement built from the original):
+# each breaks the one side of the identity the check compares
+NUCLEI_FAULTS = [
+    ("nuclei-galois", "nuclear_of_nucleus", _drop_point_zero),
+    ("nuclei-order-reversal", "nucleus_of_nuclear", _drop_point_zero),
+    ("upset-Nj-eq-Fj", "admissible_upset", lambda fn: lambda j: fn(j) - {0}),
+    ("dense-iff-cofinal", "nucleus_of_nuclear", _drop_point_zero),
+    ("max-least-cofinal", "nucleus_of_nuclear",
+     lambda fn: lambda N: fn(NuclearSet(N.space, range(N.space.n)))),
+    ("booleanization-sublocale", "booleanization",
+     lambda fn: enumerate_upsets),
+    ("lemma-nj-restrict", "nucleus_of_nuclear", _drop_point_zero),
+    ("sublocale-roundtrip", "sublocale_of_nucleus",
+     lambda fn: lambda j: [s for s in fn(j) if s]),
+]
+
+
+@pytest.mark.parametrize("tid, name, fault", NUCLEI_FAULTS,
+                         ids=[f[0] for f in NUCLEI_FAULTS])
+def test_nuclei_checks_can_fail(monkeypatch, tid, name, fault):
+    assert all(c.ok() for c in oracle.run_suite([tid], bound=3))
+    monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
+    failed = [c for c in oracle.run_suite([tid], bound=3) if not c.ok()]
+    assert failed and all(c.witness for c in failed)

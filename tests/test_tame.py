@@ -17,6 +17,7 @@ from priestley.fans import (
     spine_point,
     tame_closure,
     tame_complement,
+    tame_diff,
     tame_empty,
     tame_from_json,
     tame_full,
@@ -25,7 +26,6 @@ from priestley.fans import (
     tame_is_open,
     tame_join,
     tame_meet,
-    tame_op,
     tame_to_json,
 )
 
@@ -53,13 +53,13 @@ def test_region_op_examples():
     assert joined.member(fan_point(0, 1)) and joined.member(fan_point(0, 2))
 
 
-def test_op_dispatcher():
+def test_boolean_op_examples():
     a = make_tame("bare_fan", fins(1))
     b = make_tame("bare_fan", fins(2))
-    assert tame_op(a, b, "join").member(fan_point(0, 2))
-    assert not tame_op(a, b, "meet").member(fan_point(0, 1))
-    assert tame_op(a, b, "diff") == a
-    assert tame_op(a, None, "complement").member(fan_point(0, 3))
+    assert tame_join(a, b).member(fan_point(0, 2))
+    assert not tame_meet(a, b).member(fan_point(0, 1))
+    assert tame_diff(a, b) == a
+    assert tame_complement(a).member(fan_point(0, 3))
 
 
 def test_family_mismatch():
