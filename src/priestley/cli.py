@@ -20,7 +20,7 @@ from .errors import (
     WorkbenchError,
 )
 from .fans import FAMILIES, engine_for
-from .oracle import DEFAULT_BOUND, run_suite, summarize
+from .oracle import DEFAULT_BOUND, DEFAULT_SEED, run_suite, summarize
 from .poset import poset_from_json, poset_to_json
 
 EXIT_OK = 0
@@ -262,7 +262,7 @@ def make_parser():
     p_ver.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                        help=f"max poset size (cap {DEFAULT_BOUND})")
     p_ver.add_argument("--only", help="comma-separated theorem ids")
-    p_ver.add_argument("--seed", type=int, default=2024,
+    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the deterministic tame samples")
     p_ver.add_argument("--format", choices=("json", "text"), default="text")
     p_ver.set_defaults(fn=cmd_verify)

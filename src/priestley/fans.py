@@ -298,20 +298,13 @@ def tame_full(family):
     )
 
 
-def _zip_fans(a, b):
-    """Pairs of fan regions of a and b over every relevant index."""
-    idx = sorted(set(a.fan_indices()) | set(b.fan_indices()))
-    return idx
-
-
 def _combine(a, b, rop, sop=None, osop=None):
     if a.family != b.family:
         raise FamilyMismatch(f"{a.family} vs {b.family}")
     sop = sop or rop
     default = rop(a.fan_default, b.fan_default)
-    exc = {}
-    for i in _zip_fans(a, b):
-        exc[i] = rop(a._fan_region(i), b._fan_region(i))
+    exc = {i: rop(a._fan_region(i), b._fan_region(i))
+           for i in sorted(set(a.fan_indices()) | set(b.fan_indices()))}
     spine = None
     if a.spine is not None:
         spine = sop(a.spine, b.spine)
@@ -824,17 +817,7 @@ class FanPlusBottomEngine(FanEngine):
             return u == self.full
         return u.fan_default.mode == "fin" and not u.fan_default.flag
 
-    def sample_clopen_upsets(self, count, seed=0):
-        rng = random.Random(seed)
-        out = [self.empty, self.full]
-        while len(out) < count:
-            if rng.random() < 0.5:
-                r = Region("fin", frozenset(rng.sample(range(12), rng.randint(0, 4))))
-            else:
-                r = Region("cofin",
-                           frozenset(rng.sample(range(12), rng.randint(0, 4))), True)
-            out.append(make_tame(self.family, r))
-        return out[:count]
+    sample_clopen_upsets = BareFanEngine.sample_clopen_upsets
 
     def infinite_min_yd_class(self):  # pragma: no cover - min Y_d = {y}
         raise InternalAssertionError("min Y_d of this family is a single point")

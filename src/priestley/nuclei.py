@@ -118,9 +118,8 @@ class NuclearSet:
     """A point subset of a finite space, in its role as a nuclear set.
 
     Every subset of a finite Priestley space is nuclear: all subsets are
-    closed and down(U & N) is clopen; ``sanity_check`` asserts exactly
-    that definition once.  ``members`` is the subset ``mask`` as a
-    frozenset.
+    closed and down(U & N) is clopen.  ``members`` is the subset
+    ``mask`` as a frozenset.
     """
 
     space: FinitePoset
@@ -140,11 +139,6 @@ class NuclearSet:
     @property
     def members(self):
         return frozenset(_bits(self.mask))
-
-    def sanity_check(self):
-        for u in upset_masks(self.space):
-            _mask_union(self.space.down, u & self.mask)
-        return True
 
 
 def validate_nucleus(space, raw_table):

@@ -1,6 +1,6 @@
 """Golden corpus: ``dual``, lattice rejections, ``analyze``, the poset
-enumeration and the nucleus dictionary, compared byte for byte with the
-files in ``tests/golden/``.
+enumeration, the nucleus dictionary and the theorem registry's verdicts
+and witnesses, compared byte for byte with the files in ``tests/golden/``.
 
 Regenerate the files (only when an output change is intended) with::
 
@@ -28,8 +28,11 @@ from priestley import (
     nucleus_of_nuclear,
     validate_nucleus,
 )
+from priestley import oracle
+from priestley import spectrum as sp
 from priestley.nuclei import all_nuclei, nucleus_to_json
 from priestley.oracle import enumerate_posets
+from test_oracle import NUCLEI_FAULTS
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -133,6 +136,67 @@ def nuclei_golden():
     return "".join(out)
 
 
+def _finite_only(fn, corrupt):
+    """``fn`` with its result corrupted on finite engines only; the fan
+    engines share ``spectrum`` and stay intact."""
+    def broken(E, *args):
+        out = fn(E, *args)
+        return corrupt(E, out) if isinstance(E, sp.FiniteEngine) else out
+    return broken
+
+
+# spectrum name -> corruption of its finite result; none of them makes a
+# check raise, so each shows up as failed cases with witnesses
+SPECTRUM_FAULTS = {
+    "yd_set": lambda E, y: y | 1,
+    "min_yd": lambda E, m: m ^ 1,
+    "core_d": lambda E, c: c ^ 1,
+    "rho_apply": lambda E, r: r ^ 1,
+    "maximal_d_upsets": lambda E, f: f[1:],
+    "unit_search": lambda E, r: {
+        **r, "status": "refutation" if r["status"] == "witness" else "witness"},
+}
+
+VERIFY_BOUND = 4
+
+
+@contextlib.contextmanager
+def _patched(module, name, replacement):
+    original = getattr(module, name)
+    setattr(module, name, replacement)
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+
+
+def verify_golden():
+    """Every case of the registry at bound 4, the failed cases (with
+    witnesses) under planted faults, and the shipped mutations."""
+    out = [f"# run_suite(bound={VERIFY_BOUND})\n"]
+    out += [f"{c.theorem_id} | {c.instance} | {c.status}\n"
+            for c in oracle.run_suite(bound=VERIFY_BOUND)]
+
+    def failures(ids):
+        return [f"{c.theorem_id} | {c.instance} | {c.witness}\n"
+                for c in oracle.run_suite(ids, bound=VERIFY_BOUND) if not c.ok()]
+
+    for tid, name, fault in NUCLEI_FAULTS:
+        out.append(f"# fault {tid}: oracle.{name}\n")
+        with _patched(oracle, name, fault(getattr(oracle, name))):
+            out += failures([tid])
+    finite = [t for t in sorted(oracle.CHECKS) if not t.startswith("fan-")]
+    for name, corrupt in SPECTRUM_FAULTS.items():
+        out.append(f"# fault spectrum.{name} on finite engines\n")
+        with _patched(sp, name, _finite_only(getattr(sp, name), corrupt)):
+            out += failures(finite)
+    out.append("# run_mutations()\n")
+    for name, (caught, cases) in oracle.run_mutations().items():
+        out += [f"{name} | caught={caught} | {c.theorem_id} | {c.instance} | "
+                f"{c.status} | {c.witness}\n" for c in cases]
+    return "".join(out)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -182,6 +246,7 @@ def golden_outputs():
         files[f"posets_{n}.txt"] = "".join(
             repr(P) + "\n" for P in enumerate_posets(n))
     files["nuclei.txt"] = nuclei_golden()
+    files[f"verify_b{VERIFY_BOUND}.txt"] = verify_golden()
     return files
 
 

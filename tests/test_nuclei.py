@@ -162,9 +162,9 @@ def test_nuclear_join():
 
 
 def test_every_subset_is_nuclear():
-    P = two_chain()
-    for s in all_subsets(P):
-        assert NuclearSet(P, s).sanity_check()
+    for P in spaces_up_to_three():
+        for s in all_subsets(P):
+            assert NuclearSet(P, s).members == s
 
 
 def test_galois_correspondence_exhaustive():

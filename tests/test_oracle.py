@@ -3,6 +3,7 @@
 import pytest
 
 from priestley import NuclearSet, enumerate_upsets, oracle
+from priestley import spectrum as sp
 from priestley.errors import BoundExceeded, UnknownTheoremId
 
 
@@ -98,3 +99,25 @@ def test_nuclei_checks_can_fail(monkeypatch, tid, name, fault):
     monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
     failed = [c for c in oracle.run_suite([tid], bound=3) if not c.ok()]
     assert failed and all(c.witness for c in failed)
+
+
+def test_a_check_that_raises_fails_its_case(monkeypatch):
+    # point 0 joins every d image: a non-upset image makes Nucleus raise
+    # ValueError, which must become a failed case, not abort the suite
+    d_table = oracle._d_table
+    monkeypatch.setattr(oracle, "_d_table",
+                        lambda E: {u: v | 1 for u, v in d_table(E).items()})
+    cases = oracle.run_suite(["d-nucleus-laws"], bound=3)
+    assert len(cases) == 8 and not any(c.ok() for c in cases)
+    witnesses = {c.witness for c in cases}
+    assert witnesses == {"d is not dense", "image of [] is not an upset"}
+
+
+def test_an_internal_assertion_fails_its_case(monkeypatch):
+    # dropping point 0 from Y_d makes regularity_suite's two tests disagree
+    yd_set = sp.yd_set
+    monkeypatch.setattr(sp, "yd_set", lambda E: yd_set(E) ^ 1)
+    failed = [c for c in oracle.run_suite(["regularity-equivalences"], bound=3)
+              if not c.ok()]
+    assert failed and all(
+        c.witness == "Y_d antichain test disagrees with max Y = Y_d" for c in failed)
