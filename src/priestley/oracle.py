@@ -13,8 +13,8 @@ theorem id and its instance domain; one case loop turns the domain into
 cases.  Checks over all nuclear subsets are capped at four points (the
 object count is exponential squared); purely structural checks run at
 the full bound.  The mutations prove the suite can fail: each builds a
-broken ingredient of its own (a corrupted d table, a fan engine
-subclass) and runs an unchanged check on it, which must produce at
+broken ingredient of its own (a finite or fan engine subclass) and runs
+an unchanged registered check on it, which must produce at
 least one failed case with a witness.
 """
 
@@ -443,12 +443,13 @@ def _d_table(E):
     form (the union ranges over all upsets inside U: in the finite case
     every upset is a clopen Scott upset)."""
     ups = E.all_upsets()
+    negs = [(v, sp.double_neg(E, v)) for v in ups]
     table = {}
     for u in ups:
         acc = 0
-        for v in ups:
+        for v, nn in negs:
             if v & ~u == 0:
-                acc |= sp.double_neg(E, v)
+                acc |= nn
         table[u] = E.closure(acc)
     return table
 
@@ -737,6 +738,7 @@ def check_fan_d_laws(E, seed):
     dU = U** on clopen Scott upsets."""
     samples = E.sample_clopen_upsets(SAMPLE_COUNT, seed=seed)
     nd = sp.nd_set(E)
+    ds = []
     for u in samples:
         du = sp.d_apply(E, u)
         if not sp.subset(E, u, du):
@@ -745,15 +747,17 @@ def check_fan_d_laws(E, seed):
             return False, f"not idempotent at {E.describe_set(u)}"
         if du != E.diff(E.full, E.down(E.diff(nd, u))):
             return False, f"nuclear form differs at {E.describe_set(u)}"
-        if E.clop_sup_test(u) != sp.scott_upset_flag(E, u):
+        scott = E.clop_sup_test(u)
+        if scott != sp.scott_upset_flag(E, u):
             return False, f"Scott test differs at {E.describe_set(u)}"
-        if E.clop_sup_test(u) and du != sp.double_neg(E, u):
+        if scott and du != sp.double_neg(E, u):
             return False, f"dU != U** at {E.describe_set(u)}"
+        ds.append(du)
     witness = None
-    for u in samples[:12]:
-        for v in samples[:12]:
+    for u, du in zip(samples[:12], ds):
+        for v, dv in zip(samples[:12], ds):
             lhs = sp.d_apply(E, E.meet(u, v))
-            rhs = E.meet(sp.d_apply(E, u), sp.d_apply(E, v))
+            rhs = E.meet(du, dv)
             if lhs != rhs:
                 witness = f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
     if witness is not None:
@@ -866,18 +870,14 @@ def summarize(cases):
 
 
 def mutation_corrupt_d_table():
-    """Flip one entry of a d table; the agreement check must fail."""
-    P = posets_up_to(2)[-1]
-    E = sp.FiniteEngine(P)
-    table = _d_table(E)
-    ups = E.all_upsets()
-    victim = ups[1]
-    table[victim] = E.full if table[victim] != E.full else E.empty
-    return _cases(
-        "mutation-corrupt-d-table",
-        lambda u: (table[u] == sp.double_neg(E, u), E.describe_set(u)),
-        [(E.name, (u,)) for u in ups],
-    )
+    """Corrupt d on a finite engine through its closure, which sends the
+    whole space to a smaller upset; d-is-double-negation must fail."""
+    class WrongClosure(sp.FiniteEngine):
+        def closure(self, a):
+            return self.all_upsets()[1] if a == self.full else a
+
+    broken = WrongClosure(posets_up_to(2)[-1])
+    return check_d_is_double_negation.on([(broken.name, (broken,))])
 
 
 def mutation_drop_spine_link():

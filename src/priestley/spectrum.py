@@ -364,7 +364,24 @@ def spectrum_report(E):
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """The d-spectrum verdict for one space."""
+    """The d-spectrum verdict for one space.
+
+    Three flags are definitions rather than separate computations:
+
+    * ``t1`` is True by definition: min Y_d is an antichain, so its
+      specialization order is trivial and the subspace is T1 (the
+      registry's ``t1-min-yd`` check separates its points on every
+      finite space).
+    * ``n_d_d_initial`` is :func:`max_bounded`, the test that
+      N_d = cl(Y_d) is d-initial, and ``max_bounded`` reports the same
+      value through the theorem that the two are equivalent (checked
+      literally by ``max-bounded-iff-d-initial`` on finite spaces).
+    * ``l_d_regular`` is the antichain test of Y_d from
+      :func:`regularity_suite`, which also computes max Y = Y_d
+      independently and raises when the two disagree (the
+      ``regularity-equivalences`` check compares both with literal
+      L-regularity on finite spaces).
+    """
 
     space: str
     localic_part: str
@@ -440,6 +457,16 @@ class AnalysisReport:
 # ---------------------------------------------------------------------
 
 
+def _strict_union(rows, a):
+    """The union of ``rows[i]`` without i itself, over the points i of a."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= rows[low.bit_length() - 1] & ~low
+        a ^= low
+    return out
+
+
 class FiniteEngine:
     """Engine over a finite poset; point sets are integer bitmasks.
 
@@ -496,16 +523,10 @@ class FiniteEngine:
         return _mask_union(self._down_masks, a)
 
     def strict_up(self, a):
-        out = 0
-        for i in _bits(a):
-            out |= self._up_masks[i] & ~(1 << i)
-        return out
+        return _strict_union(self._up_masks, a)
 
     def strict_down(self, a):
-        out = 0
-        for i in _bits(a):
-            out |= self._down_masks[i] & ~(1 << i)
-        return out
+        return _strict_union(self._down_masks, a)
 
     # -- points and classes ------------------------------------------
 
@@ -535,10 +556,14 @@ class FiniteEngine:
         return u
 
     def points_with_up_inside(self, d):
+        # a point whose upset lies in d lies in d: only d's points qualify
         out = 0
-        for i in range(self.n):
-            if self._up_masks[i] & ~d == 0:
-                out |= 1 << i
+        rest = d
+        while rest:
+            low = rest & -rest
+            if self._up_masks[low.bit_length() - 1] & ~d == 0:
+                out |= low
+            rest ^= low
         return out
 
     def all_upsets(self):

@@ -1,6 +1,7 @@
 """Golden corpus: ``dual``, lattice rejections, ``analyze``, the poset
-enumeration, the nucleus dictionary and the theorem registry's verdicts
-and witnesses, compared byte for byte with the files in ``tests/golden/``.
+enumeration, the nucleus dictionary, the fan engines' operations on
+their samples and the theorem registry's verdicts and witnesses,
+compared byte for byte with the files in ``tests/golden/``.
 
 Regenerate the files (only when an output change is intended) with::
 
@@ -30,6 +31,7 @@ from priestley import (
 )
 from priestley import oracle
 from priestley import spectrum as sp
+from priestley.fans import FAMILIES, engine_for, tame_to_json
 from priestley.nuclei import all_nuclei, nucleus_to_json
 from priestley.oracle import enumerate_posets
 from test_oracle import NUCLEI_FAULTS
@@ -160,6 +162,31 @@ SPECTRUM_FAULTS = {
 VERIFY_BOUND = 4
 
 
+def fan_ops_golden():
+    """For every sample of each fan family (``SAMPLE_COUNT`` at
+    ``DEFAULT_SEED``): dU, up, down, core, closure, the meet with the
+    previous sample and the Scott test."""
+    def show(a):
+        return json.dumps(tame_to_json(a), sort_keys=True)
+
+    out = []
+    for family in FAMILIES:
+        E = engine_for(family)
+        samples = E.sample_clopen_upsets(oracle.SAMPLE_COUNT, seed=oracle.DEFAULT_SEED)
+        out.append(f"# {family}: {len(samples)} samples\n")
+        for k, u in enumerate(samples):
+            out.append(f"[{k}] u={show(u)}\n")
+            out.append(f"  d={show(sp.d_apply(E, u))}\n")
+            out.append(f"  up={show(E.up(u))}\n")
+            out.append(f"  down={show(E.down(u))}\n")
+            out.append(f"  core={show(E.core(u))}\n")
+            out.append(f"  closure={show(E.closure(u))}\n")
+            if k:
+                out.append(f"  meet_prev={show(E.meet(u, samples[k - 1]))}\n")
+            out.append(f"  clop_sup_test={E.clop_sup_test(u)}\n")
+    return "".join(out)
+
+
 @contextlib.contextmanager
 def _patched(module, name, replacement):
     original = getattr(module, name)
@@ -246,6 +273,7 @@ def golden_outputs():
         files[f"posets_{n}.txt"] = "".join(
             repr(P) + "\n" for P in enumerate_posets(n))
     files["nuclei.txt"] = nuclei_golden()
+    files["fan_ops.txt"] = fan_ops_golden()
     files[f"verify_b{VERIFY_BOUND}.txt"] = verify_golden()
     return files
 

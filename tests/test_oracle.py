@@ -4,6 +4,7 @@ import pytest
 
 from priestley import NuclearSet, enumerate_upsets, oracle
 from priestley import spectrum as sp
+from priestley.fans import FAMILIES, engine_for
 from priestley.errors import BoundExceeded, UnknownTheoremId
 
 
@@ -121,3 +122,35 @@ def test_an_internal_assertion_fails_its_case(monkeypatch):
               if not c.ok()]
     assert failed and all(
         c.witness == "Y_d antichain test disagrees with max Y = Y_d" for c in failed)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``spectrum.<name>`` with a wrapper that records arguments."""
+    seen = []
+    fn = getattr(sp, name)
+
+    def counted(E, u):
+        seen.append(u)
+        return fn(E, u)
+
+    monkeypatch.setattr(sp, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fan_d_laws_computes_each_d_once(monkeypatch, family):
+    # dU and dV of the meet law are the ones the sample loop computed
+    calls = _counting(monkeypatch, "d_apply")
+    E = engine_for(family)
+    cases = oracle.check_fan_d_laws.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    assert [c.ok() for c in cases] == [True]
+    assert len(calls) <= 2 * oracle.SAMPLE_COUNT + 144 + 1
+
+
+def test_d_table_double_negates_each_upset_once(monkeypatch):
+    calls = _counting(monkeypatch, "double_neg")
+    for P in oracle.posets_up_to(4):
+        E = sp.FiniteEngine(P)
+        calls.clear()
+        oracle._d_table(E)
+        assert sorted(calls) == sorted(E.all_upsets()), repr(P)

@@ -1,5 +1,7 @@
 """The tame algebra: canonical forms, Boolean ops, topology, order."""
 
+import dataclasses
+
 import pytest
 
 from priestley.errors import FamilyMismatch, NotRepresentable
@@ -78,6 +80,34 @@ def test_canonical_forms_unique():
     assert twin.member(fan_point(5, 3)) == tame_full("omega_fans").member(
         fan_point(5, 3)
     )
+
+
+def test_region_and_tame_set_contract():
+    # a region stores its exceptions as a frozenset, whatever it was given
+    for given in ({1, 2}, [2, 1, 2], frozenset({1, 2})):
+        r = Region("fin", given)
+        assert type(r.exc) is frozenset and r == fins(1, 2)
+        assert hash(r) == hash(fins(1, 2))
+    with pytest.raises(ValueError):
+        Region("finite", frozenset())
+    # equal tame sets built along different paths are == and hash equal
+    a = make_tame("omega_fans", FULL_REGION, {3: fins(1), 0: cofins(2), 5: FULL_REGION},
+                  spine=Region("cofin", frozenset({0, 3}), True), omega_star=True)
+    twins = [
+        make_tame("omega_fans", FULL_REGION, {0: cofins(2), 3: fins(1)},
+                  spine=Region("cofin", [3, 0], True), omega_star=True),
+        tame_complement(tame_complement(a)),
+        tame_meet(a, tame_full("omega_fans")),
+        tame_join(tame_empty("omega_fans"), a),
+        tame_from_json("omega_fans", tame_to_json(a)),
+    ]
+    for b in twins:
+        assert b == a and hash(b) == hash(a) and b.fan_exc == a.fan_exc
+    assert noncanonical_twin(a) != a
+    for value, field in ((a.fan_default, "mode"), (a, "family")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, "bare_fan")
 
 
 def test_single_fan_families_fold_exceptions():
