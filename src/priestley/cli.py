@@ -20,7 +20,7 @@ from .errors import (
     WorkbenchError,
 )
 from .fans import FAMILIES, engine_for
-from .oracle import DEFAULT_BOUND, DEFAULT_SEED, run_suite, summarize
+from .oracle import DEFAULT_BOUND, DEFAULT_SEED, MAX_BOUND, run_suite, summarize
 from .poset import poset_from_json, poset_to_json
 
 EXIT_OK = 0
@@ -203,9 +203,9 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    if args.bound > DEFAULT_BOUND:
+    if args.bound > MAX_BOUND:
         print(
-            f"bound {args.bound} exceeds the configured cap {DEFAULT_BOUND}",
+            f"bound {args.bound} exceeds the configured cap {MAX_BOUND}",
             file=sys.stderr,
         )
         return EXIT_USAGE
@@ -260,7 +260,7 @@ def make_parser():
 
     p_ver = subs.add_parser("verify", help="run the theorem suite")
     p_ver.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                       help=f"max poset size (cap {DEFAULT_BOUND})")
+                       help=f"max poset size (cap {MAX_BOUND})")
     p_ver.add_argument("--only", help="comma-separated theorem ids")
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the deterministic tame samples")

@@ -120,10 +120,6 @@ class Region:
         """All points of the region and its limit class."""
         return self.mode == "cofin" and not self.exc and self.flag
 
-    def all_points(self):
-        """All points, regardless of the limit flag."""
-        return self.mode == "cofin" and not self.exc
-
 
 EMPTY_REGION = Region("fin", frozenset(), False)
 FULL_REGION = Region("cofin", frozenset(), True)

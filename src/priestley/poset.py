@@ -13,7 +13,6 @@ downstream reports are byte-identical across runs.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import (
     CycleDetected,
@@ -47,7 +46,7 @@ class FinitePoset:
     """
 
     __slots__ = ("labels", "up", "down", "_index", "_up_sets", "_down_sets",
-                 "_upsets", "_upset_masks", "_covers")
+                 "_upsets", "_upset_masks", "_covers", "_canon")
 
     def __init__(self, labels, up):
         labels = tuple(labels)
@@ -79,6 +78,7 @@ class FinitePoset:
         self._upsets = None
         self._upset_masks = None
         self._covers = None
+        self._canon = None
 
     # -- basic accessors --------------------------------------------
 
@@ -255,13 +255,16 @@ def _canonical(P):
     """
     n = P.n
     up = P.up
+    below = [list(_bits(P.down[i] & ~(1 << i))) for i in range(n)]
+    above = [list(_bits(up[i] & ~(1 << i))) for i in range(n)]
     colors = [(d.bit_count(), u.bit_count()) for d, u in zip(P.down, up)]
     for _ in range(n):
-        new = []
-        for i in range(n):
-            below = sorted(colors[j] for j in _bits(P.down[i] & ~(1 << i)))
-            above = sorted(colors[j] for j in _bits(up[i] & ~(1 << i)))
-            new.append((colors[i], tuple(below), tuple(above)))
+        new = [
+            (colors[i],
+             tuple(sorted([colors[j] for j in below[i]])),
+             tuple(sorted([colors[j] for j in above[i]])))
+            for i in range(n)
+        ]
         ranking = {c: r for r, c in enumerate(sorted(set(new)))}
         new = [(ranking[c],) for c in new]
         if new == colors:
@@ -277,13 +280,18 @@ def _canonical(P):
         *(itertools.permutations(g) for g in ordered_groups)
     ):
         perm = [i for part in perm_parts for i in part]
-        key = tuple(
-            bool(up[perm[i]] >> perm[j] & 1) for i in range(n) for j in range(n)
-        )
+        key = tuple([up[x] >> y & 1 == 1 for x in perm for y in perm])
         if best is None or key < best:
             best = key
             best_perm = perm
     return (n, best), best_perm
+
+
+def _labelling(P):
+    """The (key, perm) of :func:`_canonical`, computed once per poset."""
+    if P._canon is None:
+        P._canon = _canonical(P)
+    return P._canon
 
 
 def canonical_form(P):
@@ -292,13 +300,13 @@ def canonical_form(P):
     Used only for deduplication during enumeration, not as a general
     isomorphism service.
     """
-    key, _ = _canonical(P)
+    key, _ = _labelling(P)
     return key
 
 
 def relabel_canonically(P, prefix="p"):
     """Return an isomorphic copy with labels p0..p{n-1} in canonical order."""
-    _, perm = _canonical(P)
+    _, perm = _labelling(P)
     return FinitePoset([f"{prefix}{i}" for i in range(P.n)], _restrict(P, perm))
 
 
@@ -324,7 +332,3 @@ def poset_from_json(obj):
         raise UnknownLabel("poset JSON must have a 'points' field")
     return build_poset(obj["points"], [tuple(c) for c in obj.get("covers", [])])
 
-
-def load_poset(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return poset_from_json(json.load(fh))

@@ -52,10 +52,6 @@ def is_upset_flag(E, a):
     return E.up(a) == a
 
 
-def is_downset_flag(E, a):
-    return E.down(a) == a
-
-
 def minimal_of(E, a):
     """Members of a with nothing of a strictly below them."""
     return E.diff(a, E.strict_up(a))
@@ -67,10 +63,6 @@ def maximal_of(E, a):
 
 def max_set(E):
     return maximal_of(E, E.full)
-
-
-def min_set(E):
-    return minimal_of(E, E.full)
 
 
 def localic_points(E):

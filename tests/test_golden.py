@@ -269,7 +269,7 @@ def golden_outputs():
             files[f"analyze_{name}.txt"] = _run(["analyze", p, "--dot", dot])
             files[f"analyze_{name}.dot"] = read_dot()
             files[f"analyze_{name}.json"] = _run(["analyze", p, "--format", "json"])
-    for n in range(1, 6):
+    for n in range(1, 7):
         files[f"posets_{n}.txt"] = "".join(
             repr(P) + "\n" for P in enumerate_posets(n))
     files["nuclei.txt"] = nuclei_golden()

@@ -10,7 +10,7 @@ from priestley.errors import BoundExceeded, UnknownTheoremId
 
 def test_poset_counts():
     # the number of posets up to isomorphism, by size
-    expected = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
+    expected = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
     for n, count in expected.items():
         assert len(oracle.enumerate_posets(n)) == count
 
@@ -21,9 +21,9 @@ def test_posets_up_to():
 
 def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
-        oracle.enumerate_posets(7)
+        oracle.enumerate_posets(8)
     with pytest.raises(BoundExceeded):
-        oracle.run_suite(bound=7)
+        oracle.run_suite(bound=8)
 
 
 def test_unknown_theorem_id():
@@ -154,3 +154,66 @@ def test_d_table_double_negates_each_upset_once(monkeypatch):
         calls.clear()
         oracle._d_table(E)
         assert sorted(calls) == sorted(E.all_upsets()), repr(P)
+
+
+def test_eqv_conditions_rmax_computes_each_core_once(monkeypatch):
+    calls = _counting(monkeypatch, "core_d")
+    for P in oracle.posets_up_to(4):
+        E = sp.FiniteEngine(P)
+        calls.clear()
+        assert oracle.check_eqv_conditions_rmax.on([(E.name, (E,))])[0].ok()
+        assert sorted(calls) == sorted(E.all_upsets()), repr(P)
+
+
+class CountingUp(sp.FiniteEngine):
+    def up(self, a):
+        self.up_calls += 1
+        return super().up(a)
+
+
+def test_compacts_d_initial_computes_each_image_once():
+    # the helpers call up once per upset for the Scott test, once per
+    # upset for the d-initial test and once per point for Y_d; the check
+    # itself once per subset K of min Y_d
+    for P in oracle.posets_up_to(5):
+        E = CountingUp(P)
+        E.up_calls = 0
+        assert oracle.check_compacts_d_initial.on([(E.name, (E,))])[0].ok()
+        k = sp.min_yd(sp.FiniteEngine(P)).bit_count()
+        assert E.up_calls <= 2 * len(E.all_upsets()) + E.n + 2 ** k, repr(P)
+
+
+def heyting_adjunction_reference(E):
+    """The U^3 form of check_heyting_adjunction: one test per (u, v, w)."""
+    ok, witness = True, None
+    ups = E.all_upsets()
+    pc = lambda a: E.full & ~E.down(a)
+    imp = lambda a, b: E.full & ~E.down(a & ~b)
+    for u in ups:
+        if pc(u) != imp(u, 0):
+            ok, witness = False, f"U* != U -> empty at {E.describe_set(u)}"
+        for v in ups:
+            i = imp(u, v)
+            for w in ups:
+                if ((w & u) & ~v == 0) != (w & ~i == 0):
+                    ok, witness = False, (
+                        f"adjunction at {E.describe_set(u)}, {E.describe_set(v)}"
+                    )
+    return ok, witness
+
+
+class UpForDown(sp.FiniteEngine):
+    def down(self, a):
+        return super().up(a)
+
+
+@pytest.mark.parametrize("engine", [sp.FiniteEngine, UpForDown])
+def test_heyting_adjunction_matches_the_cubic_form(engine):
+    failed = 0
+    for P in oracle.posets_up_to(5):
+        E = engine(P)
+        got = oracle.check_heyting_adjunction.__wrapped__(E)
+        assert got == heyting_adjunction_reference(E), repr(P)
+        failed += not got[0]
+    # the broken down is caught, so witnesses were compared too
+    assert (failed > 0) == (engine is UpForDown)
