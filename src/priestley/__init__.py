@@ -33,7 +33,7 @@ from .nuclei import (
     validate_nucleus,
 )
 from .spectrum import AnalysisReport, FiniteEngine, spectrum_report
-from .fans import FanSpaceDescriptor, TameSet, engine_for
+from .fans import TameSet, engine_for
 from .oracle import TheoremCase, enumerate_posets, run_suite
 
 __all__ = [
@@ -45,6 +45,6 @@ __all__ = [
     "density_check", "double_negation", "nuclear_join",
     "nuclear_of_nucleus", "nucleus_of_nuclear", "validate_nucleus",
     "AnalysisReport", "FiniteEngine", "spectrum_report",
-    "FanSpaceDescriptor", "TameSet", "engine_for",
+    "TameSet", "engine_for",
     "TheoremCase", "enumerate_posets", "run_suite",
 ]

@@ -71,16 +71,10 @@ the finite oracle analogues and against each family's published facts):
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    FamilyMismatch,
-    InternalAssertionError,
-    NotClopenUpset,
-    NotRepresentable,
-)
+from .errors import FamilyMismatch, NotClopenUpset, NotRepresentable
 
 FAMILIES = ("bare_fan", "fan_plus_bottom", "omega_fans", "chain_fans")
 
@@ -384,11 +378,9 @@ def tame_is_closed(a):
         if not region_closed(a.spine):
             return False
     if a.family in _HAS_OMEGA_STAR and not a.omega_star:
-        closed_default = Region(
-            a.fan_default.mode, a.fan_default.exc,
-            a.fan_default.flag or a.fan_default.mode == "cofin",
-        )
-        if closed_default.flag:
+        # the top blob is a limit of the default fans once they close
+        # up to their stars
+        if a.fan_default.flag or a.fan_default.mode == "cofin":
             return False
     return True
 
@@ -463,7 +455,8 @@ class FanEngine:
 
     Subclasses supply the order (strict up/down), the core rule, the
     pointwise d-core rule, the clopen-Scott-upset test, sampling, and
-    the closed-form topology verdicts, one family each.
+    the closed-form topology verdicts (class attributes), one family
+    each.
     """
 
     family = None
@@ -483,17 +476,11 @@ class FanEngine:
     def join(self, a, b):
         return tame_join(a, b)
 
-    def complement(self, a):
-        return tame_complement(a)
-
     def diff(self, a, b):
         return tame_diff(a, b)
 
     def closure(self, a):
         return tame_closure(a)
-
-    def interior(self, a):
-        return tame_interior(a)
 
     def is_open(self, a):
         return tame_is_open(a)
@@ -541,9 +528,6 @@ class FanEngine:
                 raise NotRepresentable(f"{fam} has no top blob")
             return make_tame(fam, omega_star=True)
         raise ValueError(f"unknown point kind {pt.kind!r}")
-
-    def contains(self, a, pt):
-        return a.member(pt)
 
     def member_reps(self, a):
         """Deterministic representative points covering every piece of a.
@@ -684,12 +668,6 @@ class FanEngine:
     def sample_clopen_upsets(self, count, seed=0):  # pragma: no cover
         raise NotImplementedError
 
-    def infinite_min_yd_class(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def min_yd_space_flags(self):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     # -- rendering -------------------------------------------------------
 
     def is_finite_set(self, a):
@@ -739,9 +717,7 @@ class FanEngine:
             bits.append("top blob")
         return "; ".join(bits)
 
-    def describe_family(self, descriptions, min_yd_empty=False):
-        if min_yd_empty:
-            return "empty family (min Y_d is empty)"
+    def describe_family(self, descriptions):
         return " | ".join(
             f"complement of the downset of each min Y_d class, e.g. {d}"
             for d in descriptions
@@ -757,6 +733,9 @@ class BareFanEngine(FanEngine):
     """
 
     family = "bare_fan"
+    infinite_min_yd_class = "discrete"
+    # an infinite discrete space
+    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def strict_up(self, a):
         return self.empty
@@ -788,18 +767,13 @@ class BareFanEngine(FanEngine):
             out.append(make_tame(self.family, r))
         return out[:count]
 
-    def infinite_min_yd_class(self):
-        return "discrete"
-
-    def min_yd_space_flags(self):
-        # an infinite discrete space
-        return {"locally_compact": True, "sober": True, "coherent": True}
-
 
 class FanPlusBottomEngine(FanEngine):
     """One fan with an isolated bottom point y below every other point."""
 
     family = "fan_plus_bottom"
+    infinite_min_yd_class = None  # min Y_d = {y}
+    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def _has_y(self, a):
         return a.spine is not None and a.spine.member(0)
@@ -837,12 +811,6 @@ class FanPlusBottomEngine(FanEngine):
 
     sample_clopen_upsets = BareFanEngine.sample_clopen_upsets
 
-    def infinite_min_yd_class(self):  # pragma: no cover - min Y_d = {y}
-        raise InternalAssertionError("min Y_d of this family is a single point")
-
-    def min_yd_space_flags(self):
-        return {"locally_compact": True, "sober": True, "coherent": True}
-
 
 class OmegaFansEngine(FanEngine):
     """Countably many fans over a spine compactified by omega, topped by
@@ -853,6 +821,14 @@ class OmegaFansEngine(FanEngine):
     """
 
     family = "omega_fans"
+    # a clopen upset containing any bottom point has cofinite spine,
+    # so the realizable traces on min Y_d are the empty and the
+    # cofinite ones: the cofinite topology on the spine
+    infinite_min_yd_class = "cofinite"
+    # cofinite topology on a countable set: every subset is compact
+    # (locally compact, coherent), but the whole space is an
+    # irreducible closed set with no generic point (not sober)
+    min_yd_space_flags = {"locally_compact": True, "sober": False, "coherent": True}
 
     def _content_region(self, a):
         """Which fans have points or star, as an index region."""
@@ -974,18 +950,6 @@ class OmegaFansEngine(FanEngine):
                 ))
         return out[:count]
 
-    def infinite_min_yd_class(self):
-        # a clopen upset containing any bottom point has cofinite spine,
-        # so the realizable traces on min Y_d are the empty and the
-        # cofinite ones: the cofinite topology on the spine
-        return "cofinite"
-
-    def min_yd_space_flags(self):
-        # cofinite topology on a countable set: every subset is compact
-        # (locally compact, coherent), but the whole space is an
-        # irreducible closed set with no generic point (not sober)
-        return {"locally_compact": True, "sober": False, "coherent": True}
-
 
 class ChainFansEngine(FanEngine):
     """Fans over a strictly descending spine with omega at the very
@@ -999,6 +963,9 @@ class ChainFansEngine(FanEngine):
     """
 
     family = "chain_fans"
+    infinite_min_yd_class = None  # min Y_d is empty
+    # the empty space is vacuously stably locally compact
+    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def _min_content_index(self, a):
         """Smallest fan index with points or star, or None."""
@@ -1146,13 +1113,6 @@ class ChainFansEngine(FanEngine):
                 ))
         return out[:count]
 
-    def infinite_min_yd_class(self):  # pragma: no cover - min Y_d is empty
-        raise InternalAssertionError("min Y_d of this family is empty")
-
-    def min_yd_space_flags(self):
-        # the empty space is vacuously stably locally compact
-        return {"locally_compact": True, "sober": True, "coherent": True}
-
 
 _ENGINES = {
     "bare_fan": BareFanEngine,
@@ -1162,23 +1122,8 @@ _ENGINES = {
 }
 
 
-@dataclass(frozen=True)
-class FanSpaceDescriptor:
-    family: str
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise FamilyMismatch(f"unknown family {self.family!r}")
-
-
-def engine_for(desc):
-    """Engine for a descriptor ({'family': name}, FanSpaceDescriptor, or name)."""
-    if isinstance(desc, FanSpaceDescriptor):
-        family = desc.family
-    elif isinstance(desc, dict):
-        family = desc.get("family")
-    else:
-        family = desc
+def engine_for(family):
+    """A fresh engine for the named family."""
     if family not in _ENGINES:
         raise FamilyMismatch(f"unknown family {family!r}")
     return _ENGINES[family]()
@@ -1241,28 +1186,3 @@ def clop_sup_test(u):
         raise NotClopenUpset(f"{E.describe_set(u)} is not a clopen upset")
     return E.clop_sup_test(u)
 
-
-def load_descriptor(obj):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return FanSpaceDescriptor(obj["family"])
-
-
-# ---------------------------------------------------------------------
-# fault-injection helpers (tests of the tests)
-# ---------------------------------------------------------------------
-
-
-def noncanonical_twin(a):
-    """A semantically equal TameSet with a redundant exception entry.
-
-    Bypasses the canonicalizing constructor on purpose: structural
-    equality must now disagree with pointwise equality, and the
-    canonical-form check in the verification suite has to flag it.
-    """
-    fresh = _fresh_index([i for i, _ in a.fan_exc])
-    return TameSet(
-        a.family, a.fan_default,
-        tuple(sorted(list(a.fan_exc) + [(fresh, a.fan_default)])),
-        a.spine, a.omega_star,
-    )

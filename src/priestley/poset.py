@@ -45,8 +45,8 @@ class FinitePoset:
     discrete, so the order carries all the structure.
     """
 
-    __slots__ = ("labels", "up", "down", "_index", "_up_sets", "_down_sets",
-                 "_upsets", "_upset_masks", "_covers", "_canon")
+    __slots__ = ("labels", "up", "down", "_index", "_up_sets", "_upsets",
+                 "_upset_masks", "_covers", "_canon")
 
     def __init__(self, labels, up):
         labels = tuple(labels)
@@ -74,7 +74,6 @@ class FinitePoset:
         self.down = tuple(down)
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._up_sets = None
-        self._down_sets = None
         self._upsets = None
         self._upset_masks = None
         self._covers = None
@@ -94,12 +93,6 @@ class FinitePoset:
 
     def le(self, i, j):
         return bool(self.up[i] >> j & 1)
-
-    def down_set(self, i):
-        """All points below i, as a frozenset (principal downset)."""
-        if self._down_sets is None:
-            self._down_sets = tuple(frozenset(_bits(m)) for m in self.down)
-        return self._down_sets[i]
 
     def up_set(self, i):
         if self._up_sets is None:

@@ -18,10 +18,28 @@ symbolic point classes; the functions below derive the rest:
   ``cl(min Y_d)``, d-initial sets, units, and the full analysis report.
 
 Two engines implement the contract: :class:`FiniteEngine` below (point
-sets as bitmasks, closure and interior are identities, every upset is
-clopen Scott) and the symbolic fan engines in :mod:`priestley.fans`.
-All set-level identities reduce to membership at symbolic point
-classes, which is exact; there are no tolerances anywhere.
+sets as bitmasks, closure is the identity, every upset is clopen Scott)
+and the symbolic fan engines in :mod:`priestley.fans`.  All set-level
+identities reduce to membership at symbolic point classes, which is
+exact; there are no tolerances anywhere.
+
+The engine contract, listed once: what this module, the oracle and the
+command line ask of an engine.
+
+* sets: ``full``, ``empty``, ``meet``, ``join``, ``diff``, ``closure``,
+  ``is_open``, ``is_closed``, ``is_representable``, ``is_finite_set``;
+* order: ``up``, ``down``, ``strict_up``, ``strict_down``;
+* points: ``point_set``, ``member_reps``, ``select``, ``localic_part``;
+* structure: ``core``, ``points_with_up_inside``,
+  ``sample_clopen_upsets``;
+* rendering: ``name``, ``describe_set``, ``describe_family``;
+* class attributes: ``infinite_min_yd_class``, the topology class of an
+  infinite min Y_d (``None`` where min Y_d is never infinite), and
+  ``min_yd_space_flags``, the stable-local-compactness flags of min Y_d.
+
+The oracle's exhaustive checks also read ``poset``, ``n`` and
+``all_upsets`` of a :class:`FiniteEngine`, and ``family`` and
+``clop_sup_test`` of a fan engine.
 """
 
 from __future__ import annotations
@@ -228,13 +246,6 @@ def unit_search(E):
                     "cofinal clopen Scott upset exists"
                 ),
             }
-    # exhaustive fallback for finite engines (never needed: the whole
-    # space is always a Scott upset there)
-    if hasattr(E, "all_upsets"):  # pragma: no cover
-        for u in E.all_upsets():
-            if subset(E, max_set(E), u) and scott_upset_flag(E, u):
-                return {"status": "witness", "witness": u,
-                        "description": E.describe_set(u)}
     raise InternalAssertionError(
         "unit search resolved neither a witness nor a certificate"
     )
@@ -295,7 +306,11 @@ def topology_class(E):
         return "empty"
     if E.is_finite_set(m):
         return "finite-discrete"
-    return E.infinite_min_yd_class()
+    if E.infinite_min_yd_class is None:
+        raise InternalAssertionError(
+            f"min Y_d of {E.name} is infinite, which its family rules out"
+        )
+    return E.infinite_min_yd_class
 
 
 def spectrum_report(E):
@@ -308,11 +323,9 @@ def spectrum_report(E):
     unit = unit_search(E)
     has_unit = unit["status"] == "witness"
     hausdorff = klass in ("discrete", "finite-discrete", "empty")
-    if klass == "other":  # pragma: no cover - no catalog family hits this
-        raise InternalAssertionError("unclassified min Y_d topology")
     reg = regularity_suite(E)
     ndd = max_bounded(E)
-    flags = E.min_yd_space_flags()
+    flags = dict(E.min_yd_space_flags)
 
     # cross-checks: these hold structurally and failing any of them
     # indicates a bug, never expected input
@@ -347,8 +360,9 @@ def spectrum_report(E):
         l_d_regular=reg["locally_stone"],
         max_bounded=ndd,
         n_d_d_initial=ndd,
-        maximal_d_upsets=E.describe_family(
-            [E.describe_set(s) for s in maximal_d_upsets(E)], min_yd_empty=(m == E.empty)
+        maximal_d_upsets=(
+            "empty family (min Y_d is empty)" if m == E.empty
+            else E.describe_family([E.describe_set(s) for s in maximal_d_upsets(E)])
         ),
         min_yd_space_flags=flags,
     )
@@ -462,12 +476,17 @@ def _strict_union(rows, a):
 class FiniteEngine:
     """Engine over a finite poset; point sets are integer bitmasks.
 
-    A finite Priestley space is discrete, so closure and interior are
-    identities, every subset is clopen, every point is localic, and
-    every upset is a clopen Scott upset.  The d-operator collapses to
-    double negation and Y_d to max X; both collapses are cross-checked
-    in the oracle rather than assumed.
+    A finite Priestley space is discrete, so closure is the identity,
+    every subset is clopen, every point is localic, and every upset is
+    a clopen Scott upset.  The d-operator collapses to double negation
+    and Y_d to max X; both collapses are cross-checked in the oracle
+    rather than assumed.
     """
+
+    # finite spaces have no infinite min Y_d
+    infinite_min_yd_class = None
+    # finite discrete space: locally compact, sober, coherent
+    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def __init__(self, poset: FinitePoset):
         self.poset = poset
@@ -487,16 +506,10 @@ class FiniteEngine:
     def join(self, a, b):
         return a | b
 
-    def complement(self, a):
-        return self.full & ~a
-
     def diff(self, a, b):
         return a & ~b
 
     def closure(self, a):
-        return a
-
-    def interior(self, a):
         return a
 
     def is_open(self, a):
@@ -524,9 +537,6 @@ class FiniteEngine:
 
     def point_set(self, pt):
         return 1 << pt
-
-    def contains(self, a, pt):
-        return bool(a >> pt & 1)
 
     def member_reps(self, a):
         return list(_bits(a))
@@ -564,25 +574,13 @@ class FiniteEngine:
     def sample_clopen_upsets(self, count, seed=0):
         return self.all_upsets()
 
-    def set_of(self, mask):
-        return frozenset(_bits(mask))
-
     def is_finite_set(self, a):
         return True
-
-    def infinite_min_yd_class(self):  # pragma: no cover
-        raise InternalAssertionError("finite spaces have no infinite min Y_d")
-
-    def min_yd_space_flags(self):
-        # finite discrete space: locally compact, sober, coherent
-        return {"locally_compact": True, "sober": True, "coherent": True}
 
     def describe_set(self, a):
         labs = sorted(self.poset.labels[i] for i in _bits(a))
         return "{" + ", ".join(labs) + "}"
 
-    def describe_family(self, descriptions, min_yd_empty=False):
-        if min_yd_empty:
-            return "empty family (min Y_d is empty)"
+    def describe_family(self, descriptions):
         return "; ".join(descriptions)
 

@@ -8,13 +8,11 @@ from priestley.fans import (
     FAMILIES,
     OMEGA,
     OMEGA_STAR,
-    FanSpaceDescriptor,
     Region,
     clop_sup_test,
     engine_for,
     fan_point,
     fan_star,
-    load_descriptor,
     make_tame,
     spine_point,
     tame_full,
@@ -26,12 +24,10 @@ def engines():
     return {fam: engine_for(fam) for fam in FAMILIES}
 
 
-def test_descriptor_round_trip():
-    d = load_descriptor('{"family": "omega_fans"}')
-    assert d == FanSpaceDescriptor("omega_fans")
-    assert engine_for(d).family == "omega_fans"
+def test_engine_for_rejects_an_unknown_family():
+    assert engine_for("omega_fans").family == "omega_fans"
     with pytest.raises(FamilyMismatch):
-        FanSpaceDescriptor("nope")
+        engine_for("nope")
 
 
 def test_localic_parts(engines):
@@ -204,8 +200,11 @@ def test_stably_locally_compact_lemma(engines):
     # locally compact + sober + coherent forces Hausdorff; the omega
     # family fails exactly sobriety
     for fam, E in engines.items():
-        flags = E.min_yd_space_flags()
+        flags = E.min_yd_space_flags
         r = sp.spectrum_report(E)
+        # the report holds its own copy, never the class-level dict
+        assert r.min_yd_space_flags == flags
+        assert r.min_yd_space_flags is not flags
         if all(flags.values()):
             assert r.hausdorff, fam
         if fam == "omega_fans":

@@ -26,3 +26,17 @@ def test_no_runtime_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+def test_benchmark_tracer_finds_every_boundary():
+    # the tracer raises when a traced name is gone, so renaming or
+    # deleting one fails here and not only in the benchmark's own tests
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave the benchmark tree as it is
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'benchmarks')!r}); "
+            "from tracing import Tracer; Tracer().install()")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -17,3 +17,8 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in priestley.__all__ if not hasattr(priestley, name)]
+    assert missing == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from priestley import NuclearSet, enumerate_upsets, oracle
+from priestley import NuclearSet, build_poset, enumerate_upsets, oracle
 from priestley import spectrum as sp
 from priestley.fans import FAMILIES, engine_for
 from priestley.errors import BoundExceeded, UnknownTheoremId
@@ -190,7 +190,12 @@ def heyting_adjunction_reference(E):
     pc = lambda a: E.full & ~E.down(a)
     imp = lambda a, b: E.full & ~E.down(a & ~b)
     for u in ups:
-        if pc(u) != imp(u, 0):
+        # U* is the largest upset disjoint from U
+        largest = 0
+        for w in ups:
+            if w & u == 0:
+                largest |= w
+        if pc(u) != largest:
             ok, witness = False, f"U* != U -> empty at {E.describe_set(u)}"
         for v in ups:
             i = imp(u, v)
@@ -217,3 +222,17 @@ def test_heyting_adjunction_matches_the_cubic_form(engine):
         failed += not got[0]
     # the broken down is caught, so witnesses were compared too
     assert (failed > 0) == (engine is UpForDown)
+
+
+class DownIsIdentity(sp.FiniteEngine):
+    def down(self, a):
+        return a
+
+
+def test_heyting_adjunction_catches_a_wrong_pseudocomplement():
+    # with down the identity, U* and U -> empty are both X \ U, so
+    # comparing the two with each other can never fail; the check
+    # compares U* with the largest upset disjoint from U instead
+    E = DownIsIdentity(build_poset(["a", "b"], [("a", "b")]))
+    assert oracle.check_heyting_adjunction.__wrapped__(E) == (
+        False, "U* != U -> empty at {b}")

@@ -15,7 +15,6 @@ from priestley.fans import (
     fan_point,
     fan_star,
     make_tame,
-    noncanonical_twin,
     spine_point,
     tame_closure,
     tame_complement,
@@ -30,6 +29,7 @@ from priestley.fans import (
     tame_meet,
     tame_to_json,
 )
+from priestley.oracle import noncanonical_twin
 
 
 def fins(*ks):
