@@ -41,11 +41,17 @@ Representation
 --------------
 A :class:`TameSet` stores one :class:`Region` per fan (finite support
 over a default), a spine region, and a flag for the top blob.  A region
-is either a finite or a cofinite subset of that region's copy of the
-naturals, plus a flag for the attached limit class (the star blob for a
-fan, omega for the spine).  Canonical forms are unique: two tame sets
-are semantically equal iff their canonical representations are
-identical.
+is a finite or a cofinite subset of that region's copy of the naturals,
+held as one Python int ``bits`` (bit k set iff k is a member), plus a
+flag for the attached limit class (the star blob for a fan, omega for
+the spine).  A finite set is a non-negative int; a cofinite set is
+negative, ``~m`` for the mask m of its non-members.  Meet, join and
+complement of regions are therefore ``&``, ``|`` and ``~``, and the
+fan-index sets computed by the engines (which fans have content, which
+are full) use the same encoding.  Every int has exactly one value, so
+canonical forms are unique: two tame sets are semantically equal iff
+their canonical representations are identical.  The JSON form keeps a
+mode field plus the sorted exception list.
 
 Topology of a region: a finite part is clopen; a cofinite part is open
 and closed only when its limit flag is set; a limit-only part is
@@ -73,8 +79,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import FamilyMismatch, NotClopenUpset, NotRepresentable
+from .errors import FamilyMismatch, NotRepresentable
+from .poset import _bits, _mask
 
 FAMILIES = ("bare_fan", "fan_plus_bottom", "omega_fans", "chain_fans")
 
@@ -91,61 +99,49 @@ _HAS_OMEGA_STAR = {"omega_fans", "chain_fans"}  # top blob
 
 @dataclass(frozen=True, slots=True)
 class Region:
-    mode: str            # "fin" | "cofin"
-    exc: frozenset       # members (fin) or non-members (cofin)
+    bits: int            # bit k set iff k is a member; negative = cofinite
     flag: bool = False   # the region's limit class (star / omega)
 
     def __post_init__(self):
-        if self.mode not in ("fin", "cofin"):
-            raise ValueError(f"bad region mode {self.mode!r}")
-        if type(self.exc) is not frozenset:
-            object.__setattr__(self, "exc", frozenset(self.exc))
+        if type(self.bits) is not int:
+            raise TypeError(f"region bits must be an int, not {self.bits!r}")
 
     def member(self, k):
-        return (k in self.exc) if self.mode == "fin" else (k not in self.exc)
+        return self.bits >> k & 1 == 1
 
     def has_points(self):
-        return self.mode == "cofin" or bool(self.exc)
+        return self.bits != 0
 
     def is_empty(self):
-        return self.mode == "fin" and not self.exc and not self.flag
+        return self.bits == 0 and not self.flag
 
     def is_full(self):
         """All points of the region and its limit class."""
-        return self.mode == "cofin" and not self.exc and self.flag
+        return self.bits == -1 and self.flag
 
 
-EMPTY_REGION = Region("fin", frozenset(), False)
-FULL_REGION = Region("cofin", frozenset(), True)
-POINTS_REGION = Region("cofin", frozenset(), False)
+EMPTY_REGION = Region(0)
+FULL_REGION = Region(-1, True)
+POINTS_REGION = Region(-1)
+
+
+def _exc(r):
+    """The exceptions of a region as a non-negative mask: its members
+    when finite, its non-members when cofinite.  ``_bits`` of a negative
+    int would never end, so every walk over a region goes through here."""
+    return ~r.bits if r.bits < 0 else r.bits
 
 
 def region_meet(a, b):
-    if a.mode == "fin" and b.mode == "fin":
-        mode, exc = "fin", a.exc & b.exc
-    elif a.mode == "fin":
-        mode, exc = "fin", a.exc - b.exc
-    elif b.mode == "fin":
-        mode, exc = "fin", b.exc - a.exc
-    else:
-        mode, exc = "cofin", a.exc | b.exc
-    return Region(mode, exc, a.flag and b.flag)
+    return Region(a.bits & b.bits, a.flag and b.flag)
 
 
 def region_join(a, b):
-    if a.mode == "fin" and b.mode == "fin":
-        mode, exc = "fin", a.exc | b.exc
-    elif a.mode == "fin":
-        mode, exc = "cofin", b.exc - a.exc
-    elif b.mode == "fin":
-        mode, exc = "cofin", a.exc - b.exc
-    else:
-        mode, exc = "cofin", a.exc & b.exc
-    return Region(mode, exc, a.flag or b.flag)
+    return Region(a.bits | b.bits, a.flag or b.flag)
 
 
 def region_complement(a):
-    return Region("cofin" if a.mode == "fin" else "fin", a.exc, not a.flag)
+    return Region(~a.bits, not a.flag)
 
 
 def region_subset(a, b):
@@ -229,7 +225,7 @@ class TameSet:
         return (
             self.fan_default.is_empty()
             and all(r.is_empty() for _, r in self.fan_exc)
-            and (self.spine is None or (self.spine.is_empty() and not self.spine.flag))
+            and (self.spine is None or self.spine.is_empty())
             and not self.omega_star
         )
 
@@ -260,12 +256,9 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None, spine=None,
             spine = EMPTY_REGION
         if family == "fan_plus_bottom":
             # one spine point, no limit: normalize to a finite region
-            member = spine.member(0)
-            spine = Region("fin", frozenset({0}) if member else frozenset(), False)
-        elif family not in _HAS_OMEGA and spine.flag:
-            raise NotRepresentable(f"{family} has no omega point")
+            spine = Region(spine.bits & 1)
     else:
-        if spine is not None and not (spine.is_empty() and not spine.flag):
+        if spine is not None and not spine.is_empty():
             raise NotRepresentable(f"{family} has no spine")
         spine = None
     if omega_star and family not in _HAS_OMEGA_STAR:
@@ -280,9 +273,9 @@ def tame_empty(family):
 def tame_full(family):
     spine = None
     if family == "fan_plus_bottom":
-        spine = Region("fin", frozenset({0}), False)
+        spine = Region(1)
     elif family in _HAS_OMEGA:
-        spine = Region("cofin", frozenset(), True)
+        spine = FULL_REGION
     return make_tame(
         family,
         fan_default=FULL_REGION,
@@ -329,7 +322,7 @@ def tame_closure(a):
     """Add the star over cofinite fan parts, omega over a cofinite spine,
     and the top blob when almost every fan closes up to its star."""
     def close_region(r):
-        return Region(r.mode, r.exc, r.flag or r.mode == "cofin")
+        return Region(r.bits, r.flag or r.bits < 0)
 
     default = close_region(a.fan_default)
     exc = {i: close_region(r) for i, r in a.fan_exc}
@@ -342,13 +335,9 @@ def tame_closure(a):
     return make_tame(a.family, default, exc, spine, os)
 
 
-def tame_interior(a):
-    return tame_complement(tame_closure(tame_complement(a)))
-
-
 def tame_is_open(a):
     def region_open(r):
-        return not (r.flag and r.mode == "fin")
+        return not (r.flag and r.bits >= 0)
 
     if not region_open(a.fan_default):
         return False
@@ -361,14 +350,14 @@ def tame_is_open(a):
         # a neighbourhood of the top blob must eventually contain
         # almost all of almost every closed fan; exception fans are
         # finitely many and do not matter
-        if not (a.fan_default.flag and a.fan_default.mode == "cofin"):
+        if not (a.fan_default.flag and a.fan_default.bits < 0):
             return False
     return True
 
 
 def tame_is_closed(a):
     def region_closed(r):
-        return r.mode == "fin" or r.flag
+        return r.bits >= 0 or r.flag
 
     if not region_closed(a.fan_default):
         return False
@@ -380,7 +369,7 @@ def tame_is_closed(a):
     if a.family in _HAS_OMEGA_STAR and not a.omega_star:
         # the top blob is a limit of the default fans once they close
         # up to their stars
-        if a.fan_default.flag or a.fan_default.mode == "cofin":
+        if a.fan_default.flag or a.fan_default.bits < 0:
             return False
     return True
 
@@ -390,32 +379,27 @@ def tame_is_closed(a):
 # ---------------------------------------------------------------------
 
 
-def _index_region(default, exc_bools):
-    """Region over fan indices from a default truth value plus exceptions."""
-    if default:
-        return Region("cofin", frozenset(i for i, v in exc_bools.items() if not v))
-    return Region("fin", frozenset(i for i, v in exc_bools.items() if v))
+def _fan_indices(a):
+    """The indices of a's exception fans, as a mask; its
+    ``bit_length()`` is a fan that the default governs."""
+    return _mask(i for i, _ in a.fan_exc)
+
+
+def _fresh_index(a):
+    """The index that stands for the default fans and for the cofinite
+    bulk of the spine: above every fan and spine exception index."""
+    spine_exc = _exc(a.spine) if a.spine is not None else 0
+    return (_fan_indices(a) | spine_exc).bit_length()
 
 
 def _fan_pred_region(a, pred):
-    """Indices of fans whose region satisfies pred, as an index region."""
-    return _index_region(
-        pred(a.fan_default), {i: pred(r) for i, r in a.fan_exc}
-    )
-
-
-def _first_absent(exc):
-    k = 0
-    while k in exc:
-        k += 1
-    return k
-
-
-def _region_min_member(r):
-    """Smallest member index of a region, or None."""
-    if r.mode == "fin":
-        return min(r.exc) if r.exc else None
-    return _first_absent(r.exc)
+    """Indices of fans whose region satisfies pred, as an index region:
+    the exception fans that pass, and every other fan if the default
+    passes."""
+    passed = _mask(i for i, r in a.fan_exc if pred(r))
+    if pred(a.fan_default):
+        passed |= ~_fan_indices(a)
+    return Region(passed)
 
 
 def _stars_over_bottoms(u):
@@ -428,21 +412,13 @@ def _stars_over_bottoms(u):
     def keep(i, r):
         if not r.flag or spine.member(i):
             return r
-        return Region(r.mode, r.exc, False)
+        return Region(r.bits)
 
     d = u.fan_default
-    exc = {i: keep(i, fans.get(i, d)) for i in fans.keys() | spine.exc}
-    if d.flag and spine.mode != "cofin":
-        d = Region(d.mode, d.exc, False)
+    exc = {i: keep(i, fans.get(i, d)) for i in fans.keys() | _bits(_exc(spine))}
+    if d.flag and spine.bits >= 0:
+        d = Region(d.bits)
     return d, exc
-
-
-def _fresh_index(*excs):
-    mx = -1
-    for e in excs:
-        for i in e:
-            mx = max(mx, i)
-    return mx + 1
 
 
 # ---------------------------------------------------------------------
@@ -473,9 +449,6 @@ class FanEngine:
     def meet(self, a, b):
         return tame_meet(a, b)
 
-    def join(self, a, b):
-        return tame_join(a, b)
-
     def diff(self, a, b):
         return tame_diff(a, b)
 
@@ -499,11 +472,9 @@ class FanEngine:
     def down(self, a):
         return tame_join(a, self.strict_down(a))
 
-    def strict_up(self, a):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def strict_down(self, a):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _content_region(self, a):
+        """Which fans have points or star, as an index region."""
+        return _fan_pred_region(a, lambda r: r.has_points() or r.flag)
 
     # -- points ----------------------------------------------------------
 
@@ -512,17 +483,17 @@ class FanEngine:
         if pt.kind in ("fan", "star") and fam not in _MULTI_FAN and pt.i != 0:
             raise NotRepresentable("single-fan family has only fan 0")
         if pt.kind == "fan":
-            return make_tame(fam, fan_exc={pt.i: Region("fin", frozenset({pt.k}))})
+            return make_tame(fam, fan_exc={pt.i: Region(1 << pt.k)})
         if pt.kind == "star":
-            return make_tame(fam, fan_exc={pt.i: Region("fin", frozenset(), True)})
+            return make_tame(fam, fan_exc={pt.i: Region(0, True)})
         if pt.kind == "spine":
             if fam not in _HAS_SPINE:
                 raise NotRepresentable(f"{fam} has no spine")
-            return make_tame(fam, spine=Region("fin", frozenset({pt.i})))
+            return make_tame(fam, spine=Region(1 << pt.i))
         if pt.kind == "omega":
             if fam not in _HAS_OMEGA:
                 raise NotRepresentable(f"{fam} has no omega point")
-            return make_tame(fam, spine=Region("fin", frozenset(), True))
+            return make_tame(fam, spine=Region(0, True))
         if pt.kind == "omega_star":
             if fam not in _HAS_OMEGA_STAR:
                 raise NotRepresentable(f"{fam} has no top blob")
@@ -537,34 +508,27 @@ class FanEngine:
         the same convention covers the fans governed by the default.
         """
         reps = []
-        spine_exc = list(a.spine.exc) if a.spine is not None else []
-        fresh_i = _fresh_index([i for i, _ in a.fan_exc], spine_exc)
+        fresh_i = _fresh_index(a)
 
         def region_reps(i, r):
-            out = []
-            if r.mode == "fin":
-                for k in sorted(r.exc):
-                    out.append(fan_point(i, k))
+            if r.bits < 0:
+                out = [fan_point(i, _exc(r).bit_length())]
             else:
-                out.append(fan_point(i, _fresh_index(r.exc)))
+                out = [fan_point(i, k) for k in _bits(r.bits)]
             if r.flag:
                 out.append(fan_star(i))
             return out
 
         for i, r in a.fan_exc:
             reps.extend(region_reps(i, r))
-        if self.family in _MULTI_FAN:
-            if not a.fan_default.is_empty():
-                reps.extend(region_reps(fresh_i, a.fan_default))
-        elif not a.fan_default.is_empty():
-            reps.extend(region_reps(0, a.fan_default))
+        if not a.fan_default.is_empty():
+            i = fresh_i if self.family in _MULTI_FAN else 0
+            reps.extend(region_reps(i, a.fan_default))
         if a.spine is not None:
-            if a.spine.mode == "fin":
-                for i in sorted(a.spine.exc):
-                    reps.append(spine_point(i))
+            if a.spine.bits < 0:
+                reps.append(spine_point(fresh_i))
             else:
-                reps.append(spine_point(_fresh_index(a.spine.exc,
-                                                     [i for i, _ in a.fan_exc])))
+                reps.extend(map(spine_point, _bits(a.spine.bits)))
             if a.spine.flag:
                 reps.append(OMEGA)
         if a.omega_star:
@@ -578,45 +542,27 @@ class FanEngine:
         across default fans; used only with predicates built from
         exception-free structural sets (the localic part, max X).
         """
-        spine_exc = list(a.spine.exc) if a.spine is not None else []
-        fresh_i = _fresh_index([i for i, _ in a.fan_exc], spine_exc)
+        fresh_i = _fresh_index(a)
+
+        def kept(bits, point, fresh):
+            # a cofinite bulk passes or fails as a whole, at one fresh point
+            if bits < 0:
+                return bits if pred(point(fresh)) else 0
+            return _mask(k for k in _bits(bits) if pred(point(k)))
 
         def filter_region(i, r):
-            if r.mode == "fin":
-                kept = frozenset(k for k in r.exc if pred(fan_point(i, k)))
-                mode = "fin"
-            else:
-                if pred(fan_point(i, _fresh_index(r.exc))):
-                    kept, mode = r.exc, "cofin"
-                else:
-                    kept, mode = frozenset(), "fin"
-            flag = r.flag and pred(fan_star(i))
-            return Region(mode, kept, flag)
+            pts = kept(r.bits, partial(fan_point, i), _exc(r).bit_length())
+            return Region(pts, r.flag and pred(fan_star(i)))
 
         exc = {i: filter_region(i, r) for i, r in a.fan_exc}
-        if self.family in _MULTI_FAN:
-            default = (
-                filter_region(fresh_i, a.fan_default)
-                if not a.fan_default.is_empty() else EMPTY_REGION
-            )
-        else:
-            default = (
-                filter_region(0, a.fan_default)
-                if not a.fan_default.is_empty() else EMPTY_REGION
-            )
+        default = EMPTY_REGION
+        if not a.fan_default.is_empty():
+            i = fresh_i if self.family in _MULTI_FAN else 0
+            default = filter_region(i, a.fan_default)
         spine = None
         if a.spine is not None:
-            if a.spine.mode == "fin":
-                kept = frozenset(i for i in a.spine.exc if pred(spine_point(i)))
-                mode = "fin"
-            else:
-                if pred(spine_point(_fresh_index(a.spine.exc,
-                                                 [i for i, _ in a.fan_exc]))):
-                    kept, mode = a.spine.exc, "cofin"
-                else:
-                    kept, mode = frozenset(), "fin"
-            flag = a.spine.flag and pred(OMEGA)
-            spine = Region(mode, kept, flag)
+            pts = kept(a.spine.bits, spine_point, fresh_i)
+            spine = Region(pts, a.spine.flag and pred(OMEGA))
         os = a.omega_star and pred(OMEGA_STAR)
         return make_tame(self.family, default, exc, spine, os)
 
@@ -639,45 +585,28 @@ class FanEngine:
         fan_ok = clopen_down(fan_point(0, 0))
         default = POINTS_REGION if fan_ok else EMPTY_REGION
         spine = None
-        if self.family in _HAS_SPINE:
-            if self.family == "fan_plus_bottom":
-                spine = Region(
-                    "fin",
-                    frozenset({0}) if clopen_down(spine_point(0)) else frozenset(),
-                )
-            else:
-                spine_ok = clopen_down(spine_point(0))
-                omega_ok = clopen_down(OMEGA) if self.family in _HAS_OMEGA else False
-                spine = Region(
-                    "cofin" if spine_ok else "fin", frozenset(), omega_ok
-                )
+        if self.family == "fan_plus_bottom":
+            spine = Region(1 if clopen_down(spine_point(0)) else 0)
+        elif self.family in _HAS_OMEGA:
+            spine_ok = clopen_down(spine_point(0))
+            spine = Region(-1 if spine_ok else 0, clopen_down(OMEGA))
         self._localic = make_tame(self.family, default, spine=spine)
         return self._localic
 
     # -- hooks ----------------------------------------------------------
 
-    def core(self, u):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def points_with_up_inside(self, d):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def clop_sup_test(self, u):  # pragma: no cover - abstract
-        raise NotImplementedError
-
+    # never called: benchmarks/tracing.py finds the engine classes by it
     def sample_clopen_upsets(self, count, seed=0):  # pragma: no cover
         raise NotImplementedError
 
     # -- rendering -------------------------------------------------------
 
     def is_finite_set(self, a):
-        if a.fan_default.mode == "cofin" or any(
-            r.mode == "cofin" for _, r in a.fan_exc
-        ):
+        if a.fan_default.bits < 0 or any(r.bits < 0 for _, r in a.fan_exc):
             return False
         if self.family in _MULTI_FAN and not a.fan_default.is_empty():
             return False
-        if a.spine is not None and a.spine.mode == "cofin":
+        if a.spine is not None and a.spine.bits < 0:
             return False
         return True
 
@@ -687,16 +616,13 @@ class FanEngine:
 
         def region_str(r, limit_name):
             parts = []
-            if r.mode == "fin":
-                if r.exc:
-                    parts.append("points {" + ",".join(map(str, sorted(r.exc))) + "}")
-            else:
-                if r.exc:
-                    parts.append(
-                        "all points except {" + ",".join(map(str, sorted(r.exc))) + "}"
-                    )
-                else:
-                    parts.append("all points")
+            exc = "{" + ",".join(map(str, _bits(_exc(r)))) + "}"
+            if r.bits == -1:
+                parts.append("all points")
+            elif r.bits < 0:
+                parts.append("all points except " + exc)
+            elif r.bits:
+                parts.append("points " + exc)
             if r.flag:
                 parts.append(limit_name)
             return " + ".join(parts) if parts else "nothing"
@@ -710,7 +636,7 @@ class FanEngine:
         for i, r in a.fan_exc:
             if not r.is_empty():
                 bits.append(f"fan {i}: {region_str(r, 'star')}")
-        if a.spine is not None and not (a.spine.is_empty() and not a.spine.flag):
+        if a.spine is not None and not a.spine.is_empty():
             name = "y" if self.family == "fan_plus_bottom" else "spine"
             bits.append(f"{name}: {region_str(a.spine, 'omega')}")
         if a.omega_star:
@@ -744,26 +670,23 @@ class BareFanEngine(FanEngine):
         return self.empty
 
     def core(self, u):
-        return make_tame(
-            self.family, Region(u.fan_default.mode, u.fan_default.exc, False)
-        )
+        return make_tame(self.family, Region(u.fan_default.bits))
 
     def points_with_up_inside(self, d):
         # identity order: up(x) = {x} for every class
         return d
 
     def clop_sup_test(self, u):
-        return u.fan_default.mode == "fin" and not u.fan_default.flag
+        return u.fan_default.bits >= 0 and not u.fan_default.flag
 
     def sample_clopen_upsets(self, count, seed=0):
         rng = random.Random(seed)
         out = [self.empty, self.full]
         while len(out) < count:
             if rng.random() < 0.5:
-                r = Region("fin", frozenset(rng.sample(range(12), rng.randint(0, 4))))
+                r = Region(_mask(rng.sample(range(12), rng.randint(0, 4))))
             else:
-                r = Region("cofin",
-                           frozenset(rng.sample(range(12), rng.randint(0, 4))), True)
+                r = Region(~_mask(rng.sample(range(12), rng.randint(0, 4))), True)
             out.append(make_tame(self.family, r))
         return out[:count]
 
@@ -775,11 +698,8 @@ class FanPlusBottomEngine(FanEngine):
     infinite_min_yd_class = None  # min Y_d = {y}
     min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
-    def _has_y(self, a):
-        return a.spine is not None and a.spine.member(0)
-
     def strict_up(self, a):
-        if self._has_y(a):
+        if a.spine.member(0):
             # everything except y itself
             return make_tame(self.family, FULL_REGION)
         return self.empty
@@ -787,27 +707,23 @@ class FanPlusBottomEngine(FanEngine):
     def strict_down(self, a):
         content = a.fan_default.has_points() or a.fan_default.flag
         if content:
-            return make_tame(self.family, spine=Region("fin", frozenset({0})))
+            return make_tame(self.family, spine=Region(1))
         return self.empty
 
     def core(self, u):
-        if self._has_y(u):
+        if u.spine.member(0):
             # an upset containing y is the whole space, itself Scott
             return u
-        return make_tame(
-            self.family, Region(u.fan_default.mode, u.fan_default.exc, False)
-        )
+        return make_tame(self.family, Region(u.fan_default.bits))
 
     def points_with_up_inside(self, d):
-        spine = Region(
-            "fin", frozenset({0}) if d == self.full else frozenset()
-        )
+        spine = Region(1 if d == self.full else 0)
         return make_tame(self.family, d.fan_default, spine=spine)
 
     def clop_sup_test(self, u):
-        if self._has_y(u):
+        if u.spine.member(0):
             return u == self.full
-        return u.fan_default.mode == "fin" and not u.fan_default.flag
+        return u.fan_default.bits >= 0 and not u.fan_default.flag
 
     sample_clopen_upsets = BareFanEngine.sample_clopen_upsets
 
@@ -830,34 +746,24 @@ class OmegaFansEngine(FanEngine):
     # irreducible closed set with no generic point (not sober)
     min_yd_space_flags = {"locally_compact": True, "sober": False, "coherent": True}
 
-    def _content_region(self, a):
-        """Which fans have points or star, as an index region."""
-        return _fan_pred_region(a, lambda r: r.has_points() or r.flag)
-
     def strict_down(self, a):
         spine_pts = self._content_region(a)
-        omega_flag = a.omega_star
-        if (a.spine is not None and a.spine.flag) or a.omega_star:
+        if a.spine.flag or a.omega_star:
             spine_pts = region_join(spine_pts, POINTS_REGION)
-        return make_tame(
-            self.family,
-            spine=Region(spine_pts.mode, spine_pts.exc, omega_flag),
-        )
+        return make_tame(self.family, spine=Region(spine_pts.bits, a.omega_star))
 
     def strict_up(self, a):
-        s = a.spine if a.spine is not None else EMPTY_REGION
+        s = a.spine
         any_member = s.has_points()
-        if s.mode == "cofin":
-            default = FULL_REGION
-            exc = {i: EMPTY_REGION for i in s.exc}
+        # the fans over the spine's members are full, the others empty
+        if s.bits < 0:
+            default, over = FULL_REGION, EMPTY_REGION
         else:
-            default = EMPTY_REGION
-            exc = {i: FULL_REGION for i in s.exc}
-        omega_flag = any_member
-        os = any_member or s.flag
+            default, over = EMPTY_REGION, FULL_REGION
+        exc = dict.fromkeys(_bits(_exc(s)), over)
         return make_tame(
             self.family, default, exc,
-            spine=Region("fin", frozenset(), omega_flag), omega_star=os,
+            spine=Region(0, any_member), omega_star=any_member or s.flag,
         )
 
     def core(self, u):
@@ -879,33 +785,29 @@ class OmegaFansEngine(FanEngine):
         )
 
     def points_with_up_inside(self, d):
-        spine = d.spine if d.spine is not None else EMPTY_REGION
-        fans_full = _fan_pred_region(d, lambda r: r.is_full())
-        ups_ok = (
-            region_meet(Region(spine.mode, spine.exc), fans_full)
-            if (spine.flag and d.omega_star) else Region("fin", frozenset())
-        )
-        omega = spine.flag and d.omega_star
-        os = d.omega_star
+        omega = d.spine.flag and d.omega_star
+        ups_ok = 0
+        if omega:
+            ups_ok = d.spine.bits & _fan_pred_region(d, Region.is_full).bits
         return make_tame(
             self.family, d.fan_default, dict(d.fan_exc),
-            spine=Region(ups_ok.mode, ups_ok.exc, omega), omega_star=os,
+            spine=Region(ups_ok, omega), omega_star=d.omega_star,
         )
 
     def clop_sup_test(self, u):
         """Finite set of fan points, or cofinite spine with finite fan
         traces wherever the bottom point is excluded."""
-        spine = u.spine if u.spine is not None else EMPTY_REGION
+        spine = u.spine
         if spine.is_empty() and not u.omega_star:
             return (
                 u.fan_default.is_empty()
-                and all(r.mode == "fin" and not r.flag for _, r in u.fan_exc)
+                and all(r.bits >= 0 and not r.flag for _, r in u.fan_exc)
             )
-        if spine.mode != "cofin" or not spine.flag:
+        if spine.bits >= 0 or not spine.flag:
             return False
-        for i in spine.exc:  # the excluded bottoms
+        for i in _bits(~spine.bits):  # the excluded bottoms
             r = u._fan_region(i)
-            if r.mode != "fin" or r.flag:
+            if r.bits < 0 or r.flag:
                 return False
         return True
 
@@ -917,28 +819,26 @@ class OmegaFansEngine(FanEngine):
             if full_ok and rng.random() < 0.35:
                 return FULL_REGION
             if rng.random() < 0.6:
-                return Region("fin", frozenset(rng.sample(range(9), rng.randint(0, 3))))
-            return Region(
-                "cofin", frozenset(rng.sample(range(9), rng.randint(0, 3))), True
-            )
+                return Region(_mask(rng.sample(range(9), rng.randint(0, 3))))
+            return Region(~_mask(rng.sample(range(9), rng.randint(0, 3))), True)
 
         while len(out) < count:
             style = rng.random()
             if style < 0.3:
                 # finite sets of fan points
                 exc = {
-                    i: Region("fin", frozenset(rng.sample(range(8), rng.randint(1, 3))))
+                    i: Region(_mask(rng.sample(range(8), rng.randint(1, 3))))
                     for i in rng.sample(range(6), rng.randint(1, 3))
                 }
                 out.append(make_tame(self.family, EMPTY_REGION, exc))
             elif style < 0.75:
                 # cofinite spine: excluded bottoms get clopen traces,
                 # everything else is forced full by the upset condition
-                excluded = frozenset(rng.sample(range(6), rng.randint(0, 3)))
-                exc = {i: clopen_region(full_ok=False) for i in excluded}
+                excluded = _mask(rng.sample(range(6), rng.randint(0, 3)))
+                exc = {i: clopen_region(full_ok=False) for i in _bits(excluded)}
                 out.append(make_tame(
                     self.family, FULL_REGION, exc,
-                    spine=Region("cofin", excluded, True), omega_star=True,
+                    spine=Region(~excluded, True), omega_star=True,
                 ))
             else:
                 # full fans only, no spine, with the blob
@@ -967,76 +867,48 @@ class ChainFansEngine(FanEngine):
     # the empty space is vacuously stably locally compact
     min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
-    def _min_content_index(self, a):
-        """Smallest fan index with points or star, or None."""
-        candidates = [
-            i for i, r in a.fan_exc if r.has_points() or r.flag
-        ]
-        if a.fan_default.has_points() or a.fan_default.flag:
-            candidates.append(_first_absent(frozenset(i for i, _ in a.fan_exc)))
-        return min(candidates) if candidates else None
-
     def strict_down(self, a):
-        spine = a.spine if a.spine is not None else EMPTY_REGION
-        m1 = self._min_content_index(a)
-        m2 = _region_min_member(spine)
-        cutoffs = []
-        if m1 is not None:
-            cutoffs.append(m1)
-        if m2 is not None:
-            cutoffs.append(m2 + 1)
-        if cutoffs:
-            pts = Region("cofin", frozenset(range(min(cutoffs))))
-        else:
-            pts = Region("fin", frozenset())
-        any_member = (
-            m1 is not None or m2 is not None or a.omega_star
-        )
-        return make_tame(
-            self.family, spine=Region(pts.mode, pts.exc, any_member)
-        )
+        content = self._content_region(a).bits
+        spine = a.spine.bits
+        # -(b & -b) is every index from b's lowest member up (0 when b
+        # is empty): fan i lies above y_j for j >= i, y_i above y_j for j > i
+        pts = -(content & -content) | (-(spine & -spine) << 1)
+        any_member = content != 0 or spine != 0 or a.omega_star
+        return make_tame(self.family, spine=Region(pts, any_member))
 
     def strict_up(self, a):
-        spine = a.spine if a.spine is not None else EMPTY_REGION
+        spine = a.spine
         if spine.flag:  # omega lies strictly below everything else
             return make_tame(
-                self.family, FULL_REGION,
-                spine=Region("cofin", frozenset(), False), omega_star=True,
+                self.family, FULL_REGION, spine=POINTS_REGION, omega_star=True,
             )
-        if spine.mode == "cofin":
+        if spine.bits < 0:
             # unbounded members: heads exhaust the spine and the fans
-            return make_tame(
-                self.family, FULL_REGION,
-                spine=Region("cofin", frozenset(), False),
-            )
-        if not spine.exc:
+            return make_tame(self.family, FULL_REGION, spine=POINTS_REGION)
+        if not spine.bits:
             return self.empty
-        m = max(spine.exc)
+        m = spine.bits.bit_length() - 1
         exc = {i: FULL_REGION for i in range(m + 1)}
         return make_tame(
-            self.family, EMPTY_REGION, exc,
-            spine=Region("fin", frozenset(range(m)), False),
+            self.family, EMPTY_REGION, exc, spine=Region((1 << m) - 1),
         )
 
     def _spine_up_inside(self, u):
         """Initial segment of i with up(y_i) inside u: bottoms 0..i in u
         and fans 0..i full; either a finite run or the whole spine."""
-        spine = u.spine if u.spine is not None else EMPTY_REGION
+        spine = u.spine
 
         def ok(i):
             return spine.member(i) and u._fan_region(i).is_full()
 
-        relevant = {i for i, _ in u.fan_exc} | spine.exc
-        horizon = (max(relevant) if relevant else -1) + 2
-        i = 0
-        while i < horizon:
+        horizon = (_fan_indices(u) | _exc(spine)).bit_length() + 1
+        for i in range(horizon):
             if not ok(i):
-                return Region("fin", frozenset(range(i)))
-            i += 1
+                return Region((1 << i) - 1)
         # beyond the horizon everything is governed by the defaults
-        if spine.mode == "cofin" and u.fan_default.is_full():
-            return Region("cofin", frozenset())
-        return Region("fin", frozenset(range(horizon)))
+        if spine.bits < 0 and u.fan_default.is_full():
+            return POINTS_REGION
+        return Region((1 << horizon) - 1)
 
     def core(self, u):
         """Keep the fan points and spine points; keep star i only over a
@@ -1049,7 +921,7 @@ class ChainFansEngine(FanEngine):
         default, exc = _stars_over_bottoms(u)
         return make_tame(
             self.family, default, exc,
-            spine=Region(u.spine.mode, u.spine.exc, False), omega_star=False,
+            spine=Region(u.spine.bits), omega_star=False,
         )
 
     def points_with_up_inside(self, d):
@@ -1057,18 +929,16 @@ class ChainFansEngine(FanEngine):
         omega = d == self.full
         return make_tame(
             self.family, d.fan_default, dict(d.fan_exc),
-            spine=Region(spine_ok.mode, spine_ok.exc, omega),
+            spine=Region(spine_ok.bits, omega),
             omega_star=d.omega_star,
         )
 
     def clop_sup_test(self, u):
-        spine = u.spine if u.spine is not None else EMPTY_REGION
-        if spine.flag or u.omega_star:
+        if u.spine.flag or u.omega_star:
             return False
         stars = _fan_pred_region(u, lambda r: r.flag)
-        members = Region(spine.mode, spine.exc)
         # every star needs its bottom point inside u
-        return region_subset(stars, members)
+        return region_subset(stars, Region(u.spine.bits))
 
     def sample_clopen_upsets(self, count, seed=0):
         rng = random.Random(seed)
@@ -1076,10 +946,8 @@ class ChainFansEngine(FanEngine):
 
         def clopen_region():
             if rng.random() < 0.5:
-                return Region("fin", frozenset(rng.sample(range(9), rng.randint(0, 3))))
-            return Region(
-                "cofin", frozenset(rng.sample(range(9), rng.randint(0, 3))), True
-            )
+                return Region(_mask(rng.sample(range(9), rng.randint(0, 3))))
+            return Region(~_mask(rng.sample(range(9), rng.randint(0, 3))), True)
 
         while len(out) < count:
             style = rng.random()
@@ -1091,7 +959,7 @@ class ChainFansEngine(FanEngine):
                     exc[i] = clopen_region()
                 out.append(make_tame(
                     self.family, EMPTY_REGION, exc,
-                    spine=Region("fin", frozenset(range(m + 1))),
+                    spine=Region((1 << (m + 1)) - 1),
                 ))
             elif style < 0.8:
                 # no spine at all: arbitrary clopen fan regions, maybe blob
@@ -1109,7 +977,7 @@ class ChainFansEngine(FanEngine):
                     exc[i] = clopen_region()
                 out.append(make_tame(
                     self.family, FULL_REGION, exc,
-                    spine=Region("fin", frozenset(range(m + 1))), omega_star=True,
+                    spine=Region((1 << (m + 1)) - 1), omega_star=True,
                 ))
         return out[:count]
 
@@ -1135,7 +1003,8 @@ def engine_for(family):
 
 
 def _region_to_json(r, limit_key):
-    return {"mode": r.mode, "set": sorted(r.exc), limit_key: r.flag}
+    mode = "cofin" if r.bits < 0 else "fin"
+    return {"mode": mode, "set": list(_bits(_exc(r))), limit_key: r.flag}
 
 
 def _region_from_json(obj, limit_key):
@@ -1143,8 +1012,11 @@ def _region_from_json(obj, limit_key):
         return EMPTY_REGION
     if obj == "full":
         return FULL_REGION
-    return Region(obj["mode"], frozenset(obj.get("set", ())),
-                  bool(obj.get(limit_key, False)))
+    mode = obj["mode"]
+    if mode not in ("fin", "cofin"):
+        raise ValueError(f"bad region mode {mode!r}")
+    exc = _mask(obj.get("set", ()))
+    return Region(~exc if mode == "cofin" else exc, bool(obj.get(limit_key, False)))
 
 
 def tame_to_json(a):
@@ -1177,12 +1049,3 @@ def tame_from_json(family, obj):
     if "spine" in obj:
         spine = _region_from_json(obj["spine"], "omega")
     return make_tame(family, default, exc, spine, bool(obj.get("omega_star", False)))
-
-
-def clop_sup_test(u):
-    """Is a clopen tame upset a Scott upset? Guarded, family-dispatched."""
-    E = engine_for(u.family)
-    if not (tame_is_open(u) and tame_is_closed(u) and E.up(u) == u):
-        raise NotClopenUpset(f"{E.describe_set(u)} is not a clopen upset")
-    return E.clop_sup_test(u)
-

@@ -38,7 +38,7 @@ from .fans import (
     OmegaFansEngine,
     Region,
     TameSet,
-    _fresh_index,
+    _fan_indices,
     engine_for,
     region_meet,
     tame_complement,
@@ -88,15 +88,15 @@ class TheoremCase:
 _POSET_MEMO = {}
 
 
-def enumerate_posets(n_points, cap=MAX_BOUND):
+def enumerate_posets(n_points):
     """All posets with exactly n_points points, up to isomorphism.
 
     Each size is generated once, by one-point extension of the size
     below (:func:`_posets_of_size`), and memoized.  Output is
     deterministic: canonical labels, sorted by canonical key.
     """
-    if n_points > cap:
-        raise BoundExceeded(f"{n_points} exceeds the configured bound {cap}")
+    if n_points > MAX_BOUND:
+        raise BoundExceeded(f"{n_points} exceeds the configured bound {MAX_BOUND}")
     return list(_posets_of_size(n_points))
 
 
@@ -133,11 +133,11 @@ def _posets_of_size(n):
     return result
 
 
-def posets_up_to(bound, cap=MAX_BOUND):
+def posets_up_to(bound):
     """All posets with 1..bound points, sizes ascending."""
     out = []
     for n in range(1, bound + 1):
-        out.extend(enumerate_posets(n, cap=cap))
+        out.extend(enumerate_posets(n))
     return out
 
 
@@ -916,8 +916,7 @@ def mutation_drop_spine_link():
     class DroppedSpineLink(OmegaFansEngine):
         def _content_region(self, a):
             # fan 0 no longer lies above its spine point
-            return region_meet(super()._content_region(a),
-                               Region("cofin", frozenset({0})))
+            return region_meet(super()._content_region(a), Region(~1))
 
     broken = DroppedSpineLink()
     return check_fan_figures.on([(broken.name, (broken, DEFAULT_SEED))])
@@ -930,7 +929,7 @@ def noncanonical_twin(a):
     equality must now disagree with pointwise equality, and the
     canonical-form check in the verification suite has to flag it.
     """
-    fresh = _fresh_index([i for i, _ in a.fan_exc])
+    fresh = _fan_indices(a).bit_length()
     return TameSet(
         a.family, a.fan_default,
         tuple(sorted(list(a.fan_exc) + [(fresh, a.fan_default)])),

@@ -297,10 +297,10 @@ def canonical_form(P):
     return key
 
 
-def relabel_canonically(P, prefix="p"):
+def relabel_canonically(P):
     """Return an isomorphic copy with labels p0..p{n-1} in canonical order."""
     _, perm = _labelling(P)
-    return FinitePoset([f"{prefix}{i}" for i in range(P.n)], _restrict(P, perm))
+    return FinitePoset([f"p{i}" for i in range(P.n)], _restrict(P, perm))
 
 
 def _restrict(P, points):

@@ -26,7 +26,7 @@ exact; there are no tolerances anywhere.
 The engine contract, listed once: what this module, the oracle and the
 command line ask of an engine.
 
-* sets: ``full``, ``empty``, ``meet``, ``join``, ``diff``, ``closure``,
+* sets: ``full``, ``empty``, ``meet``, ``diff``, ``closure``,
   ``is_open``, ``is_closed``, ``is_representable``, ``is_finite_set``;
 * order: ``up``, ``down``, ``strict_up``, ``strict_down``;
 * points: ``point_set``, ``member_reps``, ``select``, ``localic_part``;
@@ -502,9 +502,6 @@ class FiniteEngine:
 
     def meet(self, a, b):
         return a & b
-
-    def join(self, a, b):
-        return a | b
 
     def diff(self, a, b):
         return a & ~b

@@ -3,10 +3,13 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priestley.errors import FamilyMismatch, NotRepresentable
 from priestley.fans import (
     EMPTY_REGION,
+    FAMILIES,
     FULL_REGION,
     OMEGA,
     OMEGA_STAR,
@@ -15,6 +18,7 @@ from priestley.fans import (
     fan_point,
     fan_star,
     make_tame,
+    region_subset,
     spine_point,
     tame_closure,
     tame_complement,
@@ -22,7 +26,6 @@ from priestley.fans import (
     tame_empty,
     tame_from_json,
     tame_full,
-    tame_interior,
     tame_is_closed,
     tame_is_open,
     tame_join,
@@ -30,14 +33,15 @@ from priestley.fans import (
     tame_to_json,
 )
 from priestley.oracle import noncanonical_twin
+from priestley.poset import _mask
 
 
 def fins(*ks):
-    return Region("fin", frozenset(ks))
+    return Region(_mask(ks))
 
 
 def cofins(*ks):
-    return Region("cofin", frozenset(ks))
+    return Region(~_mask(ks))
 
 
 def test_region_op_examples():
@@ -83,19 +87,16 @@ def test_canonical_forms_unique():
 
 
 def test_region_and_tame_set_contract():
-    # a region stores its exceptions as a frozenset, whatever it was given
-    for given in ({1, 2}, [2, 1, 2], frozenset({1, 2})):
-        r = Region("fin", given)
-        assert type(r.exc) is frozenset and r == fins(1, 2)
-        assert hash(r) == hash(fins(1, 2))
-    with pytest.raises(ValueError):
-        Region("finite", frozenset())
+    # a region is one int: equal point sets are == and hash equal
+    assert Region(0b110) == fins(2, 1) and hash(Region(0b110)) == hash(fins(1, 2))
+    with pytest.raises(TypeError):
+        Region(frozenset({1, 2}))
     # equal tame sets built along different paths are == and hash equal
     a = make_tame("omega_fans", FULL_REGION, {3: fins(1), 0: cofins(2), 5: FULL_REGION},
-                  spine=Region("cofin", frozenset({0, 3}), True), omega_star=True)
+                  spine=Region(~0b1001, True), omega_star=True)
     twins = [
         make_tame("omega_fans", FULL_REGION, {0: cofins(2), 3: fins(1)},
-                  spine=Region("cofin", [3, 0], True), omega_star=True),
+                  spine=Region(cofins(3, 0).bits, True), omega_star=True),
         tame_complement(tame_complement(a)),
         tame_meet(a, tame_full("omega_fans")),
         tame_join(tame_empty("omega_fans"), a),
@@ -104,7 +105,7 @@ def test_region_and_tame_set_contract():
     for b in twins:
         assert b == a and hash(b) == hash(a) and b.fan_exc == a.fan_exc
     assert noncanonical_twin(a) != a
-    for value, field in ((a.fan_default, "mode"), (a, "family")):
+    for value, field in ((a.fan_default, "bits"), (a, "family")):
         assert not hasattr(value, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, "bare_fan")
@@ -116,27 +117,28 @@ def test_single_fan_families_fold_exceptions():
     with pytest.raises(NotRepresentable):
         make_tame("bare_fan", fan_exc={1: fins(3)})
     with pytest.raises(NotRepresentable):
-        make_tame("bare_fan", spine=Region("fin", frozenset({0})))
+        make_tame("bare_fan", spine=fins(0))
     with pytest.raises(NotRepresentable):
         make_tame("fan_plus_bottom", omega_star=True)
 
 
 def test_fan_plus_bottom_spine_normalized():
-    a = make_tame("fan_plus_bottom", spine=Region("cofin", frozenset()))
-    assert a.spine == Region("fin", frozenset({0}), False)
+    a = make_tame("fan_plus_bottom", spine=cofins())
+    assert a.spine == Region(1, False)
 
 
 def test_closure_examples():
     # closure of a cofinite fan part picks up the star
     a = make_tame("omega_fans", fan_exc={0: cofins(2)})
     cl = tame_closure(a)
-    assert cl._fan_region(0) == Region("cofin", frozenset({2}), True)
+    assert cl._fan_region(0) == Region(~0b100, True)
     # finite parts are already closed
     b = make_tame("omega_fans", fan_exc={0: fins(1)})
     assert tame_closure(b) == b
     # interior drops the star from finite-with-star configurations
-    c = make_tame("omega_fans", fan_exc={0: Region("fin", frozenset({1}), True)})
-    assert tame_interior(c)._fan_region(0) == fins(1)
+    c = make_tame("omega_fans", fan_exc={0: Region(0b10, True)})
+    interior = tame_complement(tame_closure(tame_complement(c)))
+    assert interior._fan_region(0) == fins(1)
 
 
 def test_closure_idempotent_monotone_dual():
@@ -144,22 +146,21 @@ def test_closure_idempotent_monotone_dual():
     for u in E.sample_clopen_upsets(40, seed=5):
         cl = tame_closure(u)
         assert tame_closure(cl) == cl
-        assert tame_interior(u) == tame_complement(tame_closure(tame_complement(u)))
         assert tame_is_closed(cl)
-        assert tame_is_open(tame_interior(u))
+        assert tame_is_open(tame_complement(tame_closure(tame_complement(u))))
 
 
 def test_openness_rules():
     # a star over a finite part is closed but not open
-    star_only = make_tame("omega_fans", fan_exc={0: Region("fin", frozenset(), True)})
+    star_only = make_tame("omega_fans", fan_exc={0: Region(0, True)})
     assert tame_is_closed(star_only) and not tame_is_open(star_only)
     # cofinite without its star is open but not closed
     cof = make_tame("omega_fans", fan_exc={0: cofins()})
     assert tame_is_open(cof) and not tame_is_closed(cof)
     # an open spine set containing omega must be cofinite
-    tail = make_tame("omega_fans", spine=Region("cofin", frozenset({0}), True))
+    tail = make_tame("omega_fans", spine=Region(~1, True))
     assert tame_is_open(tail) and tame_is_closed(tail)
-    omega_fin = make_tame("omega_fans", spine=Region("fin", frozenset({0}), True))
+    omega_fin = make_tame("omega_fans", spine=Region(1, True))
     assert not tame_is_open(omega_fin)
 
 
@@ -169,14 +170,14 @@ def test_updown_examples():
     down_star = E.down(E.point_set(fan_star(0)))
     assert down_star == make_tame(
         "omega_fans",
-        fan_exc={0: Region("fin", frozenset(), True)},
-        spine=Region("fin", frozenset({0})),
+        fan_exc={0: Region(0, True)},
+        spine=fins(0),
     )
     # the upset of y_0 is closed but not open
     up_y0 = E.up(E.point_set(spine_point(0)))
     assert up_y0 == make_tame(
         "omega_fans", fan_exc={0: FULL_REGION},
-        spine=Region("fin", frozenset({0}), True), omega_star=True,
+        spine=Region(1, True), omega_star=True,
     )
     assert tame_is_closed(up_y0) and not tame_is_open(up_y0)
     # the downset of the whole space is the whole space
@@ -213,7 +214,7 @@ def test_clop_sup_examples():
     # cofinite spine with a finite trace on the excluded fan
     v = make_tame(
         "omega_fans", FULL_REGION, {1: fins(0, 2)},
-        spine=Region("cofin", frozenset({1}), True), omega_star=True,
+        spine=Region(~0b10, True), omega_star=True,
     )
     assert E.clop_sup_test(v)
     # a closed cofinite fan piece without its bottom point is not Scott
@@ -237,3 +238,77 @@ def test_json_round_trip():
     assert t.member(fan_point(0, 5)) and not t.member(fan_point(0, 2))
     assert t.member(OMEGA) and t.member(OMEGA_STAR)
     assert tame_to_json(t)["fans"]["default"] == "empty"
+
+
+def test_tame_from_json_rejects_a_bad_mode():
+    bad = {"fans": {"default": {"mode": "finite", "set": [1], "star": False}}}
+    with pytest.raises(ValueError):
+        tame_from_json("omega_fans", bad)
+
+
+# -- arbitrary tame sets against pointwise membership --------------------
+
+FAR = 6  # every drawn exception index, of fans and of points, is below FAR
+_MULTI = ("omega_fans", "chain_fans")
+
+
+def regions():
+    # ints in [-2^FAR, 2^FAR): finite sets below FAR, or their complements
+    return st.builds(Region, st.integers(-(1 << FAR), (1 << FAR) - 1),
+                     st.booleans())
+
+
+@st.composite
+def tame_sets(draw, family):
+    default = draw(regions())
+    exc = {}
+    if family in _MULTI:
+        exc = draw(st.dictionaries(st.integers(0, FAR - 1), regions(), max_size=3))
+    spine = draw(regions()) if family != "bare_fan" else None
+    if family == "fan_plus_bottom":
+        spine = Region(spine.bits)  # y has no limit class
+    omega_star = draw(st.booleans()) if family in _MULTI else False
+    return make_tame(family, default, exc, spine, omega_star)
+
+
+def closure_member(a, pt):
+    """Pointwise closure: a limit class joins a when a has points
+    arbitrarily far out in the fan (star), in the spine (omega), or in
+    almost every fan's closure (the top blob)."""
+    if a.member(pt):
+        return True
+    if pt.kind == "star":
+        return a.member(fan_point(pt.i, FAR))
+    if pt.kind == "omega":
+        return a.family in _MULTI and a.member(spine_point(FAR))
+    if pt.kind == "omega_star":
+        return a.family in _MULTI and closure_member(a, fan_star(FAR))
+    return False
+
+
+def subset_by_members(r, s):
+    # FAR stands for the bulk of a region: beyond every exception
+    return (all(s.member(k) for k in range(FAR + 1) if r.member(k))
+            and (s.flag or not r.flag))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tame_algebra_matches_pointwise_membership(data):
+    family = data.draw(st.sampled_from(FAMILIES))
+    a = data.draw(tame_sets(family))
+    b = data.draw(tame_sets(family))
+    E = engine_for(family)
+    meet, join = tame_meet(a, b), tame_join(a, b)
+    comp, cl = tame_complement(a), tame_closure(a)
+    for pt in E.member_reps(a) + E.member_reps(b) + E.member_reps(E.full):
+        assert meet.member(pt) == (a.member(pt) and b.member(pt)), pt
+        assert join.member(pt) == (a.member(pt) or b.member(pt)), pt
+        assert comp.member(pt) == (not a.member(pt)), pt
+        assert cl.member(pt) == closure_member(a, pt), pt
+        if pt.kind in ("fan", "star"):
+            ra, rb = a._fan_region(pt.i), b._fan_region(pt.i)
+            assert region_subset(ra, rb) == subset_by_members(ra, rb), pt
+    if a.spine is not None:
+        assert region_subset(a.spine, b.spine) == subset_by_members(a.spine, b.spine)
+    assert tame_from_json(family, tame_to_json(a)) == a
