@@ -39,19 +39,24 @@ Families
 
 Representation
 --------------
-A :class:`TameSet` stores one :class:`Region` per fan (finite support
-over a default), a spine region, and a flag for the top blob.  A region
-is a finite or a cofinite subset of that region's copy of the naturals,
-held as one Python int ``bits`` (bit k set iff k is a member), plus a
-flag for the attached limit class (the star blob for a fan, omega for
-the spine).  A finite set is a non-negative int; a cofinite set is
-negative, ``~m`` for the mask m of its non-members.  Meet, join and
-complement of regions are therefore ``&``, ``|`` and ``~``, and the
-fan-index sets computed by the engines (which fans have content, which
-are full) use the same encoding.  Every int has exactly one value, so
-canonical forms are unique: two tame sets are semantically equal iff
-their canonical representations are identical.  The JSON form keeps a
-mode field plus the sorted exception list.
+``_SHAPE`` declares once which regions each family has: countably many
+fans or fan 0 alone, a spine carrier (empty for ``bare_fan``, y alone
+for ``fan_plus_bottom``, the whole spine with omega otherwise), and the
+top blob or not.  A :class:`TameSet` stores one :class:`Region` per fan
+(finite support over a default), a spine region inside the carrier in
+every family, and a flag for the top blob; its complement is taken
+within those regions.  A region is a finite or a cofinite subset of
+that region's copy of the naturals, held as one Python int ``bits``
+(bit k set iff k is a member), plus a flag for the attached limit class
+(the star blob for a fan, omega for the spine).  A finite set is a
+non-negative int; a cofinite set is negative, ``~m`` for the mask m of
+its non-members.  Meet, join and complement of regions are therefore
+``&``, ``|`` and ``~``, and the fan-index sets computed by the engines
+(which fans have content, which are full) use the same encoding.  Every
+int has exactly one value, so canonical forms are unique: two tame sets
+are semantically equal iff their canonical representations are
+identical.  The JSON form keeps a mode field plus the sorted exception
+list, and omits the spine and the blob where the family has none.
 
 Topology of a region: a finite part is clopen; a cofinite part is open
 and closed only when its limit flag is set; a limit-only part is
@@ -84,14 +89,6 @@ from functools import partial
 from .errors import FamilyMismatch, NotRepresentable
 from .poset import _bits, _mask
 
-FAMILIES = ("bare_fan", "fan_plus_bottom", "omega_fans", "chain_fans")
-
-_MULTI_FAN = {"omega_fans", "chain_fans"}
-_HAS_SPINE = {"fan_plus_bottom", "omega_fans", "chain_fans"}
-_HAS_OMEGA = {"omega_fans", "chain_fans"}       # spine limit point
-_HAS_OMEGA_STAR = {"omega_fans", "chain_fans"}  # top blob
-
-
 # ---------------------------------------------------------------------
 # regions: finite/cofinite subsets of one copy of N, plus a limit flag
 # ---------------------------------------------------------------------
@@ -123,6 +120,16 @@ class Region:
 EMPTY_REGION = Region(0)
 FULL_REGION = Region(-1, True)
 POINTS_REGION = Region(-1)
+
+# family -> (multi_fan, spine_carrier, blob): countably many fans or
+# fan 0 alone, the spine region the family has, and the top blob
+_SHAPE = {
+    "bare_fan": (False, EMPTY_REGION, False),
+    "fan_plus_bottom": (False, Region(1), False),
+    "omega_fans": (True, FULL_REGION, True),
+    "chain_fans": (True, FULL_REGION, True),
+}
+FAMILIES = tuple(_SHAPE)
 
 
 def _exc(r):
@@ -199,7 +206,7 @@ class TameSet:
     family: str
     fan_default: Region
     fan_exc: tuple  # sorted ((i, Region), ...), every value != fan_default
-    spine: Region | None
+    spine: Region   # inside the family's spine carrier
     omega_star: bool
 
     def member(self, pt):
@@ -208,9 +215,9 @@ class TameSet:
         if pt.kind == "star":
             return self._fan_region(pt.i).flag
         if pt.kind == "spine":
-            return self.spine is not None and self.spine.member(pt.i)
+            return self.spine.member(pt.i)
         if pt.kind == "omega":
-            return self.spine is not None and self.spine.flag
+            return self.spine.flag
         if pt.kind == "omega_star":
             return self.omega_star
         raise ValueError(f"unknown point kind {pt.kind!r}")
@@ -225,23 +232,23 @@ class TameSet:
         return (
             self.fan_default.is_empty()
             and all(r.is_empty() for _, r in self.fan_exc)
-            and (self.spine is None or self.spine.is_empty())
+            and self.spine.is_empty()
             and not self.omega_star
         )
 
 
-def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None, spine=None,
-              omega_star=False):
+def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
+              spine=EMPTY_REGION, omega_star=False):
     """Canonicalizing constructor; the only sanctioned way to build one."""
-    if family not in FAMILIES:
+    if family not in _SHAPE:
         raise FamilyMismatch(f"unknown family {family!r}")
+    multi_fan, carrier, blob = _SHAPE[family]
     exc = dict(fan_exc or {})
-    if family not in _MULTI_FAN:
+    if not multi_fan and exc:
         # single fan: everything lives in the default slot
-        if exc:
-            if set(exc) - {0}:
-                raise NotRepresentable("single-fan family has only fan 0")
-            fan_default = exc.pop(0)
+        if set(exc) - {0}:
+            raise NotRepresentable("single-fan family has only fan 0")
+        fan_default = exc.pop(0)
     # a plain loop: a generator expression here raised peak memory by ~1 MB
     items = []
     for i in sorted(exc):
@@ -251,17 +258,13 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None, spine=None,
     items = tuple(items)
     if items and items[0][0] < 0:
         raise NotRepresentable("fan indices must be non-negative")
-    if family in _HAS_SPINE:
-        if spine is None:
-            spine = EMPTY_REGION
-        if family == "fan_plus_bottom":
-            # one spine point, no limit: normalize to a finite region
-            spine = Region(spine.bits & 1)
-    else:
-        if spine is not None and not spine.is_empty():
+    # meet with the carrier only when the spine leaves it: one more
+    # Region per call costs the symbolic sweeps measurably
+    if spine.bits & ~carrier.bits or spine.flag > carrier.flag:
+        if carrier.is_empty():
             raise NotRepresentable(f"{family} has no spine")
-        spine = None
-    if omega_star and family not in _HAS_OMEGA_STAR:
+        spine = region_meet(spine, carrier)
+    if omega_star and not blob:
         raise NotRepresentable(f"{family} has no top blob")
     return TameSet(family, fan_default, items, spine, bool(omega_star))
 
@@ -271,17 +274,7 @@ def tame_empty(family):
 
 
 def tame_full(family):
-    spine = None
-    if family == "fan_plus_bottom":
-        spine = Region(1)
-    elif family in _HAS_OMEGA:
-        spine = FULL_REGION
-    return make_tame(
-        family,
-        fan_default=FULL_REGION,
-        spine=spine,
-        omega_star=family in _HAS_OMEGA_STAR,
-    )
+    return tame_complement(make_tame(family))
 
 
 def _combine(a, b, rop, osop):
@@ -291,9 +284,7 @@ def _combine(a, b, rop, osop):
     default = rop(da, db)
     ea, eb = dict(a.fan_exc), dict(b.fan_exc)
     exc = {i: rop(ea.get(i, da), eb.get(i, db)) for i in ea.keys() | eb.keys()}
-    spine = None
-    if a.spine is not None:
-        spine = rop(a.spine, b.spine)
+    spine = rop(a.spine, b.spine)
     os = osop(a.omega_star, b.omega_star)
     return make_tame(a.family, default, exc, spine, os)
 
@@ -307,71 +298,55 @@ def tame_join(a, b):
 
 
 def tame_complement(a):
+    """The complement within the family's regions: the spine within its
+    carrier, the blob only where the family has one."""
+    _, carrier, blob = _SHAPE[a.family]
     default = region_complement(a.fan_default)
     exc = {i: region_complement(r) for i, r in a.fan_exc}
-    spine = region_complement(a.spine) if a.spine is not None else None
-    os = not a.omega_star if a.family in _HAS_OMEGA_STAR else False
-    return make_tame(a.family, default, exc, spine, os)
+    spine = Region(~a.spine.bits & carrier.bits, carrier.flag and not a.spine.flag)
+    return make_tame(a.family, default, exc, spine, blob and not a.omega_star)
 
 
 def tame_diff(a, b):
     return tame_meet(a, tame_complement(b))
 
 
+def _close_region(r):
+    return Region(r.bits, r.flag or r.bits < 0)
+
+
 def tame_closure(a):
     """Add the star over cofinite fan parts, omega over a cofinite spine,
-    and the top blob when almost every fan closes up to its star."""
-    def close_region(r):
-        return Region(r.bits, r.flag or r.bits < 0)
+    and the top blob when almost every fan closes up to its star.  Only
+    a carrier with omega holds a cofinite spine."""
+    default = _close_region(a.fan_default)
+    exc = {i: _close_region(r) for i, r in a.fan_exc}
+    os = a.omega_star or (_SHAPE[a.family][2] and default.flag)
+    return make_tame(a.family, default, exc, _close_region(a.spine), os)
 
-    default = close_region(a.fan_default)
-    exc = {i: close_region(r) for i, r in a.fan_exc}
-    spine = a.spine
-    if spine is not None and a.family in _HAS_OMEGA:
-        spine = close_region(spine)
-    os = a.omega_star
-    if a.family in _HAS_OMEGA_STAR and default.flag:
-        os = True
-    return make_tame(a.family, default, exc, spine, os)
+
+def _regions(a):
+    return (a.fan_default, a.spine, *(r for _, r in a.fan_exc))
 
 
 def tame_is_open(a):
-    def region_open(r):
-        return not (r.flag and r.bits >= 0)
-
-    if not region_open(a.fan_default):
+    # a limit class is open only with almost all of its region
+    if any(r.flag and r.bits >= 0 for r in _regions(a)):
         return False
-    if not all(region_open(r) for _, r in a.fan_exc):
-        return False
-    if a.spine is not None and a.family in _HAS_OMEGA:
-        if not region_open(a.spine):
-            return False
-    if a.omega_star:
-        # a neighbourhood of the top blob must eventually contain
-        # almost all of almost every closed fan; exception fans are
-        # finitely many and do not matter
-        if not (a.fan_default.flag and a.fan_default.bits < 0):
-            return False
-    return True
+    # a neighbourhood of the top blob must eventually contain almost all
+    # of almost every closed fan; exception fans are finitely many and
+    # do not matter
+    return not a.omega_star or (a.fan_default.flag and a.fan_default.bits < 0)
 
 
 def tame_is_closed(a):
-    def region_closed(r):
-        return r.bits >= 0 or r.flag
-
-    if not region_closed(a.fan_default):
+    # a cofinite part is closed only with its limit class
+    if any(r.bits < 0 and not r.flag for r in _regions(a)):
         return False
-    if not all(region_closed(r) for _, r in a.fan_exc):
-        return False
-    if a.spine is not None and a.family in _HAS_OMEGA:
-        if not region_closed(a.spine):
-            return False
-    if a.family in _HAS_OMEGA_STAR and not a.omega_star:
-        # the top blob is a limit of the default fans once they close
-        # up to their stars
-        if a.fan_default.flag or a.fan_default.bits < 0:
-            return False
-    return True
+    # the top blob is a limit of the default fans once they close up to
+    # their stars
+    d = a.fan_default
+    return not _SHAPE[a.family][2] or a.omega_star or not (d.flag or d.bits < 0)
 
 
 # ---------------------------------------------------------------------
@@ -387,9 +362,11 @@ def _fan_indices(a):
 
 def _fresh_index(a):
     """The index that stands for the default fans and for the cofinite
-    bulk of the spine: above every fan and spine exception index."""
-    spine_exc = _exc(a.spine) if a.spine is not None else 0
-    return (_fan_indices(a) | spine_exc).bit_length()
+    bulk of the spine: above every fan and spine exception index, or 0
+    where fan 0 is the only fan (such a spine is never cofinite)."""
+    if not _SHAPE[a.family][0]:
+        return 0
+    return (_fan_indices(a) | _exc(a.spine)).bit_length()
 
 
 def _fan_pred_region(a, pred):
@@ -480,22 +457,25 @@ class FanEngine:
 
     def point_set(self, pt):
         fam = self.family
-        if pt.kind in ("fan", "star") and fam not in _MULTI_FAN and pt.i != 0:
+        multi_fan, carrier, blob = _SHAPE[fam]
+        if pt.kind in ("fan", "star") and not multi_fan and pt.i != 0:
             raise NotRepresentable("single-fan family has only fan 0")
         if pt.kind == "fan":
+            if pt.k < 0:
+                raise NotRepresentable(f"{pt!r}: point indices must be non-negative")
             return make_tame(fam, fan_exc={pt.i: Region(1 << pt.k)})
         if pt.kind == "star":
             return make_tame(fam, fan_exc={pt.i: Region(0, True)})
         if pt.kind == "spine":
-            if fam not in _HAS_SPINE:
-                raise NotRepresentable(f"{fam} has no spine")
+            if pt.i < 0 or not carrier.member(pt.i):
+                raise NotRepresentable(f"{fam} has no spine point {pt.i}")
             return make_tame(fam, spine=Region(1 << pt.i))
         if pt.kind == "omega":
-            if fam not in _HAS_OMEGA:
+            if not carrier.flag:
                 raise NotRepresentable(f"{fam} has no omega point")
             return make_tame(fam, spine=Region(0, True))
         if pt.kind == "omega_star":
-            if fam not in _HAS_OMEGA_STAR:
+            if not blob:
                 raise NotRepresentable(f"{fam} has no top blob")
             return make_tame(fam, omega_star=True)
         raise ValueError(f"unknown point kind {pt.kind!r}")
@@ -522,15 +502,13 @@ class FanEngine:
         for i, r in a.fan_exc:
             reps.extend(region_reps(i, r))
         if not a.fan_default.is_empty():
-            i = fresh_i if self.family in _MULTI_FAN else 0
-            reps.extend(region_reps(i, a.fan_default))
-        if a.spine is not None:
-            if a.spine.bits < 0:
-                reps.append(spine_point(fresh_i))
-            else:
-                reps.extend(map(spine_point, _bits(a.spine.bits)))
-            if a.spine.flag:
-                reps.append(OMEGA)
+            reps.extend(region_reps(fresh_i, a.fan_default))
+        if a.spine.bits < 0:
+            reps.append(spine_point(fresh_i))
+        else:
+            reps.extend(map(spine_point, _bits(a.spine.bits)))
+        if a.spine.flag:
+            reps.append(OMEGA)
         if a.omega_star:
             reps.append(OMEGA_STAR)
         return reps
@@ -557,12 +535,9 @@ class FanEngine:
         exc = {i: filter_region(i, r) for i, r in a.fan_exc}
         default = EMPTY_REGION
         if not a.fan_default.is_empty():
-            i = fresh_i if self.family in _MULTI_FAN else 0
-            default = filter_region(i, a.fan_default)
-        spine = None
-        if a.spine is not None:
-            pts = kept(a.spine.bits, spine_point, fresh_i)
-            spine = Region(pts, a.spine.flag and pred(OMEGA))
+            default = filter_region(fresh_i, a.fan_default)
+        pts = kept(a.spine.bits, spine_point, fresh_i)
+        spine = Region(pts, a.spine.flag and pred(OMEGA))
         os = a.omega_star and pred(OMEGA_STAR)
         return make_tame(self.family, default, exc, spine, os)
 
@@ -584,12 +559,12 @@ class FanEngine:
 
         fan_ok = clopen_down(fan_point(0, 0))
         default = POINTS_REGION if fan_ok else EMPTY_REGION
-        spine = None
-        if self.family == "fan_plus_bottom":
-            spine = Region(1 if clopen_down(spine_point(0)) else 0)
-        elif self.family in _HAS_OMEGA:
+        carrier = _SHAPE[self.family][1]
+        spine = EMPTY_REGION
+        if carrier.has_points():
             spine_ok = clopen_down(spine_point(0))
-            spine = Region(-1 if spine_ok else 0, clopen_down(OMEGA))
+            spine = Region(carrier.bits if spine_ok else 0,
+                           carrier.flag and clopen_down(OMEGA))
         self._localic = make_tame(self.family, default, spine=spine)
         return self._localic
 
@@ -604,11 +579,9 @@ class FanEngine:
     def is_finite_set(self, a):
         if a.fan_default.bits < 0 or any(r.bits < 0 for _, r in a.fan_exc):
             return False
-        if self.family in _MULTI_FAN and not a.fan_default.is_empty():
+        if _SHAPE[self.family][0] and not a.fan_default.is_empty():
             return False
-        if a.spine is not None and a.spine.bits < 0:
-            return False
-        return True
+        return a.spine.bits >= 0
 
     def describe_set(self, a):
         if a.is_empty_set():
@@ -627,17 +600,19 @@ class FanEngine:
                 parts.append(limit_name)
             return " + ".join(parts) if parts else "nothing"
 
+        multi_fan, carrier, _ = _SHAPE[self.family]
         bits = []
         if not a.fan_default.is_empty():
             scope = "every other fan" if a.fan_exc else (
-                "every fan" if self.family in _MULTI_FAN else "fan 0"
+                "every fan" if multi_fan else "fan 0"
             )
             bits.append(f"{scope}: {region_str(a.fan_default, 'star')}")
         for i, r in a.fan_exc:
             if not r.is_empty():
                 bits.append(f"fan {i}: {region_str(r, 'star')}")
-        if a.spine is not None and not a.spine.is_empty():
-            name = "y" if self.family == "fan_plus_bottom" else "spine"
+        if not a.spine.is_empty():
+            # a one-point carrier is the bottom point y
+            name = "y" if carrier.bits == 1 else "spine"
             bits.append(f"{name}: {region_str(a.spine, 'omega')}")
         if a.omega_star:
             bits.append("top blob")
@@ -983,10 +958,8 @@ class ChainFansEngine(FanEngine):
 
 
 _ENGINES = {
-    "bare_fan": BareFanEngine,
-    "fan_plus_bottom": FanPlusBottomEngine,
-    "omega_fans": OmegaFansEngine,
-    "chain_fans": ChainFansEngine,
+    cls.family: cls
+    for cls in (BareFanEngine, FanPlusBottomEngine, OmegaFansEngine, ChainFansEngine)
 }
 
 
@@ -1007,19 +980,40 @@ def _region_to_json(r, limit_key):
     return {"mode": mode, "set": list(_bits(_exc(r))), limit_key: r.flag}
 
 
-def _region_from_json(obj, limit_key):
+def _region_from_json(obj, limit_key, field):
     if obj == "empty":
         return EMPTY_REGION
     if obj == "full":
         return FULL_REGION
-    mode = obj["mode"]
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field}: expected 'empty', 'full' or an object, not {obj!r}")
+    mode = obj.get("mode")
     if mode not in ("fin", "cofin"):
-        raise ValueError(f"bad region mode {mode!r}")
-    exc = _mask(obj.get("set", ()))
-    return Region(~exc if mode == "cofin" else exc, bool(obj.get(limit_key, False)))
+        raise ValueError(f"{field}.mode: bad region mode {mode!r}")
+    members = obj.get("set", [])
+    if not (isinstance(members, list)
+            and all(type(k) is int and k >= 0 for k in members)):
+        raise ValueError(f"{field}.set: not a list of point indices: {members!r}")
+    exc = _mask(members)
+    flag = _flag(obj, limit_key, f"{field}.{limit_key}")
+    return Region(~exc if mode == "cofin" else exc, flag)
+
+
+def _object(obj, field):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field}: expected an object, not {obj!r}")
+    return obj
+
+
+def _flag(obj, key, field):
+    value = obj.get(key, False)
+    if type(value) is not bool:
+        raise ValueError(f"{field}: expected true or false, not {value!r}")
+    return value
 
 
 def tame_to_json(a):
+    _, carrier, blob = _SHAPE[a.family]
     default = a.fan_default
     if default == EMPTY_REGION:
         default_json = "empty"
@@ -1031,21 +1025,23 @@ def tame_to_json(a):
         "default": default_json,
         "exceptions": {str(i): _region_to_json(r, "star") for i, r in a.fan_exc},
     }}
-    if a.spine is not None:
+    if not carrier.is_empty():
         out["spine"] = _region_to_json(a.spine, "omega")
-    if a.family in _HAS_OMEGA_STAR:
+    if blob:
         out["omega_star"] = a.omega_star
     return out
 
 
 def tame_from_json(family, obj):
-    fans = obj.get("fans", {})
-    default = _region_from_json(fans.get("default", "empty"), "star")
-    exc = {
-        int(i): _region_from_json(r, "star")
-        for i, r in fans.get("exceptions", {}).items()
-    }
-    spine = None
-    if "spine" in obj:
-        spine = _region_from_json(obj["spine"], "omega")
-    return make_tame(family, default, exc, spine, bool(obj.get("omega_star", False)))
+    """Parse a tame set; a malformed field raises ValueError naming it."""
+    fans = _object(_object(obj, "tame set").get("fans", {}), "fans")
+    default = _region_from_json(fans.get("default", "empty"), "star", "fans.default")
+    exc = {}
+    for i, r in _object(fans.get("exceptions", {}), "fans.exceptions").items():
+        field = f"fans.exceptions.{i}"
+        if not str(i).isdecimal():
+            raise ValueError(f"{field}: a fan index is a decimal string, not {i!r}")
+        exc[int(i)] = _region_from_json(r, "star", field)
+    spine = _region_from_json(obj.get("spine", "empty"), "omega", "spine")
+    omega_star = _flag(obj, "omega_star", "omega_star")
+    return make_tame(family, default, exc, spine, omega_star)

@@ -3,7 +3,7 @@
 import pytest
 
 from priestley import spectrum as sp
-from priestley.errors import FamilyMismatch
+from priestley.errors import FamilyMismatch, NotRepresentable
 from priestley.fans import (
     FAMILIES,
     OMEGA,
@@ -27,6 +27,27 @@ def test_engine_for_rejects_an_unknown_family():
     assert engine_for("omega_fans").family == "omega_fans"
     with pytest.raises(FamilyMismatch):
         engine_for("nope")
+
+
+def test_point_set_rejects_points_the_family_lacks(engines):
+    E = engines["fan_plus_bottom"]
+    assert E.point_set(spine_point(0)).member(spine_point(0))
+    # the spine of fan_plus_bottom is y = y(0) alone; a later spine point
+    # is no point of the space, so Y_d membership must not answer False
+    for query in (E.point_set, lambda pt: sp.yd_contains(E, pt)):
+        with pytest.raises(NotRepresentable):
+            query(spine_point(5))
+    lacking = {
+        "bare_fan": [spine_point(0), OMEGA, OMEGA_STAR, fan_point(1, 0)],
+        "fan_plus_bottom": [spine_point(1), OMEGA, OMEGA_STAR, fan_star(1)],
+        "omega_fans": [],
+        "chain_fans": [],
+    }
+    negative = [fan_point(0, -1), fan_point(-1, 0), fan_star(-1), spine_point(-2)]
+    for fam, E in engines.items():
+        for pt in lacking[fam] + negative:
+            with pytest.raises(NotRepresentable):
+                E.point_set(pt)
 
 
 def test_localic_parts(engines):

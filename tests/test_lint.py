@@ -43,3 +43,29 @@ def test_engine_contract_resolves_on_every_engine():
         for E in engines for name in names if not hasattr(E, name)
     ]
     assert missing == []
+
+
+def test_fan_family_names_appear_only_in_the_shape_table_and_engines():
+    # which regions a family has is declared once, in fans._SHAPE; code
+    # that tests a family's name (a name set, a == "...") would restate it
+    from priestley import fans
+
+    tree = ast.parse(pathlib.Path(fans.__file__).read_text(encoding="utf-8"))
+    def assigns(node, name):
+        return (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name])
+
+    allowed = set()
+    for node in ast.walk(tree):
+        if assigns(node, "_SHAPE"):
+            allowed.update(map(id, node.value.keys))
+        if isinstance(node, ast.ClassDef):
+            allowed.update(id(s.value) for s in node.body if assigns(s, "family"))
+    found = [
+        f"fans.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in fans.FAMILIES
+        and id(node) not in allowed
+    ]
+    assert found == []
+    assert tuple(fans._ENGINES) == fans.FAMILIES

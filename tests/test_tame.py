@@ -1,6 +1,7 @@
 """The tame algebra: canonical forms, Boolean ops, topology, order."""
 
 import dataclasses
+import functools
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,29 @@ def test_tame_from_json_rejects_a_bad_mode():
         tame_from_json("omega_fans", bad)
 
 
+def _fin(*ks):
+    return {"mode": "fin", "set": list(ks), "star": False}
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"fans": {"default": 5}}, "fans.default"),
+    ({"fans": {"default": {"set": [1]}}}, "fans.default.mode"),
+    ({"fans": {"exceptions": {"3": _fin(-1)}}}, "fans.exceptions.3.set"),
+    ({"fans": {"exceptions": {"3": _fin("a")}}}, "fans.exceptions.3.set"),
+    ({"fans": {"exceptions": {"3": _fin(1.5)}}}, "fans.exceptions.3.set"),
+    ({"fans": {"exceptions": {"x": _fin(1)}}}, "fans.exceptions.x"),
+    ({"fans": {"exceptions": {"-1": _fin(1)}}}, "fans.exceptions.-1"),
+    ({"fans": {"exceptions": [1]}}, "fans.exceptions"),
+    ({"spine": {"mode": "cofin", "set": 3, "omega": True}}, "spine.set"),
+    ({"spine": {"mode": "cofin", "set": [], "omega": "false"}}, "spine.omega"),
+    ({"omega_star": 1}, "omega_star"),
+])
+def test_tame_from_json_names_the_field_at_fault(obj, field):
+    with pytest.raises(ValueError) as info:
+        tame_from_json("omega_fans", obj)
+    assert str(info.value).startswith(field + ":"), info.value
+
+
 # -- arbitrary tame sets against pointwise membership --------------------
 
 FAR = 6  # every drawn exception index, of fans and of points, is below FAR
@@ -264,7 +288,7 @@ def tame_sets(draw, family):
     exc = {}
     if family in _MULTI:
         exc = draw(st.dictionaries(st.integers(0, FAR - 1), regions(), max_size=3))
-    spine = draw(regions()) if family != "bare_fan" else None
+    spine = draw(regions()) if family != "bare_fan" else EMPTY_REGION
     if family == "fan_plus_bottom":
         spine = Region(spine.bits)  # y has no limit class
     omega_star = draw(st.booleans()) if family in _MULTI else False
@@ -309,6 +333,92 @@ def test_tame_algebra_matches_pointwise_membership(data):
         if pt.kind in ("fan", "star"):
             ra, rb = a._fan_region(pt.i), b._fan_region(pt.i)
             assert region_subset(ra, rb) == subset_by_members(ra, rb), pt
-    if a.spine is not None:
-        assert region_subset(a.spine, b.spine) == subset_by_members(a.spine, b.spine)
+    assert region_subset(a.spine, b.spine) == subset_by_members(a.spine, b.spine)
     assert tame_from_json(family, tame_to_json(a)) == a
+
+
+# -- the order operations against an independent pointwise order ---------
+
+
+def le(family, p, q):
+    """p <= q, read off the family descriptions in the fans module
+    docstring, with transitivity applied by hand."""
+    if p == q:
+        return True
+    fan_class = q.kind in ("fan", "star")
+    if family == "fan_plus_bottom":
+        return p.kind == "spine"  # y lies below everything
+    if family == "omega_fans":
+        # y_i below fan i and its star, every y_i below omega, omega
+        # below the top blob
+        if p.kind == "spine":
+            return fan_class and q.i == p.i or q.kind in ("omega", "omega_star")
+        return p.kind == "omega" and q.kind == "omega_star"
+    if family == "chain_fans":
+        # y_0 > y_1 > ..., y_i below fan i (so below fans 0..i), omega
+        # below every y_i and the top blob (so below everything)
+        if p.kind == "spine":
+            return q.kind == "spine" and q.i < p.i or fan_class and q.i <= p.i
+        return p.kind == "omega"
+    return False  # bare_fan is trivially ordered
+
+
+def grid(family, n):
+    """The points of the family with every index below n."""
+    fans = range(n) if family in _MULTI else range(1)
+    pts = [fan_point(i, k) for i in fans for k in range(n)]
+    pts += [fan_star(i) for i in fans]
+    if family != "bare_fan":
+        pts += [spine_point(i) for i in fans]
+    if family in _MULTI:
+        pts += [OMEGA, OMEGA_STAR]
+    return pts
+
+
+@functools.cache
+def order_grid(family):
+    """Witnesses with indices up to FAR + 1, the query points among them
+    (indices up to FAR), and per witness the masks of witnesses below
+    and above it.  A query at FAR on chain_fans' descending spine needs
+    a witness beyond it."""
+    pts = grid(family, FAR + 2)
+    queries = [j for j, q in enumerate(pts) if max(q.i, q.k) <= FAR]
+    below = [_mask(j for j, p in enumerate(pts) if le(family, p, q)) for q in pts]
+    above = [_mask(j for j, p in enumerate(pts) if le(family, q, p)) for q in pts]
+    return pts, queries, below, above
+
+
+def check_order_operations(E, a):
+    pts, queries, below, above = order_grid(E.family)
+    inside = _mask(j for j, p in enumerate(pts) if a.member(p))
+    ops = ("up", "down", "strict_up", "strict_down", "points_with_up_inside")
+    got = {name: getattr(E, name)(a) for name in ops}
+    for j in queries:
+        others = inside & ~(1 << j)
+        want = {
+            "up": inside & below[j] != 0,
+            "down": inside & above[j] != 0,
+            "strict_up": others & below[j] != 0,
+            "strict_down": others & above[j] != 0,
+            "points_with_up_inside": above[j] & ~inside == 0,
+        }
+        for name in ops:
+            assert got[name].member(pts[j]) == want[name], (
+                name, pts[j], E.describe_set(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_order_operations_match_the_pointwise_order(data):
+    family = data.draw(st.sampled_from(FAMILIES))
+    check_order_operations(engine_for(family), data.draw(tame_sets(family)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_order_operations_match_the_pointwise_order_on_each_point(family):
+    # an arbitrary tame set almost never leaves a region sparse, so
+    # every single point is checked too
+    E = engine_for(family)
+    pts, queries, _, _ = order_grid(family)
+    for j in queries:
+        check_order_operations(E, E.point_set(pts[j]))
