@@ -1,7 +1,11 @@
 """Finite Priestley/Birkhoff duality.
 
 Lattice side: finite bounded distributive lattices with explicit meet
-and join tables, validated triple by triple.  Space side: the dual
+and join tables.  Distributivity is decided by join-primeness: a finite
+lattice is distributive iff every join-irreducible is join-prime
+(Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
+2002, ch. 10), which takes n^2 mask compares; the n^3 scan over triples
+runs only to name the witness of a rejection.  Space side: the dual
 poset of prime filters, realized through join-irreducible elements
 (every prime filter of a finite distributive lattice is the principal
 upset of a unique join-irreducible).  The Stone map sends an element to
@@ -12,9 +16,10 @@ inclusion the image is always an upset, no orientation flip needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .errors import (
+    InternalAssertionError,
     NotALattice,
     NotAnUpset,
     NotDistributive,
@@ -25,10 +30,12 @@ from .errors import (
 )
 from .poset import (
     FinitePoset,
+    _bits,
+    _mask,
     _mask_union,
-    build_poset,
     enumerate_upsets,
     order_closure,
+    poset_from_json,
     upset_masks,
 )
 
@@ -91,10 +98,18 @@ class ClopenUpset:
 
 
 def validate_lattice(P, bottom=None, top=None):
-    """Check that a finite poset is a bounded distributive lattice.
+    r"""Check that a finite poset is a bounded distributive lattice.
 
     Fills the meet/join tables; on failure the error names a witness
-    pair (missing meet or join) or triple (distributivity).
+    pair (missing meet or join) or triple (distributivity).  Checks run
+    in that order: tables, then bounds, then distributivity.
+
+    A finite lattice is distributive iff every join-irreducible j is
+    join-prime, i.e. j <= a \/ b implies j <= a or j <= b (Davey &
+    Priestley, *Introduction to Lattices and Order*, 2nd ed., 2002,
+    ch. 10).  So the test is that the join-irreducibles below a \/ b
+    are those below a or below b: n^2 mask compares.  Only a rejected
+    lattice pays for the n^3 scan that names the first failing triple.
     """
     n = P.n
     if n == 0:
@@ -106,18 +121,16 @@ def validate_lattice(P, bottom=None, top=None):
     by_up = {m: c for c, m in enumerate(up)}
     meet, join = [], []
     for a in range(n):
-        meet_row, join_row = [], []
-        for b in range(n):
-            c = by_down.get(down[a] & down[b])
-            if c is None:
-                raise NotALattice("meet", (P.labels[a], P.labels[b]))
-            meet_row.append(c)
-            c = by_up.get(up[a] & up[b])
-            if c is None:
-                raise NotALattice("join", (P.labels[a], P.labels[b]))
-            join_row.append(c)
-        meet.append(tuple(meet_row))
-        join.append(tuple(join_row))
+        da, ua = down[a], up[a]
+        meet_row = [by_down.get(da & m) for m in down]
+        join_row = [by_up.get(ua & m) for m in up]
+        if None in meet_row or None in join_row:
+            b = next(b for b in range(n)
+                     if meet_row[b] is None or join_row[b] is None)
+            kind = "meet" if meet_row[b] is None else "join"
+            raise NotALattice(kind, (P.labels[a], P.labels[b]))
+        meet.append(meet_row)
+        join.append(join_row)
     full = (1 << n) - 1
     bot, top_ = by_up.get(full), by_down.get(full)
     if bot is None or top_ is None:
@@ -126,27 +139,36 @@ def validate_lattice(P, bottom=None, top=None):
         raise Unbounded(f"declared bottom {bottom!r} is not the least element")
     if top is not None and P.index(top) != top_:
         raise Unbounded(f"declared top {top!r} is not the greatest element")
-    # a /\ (b \/ c) == (a /\ b) \/ (a /\ c), row by row over c
+    ji = _join_irreducible_mask(down)
+    jd = [m & ji for m in down]
+    # jd[a \/ b] == jd[a] | jd[b] for every b, without building the rows
+    if any(any(map(ne, map(jd.__getitem__, join[a]), map(jd[a].__or__, jd)))
+           for a in range(n)):
+        raise NotDistributive(_distributivity_witness(P.labels, meet, join))
+    return DistLattice(P.labels, up, down, tuple(meet), tuple(join), bot, top_)
+
+
+def _distributivity_witness(labels, meet, join):
+    r"""The first triple (a, b, c) with a /\ (b \/ c) != (a /\ b) \/ (a /\ c)."""
+    n = len(labels)
+    # compared row by row over c, then c found in the first failing row
     meet_at = [itemgetter(*row) for row in meet]
     join_at = [itemgetter(*row) for row in join]
     for a in range(n):
         for b in range(n):
-            lhs = join_at[b](meet[a])
-            rhs = meet_at[a](join[meet[a][b]])
-            if lhs != rhs:
+            if join_at[b](meet[a]) != meet_at[a](join[meet[a][b]]):
                 c = next(c for c in range(n)
                          if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]])
-                raise NotDistributive((P.labels[a], P.labels[b], P.labels[c]))
-    return DistLattice(P.labels, up, down, tuple(meet), tuple(join), bot, top_)
+                return labels[a], labels[b], labels[c]
+    raise InternalAssertionError("join-primeness fails but every triple distributes")
 
 
-def _join_irreducibles(D):
-    """Elements with exactly one lower cover (excludes the bottom)."""
-    strict = [m & ~(1 << j) for j, m in enumerate(D.down)]
-    return [
-        j for j, m in enumerate(strict)
-        if (m & ~_mask_union(strict, m)).bit_count() == 1
-    ]
+def _join_irreducible_mask(down):
+    """Mask of the elements with exactly one lower cover (never the bottom),
+    from the principal downsets as bitmask rows."""
+    strict = [m & ~(1 << j) for j, m in enumerate(down)]
+    return _mask(j for j, m in enumerate(strict)
+                 if (m & ~_mask_union(strict, m)).bit_count() == 1)
 
 
 def priestley_dual(D):
@@ -158,7 +180,7 @@ def priestley_dual(D):
     """
     if D._dual is not None:
         return D._dual[0]
-    ji = _join_irreducibles(D)
+    ji = list(_bits(_join_irreducible_mask(D.down)))
     # up(p) included in up(q)  iff  q <= p
     up = [sum(1 << j for j, q in enumerate(ji) if D.le(q, p)) for p in ji]
     space = FinitePoset([D.labels[p] for p in ji], up)
@@ -170,6 +192,8 @@ def stone_map(D, a):
     """phi(a): the prime filters containing a, as an upset of the dual."""
     if isinstance(a, str):
         a = D.index(a)
+    elif not isinstance(a, int) or isinstance(a, bool):
+        raise UnknownElement(f"element {a!r} is neither a label nor an index")
     if not 0 <= a < D.n:
         raise UnknownElement(f"element index {a} out of range")
     space = priestley_dual(D)
@@ -239,8 +263,11 @@ def heyting(X, U, V=None, op="implies"):
 
 
 def lattice_from_json(obj):
-    """Read a lattice presented like a poset, with optional bottom/top."""
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise UnknownLabel("lattice JSON must have a 'points' field")
-    P = build_poset(obj["points"], [tuple(c) for c in obj.get("covers", [])])
-    return validate_lattice(P, bottom=obj.get("bottom"), top=obj.get("top"))
+    """Read a lattice presented like a poset (see :func:`poset_from_json`),
+    with optional ``bottom``/``top`` labels."""
+    P = poset_from_json(obj)
+    bounds = {field: obj.get(field) for field in ("bottom", "top")}
+    for field, lab in bounds.items():
+        if lab is not None and not isinstance(lab, str):
+            raise UnknownLabel(f"{field}: a label must be a string, got {lab!r}")
+    return validate_lattice(P, **bounds)

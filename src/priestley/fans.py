@@ -876,11 +876,11 @@ class ChainFansEngine(FanEngine):
         def ok(i):
             return spine.member(i) and u._fan_region(i).is_full()
 
-        horizon = (_fan_indices(u) | _exc(spine)).bit_length() + 1
+        horizon = (_fan_indices(u) | _exc(spine)).bit_length()
         for i in range(horizon):
             if not ok(i):
                 return Region((1 << i) - 1)
-        # beyond the horizon everything is governed by the defaults
+        # from the horizon on everything is governed by the defaults
         if spine.bits < 0 and u.fan_default.is_full():
             return POINTS_REGION
         return Region((1 << horizon) - 1)

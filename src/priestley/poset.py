@@ -320,8 +320,23 @@ def poset_to_json(P):
 
 
 def poset_from_json(obj):
-    """Read {"points": [...], "covers": [[a,b],...]}; closure is applied."""
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise UnknownLabel("poset JSON must have a 'points' field")
-    return build_poset(obj["points"], [tuple(c) for c in obj.get("covers", [])])
+    """Read {"points": [...], "covers": [[a,b],...]}; closure is applied.
 
+    A malformed document raises :class:`UnknownLabel` naming the field at
+    fault (``points``, ``points.2``, ``covers``, ``covers.3``).
+    """
+    if not isinstance(obj, dict) or "points" not in obj:
+        raise UnknownLabel("points: JSON must be an object with a 'points' field")
+    points, covers = obj["points"], obj.get("covers", [])
+    if not isinstance(points, list):
+        raise UnknownLabel(f"points: expected a list of labels, got {points!r}")
+    for k, lab in enumerate(points):
+        if not isinstance(lab, str):
+            raise UnknownLabel(f"points.{k}: a label must be a string, got {lab!r}")
+    if not isinstance(covers, list):
+        raise UnknownLabel(f"covers: expected a list of label pairs, got {covers!r}")
+    for k, c in enumerate(covers):
+        if not (isinstance(c, list) and len(c) == 2
+                and all(isinstance(lab, str) for lab in c)):
+            raise UnknownLabel(f"covers.{k}: expected a list of two labels, got {c!r}")
+    return build_poset(points, covers)

@@ -4,11 +4,14 @@ import pytest
 
 from priestley import (
     ClopenUpset,
+    FinitePoset,
+    birkhoff,
     build_poset,
     clopen_upset_lattice,
     enumerate_upsets,
     heyting,
     lattice_from_json,
+    poset_from_json,
     priestley_dual,
     stone_map,
     validate_lattice,
@@ -20,9 +23,12 @@ from priestley.errors import (
     NotDistributive,
     SpaceMismatch,
     Unbounded,
+    UnknownElement,
+    UnknownLabel,
 )
 from priestley.oracle import enumerate_posets
 from priestley.poset import order_closure
+from test_golden import _boolean
 
 
 def three_chain_lattice():
@@ -94,6 +100,12 @@ def test_stone_map_three_chain():
     assert phi_a.members == {top_point}
     assert stone_map(D, D.top).members == frozenset(range(X.n))
     assert stone_map(D, D.bottom).members == frozenset()
+
+
+@pytest.mark.parametrize("a", [1.5, None, True, [0], b"a"])
+def test_stone_map_rejects_what_is_neither_label_nor_index(a):
+    with pytest.raises(UnknownElement):
+        stone_map(three_chain_lattice(), a)
 
 
 def test_stone_map_is_order_embedding():
@@ -205,6 +217,32 @@ def test_lattice_from_json():
         })
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"points": "ab"}, "points"),
+    ({"points": ["a", 1]}, "points.1"),
+    ({"points": ["a", "b"], "covers": "ab"}, "covers"),
+    ({"points": ["a", "b"], "covers": [["a", "b"], ["a"]]}, "covers.1"),
+    ({"points": ["a", "b"], "covers": [["a", "b", "a"]]}, "covers.0"),
+    ({"points": ["a", "b"], "covers": [["a", ["b"]]]}, "covers.0"),
+    ({"points": ["a", "b"], "covers": ["ab"]}, "covers.0"),
+    ({"covers": []}, "points"),
+    (["a", "b"], "points"),
+])
+def test_json_readers_name_the_field_at_fault(obj, field):
+    for read in (poset_from_json, lattice_from_json):
+        with pytest.raises(UnknownLabel) as info:
+            read(obj)
+        assert str(info.value).startswith(field + ":"), info.value
+
+
+@pytest.mark.parametrize("field, value", [("bottom", ["0"]), ("top", 1)])
+def test_lattice_from_json_rejects_a_bound_that_is_not_a_label(field, value):
+    obj = {"points": ["0", "1"], "covers": [["0", "1"]], field: value}
+    with pytest.raises(UnknownLabel) as info:
+        lattice_from_json(obj)
+    assert str(info.value).startswith(field + ":"), info.value
+
+
 def _literal_verdict(P):
     """The first missing meet or join (pair order) or failing
     distributive law (triple order), straight from the definitions."""
@@ -246,3 +284,53 @@ def test_validation_witnesses_match_the_definitions():
             assert got == expected, repr(P)
             verdicts.add(expected.split()[0] if expected else "ok")
     assert verdicts == {"no", "distributivity", "ok"}
+
+
+def _upset_lattices(max_points):
+    """Up(P), as a bare poset, for every poset P of up to max_points points."""
+    for n in range(1, max_points + 1):
+        for P in enumerate_posets(n):
+            L = clopen_upset_lattice(P)
+            yield FinitePoset(L.labels, L.up)
+
+
+def test_accepted_lattices_never_reach_the_witness_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the distributivity witness scan ran on an accept")
+
+    monkeypatch.setattr(birkhoff, "_distributivity_witness", scan)
+    for P in [*_upset_lattices(5), poset_from_json(_boolean(7))]:
+        validate_lattice(P)
+
+
+# M3 and N5 on a low point "lo" and a high point "hi"; gluing identifies
+# one of them with the top or the bottom of a distributive lattice
+_PIECES = {
+    "M3": [("lo", "pa"), ("lo", "pb"), ("lo", "pc"),
+           ("pa", "hi"), ("pb", "hi"), ("pc", "hi")],
+    "N5": [("lo", "pa"), ("pa", "pb"), ("pb", "hi"), ("lo", "pc"), ("pc", "hi")],
+}
+
+
+@pytest.mark.parametrize("piece", sorted(_PIECES))
+def test_glued_non_distributive_pieces_give_the_literal_witness(piece):
+    for L in _upset_lattices(4):
+        labels = list(L.labels)
+        covers = [(labels[i], labels[j]) for i, j in L.covers()]
+        bottom, top = labels[0], labels[-1]
+        for glue in ({"lo": top, "hi": "pz"}, {"lo": "pz", "hi": bottom}):
+            P = build_poset(
+                labels + ["pa", "pb", "pc", "pz"],
+                covers + [(glue.get(x, x), glue.get(y, y)) for x, y in _PIECES[piece]],
+            )
+            with pytest.raises(NotDistributive) as info:
+                validate_lattice(P)
+            assert str(info.value) == _literal_verdict(P), repr(P)
+
+
+def test_the_boolean_lattice_on_eight_atoms_validates_and_dualizes():
+    D = lattice_from_json(_boolean(8))
+    assert D.n == 256
+    X = priestley_dual(D)
+    assert X.n == 8
+    assert all(not X.le(i, j) for i in range(8) for j in range(8) if i != j)

@@ -121,6 +121,20 @@ def test_analyze_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, obj, field", [
+    ("dual", {"points": ["0", "1"], "covers": [["0"]]}, "covers.0"),
+    ("analyze", {"points": ["0", "1"], "covers": [["0"]]}, "covers.0"),
+    ("analyze", {"points": "ab"}, "points"),
+    ("dual", {"points": ["0", "1"], "covers": [["0", "1"]], "top": ["1"]}, "top"),
+])
+def test_malformed_poset_json_exits_2_naming_the_field(command, obj, field,
+                                                       tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run_cli([command, str(p)], capsys)
+    assert code == 2 and out == "" and f": {field}: " in err, err
+
+
 def test_verify_green_and_filtered(capsys):
     code, out, _ = run_cli(
         ["verify", "--bound", "3", "--only", "upset-Nj-eq-Fj,fan-figures"],
