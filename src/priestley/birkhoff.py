@@ -129,8 +129,8 @@ def validate_lattice(P, bottom=None, top=None):
                      if meet_row[b] is None or join_row[b] is None)
             kind = "meet" if meet_row[b] is None else "join"
             raise NotALattice(kind, (P.labels[a], P.labels[b]))
-        meet.append(meet_row)
-        join.append(join_row)
+        meet.append(tuple(meet_row))
+        join.append(tuple(join_row))
     full = (1 << n) - 1
     bot, top_ = by_up.get(full), by_down.get(full)
     if bot is None or top_ is None:
