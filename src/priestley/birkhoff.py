@@ -32,7 +32,6 @@ from .poset import (
     FinitePoset,
     _bits,
     _mask,
-    _mask_union,
     enumerate_upsets,
     order_closure,
     poset_from_json,
@@ -125,8 +124,8 @@ def validate_lattice(P, bottom=None, top=None):
         meet_row = [by_down.get(da & m) for m in down]
         join_row = [by_up.get(ua & m) for m in up]
         if None in meet_row or None in join_row:
-            b = next(b for b in range(n)
-                     if meet_row[b] is None or join_row[b] is None)
+            b = min(row.index(None) for row in (meet_row, join_row)
+                    if None in row)
             kind = "meet" if meet_row[b] is None else "join"
             raise NotALattice(kind, (P.labels[a], P.labels[b]))
         meet.append(tuple(meet_row))
@@ -164,11 +163,13 @@ def _distributivity_witness(labels, meet, join):
 
 
 def _join_irreducible_mask(down):
-    """Mask of the elements with exactly one lower cover (never the bottom),
-    from the principal downsets as bitmask rows."""
-    strict = [m & ~(1 << j) for j, m in enumerate(down)]
-    return _mask(j for j, m in enumerate(strict)
-                 if (m & ~_mask_union(strict, m)).bit_count() == 1)
+    """Mask of the elements with exactly one lower cover, from the
+    principal downsets as bitmask rows.  In a finite order j has exactly
+    one lower cover c iff its strict downset is the principal downset of
+    c; the bottom's strict downset is empty, which no principal downset is.
+    """
+    principal = set(down)
+    return _mask(j for j, m in enumerate(down) if m & ~(1 << j) in principal)
 
 
 def priestley_dual(D):

@@ -286,6 +286,20 @@ def test_validation_witnesses_match_the_definitions():
     assert verdicts == {"no", "distributivity", "ok"}
 
 
+def test_join_irreducibles_are_the_points_with_one_lower_cover():
+    # on every order, lattice or not, of up to 5 points
+    for n in range(1, 6):
+        for P in enumerate_posets(n):
+            lt = [[P.le(i, j) and i != j for j in range(n)] for i in range(n)]
+            covers_below = [
+                sum(lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
+                    for i in range(n))
+                for j in range(n)
+            ]
+            expected = sum(1 << j for j in range(n) if covers_below[j] == 1)
+            assert birkhoff._join_irreducible_mask(P.down) == expected, repr(P)
+
+
 def _upset_lattices(max_points):
     """Up(P), as a bare poset, for every poset P of up to max_points points."""
     for n in range(1, max_points + 1):
