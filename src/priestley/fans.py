@@ -55,8 +55,14 @@ its non-members.  Meet, join and complement of regions are therefore
 (which fans have content, which are full) use the same encoding.  Every
 int has exactly one value, so canonical forms are unique: two tame sets
 are semantically equal iff their canonical representations are
-identical.  The JSON form keeps a mode field plus the sorted exception
-list, and omits the spine and the blob where the family has none.
+identical.  A canonical tame set lists its exception fans in index
+order, none equal to the default, with the spine inside the carrier
+and the blob only where the family has one.  :func:`make_tame`
+establishes that form at the boundary, for every set built from
+arbitrary fields; meet, join, complement and closure preserve it, and
+build their results from canonical operands directly.  The JSON form
+keeps a mode field plus the sorted exception list, and omits the spine
+and the blob where the family has none.
 
 Topology of a region: a finite part is clopen; a cofinite part is open
 and closed only when its limit flag is set; a limit-only part is
@@ -140,11 +146,23 @@ def _exc(r):
 
 
 def region_meet(a, b):
-    return Region(a.bits & b.bits, a.flag and b.flag)
+    # an operand that already is the result is returned as it is: most
+    # meets and joins in the engines leave one side unchanged
+    bits, flag = a.bits & b.bits, a.flag and b.flag
+    if bits == a.bits and flag == a.flag:
+        return a
+    if bits == b.bits and flag == b.flag:
+        return b
+    return Region(bits, flag)
 
 
 def region_join(a, b):
-    return Region(a.bits | b.bits, a.flag or b.flag)
+    bits, flag = a.bits | b.bits, a.flag or b.flag
+    if bits == a.bits and flag == a.flag:
+        return a
+    if bits == b.bits and flag == b.flag:
+        return b
+    return Region(bits, flag)
 
 
 def region_complement(a):
@@ -239,7 +257,16 @@ class TameSet:
 
 def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
               spine=EMPTY_REGION, omega_star=False):
-    """Canonicalizing constructor; the only sanctioned way to build one."""
+    """Build a tame set from arbitrary fields, in canonical form.
+
+    This is the boundary: the engines' rules, the samplers,
+    ``point_set`` and the JSON reader all build through here.  It checks
+    the family, the fan indices, the spine carrier and the blob, folds a
+    single-fan family's exceptions into the default, sorts the
+    exceptions and drops those equal to the default.  The four algebra
+    operations below take canonical operands and build canonical results
+    directly, without coming back through here.
+    """
     if family not in _SHAPE:
         raise FamilyMismatch(f"unknown family {family!r}")
     multi_fan, carrier, blob = _SHAPE[family]
@@ -277,34 +304,68 @@ def tame_full(family):
     return tame_complement(make_tame(family))
 
 
-def _combine(a, b, rop, osop):
+def _combine(a, b, rop, omega_star):
+    """Meet or join of two canonical tame sets, canonical again: the
+    sorted exception lists are merged, an index missing on one side
+    reads that side's default, and only the entries equal to the new
+    default are dropped.  rop of two in-carrier spines stays in the
+    carrier, and the blob flag is whatever the caller computed from two
+    valid operands, so nothing needs checking again."""
     if a.family != b.family:
         raise FamilyMismatch(f"{a.family} vs {b.family}")
     da, db = a.fan_default, b.fan_default
     default = rop(da, db)
-    ea, eb = dict(a.fan_exc), dict(b.fan_exc)
-    exc = {i: rop(ea.get(i, da), eb.get(i, db)) for i in ea.keys() | eb.keys()}
-    spine = rop(a.spine, b.spine)
-    os = osop(a.omega_star, b.omega_star)
-    return make_tame(a.family, default, exc, spine, os)
+    xa, xb = a.fan_exc, b.fan_exc
+    na, nb = len(xa), len(xb)
+    # plain loops throughout: generator expressions here grow peak memory
+    items = []
+    p = q = 0
+    while p < na and q < nb:
+        i, r = xa[p]
+        j, s = xb[q]
+        if i < j:
+            r = rop(r, db)
+            p += 1
+        elif j < i:
+            i, r = j, rop(da, s)
+            q += 1
+        else:
+            r = rop(r, s)
+            p += 1
+            q += 1
+        if r != default:
+            items.append((i, r))
+    # the rest of one side, or all of it when the other has no exceptions
+    for i, r in xa[p:]:
+        r = rop(r, db)
+        if r != default:
+            items.append((i, r))
+    for i, r in xb[q:]:
+        r = rop(da, r)
+        if r != default:
+            items.append((i, r))
+    return TameSet(a.family, default, tuple(items), rop(a.spine, b.spine), omega_star)
 
 
 def tame_meet(a, b):
-    return _combine(a, b, region_meet, lambda x, y: x and y)
+    return _combine(a, b, region_meet, a.omega_star and b.omega_star)
 
 
 def tame_join(a, b):
-    return _combine(a, b, region_join, lambda x, y: x or y)
+    return _combine(a, b, region_join, a.omega_star or b.omega_star)
 
 
 def tame_complement(a):
     """The complement within the family's regions: the spine within its
-    carrier, the blob only where the family has one."""
+    carrier, the blob only where the family has one.  r != d exactly
+    when ~r != ~d, so the complemented exceptions need no filter."""
     _, carrier, blob = _SHAPE[a.family]
-    default = region_complement(a.fan_default)
-    exc = {i: region_complement(r) for i, r in a.fan_exc}
+    items = []
+    for i, r in a.fan_exc:
+        items.append((i, region_complement(r)))
     spine = Region(~a.spine.bits & carrier.bits, carrier.flag and not a.spine.flag)
-    return make_tame(a.family, default, exc, spine, blob and not a.omega_star)
+    return TameSet(a.family, region_complement(a.fan_default), tuple(items),
+                   spine, blob and not a.omega_star)
 
 
 def tame_diff(a, b):
@@ -312,17 +373,25 @@ def tame_diff(a, b):
 
 
 def _close_region(r):
-    return Region(r.bits, r.flag or r.bits < 0)
+    if r.flag or r.bits >= 0:
+        return r
+    return Region(r.bits, True)
 
 
 def tame_closure(a):
     """Add the star over cofinite fan parts, omega over a cofinite spine,
     and the top blob when almost every fan closes up to its star.  Only
-    a carrier with omega holds a cofinite spine."""
+    a carrier with omega holds a cofinite spine, so the closed spine
+    stays in the carrier; closing can make an exception equal to the
+    closed default, and only those are dropped."""
     default = _close_region(a.fan_default)
-    exc = {i: _close_region(r) for i, r in a.fan_exc}
+    items = []
+    for i, r in a.fan_exc:
+        r = _close_region(r)
+        if r != default:
+            items.append((i, r))
     os = a.omega_star or (_SHAPE[a.family][2] and default.flag)
-    return make_tame(a.family, default, exc, _close_region(a.spine), os)
+    return TameSet(a.family, default, tuple(items), _close_region(a.spine), os)
 
 
 def _regions(a):

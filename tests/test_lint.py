@@ -69,3 +69,21 @@ def test_fan_family_names_appear_only_in_the_shape_table_and_engines():
     ]
     assert found == []
     assert tuple(fans._ENGINES) == fans.FAMILIES
+
+
+def test_tame_sets_are_built_only_by_the_constructor_and_the_algebra():
+    # make_tame establishes canonical form and the four operations
+    # preserve it; any other TameSet in fans.py has to come through them
+    from priestley import fans
+
+    def builders(node, owner):
+        """The enclosing function (or class) of each TameSet(...) call."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "TameSet":
+                yield owner
+            scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            yield from builders(child, child.name if scope else owner)
+
+    tree = ast.parse(pathlib.Path(fans.__file__).read_text(encoding="utf-8"))
+    found = set(builders(tree, "<module>"))
+    assert found == {"make_tame", "_combine", "tame_complement", "tame_closure"}

@@ -20,6 +20,9 @@ from priestley.fans import (
     fan_point,
     fan_star,
     make_tame,
+    region_complement,
+    region_join,
+    region_meet,
     region_subset,
     spine_point,
     tame_closure,
@@ -36,6 +39,9 @@ from priestley.fans import (
 )
 from priestley.oracle import noncanonical_twin
 from priestley.poset import _mask
+
+
+_MULTI = ("omega_fans", "chain_fans")  # the families with many fans
 
 
 def fins(*ks):
@@ -166,6 +172,20 @@ def test_openness_rules():
     assert not tame_is_open(omega_fin)
 
 
+@pytest.mark.parametrize("family", _MULTI)
+def test_the_top_blob_needs_almost_all_of_almost_every_fan_to_be_open(family):
+    # the blob is the limit of the fans as a whole: the blob alone, or
+    # with finitely many fan points, is closed but not open
+    alone = make_tame(family, omega_star=True)
+    with_points = make_tame(family, fan_exc={0: fins(1, 4), 3: fins(0)},
+                            omega_star=True)
+    for a in (alone, with_points):
+        assert tame_is_closed(a) and not tame_is_open(a), a
+    # with every fan closed and cofinite it is a neighbourhood of the blob
+    tail = make_tame(family, Region(~0b11, True), {2: fins(1)}, omega_star=True)
+    assert tame_is_open(tail)
+
+
 def test_updown_examples():
     E = engine_for("omega_fans")
     # below the star blob of fan 0 sits exactly the bottom point y_0
@@ -274,7 +294,6 @@ def test_tame_from_json_names_the_field_at_fault(obj, field):
 # -- arbitrary tame sets against pointwise membership --------------------
 
 FAR = 6  # every drawn exception index, of fans and of points, is below FAR
-_MULTI = ("omega_fans", "chain_fans")
 
 
 # Regions with every exception below FAR.  A uniform int in
@@ -346,6 +365,79 @@ def test_tame_algebra_matches_pointwise_membership(data):
             assert region_subset(ra, rb) == subset_by_members(ra, rb), pt
     assert region_subset(a.spine, b.spine) == subset_by_members(a.spine, b.spine)
     assert tame_from_json(family, tame_to_json(a)) == a
+
+
+# -- the algebra's canonical form against the constructor's ---------------
+
+
+def _merged(a, b, rop, omega_star):
+    """Meet or join as the constructor sees it: every exception index of
+    either side combined through a dict, then canonicalised by make_tame."""
+    da, db = a.fan_default, b.fan_default
+    ea, eb = dict(a.fan_exc), dict(b.fan_exc)
+    exc = {i: rop(ea.get(i, da), eb.get(i, db)) for i in ea.keys() | eb.keys()}
+    return make_tame(a.family, rop(da, db), exc, rop(a.spine, b.spine), omega_star)
+
+
+def reference_ops(a, b):
+    """The four operations, each built from its fields by make_tame."""
+    full = tame_full(a.family)  # its spine is the carrier, its flag the blob
+    meet = _merged(a, b, region_meet, a.omega_star and b.omega_star)
+    join = _merged(a, b, region_join, a.omega_star or b.omega_star)
+    comp = make_tame(
+        a.family, region_complement(a.fan_default),
+        {i: region_complement(r) for i, r in a.fan_exc},
+        region_meet(full.spine, region_complement(a.spine)),
+        full.omega_star and not a.omega_star,
+    )
+
+    def close(r):
+        return Region(r.bits, r.flag or r.bits < 0)
+
+    default = close(a.fan_default)
+    cl = make_tame(
+        a.family, default, {i: close(r) for i, r in a.fan_exc}, close(a.spine),
+        a.omega_star or full.omega_star and default.flag,
+    )
+    return meet, join, comp, cl
+
+
+def check_canonical_ops(a, b):
+    got = (tame_meet(a, b), tame_join(a, b), tame_complement(a), tame_closure(a))
+    for name, r, want in zip(("meet", "join", "complement", "closure"),
+                             got, reference_ops(a, b)):
+        assert r == want, (name, a, b)  # field by field
+        assert type(r.fan_exc) is tuple and type(r.omega_star) is bool, name
+        again = make_tame(r.family, r.fan_default, dict(r.fan_exc), r.spine,
+                          r.omega_star)
+        assert again == r, (name, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tame_ops_build_the_constructors_canonical_form(data):
+    family = data.draw(st.sampled_from(FAMILIES))
+    check_canonical_ops(data.draw(tame_sets(family)), data.draw(tame_sets(family)))
+
+
+@pytest.mark.parametrize("family", _MULTI)
+def test_tame_ops_build_the_canonical_form_on_sparse_pairs(family):
+    # a fan region and the default in every pair of sparse shapes, and
+    # the same two swapped: meet and join make the exception equal to
+    # the new default, and closure does so wherever the two differ only
+    # by the star over a cofinite part
+    for r in SPARSE:
+        for s in SPARSE:
+            check_canonical_ops(make_tame(family, r, {1: s}),
+                                make_tame(family, s, {1: r}))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_tame_ops_build_the_canonical_form_on_every_sample_pair(family):
+    samples = engine_for(family).sample_clopen_upsets(60)
+    for a in samples:
+        for b in samples:
+            check_canonical_ops(a, b)
 
 
 # -- the order operations against an independent pointwise order ---------
@@ -433,3 +525,22 @@ def test_order_operations_match_the_pointwise_order_on_each_point(family):
     pts, queries, _, _ = order_grid(family)
     for j in queries:
         check_order_operations(E, E.point_set(pts[j]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_order_operations_match_the_pointwise_order_on_sparse_sets(family):
+    # every sparse region shape in each slot of an otherwise empty set,
+    # with and without the blob: a fault that shows only on one shape and
+    # one family fails here on every run, not on some Hypothesis seeds
+    E = engine_for(family)
+    full = E.full
+    sets = []
+    for r in SPARSE:
+        for os in {False, full.omega_star}:
+            sets.append(make_tame(family, r, omega_star=os))
+            if family in _MULTI:
+                sets.append(make_tame(family, fan_exc={1: r}, omega_star=os))
+            if full.spine != EMPTY_REGION:
+                sets.append(make_tame(family, spine=r, omega_star=os))
+    for a in dict.fromkeys(sets):
+        check_order_operations(E, a)
