@@ -35,6 +35,8 @@ from .poset import (
     enumerate_upsets,
     order_closure,
     poset_from_json,
+    sub_upset_unions,
+    upset_lower_covers,
     upset_masks,
 )
 
@@ -204,18 +206,27 @@ def stone_map(D, a):
 
 
 def clopen_upset_lattice(X):
-    """The finite frame of all upsets of X under intersection and union."""
+    """The finite frame of all upsets of X under intersection and union.
+
+    The order rows come from the lower covers of the upset lattice
+    (:func:`~priestley.poset.upset_lower_covers`) in U*n steps, not from
+    U^2 comparisons: ``down[k]``, the upsets inside U_k, is the union of
+    the lower covers' rows plus U_k itself, and ``up[k]``, the upsets
+    above U_k, is built the same way downward from the largest upset.
+    """
     masks = upset_masks(X)
     index = {u: i for i, u in enumerate(masks)}
-    up = tuple(sum(1 << j for j, v in enumerate(masks) if u & ~v == 0)
-               for u in masks)
-    down = tuple(sum(1 << j for j, v in enumerate(masks) if v & ~u == 0)
-                 for u in masks)
+    down = sub_upset_unions(X, [1 << k for k in range(len(masks))])
+    up = [1 << k for k in range(len(masks))]
+    lower = upset_lower_covers(X)
+    for k in reversed(range(len(masks))):
+        for c in lower[k]:
+            up[c] |= up[k]
     meet = tuple(tuple(index[u & v] for v in masks) for u in masks)
     join = tuple(tuple(index[u | v] for v in masks) for u in masks)
     member_sets = tuple(enumerate_upsets(X))
     labels = [_upset_label(X, u) for u in member_sets]
-    D = DistLattice(labels, up, down, meet, join, index[0],
+    D = DistLattice(labels, tuple(up), tuple(down), meet, join, index[0],
                     index[(1 << X.n) - 1])
     D.space = X
     D.member_sets = member_sets

@@ -204,11 +204,16 @@ def cmd_verify(args):
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.bound < 1:
+        print(f"bound {args.bound} is below 1: no poset would be checked",
+              file=sys.stderr)
+        return EXIT_USAGE
     only = None
     if args.only:
         only = [t.strip() for t in args.only.split(",") if t.strip()]
+    stats = {} if args.stats else None
     try:
-        cases = run_suite(only, bound=args.bound, seed=args.seed)
+        cases = run_suite(only, bound=args.bound, seed=args.seed, stats=stats)
     except UnknownTheoremId as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT
@@ -224,12 +229,26 @@ def cmd_verify(args):
                 for c in s["failures"]
             ],
         }
+        if stats is not None:
+            payload["stats"] = stats
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for c in s["failures"]:
             print(f"FAILED {c.theorem_id} on {c.instance}: {c.witness}")
         print(f"{s['verified']}/{s['total']} cases verified, {s['failed']} failed")
+        if stats is not None:
+            print(_stats_text(stats))
     return EXIT_OK if s["failed"] == 0 else EXIT_VERIFICATION
+
+
+def _stats_text(stats):
+    """The ``--stats`` table: one row per theorem in run order, then the
+    enumeration."""
+    rows = [f"{'theorem':<28} {'cases':>6} {'failed':>6} {'seconds':>8}"]
+    rows += [f"{tid:<28} {t['cases']:>6} {t['failed']:>6} {t['seconds']:>8.3f}"
+             for tid, t in stats["theorems"].items()]
+    rows.append(f"{'enumeration':<28} {'':>6} {'':>6} {stats['enumerate_s']:>8.3f}")
+    return "\n".join(rows)
 
 
 def make_parser():
@@ -257,6 +276,8 @@ def make_parser():
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="seed for the deterministic tame samples")
     p_ver.add_argument("--format", choices=("json", "text"), default="text")
+    p_ver.add_argument("--stats", action="store_true",
+                       help="report cases, failures and seconds per theorem")
     p_ver.set_defaults(fn=cmd_verify)
     return parser
 

@@ -12,6 +12,13 @@ On finite spaces every subset is a nuclear set and the two directions
 are mutually inverse, which is what the exhaustive sweeps in the oracle
 lean on.  Sublocales are represented by their fixpoint sets.
 
+Every table is validated, law by law: totality, upset images,
+inflation, idempotence, meets.  Meets take one lookup per upset, through
+its split into an upper cover and a meet-irreducible upset
+(:func:`~priestley.poset.upset_meet_splits`), not a scan over all pairs
+of upsets; the pair scan runs only to name the first failing pair of a
+rejected table.
+
 Point sets are int bitmasks here (bit i for point i): a nucleus holds
 ``masks``, upset mask -> image mask in ``upset_masks`` order, and a
 nuclear set holds ``mask``.  Frozensets appear only at the public
@@ -32,9 +39,11 @@ from .errors import (
     NotInflationary,
     NotMeetPreserving,
     SpaceMismatch,
+    UnknownLabel,
 )
-from .poset import (FinitePoset, _bits, _mask, _mask_union, enumerate_upsets,
-                    extrema, order_closure, upset_masks, upset_views)
+from .poset import (FinitePoset, _bits, _mask, closure_tables, enumerate_upsets,
+                    extrema, order_closure, upset_masks, upset_meet_splits,
+                    upset_views)
 
 
 def _mask_of(space, members):
@@ -48,17 +57,31 @@ class Nucleus:
     """A validated nucleus table on the upset frame of a finite space.
 
     ``masks`` maps every upset mask to its image mask; the first failing
-    law raises with the offending upset(s) as frozensets.
+    law raises with the offending upset(s) as frozensets.  The laws are
+    checked in the order totality, upset images, inflation, idempotence,
+    meets.
+
+    Meets are decided through meet-irreducibles.  Each upset U other
+    than the whole space X is the meet of the upsets X - down(x) over the
+    points x outside it (Davey & Priestley, *Introduction to Lattices and
+    Order*, 2nd ed., 2002, ch. 10), and U = V & M for the upper cover
+    V = U + m and M = X - down(m), m maximal outside U.  Given jX = X
+    (inflation), j preserves binary meets iff jU = jV & jM for one such
+    split of every U.  If every split holds, then by induction on the size
+    of X - U, jU is the meet of j(X - down(x)) over the points x outside
+    U, and a point lies outside U & W iff it lies outside U or outside W,
+    so j(U & W) = jU & jW.  That is U lookups; only a rejected table pays
+    for the scan over pairs that names the first failing one.
     """
 
     __slots__ = ("space", "masks", "_table")
 
     def __init__(self, space, masks):
         ups = upset_masks(space)
-        if masks.keys() != set(ups):
+        views = upset_views(space)
+        if masks.keys() != views.keys():
             raise ValueError("table must be total on the upsets of the space")
         masks = {u: masks[u] for u in ups}
-        views = upset_views(space)
         for u, v in masks.items():
             if v not in views:
                 raise ValueError(f"image of {list(_bits(u))} is not an upset")
@@ -68,9 +91,9 @@ class Nucleus:
         for u, v in masks.items():
             if masks[v] != v:
                 raise NotIdempotent(views[u])
-        for u, v in combinations(ups, 2):
-            if masks[u & v] != masks[u] & masks[v]:
-                raise NotMeetPreserving(views[u], views[v])
+        if not _meets_preserved(space, masks):
+            u, v = _first_unmet_pair(ups, masks)
+            raise NotMeetPreserving(views[u], views[v])
         self.space = space
         self.masks = masks
         self._table = None
@@ -101,7 +124,11 @@ class Nucleus:
 
     def leq(self, other):
         """Pointwise order on nuclei: self(U) contained in other(U) for all U."""
-        return all(v & ~other.masks[u] == 0 for u, v in self.masks.items())
+        theirs = other.masks
+        for u, v in self.masks.items():
+            if v & ~theirs[u]:
+                return False
+        return True
 
     @classmethod
     def identity(cls, space):
@@ -111,6 +138,24 @@ class Nucleus:
     def constant_top(cls, space):
         full = (1 << space.n) - 1
         return cls(space, {u: full for u in upset_masks(space)})
+
+
+def _meets_preserved(space, masks):
+    """Whether j(U) == j(V) & j(M) for the split U = V & M of each upset
+    U other than the whole space (:func:`~priestley.poset.upset_meet_splits`)."""
+    for u, v, m in upset_meet_splits(space):
+        if masks[u] != masks[v] & masks[m]:
+            return False
+    return True
+
+
+def _first_unmet_pair(ups, masks):
+    """The first pair (U, V), in ``combinations`` order, with
+    j(U & V) != jU & jV."""
+    for u, v in combinations(ups, 2):
+        if masks[u & v] != masks[u] & masks[v]:
+            return u, v
+    raise InternalAssertionError("the filter test fails but every pair preserves meets")
 
 
 @dataclass(frozen=True, init=False)
@@ -165,9 +210,9 @@ def nucleus_of_nuclear(N):
     """j_N U = X \\ down(N \\ U); always passes validation."""
     space = N.space
     full = (1 << space.n) - 1
+    down = closure_tables(space).down
     return Nucleus(space, {
-        u: full & ~_mask_union(space.down, N.mask & ~u)
-        for u in upset_masks(space)
+        u: full & ~down[N.mask & ~u] for u in upset_masks(space)
     })
 
 
@@ -300,8 +345,32 @@ def nucleus_to_json(j):
 
 
 def nucleus_from_json(space, obj):
-    masks = {}
-    for pair in obj:
-        u = _mask(space.index(lab) for lab in pair[0])
-        masks[u] = _mask(space.index(lab) for lab in pair[1])
+    """Read the ``[[upset labels, image labels], ...]`` of
+    :func:`nucleus_to_json`.
+
+    A malformed document raises :class:`UnknownLabel` naming the entry
+    at fault: ``nucleus`` for the document, ``2`` for its third pair,
+    ``2.1`` for that pair's image.
+    """
+    if not isinstance(obj, list):
+        raise UnknownLabel(f"nucleus: expected a list of [upset, image] pairs, got {obj!r}")
+    masks, seen = {}, {}
+    for k, pair in enumerate(obj):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise UnknownLabel(f"{k}: expected a pair [upset, image], got {pair!r}")
+        u, v = (_labels_mask(space, f"{k}.{side}", labels)
+                for side, labels in enumerate(pair))
+        if u in seen:
+            raise UnknownLabel(f"{k}: upset {pair[0]!r} repeats entry {seen[u]}")
+        seen[u] = k
+        masks[u] = v
     return Nucleus(space, masks)
+
+
+def _labels_mask(space, field, labels):
+    if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
+        raise UnknownLabel(f"{field}: expected a list of string labels, got {labels!r}")
+    try:
+        return _mask(map(space.index, labels))
+    except UnknownLabel as e:
+        raise UnknownLabel(f"{field}: {e}") from None

@@ -23,6 +23,7 @@ least one failed case with a witness.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 
 from . import spectrum as sp
@@ -60,8 +61,8 @@ from .nuclei import (
     sublocale_of_nucleus,
 )
 from .poset import (FinitePoset, _bits, _mask, _mask_union, _restrict, canonical_form,
-                    enumerate_upsets, extrema, order_closure, relabel_canonically,
-                    upset_masks)
+                    closure_tables, enumerate_upsets, extrema, order_closure,
+                    relabel_canonically, sub_upset_unions, upset_masks)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -215,10 +216,10 @@ def check_duality_round_trip(P):
     send = {}
     ok = X2.n == P.n
     if ok:
-        member_index = {u: i for i, u in enumerate(L.member_sets)}
+        member_index = {u: i for i, u in enumerate(upset_masks(L.space))}
         dual_index = {e: i for i, e in enumerate(ji)}
         for x in range(P.n):
-            e = member_index.get(P.up_set(x))
+            e = member_index.get(P.up[x])
             if e is None or e not in dual_index:
                 ok = False
                 break
@@ -237,9 +238,9 @@ def check_duality_round_trip(P):
     except WorkbenchError:
         return True, None
     E = clopen_upset_lattice(priestley_dual(D))
-    idx = {u: i for i, u in enumerate(E.member_sets)}
+    idx = {u: i for i, u in enumerate(upset_masks(E.space))}
     try:
-        snd = [idx[stone_map(D, a).members] for a in range(D.n)]
+        snd = [idx[_mask(stone_map(D, a).members)] for a in range(D.n)]
     except KeyError:
         snd = None
     if snd is None or sorted(snd) != list(range(E.n)):
@@ -265,9 +266,10 @@ def check_stone_embedding(P):
     except WorkbenchError:
         return None
     ok, witness = True, None
-    for a in range(D.n):
-        for b in range(D.n):
-            if D.le(a, b) != (stone_map(D, a).members <= stone_map(D, b).members):
+    images = [_mask(stone_map(D, a).members) for a in range(D.n)]
+    for a, phi_a in enumerate(images):
+        for b, phi_b in enumerate(images):
+            if D.le(a, b) != (phi_a & ~phi_b == 0):
                 ok, witness = False, f"elements {D.labels[a]},{D.labels[b]}"
     return ok, witness
 
@@ -287,15 +289,19 @@ def check_priestley_separation(P):
 @_register("join-meet-formulas", _engines)
 def check_join_meet_formulas(E):
     """Frame joins are closures of unions and meets the interior formula;
-    in the finite case both collapse to union and intersection."""
+    in the finite case both collapse to union and intersection.  Each
+    formula is computed once per distinct argument mask and every pair
+    compared by lookup."""
     ok, witness = True, None
     ups = E.all_upsets()
+    closure = {w: E.closure(w) for w in {u | v for u in ups for v in ups}}
+    interior = {w: E.full & ~E.down(E.full & ~w)
+                for w in {u & v for u in ups for v in ups}}
     for u in ups:
         for v in ups:
-            if E.closure(u | v) != (u | v):
+            if closure[u | v] != (u | v):
                 ok, witness = False, "join formula"
-            lit = E.full & ~E.down(E.full & ~(u & v))
-            if lit != u & v:
+            if interior[u & v] != u & v:
                 ok, witness = False, (
                     f"meet formula at {E.describe_set(u)}, {E.describe_set(v)}"
                 )
@@ -324,11 +330,13 @@ def check_heyting_adjunction(E):
         low = m & -m
         avoiding[m] = avoiding[m ^ low] & missing[low.bit_length() - 1]
 
+    # U -> V depends on U \ V alone: one implication per distinct difference
+    implied = {w: imp(w, 0) for w in {u & ~v for u in ups for v in ups}}
     for u in ups:
         if pc(u) != _mask_union(ups, avoiding[u]):
             ok, witness = False, f"U* != U -> empty at {E.describe_set(u)}"
         for v in ups:
-            if avoiding[u & ~v] != avoiding[E.full & ~imp(u, v)]:
+            if avoiding[u & ~v] != avoiding[E.full & ~implied[u & ~v]]:
                 ok, witness = False, (
                     f"adjunction at {E.describe_set(u)}, {E.describe_set(v)}"
                 )
@@ -367,13 +375,14 @@ def check_nuclei_order_reversal(P):
 def check_upset_nj_eq_fj(P):
     """The admissible upset of a nucleus is the up-closure of its nuclear set."""
     ok, witness = True, None
+    up = closure_tables(P).up
     for members, j in _nuclei_of_subsets(P):
         try:
             h = admissible_upset(j)
         except InternalAssertionError:
             ok, witness = False, f"subset {list(_bits(members))}"
             continue
-        if _mask(h) != _mask_union(P.up, members):
+        if _mask(h) != up[members]:
             ok, witness = False, f"subset {list(_bits(members))}"
     return ok, witness
 
@@ -448,20 +457,19 @@ def check_sublocale_roundtrip(P):
 def check_inductive_core_collapse(P):
     """Every nuclear set of a finite space is inductive, witnessed on
     both sides: up(F & N) is a Scott upset for every Scott upset F, and
-    jU equals the closure of the union of jV over upsets V inside U."""
+    jU equals the closure of the union of jV over upsets V inside U (a
+    lower-cover union, :func:`sub_upset_unions`)."""
     ok, witness = True, None
     ups = upset_masks(P)
+    up = closure_tables(P).up
     for members, j in _nuclei_of_subsets(P):
         for f in ups:
-            lifted = _mask_union(P.up, f & members)
-            if _mask_union(P.up, lifted) != lifted:
+            lifted = up[f & members]
+            if up[lifted] != lifted:
                 ok, witness = False, f"{list(_bits(members))}, F={list(_bits(f))}"
-        for u in ups:
-            union = 0
-            for v in ups:
-                if v & ~u == 0:
-                    union |= j.masks[v]
-            if union != j.masks[u]:
+        images = list(j.masks.values())
+        for u, union, image in zip(ups, sub_upset_unions(P, images), images):
+            if union != image:
                 ok, witness = False, f"{list(_bits(members))}, U={list(_bits(u))}"
     return ok, witness
 
@@ -469,17 +477,10 @@ def check_inductive_core_collapse(P):
 def _d_table(E):
     """dU for every upset, via the closure-of-union-of-double-negations
     form (the union ranges over all upsets inside U: in the finite case
-    every upset is a clopen Scott upset)."""
+    every upset is a clopen Scott upset), taken over lower covers."""
     ups = E.all_upsets()
-    negs = [(v, sp.double_neg(E, v)) for v in ups]
-    table = {}
-    for u in ups:
-        acc = 0
-        for v, nn in negs:
-            if v & ~u == 0:
-                acc |= nn
-        table[u] = E.closure(acc)
-    return table
+    unions = sub_upset_unions(E.poset, [sp.double_neg(E, v) for v in ups])
+    return {u: E.closure(acc) for u, acc in zip(ups, unions)}
 
 
 def _d_fixed_upsets(E, ups, table):
@@ -517,11 +518,8 @@ def check_core_d_forms(E):
     ok, witness = True, None
     ups = E.all_upsets()
     table = _d_table(E)
-    for u in ups:
-        union = 0
-        for v in ups:
-            if v & ~u == 0:
-                union |= table[v]
+    unions = sub_upset_unions(E.poset, [table[u] for u in ups])
+    for u, union in zip(ups, unions):
         if union != sp.core_d(E, u):
             ok, witness = False, E.describe_set(u)
     return ok, witness
@@ -534,16 +532,15 @@ def check_eqv_conditions_rmax(E):
     table = _d_table(E)
     # (1) points that cannot tell dU from U (the nuclear set, which
     # on the localic part is Y_d; here every point is localic)
-    c1 = 0
-    for x in range(E.n):
-        if all(not table[u] >> x & 1 or u >> x & 1 for u in ups):
-            c1 |= 1 << x
+    moved = 0
+    for u in ups:
+        moved |= table[u] & ~u
+    c1 = E.full & ~moved
     # (2) membership of core_d U forces membership of U
-    cores = [(u, sp.core_d(E, u)) for u in ups]
-    c2 = 0
-    for x in range(E.n):
-        if all(not c >> x & 1 or u >> x & 1 for u, c in cores):
-            c2 |= 1 << x
+    moved = 0
+    for u in ups:
+        moved |= sp.core_d(E, u) & ~u
+    c2 = E.full & ~moved
     # (3) every clopen Scott upset catching max(up(x)) catches x
     c3 = 0
     for x in range(E.n):
@@ -577,10 +574,12 @@ def check_regularity_equivalences(E):
     reg = sp.regularity_suite(E)
     sub = _subposet(E.poset, _bits(sp.nd_set(E)))
     lreg = True
-    for u in enumerate_upsets(sub):
+    upsets = enumerate_upsets(sub)
+    downs = [order_closure(sub, v, "down") for v in upsets]
+    for u in upsets:
         regpart = frozenset()
-        for v in enumerate_upsets(sub):
-            if order_closure(sub, v, "down") <= u:
+        for v, down_v in zip(upsets, downs):
+            if down_v <= u:
                 regpart |= v
         if regpart != u:
             lreg = False
@@ -747,11 +746,12 @@ def check_arithmetic_core_law(E):
     """Cores are dense and distribute over intersections (literal form)."""
     ok, witness = True, None
     ups = E.all_upsets()
-    for u in ups:
-        if E.closure(E.core(u)) != u:
+    cores = [E.core(u) for u in ups]
+    for u, core_u in zip(ups, cores):
+        if E.closure(core_u) != u:
             ok, witness = False, E.describe_set(u)
-        for v in ups:
-            if E.core(u) & E.core(v) != E.core(u & v):
+        for v, core_v in zip(ups, cores):
+            if core_u & core_v != E.core(u & v):
                 ok, witness = False, "core meet law"
     return ok, witness
 
@@ -869,17 +869,39 @@ def check_fan_tame_soundness(E, seed):
 # ---------------------------------------------------------------------
 
 
-def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED):
-    """Run the selected checks; deterministic case order."""
+def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
+              stats=None):
+    """Run the selected checks; deterministic case order.
+
+    A repeated id runs once, at its first place.  Given a dict as
+    ``stats``, the posets are enumerated first and it is filled with
+    ``enumerate_s``, the seconds that took, and ``theorems``: id ->
+    ``cases``, ``failed`` and ``seconds``, in run order.
+    """
     if bound > MAX_BOUND:
         raise BoundExceeded(f"bound {bound} exceeds the cap {MAX_BOUND}")
-    if theorem_ids is None:
-        theorem_ids = sorted(CHECKS)
-    cases = []
+    if bound < 1:
+        raise BoundExceeded(f"bound {bound} is below 1, so no poset would be checked")
+    theorem_ids = sorted(CHECKS) if theorem_ids is None else list(dict.fromkeys(theorem_ids))
     for tid in theorem_ids:
         if tid not in CHECKS:
             raise UnknownTheoremId(f"unknown theorem id {tid!r}")
-        cases.extend(CHECKS[tid](bound, seed=seed))
+    if stats is not None:
+        t0 = time.perf_counter()
+        posets_up_to(bound)
+        stats["enumerate_s"] = time.perf_counter() - t0
+        stats["theorems"] = {}
+    cases = []
+    for tid in theorem_ids:
+        t0 = time.perf_counter()
+        found = CHECKS[tid](bound, seed=seed)
+        if stats is not None:
+            stats["theorems"][tid] = {
+                "cases": len(found),
+                "failed": sum(not c.ok() for c in found),
+                "seconds": time.perf_counter() - t0,
+            }
+        cases.extend(found)
     return cases
 
 

@@ -8,11 +8,19 @@ transitivity at construction.  Point sets in the public API are exact
 ``frozenset``s of indices, cached per poset; equality is always exact,
 never tolerance-based.  Iteration orders are deterministic so
 downstream reports are byte-identical across runs.
+
+Beside its upset masks a poset caches structural tables, each built on
+first use: the up- and down-closure of a point mask
+(:func:`closure_tables`), the lower covers of each upset in the upset
+lattice (:func:`upset_lower_covers`, which turns a union over all
+sub-upsets into U*n steps) and one meet split per upset
+(:func:`upset_meet_splits`, which nucleus validation reads).
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .errors import (
     CycleDetected,
@@ -46,7 +54,8 @@ class FinitePoset:
     """
 
     __slots__ = ("labels", "up", "down", "_index", "_up_sets", "_upsets",
-                 "_upset_masks", "_covers", "_canon")
+                 "_upset_masks", "_closures", "_lower_covers", "_splits",
+                 "_covers", "_canon")
 
     def __init__(self, labels, up):
         labels = tuple(labels)
@@ -76,6 +85,9 @@ class FinitePoset:
         self._up_sets = None
         self._upsets = None
         self._upset_masks = None
+        self._closures = None
+        self._lower_covers = None
+        self._splits = None
         self._covers = None
         self._canon = None
 
@@ -216,6 +228,94 @@ def upset_masks(P):
         found.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
         P._upset_masks = tuple(found)
     return P._upset_masks
+
+
+class _ClosureTable(dict):
+    """Point mask -> the union of ``rows[i]`` over its points.  An entry
+    is computed the first time its mask is asked for and kept, so a
+    table never holds more than the masks its poset was asked about."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, mask):
+        out = self[mask] = _mask_union(self.rows, mask)
+        return out
+
+
+class ClosureTables(NamedTuple):
+    """The closure tables of one poset: mask -> the union over its points
+    of their principal upsets, downsets, and both without the point."""
+
+    up: _ClosureTable
+    down: _ClosureTable
+    strict_up: _ClosureTable
+    strict_down: _ClosureTable
+
+
+def closure_tables(P):
+    """The :class:`ClosureTables` of a poset, cached per poset like its
+    upset masks."""
+    if P._closures is None:
+        strict_up = [m & ~(1 << i) for i, m in enumerate(P.up)]
+        strict_down = [m & ~(1 << i) for i, m in enumerate(P.down)]
+        P._closures = ClosureTables(*map(_ClosureTable, (P.up, P.down,
+                                                          strict_up, strict_down)))
+    return P._closures
+
+
+def upset_lower_covers(P):
+    """For each upset U, in :func:`upset_masks` order, the indices of its
+    lower covers in the upset lattice: U minus one minimal point of U.
+
+    Every proper sub-upset of U lies inside one of them (Davey &
+    Priestley, *Introduction to Lattices and Order*, 2nd ed., 2002), and
+    each comes before U in size order.  Cached per poset.
+    """
+    if P._lower_covers is None:
+        ups = upset_masks(P)
+        index = {u: k for k, u in enumerate(ups)}
+        down = P.down
+        P._lower_covers = tuple(
+            tuple(index[u ^ 1 << m] for m in _bits(u) if down[m] & u == 1 << m)
+            for u in ups
+        )
+    return P._lower_covers
+
+
+def sub_upset_unions(P, values):
+    """For each upset U, the union of ``values[k]`` over the upsets V_k
+    inside U (``values`` parallel to :func:`upset_masks`), in U*n steps:
+    ``acc[U] = values[U] | OR acc[U - m]`` over the lower covers U - m."""
+    acc = []
+    for f, covers in zip(values, upset_lower_covers(P)):
+        for c in covers:
+            f |= acc[c]
+        acc.append(f)
+    return acc
+
+
+def upset_meet_splits(P):
+    """For each upset U other than the whole space, in :func:`upset_masks`
+    order, a triple (U, V, M) of upset masks with U = V & M: V is U plus
+    m, for the lowest-index maximal point m outside U (an upper cover of
+    U), and M is the meet-irreducible upset X minus down(m).
+
+    Every upset U is the meet of the M over the points outside it, and
+    the splits chain U to the whole space through them.  Cached per poset.
+    """
+    if P._splits is None:
+        full = (1 << P.n) - 1
+        splits = []
+        for u in upset_masks(P)[:-1]:
+            rest = full & ~u
+            m = next(m for m in _bits(rest) if P.up[m] & rest == 1 << m)
+            splits.append((u, u | 1 << m, full & ~P.down[m]))
+        P._splits = tuple(splits)
+    return P._splits
 
 
 def upset_views(P):

@@ -54,7 +54,7 @@ from .errors import (
     NotLocalic,
     NotRepresentable,
 )
-from .poset import FinitePoset, _bits, _mask_union, upset_masks
+from .poset import FinitePoset, _bits, closure_tables, upset_masks
 
 
 # ---------------------------------------------------------------------
@@ -463,16 +463,6 @@ class AnalysisReport:
 # ---------------------------------------------------------------------
 
 
-def _strict_union(rows, a):
-    """The union of ``rows[i]`` without i itself, over the points i of a."""
-    out = 0
-    while a:
-        low = a & -a
-        out |= rows[low.bit_length() - 1] & ~low
-        a ^= low
-    return out
-
-
 class FiniteEngine:
     """Engine over a finite poset; point sets are integer bitmasks.
 
@@ -495,7 +485,7 @@ class FiniteEngine:
         self.full = (1 << n) - 1
         self.empty = 0
         self._up_masks = poset.up
-        self._down_masks = poset.down
+        self._tables = closure_tables(poset)
         self.name = f"finite poset on {{{', '.join(poset.labels)}}}"
 
     # -- set primitives ----------------------------------------------
@@ -519,16 +509,16 @@ class FiniteEngine:
         return isinstance(a, int) and 0 <= a <= self.full
 
     def up(self, a):
-        return _mask_union(self._up_masks, a)
+        return self._tables.up[a]
 
     def down(self, a):
-        return _mask_union(self._down_masks, a)
+        return self._tables.down[a]
 
     def strict_up(self, a):
-        return _strict_union(self._up_masks, a)
+        return self._tables.strict_up[a]
 
     def strict_down(self, a):
-        return _strict_union(self._down_masks, a)
+        return self._tables.strict_down[a]
 
     # -- points and classes ------------------------------------------
 

@@ -157,3 +157,49 @@ def test_verify_bound_over_cap(capsys):
 def test_usage_error(capsys):
     code, _, _ = run_cli(["frobnicate"], capsys)
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bound", "0"],
+    ["--bound", "-2", "--only", "rho-forms"],
+])
+def test_verify_rejects_a_bound_below_one(argv, capsys):
+    # a verifier that checks no poset must not report success
+    code, out, err = run_cli(["verify"] + argv, capsys)
+    assert code == 64 and out == "" and "below 1" in err
+
+
+def test_verify_runs_a_repeated_id_once(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--bound", "3", "--only", "rho-forms,fan-figures,rho-forms"],
+        capsys,
+    )
+    # 8 posets of up to 3 points and 4 fan families
+    assert code == 0 and out == "12/12 cases verified, 0 failed\n"
+
+
+def test_verify_stats_count_every_case_once(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--bound", "3", "--format", "json", "--stats",
+         "--only", "stone-embedding,rho-forms,fan-figures"], capsys)
+    payload = json.loads(out)
+    stats = payload["stats"]
+    theorems = stats["theorems"]
+    assert code == 0 and list(theorems) == ["fan-figures", "rho-forms", "stone-embedding"]
+    assert sum(t["cases"] for t in theorems.values()) == payload["total"]
+    assert all(t["failed"] == 0 and t["seconds"] >= 0 for t in theorems.values())
+    assert stats["enumerate_s"] >= 0
+
+    code, text, _ = run_cli(
+        ["verify", "--bound", "3", "--stats",
+         "--only", "stone-embedding,rho-forms,fan-figures"], capsys)
+    lines = text.splitlines()
+    assert lines[0] == f"{payload['total']}/{payload['total']} cases verified, 0 failed"
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert list(rows) == ["stone-embedding", "rho-forms", "fan-figures", "enumeration"]
+    assert sum(int(r[0]) for r in list(rows.values())[:-1]) == payload["total"]
+
+
+def test_verify_without_stats_prints_only_the_summary(capsys):
+    code, out, _ = run_cli(["verify", "--bound", "2", "--format", "json"], capsys)
+    assert code == 0 and "stats" not in json.loads(out)

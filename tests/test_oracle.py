@@ -24,6 +24,8 @@ def test_bound_exceeded():
         oracle.enumerate_posets(8)
     with pytest.raises(BoundExceeded):
         oracle.run_suite(bound=8)
+    with pytest.raises(BoundExceeded):
+        oracle.run_suite(["rho-forms"], bound=0)
 
 
 def test_unknown_theorem_id():
