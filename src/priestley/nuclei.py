@@ -155,7 +155,7 @@ def _first_unmet_pair(ups, masks):
     for u, v in combinations(ups, 2):
         if masks[u & v] != masks[u] & masks[v]:
             return u, v
-    raise InternalAssertionError("the filter test fails but every pair preserves meets")
+    raise InternalAssertionError("a split fails but every pair preserves meets")
 
 
 @dataclass(frozen=True, init=False)
