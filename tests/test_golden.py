@@ -1,6 +1,6 @@
 """Golden corpus: ``dual``, lattice rejections, ``analyze``, the poset
 enumeration, the nucleus dictionary, the fan engines' operations on
-their samples and the theorem registry's verdicts and witnesses,
+their samples, their rules on the sparse-shape upsets and the theorem registry's verdicts and witnesses,
 compared byte for byte with the files in ``tests/golden/``.
 
 Regenerate the files (only when an output change is intended) with::
@@ -35,6 +35,7 @@ from priestley.fans import FAMILIES, engine_for, tame_to_json
 from priestley.nuclei import all_nuclei, nucleus_to_json
 from priestley.oracle import enumerate_posets
 from test_oracle import NUCLEI_FAULTS
+from test_tame import sparse_sets
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -187,6 +188,23 @@ def fan_ops_golden():
     return "".join(out)
 
 
+def fan_rules_golden():
+    """For every distinct clopen upset ``E.up(a)`` of the sparse-shape
+    sets of each fan family: core, dU and the Scott test, one line each."""
+    def show(a):
+        return json.dumps(tame_to_json(a), sort_keys=True)
+
+    out = []
+    for family in FAMILIES:
+        E = engine_for(family)
+        ups = dict.fromkeys(E.up(a) for a in sparse_sets(family))
+        ups = [u for u in ups if E.is_open(u) and E.is_closed(u)]
+        out.append(f"# {family}: {len(ups)} clopen upsets\n")
+        out += [f"u={show(u)} core={show(E.core(u))} d={show(sp.d_apply(E, u))} "
+                f"clop_sup_test={E.clop_sup_test(u)}\n" for u in ups]
+    return "".join(out)
+
+
 @contextlib.contextmanager
 def _patched(module, name, replacement):
     original = getattr(module, name)
@@ -274,6 +292,7 @@ def golden_outputs():
             repr(P) + "\n" for P in enumerate_posets(n))
     files["nuclei.txt"] = nuclei_golden()
     files["fan_ops.txt"] = fan_ops_golden()
+    files["fan_rules.txt"] = fan_rules_golden()
     files[f"verify_b{VERIFY_BOUND}.txt"] = verify_golden()
     return files
 

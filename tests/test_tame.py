@@ -528,11 +528,9 @@ def test_order_operations_match_the_pointwise_order_on_each_point(family):
         check_order_operations(E, E.point_set(pts[j]))
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_order_operations_match_the_pointwise_order_on_sparse_sets(family):
-    # every sparse region shape in each slot of an otherwise empty set,
-    # with and without the blob: a fault that shows only on one shape and
-    # one family fails here on every run, not on some Hypothesis seeds
+def sparse_sets(family):
+    """Every sparse region shape in each slot of an otherwise empty set,
+    with and without the blob, each distinct set once."""
     multi_fan, carrier, blob = _SHAPE[family]
     sets = []
     for r in SPARSE:
@@ -542,6 +540,13 @@ def test_order_operations_match_the_pointwise_order_on_sparse_sets(family):
                 sets.append(make_tame(family, fan_exc={1: r}, omega_star=os))
             if carrier != EMPTY_REGION:
                 sets.append(make_tame(family, spine=r, omega_star=os))
+    return list(dict.fromkeys(sets))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_order_operations_match_the_pointwise_order_on_sparse_sets(family):
+    # a fault that shows only on one shape and one family fails here on
+    # every run, not on some Hypothesis seeds
     E = engine_for(family)
-    for a in dict.fromkeys(sets):
+    for a in sparse_sets(family):
         check_order_operations(E, a)
