@@ -84,6 +84,12 @@ the finite oracle analogues and against each family's published facts):
   the relevant bottom point is present);
 * membership of the d-core is the pointwise criterion
   ``up(x) inside down(core U)``, evaluated region by region.
+
+The rules are index-region arithmetic, with no walk over fan indices:
+``_fans_over`` spreads an index mask over the fans, ``_fan_pred_region``
+gathers the fans that pass a test into one, and ``core U`` is the meet
+of U with the stars-over-bottoms mask (fan i whole over a bottom y_i of
+U, its points alone elsewhere).
 """
 
 from __future__ import annotations
@@ -448,23 +454,12 @@ def _fan_pred_region(a, pred):
     return Region(passed)
 
 
-def _stars_over_bottoms(u):
-    """The fan regions of u with star i kept only over a bottom point
-    y_i of u, as (default, exceptions): the star rule of the spine
-    families' cores."""
-    spine = u.spine
-    fans = dict(u.fan_exc)
-
-    def keep(i, r):
-        if not r.flag or spine.member(i):
-            return r
-        return Region(r.bits)
-
-    d = u.fan_default
-    exc = {i: keep(i, fans.get(i, d)) for i in fans.keys() | _bits(_exc(spine))}
-    if d.flag and spine.bits >= 0:
-        d = Region(d.bits)
-    return d, exc
+def _fans_over(idx, inside, outside):
+    """Fan regions as (default, exceptions): inside over the fans in the
+    index mask idx (negative when cofinite), outside over the others."""
+    if idx < 0:
+        return inside, dict.fromkeys(_bits(~idx), outside)
+    return outside, dict.fromkeys(_bits(idx), inside)
 
 
 # ---------------------------------------------------------------------
@@ -800,13 +795,8 @@ class OmegaFansEngine(FanEngine):
         s = a.spine
         any_member = s.has_points()
         # the fans over the spine's members are full, the others empty
-        if s.bits < 0:
-            default, over = FULL_REGION, EMPTY_REGION
-        else:
-            default, over = EMPTY_REGION, FULL_REGION
-        exc = dict.fromkeys(_bits(_exc(s)), over)
         return make_tame(
-            self.family, default, exc,
+            self.family, *_fans_over(s.bits, FULL_REGION, EMPTY_REGION),
             spine=Region(0, any_member), omega_star=any_member or s.flag,
         )
 
@@ -822,38 +812,33 @@ class OmegaFansEngine(FanEngine):
         omega is present (every clopen Scott upset through the blob runs
         through omega).
         """
-        default, exc = _stars_over_bottoms(u)
-        return make_tame(
-            self.family, default, exc,
-            spine=u.spine, omega_star=u.omega_star and u.spine.flag,
+        stars = make_tame(
+            self.family, *_fans_over(u.spine.bits, FULL_REGION, POINTS_REGION),
+            spine=FULL_REGION, omega_star=u.spine.flag,
         )
+        return tame_meet(u, stars)
 
     def points_with_up_inside(self, d):
+        # up(y_i) is y_i, fan i, omega and the blob; up(omega) is omega
+        # and the blob
         omega = d.spine.flag and d.omega_star
-        ups_ok = 0
-        if omega:
-            ups_ok = d.spine.bits & _fan_pred_region(d, Region.is_full).bits
-        return make_tame(
-            self.family, d.fan_default, dict(d.fan_exc),
-            spine=Region(ups_ok, omega), omega_star=d.omega_star,
-        )
+        ups_ok = _fan_pred_region(d, Region.is_full).bits if omega else 0
+        mask = make_tame(self.family, FULL_REGION, spine=Region(ups_ok, omega),
+                         omega_star=True)
+        return tame_meet(d, mask)
 
     def clop_sup_test(self, u):
         """Finite set of fan points, or cofinite spine with finite fan
         traces wherever the bottom point is excluded."""
         spine = u.spine
-        if spine.is_empty() and not u.omega_star:
-            return (
-                u.fan_default.is_empty()
-                and all(r.bits >= 0 and not r.flag for _, r in u.fan_exc)
-            )
-        if spine.bits >= 0 or not spine.flag:
+        cofinite = spine.bits < 0 and spine.flag
+        if not cofinite and (u.omega_star or not spine.is_empty()):
             return False
-        for i in _bits(~spine.bits):  # the excluded bottoms
-            r = u._fan_region(i)
-            if r.bits < 0 or r.flag:
-                return False
-        return True
+        # the fans over the excluded bottoms: each finite without its
+        # star, and almost all empty when there is no spine at all
+        out = ~spine.bits
+        wild = _fan_pred_region(u, lambda r: r.bits < 0 or r.flag).bits
+        return out & wild == 0 and (out >= 0 or u.fan_default.is_empty())
 
     def sample_clopen_upsets(self, count, seed=0):
         rng = random.Random(seed)
@@ -921,38 +906,14 @@ class ChainFansEngine(FanEngine):
         return make_tame(self.family, spine=Region(pts, any_member))
 
     def strict_up(self, a):
-        spine = a.spine
-        if spine.flag:  # omega lies strictly below everything else
-            return make_tame(
-                self.family, FULL_REGION, spine=POINTS_REGION, omega_star=True,
-            )
-        if spine.bits < 0:
-            # unbounded members: heads exhaust the spine and the fans
-            return make_tame(self.family, FULL_REGION, spine=POINTS_REGION)
-        if not spine.bits:
-            return self.empty
-        m = spine.bits.bit_length() - 1
-        exc = {i: FULL_REGION for i in range(m + 1)}
+        s = a.spine
+        # fans 0..m and y_0..y_{m-1} lie above y_m; unbounded members
+        # put every fan and spine point above, omega the blob too
+        heads = -1 if s.flag or s.bits < 0 else (1 << s.bits.bit_length()) - 1
         return make_tame(
-            self.family, EMPTY_REGION, exc, spine=Region((1 << m) - 1),
+            self.family, *_fans_over(heads, FULL_REGION, EMPTY_REGION),
+            spine=Region(heads >> 1), omega_star=s.flag,
         )
-
-    def _spine_up_inside(self, u):
-        """Initial segment of i with up(y_i) inside u: bottoms 0..i in u
-        and fans 0..i full; either a finite run or the whole spine."""
-        spine = u.spine
-
-        def ok(i):
-            return spine.member(i) and u._fan_region(i).is_full()
-
-        horizon = (_fan_indices(u) | _exc(spine)).bit_length()
-        for i in range(horizon):
-            if not ok(i):
-                return Region((1 << i) - 1)
-        # from the horizon on everything is governed by the defaults
-        if spine.bits < 0 and u.fan_default.is_full():
-            return POINTS_REGION
-        return Region((1 << horizon) - 1)
 
     def core(self, u):
         """Keep the fan points and spine points; keep star i only over a
@@ -962,20 +923,19 @@ class ChainFansEngine(FanEngine):
         For a clopen upset, y_i in u forces the whole upset of y_i
         inside u, which is what the star rule really requires.
         """
-        default, exc = _stars_over_bottoms(u)
-        return make_tame(
-            self.family, default, exc,
-            spine=Region(u.spine.bits), omega_star=False,
+        stars = make_tame(
+            self.family, *_fans_over(u.spine.bits, FULL_REGION, POINTS_REGION),
+            spine=POINTS_REGION,
         )
+        return tame_meet(u, stars)
 
     def points_with_up_inside(self, d):
-        spine_ok = self._spine_up_inside(d)
-        omega = d == self.full
-        return make_tame(
-            self.family, d.fan_default, dict(d.fan_exc),
-            spine=Region(spine_ok.bits, omega),
-            omega_star=d.omega_star,
-        )
+        # up(y_i) is y_0..y_i and fans 0..i: the initial run of the
+        # indices with y_i in d and fan i whole; up(omega) is everything
+        ok = d.spine.bits & _fan_pred_region(d, Region.is_full).bits
+        mask = make_tame(self.family, FULL_REGION,
+                         spine=Region(ok & ~(ok + 1), d == self.full), omega_star=True)
+        return tame_meet(d, mask)
 
     def clop_sup_test(self, u):
         if u.spine.flag or u.omega_star:
