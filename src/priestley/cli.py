@@ -13,7 +13,13 @@ import sys
 
 from . import spectrum as sp
 from .birkhoff import lattice_from_json, priestley_dual
-from .errors import InternalAssertionError, UnknownTheoremId, WorkbenchError
+from .errors import (
+    BoundExceeded,
+    EmptySelection,
+    InternalAssertionError,
+    UnknownTheoremId,
+    WorkbenchError,
+)
 from .fans import FAMILIES, engine_for
 from .oracle import DEFAULT_BOUND, DEFAULT_SEED, MAX_BOUND, run_suite, summarize
 from .poset import poset_from_json, poset_to_json
@@ -198,22 +204,18 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    if args.bound > MAX_BOUND:
-        print(
-            f"bound {args.bound} exceeds the configured cap {MAX_BOUND}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.bound < 1:
-        print(f"bound {args.bound} is below 1: no poset would be checked",
-              file=sys.stderr)
-        return EXIT_USAGE
     only = None
-    if args.only:
+    if args.only is not None:
         only = [t.strip() for t in args.only.split(",") if t.strip()]
     stats = {} if args.stats else None
     try:
         cases = run_suite(only, bound=args.bound, seed=args.seed, stats=stats)
+    except BoundExceeded as e:
+        print(str(e), file=sys.stderr)
+        return EXIT_USAGE
+    except EmptySelection as e:
+        print(f"--only: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except UnknownTheoremId as e:
         print(str(e), file=sys.stderr)
         return EXIT_INPUT

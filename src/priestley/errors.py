@@ -114,3 +114,7 @@ class BoundExceeded(WorkbenchError):
 
 class UnknownTheoremId(WorkbenchError):
     pass
+
+
+class EmptySelection(WorkbenchError):
+    """A theorem selection that names no theorem."""

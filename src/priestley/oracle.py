@@ -33,7 +33,13 @@ from .birkhoff import (
     stone_map,
     validate_lattice,
 )
-from .errors import BoundExceeded, InternalAssertionError, UnknownTheoremId, WorkbenchError
+from .errors import (
+    BoundExceeded,
+    EmptySelection,
+    InternalAssertionError,
+    UnknownTheoremId,
+    WorkbenchError,
+)
 from .fans import (
     FAMILIES,
     OmegaFansEngine,
@@ -873,16 +879,21 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
               stats=None):
     """Run the selected checks; deterministic case order.
 
-    A repeated id runs once, at its first place.  Given a dict as
+    A bound outside 1..MAX_BOUND raises BoundExceeded, an empty
+    selection EmptySelection and an unknown id UnknownTheoremId, all
+    before any check runs.  A repeated id runs once, at its first
+    place.  Given a dict as
     ``stats``, the posets are enumerated first and it is filled with
     ``enumerate_s``, the seconds that took, and ``theorems``: id ->
     ``cases``, ``failed`` and ``seconds``, in run order.
     """
     if bound > MAX_BOUND:
-        raise BoundExceeded(f"bound {bound} exceeds the cap {MAX_BOUND}")
+        raise BoundExceeded(f"bound {bound} exceeds the configured cap {MAX_BOUND}")
     if bound < 1:
-        raise BoundExceeded(f"bound {bound} is below 1, so no poset would be checked")
+        raise BoundExceeded(f"bound {bound} is below 1: no poset would be checked")
     theorem_ids = sorted(CHECKS) if theorem_ids is None else list(dict.fromkeys(theorem_ids))
+    if not theorem_ids:
+        raise EmptySelection("no theorem id given: no case would be checked")
     for tid in theorem_ids:
         if tid not in CHECKS:
             raise UnknownTheoremId(f"unknown theorem id {tid!r}")

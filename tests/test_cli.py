@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from priestley import cli
+from priestley import cli, oracle
 
 
 def run_cli(argv, capsys):
@@ -150,8 +150,9 @@ def test_verify_unknown_id(capsys):
 
 
 def test_verify_bound_over_cap(capsys):
-    code, _, err = run_cli(["verify", "--bound", "9"], capsys)
-    assert code == 64 and "cap" in err
+    code, out, err = run_cli(["verify", "--bound", "9"], capsys)
+    assert code == 64 and out == ""
+    assert err == f"bound 9 exceeds the configured cap {oracle.MAX_BOUND}\n"
 
 
 def test_usage_error(capsys):
@@ -159,14 +160,58 @@ def test_usage_error(capsys):
     assert code == 64
 
 
-@pytest.mark.parametrize("argv", [
-    ["--bound", "0"],
-    ["--bound", "-2", "--only", "rho-forms"],
+@pytest.mark.parametrize("argv, bound", [
+    (["--bound", "0"], 0),
+    (["--bound", "-2", "--only", "rho-forms"], -2),
 ])
-def test_verify_rejects_a_bound_below_one(argv, capsys):
+def test_verify_rejects_a_bound_below_one(argv, bound, capsys):
     # a verifier that checks no poset must not report success
     code, out, err = run_cli(["verify"] + argv, capsys)
-    assert code == 64 and out == "" and "below 1" in err
+    assert code == 64 and out == ""
+    assert err == f"bound {bound} is below 1: no poset would be checked\n"
+
+
+@pytest.mark.parametrize("only", [",", " ", "", " , ,"])
+def test_verify_rejects_an_empty_only(only, capsys):
+    # nor may one that checks no theorem
+    code, out, err = run_cli(["verify", "--bound", "2", "--only", only], capsys)
+    assert code == 64 and out == ""
+    assert err == "--only: no theorem id given: no case would be checked\n"
+
+
+# the eight cases of d-nucleus-laws at bound 3 under the fault below:
+# (instance, witness) per case, in case order
+D_TABLE_FAILURES = [
+    ("finite poset on {p0}", "d is not dense"),
+    ("finite poset on {p0, p1}", "d is not dense"),
+    ("finite poset on {p0, p1}", "image of [] is not an upset"),
+    ("finite poset on {p0, p1, p2}", "d is not dense"),
+    ("finite poset on {p0, p1, p2}", "d is not dense"),
+    ("finite poset on {p0, p1, p2}", "image of [] is not an upset"),
+    ("finite poset on {p0, p1, p2}", "image of [] is not an upset"),
+    ("finite poset on {p0, p1, p2}", "image of [] is not an upset"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_reports_each_failure(fmt, monkeypatch, capsys):
+    # point 0 joins every d image, as in test_oracle's raising check
+    d_table = oracle._d_table
+    monkeypatch.setattr(oracle, "_d_table",
+                        lambda E: {u: v | 1 for u, v in d_table(E).items()})
+    code, out, err = run_cli(["verify", "--bound", "3", "--only", "d-nucleus-laws",
+                              "--format", fmt], capsys)
+    assert code == 1 and err == ""
+    if fmt == "text":
+        assert out.splitlines() == [
+            f"FAILED d-nucleus-laws on {inst}: {w}" for inst, w in D_TABLE_FAILURES
+        ] + ["0/8 cases verified, 8 failed"]
+    else:
+        assert json.loads(out) == {
+            "total": 8, "verified": 0, "failed": 8,
+            "failures": [{"theorem": "d-nucleus-laws", "instance": inst, "witness": w}
+                         for inst, w in D_TABLE_FAILURES],
+        }
 
 
 def test_verify_runs_a_repeated_id_once(capsys):

@@ -5,7 +5,7 @@ import pytest
 from priestley import NuclearSet, build_poset, enumerate_upsets, oracle
 from priestley import spectrum as sp
 from priestley.fans import FAMILIES, engine_for
-from priestley.errors import BoundExceeded, UnknownTheoremId
+from priestley.errors import BoundExceeded, EmptySelection, UnknownTheoremId
 
 
 def test_poset_counts():
@@ -31,6 +31,11 @@ def test_bound_exceeded():
 def test_unknown_theorem_id():
     with pytest.raises(UnknownTheoremId):
         oracle.run_suite(["no-such-id"])
+
+
+def test_an_empty_selection_raises():
+    with pytest.raises(EmptySelection):
+        oracle.run_suite([])
 
 
 def test_enumeration_deterministic():
