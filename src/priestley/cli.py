@@ -20,7 +20,15 @@ from .errors import (
     UnknownTheoremId,
     WorkbenchError,
 )
-from .fans import FAMILIES, engine_for
+from .fans import (
+    FAMILIES,
+    OMEGA,
+    OMEGA_STAR,
+    engine_for,
+    fan_point,
+    fan_star,
+    spine_point,
+)
 from .oracle import DEFAULT_BOUND, DEFAULT_SEED, MAX_BOUND, run_suite, summarize
 from .poset import poset_from_json, poset_to_json
 
@@ -52,27 +60,28 @@ def _read_json(path):
 # ---------------------------------------------------------------------
 
 
+def _dot(nodes, edges):
+    """A Hasse diagram in DOT, bottom to top.  Nodes are (id, label,
+    in Y_d, in min Y_d): Y_d is filled and min Y_d double-circled.
+    Edges are (lower id, upper id) pairs."""
+    lines = ["digraph hasse {", "  rankdir=BT;"]
+    for node, label, in_yd, in_min_yd in nodes:
+        shape = "doublecircle" if in_min_yd else "circle"
+        style = "solid,filled" if in_yd else "solid"
+        lines.append(f'  {node} [label="{label}", shape={shape}, style="{style}"];')
+    lines += [f"  {a} -> {b};" for a, b in edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def dot_finite(P, engine=None):
-    """Hasse diagram (covers only); localic points, Y_d, and min Y_d get
-    distinct node styles."""
+    """Hasse diagram of a finite poset (covers only)."""
     E = engine or sp.FiniteEngine(P)
     yd = sp.yd_set(E)
     myd = sp.min_yd(E)
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i, lab in enumerate(P.labels):
-        style = ["solid"]
-        shape = "circle"
-        if yd >> i & 1:
-            style.append("filled")
-        if myd >> i & 1:
-            shape = "doublecircle"
-        lines.append(
-            f'  n{i} [label="{lab}", shape={shape}, style="{",".join(style)}"];'
-        )
-    for i, j in P.covers():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [(f"n{i}", lab, yd >> i & 1, myd >> i & 1)
+             for i, lab in enumerate(P.labels)]
+    return _dot(nodes, [(f"n{i}", f"n{j}") for i, j in P.covers()])
 
 
 _FAN_DOT_EDGES = {
@@ -97,42 +106,29 @@ _FAN_DOT_EDGES = {
     ),
 }
 
-_FAN_DOT_LABEL = {
-    "fan0": "x(0,0) ...", "fan_more": "x(i,k) ...", "star0": "X*(0) ...",
-    "y0": "y(0)", "y_more": "y(i) ...", "omega": "omega",
-    "omega_star": "X_omega*",
+# node -> (label, the point it stands for)
+_FAN_DOT_NODES = {
+    "fan0": ("x(0,0) ...", fan_point(0, 0)),
+    "fan_more": ("x(i,k) ...", fan_point(1, 0)),
+    "star0": ("X*(0) ...", fan_star(0)),
+    "y0": ("y(0)", spine_point(0)),
+    "y_more": ("y(i) ...", spine_point(1)),
+    "omega": ("omega", OMEGA),
+    "omega_star": ("X_omega*", OMEGA_STAR),
 }
 
 
 def dot_fan(family):
+    """Hasse diagram of a fan family, one node per region class."""
     E = engine_for(family)
     yd = sp.yd_set(E)
     myd = sp.min_yd(E)
-    from .fans import OMEGA, OMEGA_STAR, fan_point, fan_star, spine_point
-
-    rep = {
-        "fan0": fan_point(0, 0), "fan_more": fan_point(1, 0),
-        "star0": fan_star(0), "y0": spine_point(0), "y_more": spine_point(1),
-        "omega": OMEGA, "omega_star": OMEGA_STAR,
-    }
-    nodes, edges = _FAN_DOT_EDGES[family]
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for node in nodes:
-        pt = rep[node]
-        style = ["solid"]
-        shape = "circle"
-        if yd.member(pt):
-            style.append("filled")
-        if myd.member(pt):
-            shape = "doublecircle"
-        lines.append(
-            f'  {node} [label="{_FAN_DOT_LABEL[node]}", shape={shape}, '
-            f'style="{",".join(style)}"];'
-        )
-    for a, b in edges:
-        lines.append(f"  {a} -> {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names, edges = _FAN_DOT_EDGES[family]
+    nodes = []
+    for node in names:
+        label, pt = _FAN_DOT_NODES[node]
+        nodes.append((node, label, yd.member(pt), myd.member(pt)))
+    return _dot(nodes, edges)
 
 
 # ---------------------------------------------------------------------
