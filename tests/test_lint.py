@@ -87,3 +87,42 @@ def test_tame_sets_are_built_only_by_the_constructor_and_the_algebra():
     tree = ast.parse(pathlib.Path(fans.__file__).read_text(encoding="utf-8"))
     found = set(builders(tree, "<module>"))
     assert found == {"make_tame", "_combine", "tame_complement", "tame_closure"}
+
+
+def rule_loop_sites(source, engines):
+    """Sites in the named engine classes' methods, the samplers aside,
+    that walk fans one at a time: a for or while statement, a call of
+    ``_fan_region``, or ``dict(<set>.fan_exc)`` passed on."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in engines):
+            continue
+        for method in cls.body:
+            if (not isinstance(method, ast.FunctionDef)
+                    or method.name == "sample_clopen_upsets"):
+                continue
+            for node in ast.walk(method):
+                call = node.func if isinstance(node, ast.Call) else None
+                if isinstance(node, (ast.For, ast.While)):
+                    what = type(node).__name__.lower()
+                elif getattr(call, "attr", getattr(call, "id", None)) == "_fan_region":
+                    what = "_fan_region"
+                elif (getattr(call, "id", None) == "dict" and len(node.args) == 1
+                      and getattr(node.args[0], "attr", None) == "fan_exc"):
+                    what = "dict(fan_exc)"
+                else:
+                    continue
+                found.append(f"{cls.name}.{method.name}:{node.lineno} {what}")
+    return found
+
+
+def test_engine_rules_do_not_walk_the_fans():
+    # the order, core and Scott rules are index-region arithmetic: a
+    # loop over fan indices or a rebuilt exception dict is a second,
+    # slower statement of a rule that the masks already give
+    from priestley import fans
+
+    source = pathlib.Path(fans.__file__).read_text(encoding="utf-8")
+    engines = {cls.__name__ for cls in fans._ENGINES.values()}
+    assert len(engines) == 4
+    assert rule_loop_sites(source, engines) == []
