@@ -819,8 +819,7 @@ class OmegaFansEngine(FanEngine):
         return tame_meet(u, stars)
 
     def points_with_up_inside(self, d):
-        # up(y_i) is y_i, fan i, omega and the blob; up(omega) is omega
-        # and the blob
+        # up(y_i) is y_i, fan i, omega and the blob; up(omega) the last two
         omega = d.spine.flag and d.omega_star
         ups_ok = _fan_pred_region(d, Region.is_full).bits if omega else 0
         mask = make_tame(self.family, FULL_REGION, spine=Region(ups_ok, omega),
@@ -933,8 +932,8 @@ class ChainFansEngine(FanEngine):
         # up(y_i) is y_0..y_i and fans 0..i: the initial run of the
         # indices with y_i in d and fan i whole; up(omega) is everything
         ok = d.spine.bits & _fan_pred_region(d, Region.is_full).bits
-        mask = make_tame(self.family, FULL_REGION,
-                         spine=Region(ok & ~(ok + 1), d == self.full), omega_star=True)
+        spine = Region(ok & ~(ok + 1), d == self.full)  # ok's trailing ones
+        mask = make_tame(self.family, FULL_REGION, spine=spine, omega_star=True)
         return tame_meet(d, mask)
 
     def clop_sup_test(self, u):

@@ -882,10 +882,10 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
     A bound outside 1..MAX_BOUND raises BoundExceeded, an empty
     selection EmptySelection and an unknown id UnknownTheoremId, all
     before any check runs.  A repeated id runs once, at its first
-    place.  Given a dict as
-    ``stats``, the posets are enumerated first and it is filled with
-    ``enumerate_s``, the seconds that took, and ``theorems``: id ->
-    ``cases``, ``failed`` and ``seconds``, in run order.
+    place.  Given a dict as ``stats``, the posets are enumerated first
+    and it is filled with ``enumerate_s``, the seconds that took, and
+    ``theorems``: id -> ``cases``, ``failed`` and ``seconds``, in run
+    order.
     """
     if bound > MAX_BOUND:
         raise BoundExceeded(f"bound {bound} exceeds the configured cap {MAX_BOUND}")

@@ -1,7 +1,8 @@
 """Golden corpus: ``dual``, lattice rejections, ``analyze``, the poset
 enumeration, the nucleus dictionary, the fan engines' operations on
-their samples, their rules on the sparse-shape upsets and the theorem registry's verdicts and witnesses,
-compared byte for byte with the files in ``tests/golden/``.
+their samples and their rules on the sparse-shape upsets, and the
+theorem registry's verdicts and witnesses, compared byte for byte with
+the files in ``tests/golden/``.
 
 Regenerate the files (only when an output change is intended) with::
 
