@@ -160,15 +160,15 @@ def test_usage_error(capsys):
     assert code == 64
 
 
-@pytest.mark.parametrize("argv, bound", [
-    (["--bound", "0"], 0),
-    (["--bound", "-2", "--only", "rho-forms"], -2),
+@pytest.mark.parametrize("argv", [
+    ["--bound", "0"],
+    ["--bound", "-2", "--only", "rho-forms"],
 ])
-def test_verify_rejects_a_bound_below_one(argv, bound, capsys):
+def test_verify_rejects_a_bound_below_one(argv, capsys):
     # a verifier that checks no poset must not report success
     code, out, err = run_cli(["verify"] + argv, capsys)
     assert code == 64 and out == ""
-    assert err == f"bound {bound} is below 1: no poset would be checked\n"
+    assert err == f"bound {argv[1]} is below 1: no poset would be checked\n"
 
 
 @pytest.mark.parametrize("only", [",", " ", "", " , ,"])
