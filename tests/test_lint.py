@@ -126,3 +126,10 @@ def test_engine_rules_do_not_walk_the_fans():
     engines = {cls.__name__ for cls in fans._ENGINES.values()}
     assert len(engines) == 4
     assert rule_loop_sites(source, engines) == []
+    # and the lint sees each kind of site
+    planted = ("class E:\n"
+               "    def core(self, u):\n"
+               "        for i in u: pass\n"
+               "        return u._fan_region(0), dict(u.fan_exc)\n")
+    assert rule_loop_sites(planted, {"E"}) == [
+        "E.core:3 for", "E.core:4 _fan_region", "E.core:4 dict(fan_exc)"]
