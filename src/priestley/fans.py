@@ -1061,7 +1061,9 @@ def tame_to_json(a):
 
 
 def tame_from_json(family, obj):
-    """Parse a tame set; a malformed field raises ValueError naming it."""
+    """Parse a tame set; a malformed field raises ValueError naming it,
+    and a spine the family does not have NotRepresentable naming
+    ``spine``."""
     fans = _object(_object(obj, "tame set").get("fans", {}), "fans")
     default = _region_from_json(fans.get("default", "empty"), "star", "fans.default")
     exc = {}
@@ -1071,5 +1073,10 @@ def tame_from_json(family, obj):
             raise ValueError(f"{field}: a fan index is a decimal string, not {i!r}")
         exc[int(i)] = _region_from_json(r, "star", field)
     spine = _region_from_json(obj.get("spine", "empty"), "omega", "spine")
+    # make_tame would meet the spine into the carrier: refuse it here
+    carrier = _SHAPE[family][1] if family in _SHAPE else FULL_REGION
+    if spine.bits & ~carrier.bits or spine.flag > carrier.flag:
+        raise NotRepresentable(f"spine: {family} has no such spine points: "
+                               f"{obj['spine']!r}")
     omega_star = _flag(obj, "omega_star", "omega_star")
     return make_tame(family, default, exc, spine, omega_star)

@@ -175,11 +175,18 @@ def _cases(tid, check, instances):
 def _register(tid, domain):
     """Register a per-instance check under ``tid``.  The registered
     callable maps (bound, seed) to the cases of every instance of
-    ``domain(bound, seed)``; its ``on`` runs the check on given ones."""
+    ``domain(bound, seed)``; its ``on`` runs the check on given ones.
+    The instances are built once per domain in the dict ``shared``, so
+    the checks that are given one dict share them (and what the
+    instances cache); without one they are built afresh."""
     def register(check):
         @functools.wraps(check)
-        def run(bound, seed=DEFAULT_SEED):
-            return run.on(domain(bound, seed))
+        def run(bound, seed=DEFAULT_SEED, shared=None):
+            shared = {} if shared is None else shared
+            key = (domain, bound, seed)
+            if key not in shared:
+                shared[key] = domain(bound, seed)
+            return run.on(shared[key])
 
         run.on = functools.partial(_cases, tid, check)
         CHECKS[tid] = run
@@ -189,6 +196,7 @@ def _register(tid, domain):
 
 # Instance domains: (bound, seed) -> [(label, args)].  Fan checks get a
 # fresh engine and the sample seed; the finite ones ignore the seed.
+# Nuclei checks get each small poset with a thunk for its nuclei.
 
 
 def _posets(bound, seed):
@@ -200,7 +208,10 @@ def _engines(bound, seed):
 
 
 def _nuclei_spaces(bound, seed):
-    return _posets(min(bound, NUCLEI_BOUND), seed)
+    # the thunk keeps the list it built, but not an error: each check
+    # that asks again fails its own case with it
+    return [(repr(P), (P, functools.cache(functools.partial(_nuclei_of_subsets, P))))
+            for P in posets_up_to(min(bound, NUCLEI_BOUND))]
 
 
 def _fans(bound, seed):
@@ -350,15 +361,16 @@ def check_heyting_adjunction(E):
 
 
 def _nuclei_of_subsets(P):
-    """(N, j_N) for every point subset N of P, as masks, ascending."""
-    for members in range(1 << P.n):
-        yield members, nucleus_of_nuclear(NuclearSet._of_mask(P, members))
+    """(N, j_N) for every point subset N of P, as masks, ascending.
+    The nuclei checks of one run share this list and only read it."""
+    return [(members, nucleus_of_nuclear(NuclearSet._of_mask(P, members)))
+            for members in range(1 << P.n)]
 
 
 @_register("nuclei-galois", _nuclei_spaces)
-def check_nuclei_galois(P):
+def check_nuclei_galois(P, nuclei):
     ok, witness = True, None
-    for members, j in _nuclei_of_subsets(P):
+    for members, j in nuclei():
         if nuclear_of_nucleus(j).mask != members:
             ok, witness = False, f"subset {list(_bits(members))}"
         if nucleus_of_nuclear(nuclear_of_nucleus(j)) != j:
@@ -367,9 +379,9 @@ def check_nuclei_galois(P):
 
 
 @_register("nuclei-order-reversal", _nuclei_spaces)
-def check_nuclei_order_reversal(P):
+def check_nuclei_order_reversal(P, nuclei):
     ok, witness = True, None
-    js = [j for _, j in _nuclei_of_subsets(P)]
+    js = [j for _, j in nuclei()]
     for a in range(1 << P.n):
         for b in range(1 << P.n):
             if (a & ~b == 0) != js[b].leq(js[a]):
@@ -378,11 +390,11 @@ def check_nuclei_order_reversal(P):
 
 
 @_register("upset-Nj-eq-Fj", _nuclei_spaces)
-def check_upset_nj_eq_fj(P):
+def check_upset_nj_eq_fj(P, nuclei):
     """The admissible upset of a nucleus is the up-closure of its nuclear set."""
     ok, witness = True, None
     up = closure_tables(P).up
-    for members, j in _nuclei_of_subsets(P):
+    for members, j in nuclei():
         try:
             h = admissible_upset(j)
         except InternalAssertionError:
@@ -394,10 +406,10 @@ def check_upset_nj_eq_fj(P):
 
 
 @_register("dense-iff-cofinal", _nuclei_spaces)
-def check_dense_iff_cofinal(P):
+def check_dense_iff_cofinal(P, nuclei):
     ok, witness = True, None
     maxx = _mask(extrema(P, range(P.n), "max"))
-    for members, j in _nuclei_of_subsets(P):
+    for members, j in nuclei():
         dense = j.masks[0] == 0
         cofinal = maxx & ~members == 0
         if dense != cofinal:
@@ -406,32 +418,31 @@ def check_dense_iff_cofinal(P):
 
 
 @_register("max-least-cofinal", _nuclei_spaces)
-def check_max_least_cofinal(P):
+def check_max_least_cofinal(P, nuclei):
     """max X is a nuclear set, cofinal, and contained in every cofinal one."""
     ok, witness = True, None
     maxx = _mask(extrema(P, range(P.n), "max"))
     if nuclear_of_nucleus(double_negation(P)).mask != maxx:
         ok, witness = False, "double negation nuclear set"
-    for members in range(1 << P.n):
+    for members, j in nuclei():
         if maxx & ~members == 0:
             continue
         # not cofinal: fine; cofinal ones must contain max X, which
         # is immediate from the definition, so check the dense side
-        j = nucleus_of_nuclear(NuclearSet._of_mask(P, members))
         if density_check(j)["dense"]:
             ok, witness = False, f"dense nucleus from {list(_bits(members))}"
     return ok, witness
 
 
 @_register("booleanization-sublocale", _nuclei_spaces)
-def check_booleanization(P):
+def check_booleanization(P, nuclei):
     """Fixpoints of double negation form a sublocale inside every dense one."""
     try:
         booleans = {_mask(u) for u in booleanization(P)}
     except InternalAssertionError:
         return False, "sublocale laws"
     ok, witness = True, None
-    for members, j in _nuclei_of_subsets(P):
+    for members, j in nuclei():
         if density_check(j)["dense"]:
             fix = {u for u, v in j.masks.items() if u == v}
             if not booleans <= fix:
@@ -440,10 +451,10 @@ def check_booleanization(P):
 
 
 @_register("lemma-nj-restrict", _nuclei_spaces)
-def check_lemma_nj_restrict(P):
+def check_lemma_nj_restrict(P, nuclei):
     """U and jU agree when restricted to the nuclear set."""
     ok, witness = True, None
-    for members, j in _nuclei_of_subsets(P):
+    for members, j in nuclei():
         for u, v in j.masks.items():
             if u & members != v & members:
                 ok, witness = False, f"{list(_bits(members))} at {list(_bits(u))}"
@@ -451,16 +462,16 @@ def check_lemma_nj_restrict(P):
 
 
 @_register("sublocale-roundtrip", _nuclei_spaces)
-def check_sublocale_roundtrip(P):
+def check_sublocale_roundtrip(P, nuclei):
     ok, witness = True, None
-    for members, j in _nuclei_of_subsets(P):
+    for members, j in nuclei():
         if nucleus_of_sublocale(P, sublocale_of_nucleus(j)) != j:
             ok, witness = False, f"subset {list(_bits(members))}"
     return ok, witness
 
 
 @_register("inductive-core-collapse", _nuclei_spaces)
-def check_inductive_core_collapse(P):
+def check_inductive_core_collapse(P, nuclei):
     """Every nuclear set of a finite space is inductive, witnessed on
     both sides: up(F & N) is a Scott upset for every Scott upset F, and
     jU equals the closure of the union of jV over upsets V inside U (a
@@ -468,7 +479,7 @@ def check_inductive_core_collapse(P):
     ok, witness = True, None
     ups = upset_masks(P)
     up = closure_tables(P).up
-    for members, j in _nuclei_of_subsets(P):
+    for members, j in nuclei():
         for f in ups:
             lifted = up[f & members]
             if up[lifted] != lifted:
@@ -483,10 +494,14 @@ def check_inductive_core_collapse(P):
 def _d_table(E):
     """dU for every upset, via the closure-of-union-of-double-negations
     form (the union ranges over all upsets inside U: in the finite case
-    every upset is a clopen Scott upset), taken over lower covers."""
-    ups = E.all_upsets()
-    unions = sub_upset_unions(E.poset, [sp.double_neg(E, v) for v in ups])
-    return {u: E.closure(acc) for u, acc in zip(ups, unions)}
+    every upset is a clopen Scott upset), taken over lower covers.
+    Cached on the engine, like Y_d; callers only read the table."""
+    table = getattr(E, "_d_table_cache", None)
+    if table is None:
+        ups = E.all_upsets()
+        unions = sub_upset_unions(E.poset, [sp.double_neg(E, v) for v in ups])
+        table = E._d_table_cache = {u: E.closure(acc) for u, acc in zip(ups, unions)}
+    return table
 
 
 def _d_fixed_upsets(E, ups, table):
@@ -774,12 +789,20 @@ def check_fan_d_laws(E, seed):
     dU = U** on clopen Scott upsets."""
     samples = E.sample_clopen_upsets(SAMPLE_COUNT, seed=seed)
     nd = sp.nd_set(E)
-    ds = []
-    for u in samples:
-        du = sp.d_apply(E, u)
+    # d of each distinct set, computed once: samples repeat, d of a
+    # sample is often a sample, and so are many meets of two
+    d = {}
+
+    def d_of(u):
+        if u not in d:
+            d[u] = sp.d_apply(E, u)
+        return d[u]
+
+    for u in dict.fromkeys(samples):
+        du = d_of(u)
         if not sp.subset(E, u, du):
             return False, f"not inflationary at {E.describe_set(u)}"
-        if sp.d_apply(E, du) != du:
+        if d_of(du) != du:
             return False, f"not idempotent at {E.describe_set(u)}"
         if du != E.diff(E.full, E.down(E.diff(nd, u))):
             return False, f"nuclear form differs at {E.describe_set(u)}"
@@ -788,17 +811,14 @@ def check_fan_d_laws(E, seed):
             return False, f"Scott test differs at {E.describe_set(u)}"
         if scott and du != sp.double_neg(E, u):
             return False, f"dU != U** at {E.describe_set(u)}"
-        ds.append(du)
     witness = None
-    for u, du in zip(samples[:12], ds):
-        for v, dv in zip(samples[:12], ds):
-            lhs = sp.d_apply(E, E.meet(u, v))
-            rhs = E.meet(du, dv)
-            if lhs != rhs:
+    for u in samples[:12]:
+        for v in samples[:12]:
+            if d_of(E.meet(u, v)) != E.meet(d[u], d[v]):
                 witness = f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
     if witness is not None:
         return False, witness
-    return sp.d_apply(E, E.empty) == E.empty, "d is not dense"
+    return d_of(E.empty) == E.empty, "d is not dense"
 
 
 _EXPECTED_FIGURES = {
@@ -845,22 +865,24 @@ def check_fan_tame_soundness(E, seed):
     """Canonical uniqueness plus pointwise soundness of the Boolean ops
     at every representative class of the operands."""
     samples = E.sample_clopen_upsets(SAMPLE_COUNT, seed=seed)
+    full_reps = E.member_reps(E.full)
     for a in samples:
         twin = tame_meet(a, E.full)
         if twin != a and all(
             twin.member(p) == a.member(p)
-            for p in E.member_reps(E.full) + E.member_reps(a)
+            for p in full_reps + E.member_reps(a)
         ):
             return False, f"canonical forms differ for equal sets: {E.describe_set(a)}"
         if not tame_is_open(a) or not tame_is_closed(a):
             return False, f"sample not clopen: {E.describe_set(a)}"
     ok, witness = True, None
+    complements = {a: tame_complement(a) for a in dict.fromkeys(samples[:10])}
     for a in samples[:10]:
+        c = complements[a]
         for b in samples[:10]:
             m = tame_meet(a, b)
             j = tame_join(a, b)
-            c = tame_complement(a)
-            for p in E.member_reps(j) + E.member_reps(E.full):
+            for p in E.member_reps(j) + full_reps:
                 if m.member(p) != (a.member(p) and b.member(p)):
                     ok, witness = False, f"meet at {p}"
                 if j.member(p) != (a.member(p) or b.member(p)):
@@ -886,6 +908,12 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
     and it is filled with ``enumerate_s``, the seconds that took, and
     ``theorems``: id -> ``cases``, ``failed`` and ``seconds``, in run
     order.
+
+    The checks of one call share their instances: each domain is built
+    once, by the first check that uses it, and what an instance caches
+    (an engine's Y_d and d table, a small poset's nuclei) is computed by
+    the first check that asks for it; those checks' seconds include
+    that work.  Nothing is kept once the call returns.
     """
     if bound > MAX_BOUND:
         raise BoundExceeded(f"bound {bound} exceeds the configured cap {MAX_BOUND}")
@@ -903,9 +931,10 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
         stats["enumerate_s"] = time.perf_counter() - t0
         stats["theorems"] = {}
     cases = []
+    shared = {}
     for tid in theorem_ids:
         t0 = time.perf_counter()
-        found = CHECKS[tid](bound, seed=seed)
+        found = CHECKS[tid](bound, seed=seed, shared=shared)
         if stats is not None:
             stats["theorems"][tid] = {
                 "cases": len(found),

@@ -133,3 +133,48 @@ def test_engine_rules_do_not_walk_the_fans():
                "        return u._fan_region(0), dict(u.fan_exc)\n")
     assert rule_loop_sites(planted, {"E"}) == [
         "E.core:3 for", "E.core:4 _fan_region", "E.core:4 dict(fan_exc)"]
+
+
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def module_level_containers(source):
+    """Names bound at module level to a mutable container (a display, a
+    comprehension or a container constructor), and module-level
+    functions memoized by ``functools.cache`` or ``lru_cache``."""
+    def name(node):
+        return getattr(node, "attr", getattr(node, "id", None))
+
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, MUTABLE_NODES) or (
+                    isinstance(value, ast.Call) and name(value.func) in MUTABLE_CALLS):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [name(t) for t in targets]
+        elif isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                if name(dec.func if isinstance(dec, ast.Call) else dec) in (
+                        "cache", "lru_cache"):
+                    found.append(node.name)
+    return found
+
+
+def test_the_oracle_keeps_instance_data_only_per_run():
+    # engines, Y_d, d tables and nuclei are shared within one run_suite
+    # call and dropped after it; a module-level cache would let a fault
+    # planted in a later run read a clean value from an earlier one
+    from priestley import oracle
+
+    source = pathlib.Path(oracle.__file__).read_text(encoding="utf-8")
+    assert sorted(module_level_containers(source)) == sorted(
+        ["CHECKS", "MUTATIONS", "_POSET_MEMO", "_EXPECTED_FIGURES"])
+    # and the lint sees each kind of container
+    planted = ("import functools\n"
+               "A = {}\nB: list = []\nC = set()\nD = {k: 1 for k in 'ab'}\n"
+               "E = (1, 2)\nF = frozenset()\n"
+               "@functools.lru_cache(maxsize=None)\ndef g(x): return x\n"
+               "@functools.cache\ndef h(x): return x\n")
+    assert module_level_containers(planted) == ["A", "B", "C", "D", "g", "h"]

@@ -131,6 +131,79 @@ def test_an_internal_assertion_fails_its_case(monkeypatch):
         c.witness == "Y_d antichain test disagrees with max Y = Y_d" for c in failed)
 
 
+# Each fault changes one cached quantity and leaves alone at least one
+# side it is compared with, so a clean value kept from an earlier run
+# would hide it: localic_part changes Y_d (eqv-conditions-rmax compares
+# it with three other forms), closure changes the d table and d.
+RUN_SCOPED_IDS = ["eqv-conditions-rmax", "unit-criteria", "d-is-double-negation"]
+ENGINE_FAULTS = [
+    ("localic_part", lambda E: E.full & ~1,
+     {"eqv-conditions-rmax", "unit-criteria"}),
+    ("closure", lambda E, a: E.full if a else a,
+     {"eqv-conditions-rmax", "d-is-double-negation"}),
+]
+
+
+@pytest.mark.parametrize("method, fault, caught", ENGINE_FAULTS,
+                         ids=[f[0] for f in ENGINE_FAULTS])
+def test_nothing_cached_outlives_a_run(monkeypatch, method, fault, caught):
+    assert all(c.ok() for c in oracle.run_suite(RUN_SCOPED_IDS, bound=3))
+    monkeypatch.setattr(sp.FiniteEngine, method, fault)
+    failed = [c for c in oracle.run_suite(RUN_SCOPED_IDS, bound=3) if not c.ok()]
+    assert all(c.witness for c in failed)
+    assert {c.theorem_id for c in failed} == caught
+
+
+def test_a_run_builds_one_engine_and_one_y_d_per_poset(monkeypatch):
+    engines = []
+    init = sp.FiniteEngine.__init__
+
+    def counted_init(E, P):
+        engines.append(P)
+        init(E, P)
+
+    tested = []
+    yd_contains = sp.yd_contains
+
+    def counted_yd_contains(E, y):
+        if isinstance(E, sp.FiniteEngine):
+            tested.append((id(E.poset), y))
+        return yd_contains(E, y)
+
+    monkeypatch.setattr(sp.FiniteEngine, "__init__", counted_init)
+    monkeypatch.setattr(sp, "yd_contains", counted_yd_contains)
+    posets = oracle.posets_up_to(4)
+    assert all(c.ok() for c in oracle.run_suite(bound=4))
+    assert len(engines) == len(posets)
+    # Y_d tests every point of its poset once
+    assert sorted(tested) == sorted((id(P), y) for P in posets for y in range(P.n))
+
+
+NUCLEI_IDS = [
+    "nuclei-galois", "nuclei-order-reversal", "upset-Nj-eq-Fj",
+    "dense-iff-cofinal", "max-least-cofinal", "booleanization-sublocale",
+    "lemma-nj-restrict", "sublocale-roundtrip", "inductive-core-collapse",
+]
+
+
+def test_a_failing_nuclei_build_fails_only_its_own_case(monkeypatch):
+    posets = oracle.posets_up_to(3)
+    target = posets[3]
+    nucleus_of_nuclear = oracle.nucleus_of_nuclear
+
+    def planted(N):
+        if N.space is target:
+            raise ValueError("planted build failure")
+        return nucleus_of_nuclear(N)
+
+    monkeypatch.setattr(oracle, "nucleus_of_nuclear", planted)
+    cases = oracle.run_suite(NUCLEI_IDS, bound=3)
+    for tid in NUCLEI_IDS:
+        mine = [c for c in cases if c.theorem_id == tid]
+        assert [c.ok() for c in mine] == [P is not target for P in posets], tid
+        assert mine[3].witness == "planted build failure", tid
+
+
 def _counting(monkeypatch, name):
     """Replace ``spectrum.<name>`` with a wrapper that records arguments."""
     seen = []
@@ -146,12 +219,29 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fan_d_laws_computes_each_d_once(monkeypatch, family):
-    # dU and dV of the meet law are the ones the sample loop computed
+    # samples repeat, d of a sample and many meets of two are samples:
+    # d of each distinct set is computed once and looked up after
     calls = _counting(monkeypatch, "d_apply")
     E = engine_for(family)
     cases = oracle.check_fan_d_laws.on([(E.name, (E, oracle.DEFAULT_SEED))])
     assert [c.ok() for c in cases] == [True]
-    assert len(calls) <= 2 * oracle.SAMPLE_COUNT + 144 + 1
+    assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fan_tame_soundness_complements_each_set_once(monkeypatch, family):
+    seen = []
+    complement = oracle.tame_complement
+
+    def counted(a):
+        seen.append(a)
+        return complement(a)
+
+    monkeypatch.setattr(oracle, "tame_complement", counted)
+    E = engine_for(family)
+    cases = oracle.check_fan_tame_soundness.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    assert [c.ok() for c in cases] == [True]
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_d_table_double_negates_each_upset_once(monkeypatch):

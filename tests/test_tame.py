@@ -292,6 +292,21 @@ def test_tame_from_json_names_the_field_at_fault(obj, field):
     assert str(info.value).startswith(field + ":"), info.value
 
 
+@pytest.mark.parametrize("family, spine", [
+    ("fan_plus_bottom", {"mode": "fin", "set": [5]}),
+    ("fan_plus_bottom", {"mode": "fin", "set": [0, 1]}),
+    ("fan_plus_bottom", {"mode": "fin", "set": [0], "omega": True}),
+    ("fan_plus_bottom", "full"),
+    ("bare_fan", {"mode": "fin", "set": [0]}),
+    ("bare_fan", {"mode": "fin", "set": [], "omega": True}),
+])
+def test_tame_from_json_names_a_spine_outside_the_family(family, spine):
+    # fan_plus_bottom's spine is the one point y, bare_fan has none
+    with pytest.raises(NotRepresentable) as info:
+        tame_from_json(family, {"spine": spine})
+    assert str(info.value).startswith("spine:"), info.value
+
+
 # -- arbitrary tame sets against pointwise membership --------------------
 
 FAR = 6  # every drawn exception index, of fans and of points, is below FAR
