@@ -32,10 +32,13 @@ from .poset import (
     FinitePoset,
     _bits,
     _mask,
-    enumerate_upsets,
-    order_closure,
+    _mask_union,
+    closure_tables,
+    mask_of,
     poset_from_json,
+    set_of,
     sub_upset_unions,
+    upset_index,
     upset_lower_covers,
     upset_masks,
 )
@@ -49,7 +52,7 @@ class DistLattice:
     """
 
     __slots__ = ("labels", "up", "down", "meet", "join", "bottom", "top",
-                 "space", "member_sets", "_index", "_dual")
+                 "space", "_index", "_dual")
 
     def __init__(self, labels, up, down, meet, join, bottom, top):
         self.labels = tuple(labels)
@@ -59,8 +62,7 @@ class DistLattice:
         self.join = join
         self.bottom = int(bottom)
         self.top = int(top)
-        self.space = None        # set by clopen_upset_lattice
-        self.member_sets = None  # parallel tuple of frozensets, same source
+        self.space = None  # set by clopen_upset_lattice
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._dual = None
 
@@ -81,21 +83,30 @@ class DistLattice:
         return f"DistLattice({self.n} elements, bottom={self.labels[self.bottom]!r}, top={self.labels[self.top]!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClopenUpset:
-    """An upward-closed point set of a finite Priestley space."""
+    """An upward-closed point set of a finite Priestley space.
+
+    ``mask`` holds the points (bit i for point i); ``members`` is the
+    same set as a frozenset.
+    """
 
     space: FinitePoset
-    members: frozenset
+    mask: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        self.space._check_points(self.members)
-        if not self.space.is_upset(self.members):
-            raise NotAnUpset(f"{sorted(self.members)} is not an upset")
+    def __init__(self, space, members):
+        mask = mask_of(space, members)
+        if _mask_union(space.up, mask) != mask:
+            raise NotAnUpset(f"{list(_bits(mask))} is not an upset")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+
+    @property
+    def members(self):
+        return set_of(self.mask)
 
     def labels(self):
-        return sorted(self.space.labels[i] for i in self.members)
+        return sorted(self.space.labels[i] for i in _bits(self.mask))
 
 
 def validate_lattice(P, bottom=None, top=None):
@@ -201,8 +212,7 @@ def stone_map(D, a):
         raise UnknownElement(f"element index {a} out of range")
     space = priestley_dual(D)
     ji = D._dual[1]
-    members = frozenset(i for i, p in enumerate(ji) if D.le(p, a))
-    return ClopenUpset(space, members)
+    return ClopenUpset(space, (i for i, p in enumerate(ji) if D.le(p, a)))
 
 
 def clopen_upset_lattice(X):
@@ -215,7 +225,7 @@ def clopen_upset_lattice(X):
     above U_k, is built the same way downward from the largest upset.
     """
     masks = upset_masks(X)
-    index = {u: i for i, u in enumerate(masks)}
+    index = upset_index(X)
     down = sub_upset_unions(X, [1 << k for k in range(len(masks))])
     up = [1 << k for k in range(len(masks))]
     lower = upset_lower_covers(X)
@@ -224,34 +234,28 @@ def clopen_upset_lattice(X):
             up[c] |= up[k]
     meet = tuple(tuple(index[u & v] for v in masks) for u in masks)
     join = tuple(tuple(index[u | v] for v in masks) for u in masks)
-    member_sets = tuple(enumerate_upsets(X))
-    labels = [_upset_label(X, u) for u in member_sets]
+    labels = [_upset_label(X, u) for u in masks]
     D = DistLattice(labels, tuple(up), tuple(down), meet, join, index[0],
                     index[(1 << X.n) - 1])
     D.space = X
-    D.member_sets = member_sets
     return D
 
 
-def _upset_label(X, members):
-    if not members:
-        return "{}"
-    return "{" + ",".join(sorted(X.labels[i] for i in members)) + "}"
+def _upset_label(X, mask):
+    return "{" + ",".join(sorted(X.labels[i] for i in _bits(mask))) + "}"
 
 
 # -- Heyting structure on upsets ---------------------------------------
 
 
-def pseudocomplement_set(X, members):
-    """U* = X minus the downset of U (as index sets)."""
-    full = frozenset(range(X.n))
-    return full - order_closure(X, members, "down")
+def pseudocomplement_set(X, u):
+    """U* = X minus the downset of U, for the upset mask u."""
+    return (1 << X.n) - 1 & ~closure_tables(X).down[u]
 
 
 def implies_set(X, u, v):
-    """U -> V = X minus the downset of (U minus V)."""
-    full = frozenset(range(X.n))
-    return full - order_closure(X, u - v, "down")
+    """U -> V = X minus the downset of (U minus V), for upset masks."""
+    return (1 << X.n) - 1 & ~closure_tables(X).down[u & ~v]
 
 
 def heyting(X, U, V=None, op="implies"):
@@ -263,11 +267,11 @@ def heyting(X, U, V=None, op="implies"):
     if U.space is not X:
         raise SpaceMismatch("U lives on a different space")
     if op == "pseudocomplement":
-        return ClopenUpset(X, pseudocomplement_set(X, U.members))
+        return ClopenUpset(X, _bits(pseudocomplement_set(X, U.mask)))
     if op == "implies":
         if V is None or V.space is not X:
             raise SpaceMismatch("V missing or on a different space")
-        return ClopenUpset(X, implies_set(X, U.members, V.members))
+        return ClopenUpset(X, _bits(implies_set(X, U.mask, V.mask)))
     raise ValueError(f"unknown Heyting op {op!r}")
 
 

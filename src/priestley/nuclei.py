@@ -21,10 +21,12 @@ rejected table.
 
 Point sets are int bitmasks here (bit i for point i): a nucleus holds
 ``masks``, upset mask -> image mask in ``upset_masks`` order, and a
-nuclear set holds ``mask``.  Frozensets appear only at the public
-boundary: ``validate_nucleus``, ``nucleus_from_json`` and ``NuclearSet``
-convert their input once; ``j(U)``, the cached view ``j.table``,
-``.members``, ``admissible_upset`` and ``booleanization`` return them.
+nuclear set holds ``mask``.  Point sets from outside pass through
+:func:`~priestley.poset.mask_of` once (``validate_nucleus``, ``j(U)``,
+``NuclearSet``); frozensets are made by
+:func:`~priestley.poset.set_of` only on the way out (``j(U)``,
+``.members``, ``admissible_upset``, ``booleanization``, the errors), and
+``j.table`` is the one cached frozenset view.
 """
 
 from __future__ import annotations
@@ -42,15 +44,8 @@ from .errors import (
     UnknownLabel,
 )
 from .poset import (FinitePoset, _bits, _mask, closure_tables, enumerate_upsets,
-                    extrema, order_closure, upset_masks, upset_meet_splits,
-                    upset_views)
-
-
-def _mask_of(space, members):
-    """The mask of a point set given from outside, its points checked."""
-    members = tuple(members)
-    space._check_points(members)
-    return _mask(members)
+                    extrema, mask_of, order_closure, set_of, upset_index,
+                    upset_masks, upset_meet_splits)
 
 
 class Nucleus:
@@ -78,22 +73,22 @@ class Nucleus:
 
     def __init__(self, space, masks):
         ups = upset_masks(space)
-        views = upset_views(space)
-        if masks.keys() != views.keys():
+        index = upset_index(space)
+        if masks.keys() != index.keys():
             raise ValueError("table must be total on the upsets of the space")
         masks = {u: masks[u] for u in ups}
         for u, v in masks.items():
-            if v not in views:
+            if v not in index:
                 raise ValueError(f"image of {list(_bits(u))} is not an upset")
         for u, v in masks.items():
             if u & ~v:
-                raise NotInflationary(views[u])
+                raise NotInflationary(set_of(u))
         for u, v in masks.items():
             if masks[v] != v:
-                raise NotIdempotent(views[u])
+                raise NotIdempotent(set_of(u))
         if not _meets_preserved(space, masks):
             u, v = _first_unmet_pair(ups, masks)
-            raise NotMeetPreserving(views[u], views[v])
+            raise NotMeetPreserving(set_of(u), set_of(v))
         self.space = space
         self.masks = masks
         self._table = None
@@ -102,15 +97,14 @@ class Nucleus:
     def table(self):
         """The table as upset frozenset -> image frozenset (cached)."""
         if self._table is None:
-            views = upset_views(self.space)
-            self._table = {views[u]: views[v] for u, v in self.masks.items()}
+            self._table = {set_of(u): set_of(v) for u, v in self.masks.items()}
         return self._table
 
     def __call__(self, u):
-        m = _mask_of(self.space, u)
+        m = mask_of(self.space, u)
         if m not in self.masks:
             raise NotAnUpset(f"{list(_bits(m))} is not an upset")
-        return upset_views(self.space)[self.masks[m]]
+        return set_of(self.masks[m])
 
     def __eq__(self, other):
         return (
@@ -172,7 +166,7 @@ class NuclearSet:
 
     def __init__(self, space, members):
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", _mask_of(space, members))
+        object.__setattr__(self, "mask", mask_of(space, members))
 
     @classmethod
     def _of_mask(cls, space, mask):
@@ -183,13 +177,13 @@ class NuclearSet:
 
     @property
     def members(self):
-        return frozenset(_bits(self.mask))
+        return set_of(self.mask)
 
 
 def validate_nucleus(space, raw_table):
     """Table of point sets in, Nucleus out; errors carry the first
     violating upset(s)."""
-    return Nucleus(space, {_mask_of(space, u): _mask_of(space, v)
+    return Nucleus(space, {mask_of(space, u): mask_of(space, v)
                            for u, v in raw_table.items()})
 
 
@@ -228,7 +222,7 @@ def admissible_upset(j):
     for u, v in j.masks.items():
         if v == full:
             h &= u
-    h = upset_views(space)[h]
+    h = set_of(h)
     if h != order_closure(space, _bits(_nuclear_mask(j)), "up"):
         raise InternalAssertionError("admissible upset differs from up(N_j)")
     return h
@@ -242,11 +236,8 @@ def double_negation(space):
     """The nucleus U |-> U**; its nuclear set is max X."""
     from . import birkhoff
 
-    j = Nucleus(space, {
-        u: _mask(birkhoff.pseudocomplement_set(
-            space, birkhoff.pseudocomplement_set(space, s)))
-        for u, s in zip(upset_masks(space), enumerate_upsets(space))
-    })
+    pc = birkhoff.pseudocomplement_set
+    j = Nucleus(space, {u: pc(space, pc(space, u)) for u in upset_masks(space)})
     if _nuclear_mask(j) != _maximal_mask(space):
         raise InternalAssertionError("double negation nuclear set is not max X")
     return j
@@ -268,14 +259,14 @@ def booleanization(space):
         if u & v not in fixset:
             raise InternalAssertionError("fixpoints not closed under meets")
     # a -> s stays a fixpoint for every upset a
-    views = upset_views(space)
-    for a in enumerate_upsets(space):
+    for a in upset_masks(space):
         for s in fix:
-            if _mask(birkhoff.implies_set(space, a, views[s])) not in fixset:
+            if birkhoff.implies_set(space, a, s) not in fixset:
                 raise InternalAssertionError(
                     "fixpoints not closed under Heyting implication"
                 )
-    return [views[u] for u in fix]
+    return [s for s, (u, v) in zip(enumerate_upsets(space), j.masks.items())
+            if u == v]
 
 
 def density_check(j):

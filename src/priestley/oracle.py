@@ -67,8 +67,8 @@ from .nuclei import (
     sublocale_of_nucleus,
 )
 from .poset import (FinitePoset, _bits, _mask, _mask_union, _restrict, canonical_form,
-                    closure_tables, enumerate_upsets, extrema, order_closure,
-                    relabel_canonically, sub_upset_unions, upset_masks)
+                    closure_tables, extrema, relabel_canonically, sub_upset_unions,
+                    upset_index, upset_masks)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -233,7 +233,7 @@ def check_duality_round_trip(P):
     send = {}
     ok = X2.n == P.n
     if ok:
-        member_index = {u: i for i, u in enumerate(upset_masks(L.space))}
+        member_index = upset_index(L.space)
         dual_index = {e: i for i, e in enumerate(ji)}
         for x in range(P.n):
             e = member_index.get(P.up[x])
@@ -255,9 +255,9 @@ def check_duality_round_trip(P):
     except WorkbenchError:
         return True, None
     E = clopen_upset_lattice(priestley_dual(D))
-    idx = {u: i for i, u in enumerate(upset_masks(E.space))}
+    idx = upset_index(E.space)
     try:
-        snd = [idx[_mask(stone_map(D, a).members)] for a in range(D.n)]
+        snd = [idx[stone_map(D, a).mask] for a in range(D.n)]
     except KeyError:
         snd = None
     if snd is None or sorted(snd) != list(range(E.n)):
@@ -283,7 +283,7 @@ def check_stone_embedding(P):
     except WorkbenchError:
         return None
     ok, witness = True, None
-    images = [_mask(stone_map(D, a).members) for a in range(D.n)]
+    images = [stone_map(D, a).mask for a in range(D.n)]
     for a, phi_a in enumerate(images):
         for b, phi_b in enumerate(images):
             if D.le(a, b) != (phi_a & ~phi_b == 0):
@@ -297,8 +297,8 @@ def check_priestley_separation(P):
     for x in range(P.n):
         for y in range(P.n):
             if not P.le(x, y):
-                u = P.up_set(x)
-                if x not in u or y in u:
+                u = P.up[x]
+                if not u >> x & 1 or u >> y & 1:
                     ok, witness = False, f"{P.labels[x]} vs {P.labels[y]}"
     return ok, witness
 
@@ -595,12 +595,12 @@ def check_regularity_equivalences(E):
     reg = sp.regularity_suite(E)
     sub = _subposet(E.poset, _bits(sp.nd_set(E)))
     lreg = True
-    upsets = enumerate_upsets(sub)
-    downs = [order_closure(sub, v, "down") for v in upsets]
+    upsets = upset_masks(sub)
+    down = closure_tables(sub).down
     for u in upsets:
-        regpart = frozenset()
-        for v, down_v in zip(upsets, downs):
-            if down_v <= u:
+        regpart = 0
+        for v in upsets:
+            if down[v] & ~u == 0:
                 regpart |= v
         if regpart != u:
             lreg = False
@@ -635,14 +635,8 @@ def check_min_yd_homeomorphism(E):
     ups = E.all_upsets()
     points = E.member_reps(m)
     image = {y: E.diff(E.full, E.down(E.point_set(y))) for y in points}
-    subspace_opens = {
-        frozenset(y for y in points if u >> y & 1)
-        for u in ups
-    }
-    hull_kernel_opens = {
-        frozenset(y for y in points if u & ~image[y] != 0)
-        for u in ups
-    }
+    subspace_opens = {u & m for u in ups}
+    hull_kernel_opens = {_mask(y for y in points if u & ~image[y] != 0) for u in ups}
     return (subspace_opens == hull_kernel_opens,
             f"open families differ on {E.describe_set(m)}")
 

@@ -4,17 +4,18 @@ Points carry opaque string labels but are addressed by dense integer
 indices everywhere else.  The order is stored as read-only bitmask rows
 (bit j of ``up[i]`` is set iff point i lies below point j, and ``down``
 is the transpose), validated for reflexivity, antisymmetry and
-transitivity at construction.  Point sets in the public API are exact
-``frozenset``s of indices, cached per poset; equality is always exact,
-never tolerance-based.  Iteration orders are deterministic so
-downstream reports are byte-identical across runs.
+transitivity at construction.  Point sets are int masks too (bit i for
+point i); the public API takes and returns ``frozenset``s of indices,
+converted at the boundary by :func:`mask_of` and :func:`set_of` alone.
+Equality is always exact, never tolerance-based.  Iteration orders are
+deterministic so downstream reports are byte-identical across runs.
 
-Beside its upset masks a poset caches structural tables, each built on
-first use: the up- and down-closure of a point mask
-(:func:`closure_tables`), the lower covers of each upset in the upset
-lattice (:func:`upset_lower_covers`, which turns a union over all
-sub-upsets into U*n steps) and one meet split per upset
-(:func:`upset_meet_splits`, which nucleus validation reads).
+Beside its upset masks and their index (:func:`upset_index`) a poset
+caches structural tables, each built on first use: the up- and
+down-closure of a point mask (:func:`closure_tables`), the lower covers
+of each upset in the upset lattice (:func:`upset_lower_covers`, which
+turns a union over all sub-upsets into U*n steps) and one meet split
+per upset (:func:`upset_meet_splits`, which nucleus validation reads).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class FinitePoset:
     discrete, so the order carries all the structure.
     """
 
-    __slots__ = ("labels", "up", "down", "_index", "_up_sets", "_upsets",
+    __slots__ = ("labels", "up", "down", "_index", "_upset_index",
                  "_upset_masks", "_closures", "_lower_covers", "_splits",
                  "_covers", "_canon")
 
@@ -82,8 +83,7 @@ class FinitePoset:
         self.up = up
         self.down = tuple(down)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._up_sets = None
-        self._upsets = None
+        self._upset_index = None
         self._upset_masks = None
         self._closures = None
         self._lower_covers = None
@@ -106,11 +106,6 @@ class FinitePoset:
     def le(self, i, j):
         return bool(self.up[i] >> j & 1)
 
-    def up_set(self, i):
-        if self._up_sets is None:
-            self._up_sets = tuple(frozenset(_bits(m)) for m in self.up)
-        return self._up_sets[i]
-
     def covers(self):
         """Cover pairs (i, j) with j covering i, for Hasse diagrams."""
         if self._covers is None:
@@ -121,16 +116,6 @@ class FinitePoset:
                 for j in _bits(m & ~_mask_union(strict, m))
             )
         return self._covers
-
-    def is_upset(self, members):
-        m = _mask(members)
-        return _mask_union(self.up, m) == m
-
-    def _check_points(self, members):
-        n = len(self.labels)
-        for i in members:
-            if not (isinstance(i, int) and 0 <= i < n):
-                raise UnknownPoint(f"point index {i!r} out of range")
 
     # -- equality / hashing -----------------------------------------
 
@@ -191,34 +176,49 @@ def build_poset(labels, covers):
     return FinitePoset(labels, up)
 
 
+# -- point sets at the public boundary --------------------------------
+
+
+def mask_of(P, members):
+    """The mask of a point set given from outside; each point must be an
+    index of P (an int, not a bool, in range)."""
+    n = P.n
+    out = 0
+    for i in members:
+        if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < n:
+            raise UnknownPoint(f"point index {i!r} out of range")
+        out |= 1 << i
+    return out
+
+
+def set_of(mask):
+    """The points of a mask as a frozenset of indices, the one form in
+    which the package hands a point set out."""
+    return frozenset(_bits(mask))
+
+
 def order_closure(P, members, direction):
     """Upward or downward closure of a point set."""
-    members = frozenset(members)
-    P._check_points(members)
+    m = mask_of(P, members)
     if direction == "up":
-        rows = P.up
+        table = closure_tables(P).up
     elif direction == "down":
-        rows = P.down
+        table = closure_tables(P).down
     else:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
-    out = 0
-    for i in members:  # no mask round trip: the nuclei path's hottest call
-        out |= rows[i]
-    return frozenset(_bits(out))
+    return set_of(table[m])
 
 
 def extrema(P, members, which):
     """Minimal or maximal elements of a subset in the induced order."""
-    members = frozenset(members)
-    P._check_points(members)
+    m = mask_of(P, members)
     if which == "min":
         rows = P.down
     elif which == "max":
         rows = P.up
     else:
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
-    m = _mask(members)
-    return frozenset(i for i in members if rows[i] & m == 1 << i)
+    return set_of(_mask(i for i in _bits(m) if rows[i] & m == 1 << i))
 
 
 def upset_masks(P):
@@ -228,6 +228,13 @@ def upset_masks(P):
         found.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
         P._upset_masks = tuple(found)
     return P._upset_masks
+
+
+def upset_index(P):
+    """Upset mask -> its position in :func:`upset_masks`, cached per poset."""
+    if P._upset_index is None:
+        P._upset_index = {u: k for k, u in enumerate(upset_masks(P))}
+    return P._upset_index
 
 
 class _ClosureTable(dict):
@@ -277,7 +284,7 @@ def upset_lower_covers(P):
     """
     if P._lower_covers is None:
         ups = upset_masks(P)
-        index = {u: k for k, u in enumerate(ups)}
+        index = upset_index(P)
         down = P.down
         P._lower_covers = tuple(
             tuple(index[u ^ 1 << m] for m in _bits(u) if down[m] & u == 1 << m)
@@ -318,21 +325,13 @@ def upset_meet_splits(P):
     return P._splits
 
 
-def upset_views(P):
-    """Upset mask -> the same upset as a frozenset, cached per poset, in
-    the order of :func:`upset_masks`."""
-    if P._upsets is None:
-        P._upsets = {m: frozenset(_bits(m)) for m in upset_masks(P)}
-    return P._upsets
-
-
 def enumerate_upsets(P):
     """All upward-closed subsets, sorted by size then lexicographically.
 
     In the finite case every upset is clopen, so this is the full frame
     of clopen upsets of the space.
     """
-    return list(upset_views(P).values())
+    return [set_of(u) for u in upset_masks(P)]
 
 
 # -- canonical forms ---------------------------------------------------

@@ -27,7 +27,7 @@ from priestley.errors import (
     UnknownLabel,
 )
 from priestley.oracle import enumerate_posets
-from priestley.poset import order_closure
+from priestley.poset import mask_of, order_closure, set_of
 from test_golden import _boolean
 
 
@@ -96,7 +96,7 @@ def test_stone_map_three_chain():
     D = three_chain_lattice()
     X = priestley_dual(D)
     phi_a = stone_map(D, "a")
-    top_point = next(i for i in range(2) if X.up_set(i) == {i})
+    top_point = next(i for i in range(2) if order_closure(X, {i}, "up") == {i})
     assert phi_a.members == {top_point}
     assert stone_map(D, D.top).members == frozenset(range(X.n))
     assert stone_map(D, D.bottom).members == frozenset()
@@ -131,7 +131,7 @@ def test_round_trip_via_stone_map():
     for D in (three_chain_lattice(), boolean_two()):
         X = priestley_dual(D)
         E = clopen_upset_lattice(X)
-        idx = {u: i for i, u in enumerate(E.member_sets)}
+        idx = {u: i for i, u in enumerate(enumerate_upsets(E.space))}
         send = [idx[stone_map(D, a).members] for a in range(D.n)]
         assert sorted(send) == list(range(E.n))  # bijection
         for a in range(D.n):
@@ -147,7 +147,7 @@ def test_dual_satisfies_priestley_separation():
         for x in range(X.n):
             for y in range(X.n):
                 if not X.le(x, y):
-                    up = X.up_set(x)
+                    up = order_closure(X, {x}, "up")
                     assert x in up and y not in up
 
 
@@ -176,9 +176,9 @@ def test_heyting_adjunction_and_join_meet_formulas():
         ups = enumerate_upsets(P)
         full = frozenset(range(P.n))
         for u in ups:
-            assert pseudocomplement_set(P, u) == implies_set(P, u, frozenset())
+            assert pseudocomplement_set(P, mask_of(P, u)) == implies_set(P, mask_of(P, u), 0)
             for v in ups:
-                imp = implies_set(P, u, v)
+                imp = set_of(implies_set(P, mask_of(P, u), mask_of(P, v)))
                 for w in ups:
                     assert ((w & u) <= v) == (w <= imp)
                 # literal join formula: cl of the union (cl = identity)

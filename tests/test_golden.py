@@ -100,7 +100,7 @@ def _planted_tables(P):
     full = frozenset(range(P.n))
     top = next(u for u in ups if len(u) == 1)
     above = next(u for u in ups if top < u and u != full)
-    low = next(i for i in range(P.n) if P.up_set(i) != {i})
+    low = next(i for i in range(P.n) if P.up[i] != 1 << i)
     return {
         "non-inflationary": {**ident, above: top, full: top},
         "non-idempotent": {**ident, top: above, above: full},

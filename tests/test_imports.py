@@ -40,3 +40,65 @@ def test_benchmark_tracer_finds_every_boundary():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def traced_boundaries():
+    """``BOUNDARIES`` of ``benchmarks/spec.py``, read from its source
+    without importing it (no bytecode is written there)."""
+    path = ROOT / "benchmarks" / "spec.py"
+    namespace = {"__name__": "spec"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace["BOUNDARIES"]
+
+
+def unresolved(boundaries):
+    """The boundaries that name nothing in the package, by kind: a
+    function for ``func`` and ``split``, a class for ``init``, a method
+    its class defines for ``method`` (``engines.m``: some fan engine
+    class defines m) and an attribute of the class for ``count``."""
+    import importlib
+
+    from priestley import fans
+
+    engines = [c for c in vars(fans).values()
+               if isinstance(c, type) and hasattr(c, "sample_clopen_upsets")]
+    missing = []
+    for base, module, attr, kind in boundaries:
+        mod = importlib.import_module(f"priestley.{module}")
+        owner, _, name = attr.rpartition(".")
+        classes = engines if owner == "engines" else [getattr(mod, owner, None)]
+        classes = [c for c in classes if isinstance(c, type)]
+        if kind in ("func", "split"):
+            found = callable(getattr(mod, attr, None))
+        elif kind == "init":
+            found = isinstance(getattr(mod, attr, None), type)
+        elif kind == "method":
+            found = any(name in vars(c) for c in classes)
+        elif kind == "count":
+            found = any(hasattr(c, name) for c in classes)
+        else:
+            found = False
+        if not found:
+            missing.append(base)
+    return missing
+
+
+def test_every_traced_boundary_resolves():
+    # the benchmark traces these names; one renamed or deleted here
+    # would otherwise fail only the benchmark's own, longer test run
+    boundaries = traced_boundaries()
+    assert len(boundaries) > 40
+    assert unresolved(boundaries) == []
+    # and each kind can fail
+    planted = [
+        ("a", "poset", "up_set_of", "func"),
+        ("b", "birkhoff", "validate_lattice_x", "split"),
+        ("c", "poset", "_mask", "init"),
+        ("d", "spectrum", "FiniteEngine.upp", "method"),
+        ("e", "fans", "engines.core_of", "method"),
+        ("f", "fans", "Region.__post_init_x__", "count"),
+        ("g", "poset", "extrema", "wrap"),
+        ("h", "poset", "extrema", "func"),
+        ("i", "fans", "engines.core", "method"),
+    ]
+    assert unresolved(planted) == list("abcdefg")

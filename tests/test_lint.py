@@ -71,22 +71,73 @@ def test_fan_family_names_appear_only_in_the_shape_table_and_engines():
     assert tuple(fans._ENGINES) == fans.FAMILIES
 
 
+def callers(node, name, owner="<module>"):
+    """The enclosing function (or class) of each ``name(...)`` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+            yield owner
+        scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from callers(child, name, child.name if scope else owner)
+
+
 def test_tame_sets_are_built_only_by_the_constructor_and_the_algebra():
     # make_tame establishes canonical form and the four operations
     # preserve it; any other TameSet in fans.py has to come through them
     from priestley import fans
 
-    def builders(node, owner):
-        """The enclosing function (or class) of each TameSet(...) call."""
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "TameSet":
-                yield owner
-            scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
-            yield from builders(child, child.name if scope else owner)
-
     tree = ast.parse(pathlib.Path(fans.__file__).read_text(encoding="utf-8"))
-    found = set(builders(tree, "<module>"))
+    found = set(callers(tree, "TameSet"))
     assert found == {"make_tame", "_combine", "tame_complement", "tame_closure"}
+
+
+def calls_any(node, names):
+    """Whether the tree under node calls a function named in ``names``."""
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) in names
+               for n in ast.walk(node))
+
+
+def frozenset_caches(trees):
+    """Assignments, in any of the module trees, of a value that makes
+    frozensets to a slot of ``FinitePoset``.  A value makes frozensets
+    when it calls ``frozenset``, ``set_of``, or a function of the trees
+    whose body calls ``set_of``."""
+    makers, slots = {"frozenset", "set_of"}, set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and calls_any(node, {"set_of"}):
+                makers.add(node.name)
+            if isinstance(node, ast.ClassDef) and node.name == "FinitePoset":
+                for s in node.body:
+                    if (isinstance(s, ast.Assign)
+                            and getattr(s.targets[0], "id", None) == "__slots__"):
+                        slots.update(ast.literal_eval(s.value))
+    return [f"{module}:{node.lineno} {t.attr}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and calls_any(node.value, makers)
+            for t in node.targets if getattr(t, "attr", None) in slots]
+
+
+def test_frozensets_are_made_only_at_the_boundary():
+    # point sets are int masks inside the package; poset.set_of is the
+    # one place a frozenset is built, and a poset caches no frozensets
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = [f"{module}:{owner}" for module, tree in trees.items()
+             for owner in callers(tree, "frozenset")]
+    assert found == ["poset.py:set_of"]
+    assert frozenset_caches(trees) == []
+    # and the lint sees each kind of cache
+    planted = ast.parse("class FinitePoset:\n"
+                        "    __slots__ = ('up', '_a', '_b', '_c')\n"
+                        "def set_of(m): return frozenset(m)\n"
+                        "def views(P): return [set_of(m) for m in P.up]\n"
+                        "def fill(P):\n"
+                        "    P._a = tuple(set_of(m) for m in P.up)\n"
+                        "    P._b = {m: frozenset() for m in P.up}\n"
+                        "    P._c = views(P)\n"
+                        "    P._d = frozenset()\n"
+                        "    P.up = tuple(P.up)\n")
+    assert frozenset_caches({"m": planted}) == ["m:6 _a", "m:7 _b", "m:8 _c"]
 
 
 def rule_loop_sites(source, engines):

@@ -5,17 +5,24 @@ import itertools
 import pytest
 
 from priestley import (
+    ClopenUpset,
+    FinitePoset,
+    NuclearSet,
+    Nucleus,
     build_poset,
     canonical_form,
     enumerate_upsets,
     extrema,
+    heyting,
     order_closure,
     poset_from_json,
     poset_to_json,
+    validate_nucleus,
 )
 from priestley.errors import (
     CycleDetected,
     DuplicateLabel,
+    NotAnUpset,
     UnknownLabel,
     UnknownPoint,
 )
@@ -92,6 +99,80 @@ def test_order_closure_laws():
             for t in subsets:
                 if s <= t:
                     assert order_closure(P, s, "up") <= order_closure(P, t, "up")
+
+
+# every public entry that reads a point set from outside, given one point
+ENTRIES = {
+    "order_closure": lambda P, pts: order_closure(P, pts, "up"),
+    "extrema": lambda P, pts: extrema(P, [*pts, 0], "max"),
+    "ClopenUpset": ClopenUpset,
+    "NuclearSet": NuclearSet,
+    "validate_nucleus": lambda P, pts: validate_nucleus(
+        P, {u: (*u, *pts) for u in enumerate_upsets(P)}),
+    "j(U)": lambda P, pts: Nucleus.identity(P)(pts),
+}
+
+
+@pytest.mark.parametrize("point", [True, False, -1, 2, "a"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_every_entry_rejects_what_is_not_a_point_index(entry, point):
+    # a bool is an int to isinstance, but True is no name for point 1
+    with pytest.raises(UnknownPoint):
+        ENTRIES[entry](two_chain(), [point])
+
+
+def labelled_posets(max_points):
+    """Every partial order on 0..n-1 for n up to max_points, labelled."""
+    for n in range(max_points + 1):
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for chosen in range(1 << len(pairs)):
+            le = {(i, i) for i in range(n)}
+            le |= {p for k, p in enumerate(pairs) if chosen >> k & 1}
+            if any((j, i) in le for i, j in le if i != j):
+                continue
+            if any((i, k) not in le for i, j in le for j2, k in le if j == j2):
+                continue
+            yield FinitePoset([f"p{i}" for i in range(n)],
+                              [sum(1 << j for j in range(n) if (i, j) in le)
+                               for i in range(n)])
+
+
+def test_public_point_sets_match_their_definitions():
+    # each frozenset the public API reads or returns, against its
+    # definition computed here from P.le alone, on every labelled poset
+    # of up to four points and every subset (or pair of upsets)
+    count = 0
+    for P in labelled_posets(4):
+        count += 1
+        pts = range(P.n)
+        subsets = [frozenset(i for i in pts if bits >> i & 1)
+                   for bits in range(1 << P.n)]
+        upsets = [s for s in subsets
+                  if all(y in s for x in s for y in pts if P.le(x, y))]
+        for s in subsets:
+            assert order_closure(P, s, "up") == {y for y in pts for x in s if P.le(x, y)}
+            assert order_closure(P, s, "down") == {y for y in pts for x in s if P.le(y, x)}
+            assert extrema(P, s, "min") == {x for x in s if not any(
+                y != x and P.le(y, x) for y in s)}
+            assert extrema(P, s, "max") == {x for x in s if not any(
+                y != x and P.le(x, y) for y in s)}
+            assert NuclearSet(P, s).members == s
+            if s in upsets:
+                assert ClopenUpset(P, s).members == s
+            else:
+                with pytest.raises(NotAnUpset):
+                    ClopenUpset(P, s)
+        assert enumerate_upsets(P) == sorted(upsets, key=lambda s: (len(s), sorted(s)))
+        for u in upsets:
+            U = ClopenUpset(P, u)
+            # U* is the largest upset disjoint from U, U -> V the largest
+            # upset whose meet with U lies in V
+            assert heyting(P, U, op="pseudocomplement").members == frozenset().union(
+                *(w for w in upsets if not w & u))
+            for v in upsets:
+                assert heyting(P, U, ClopenUpset(P, v)).members == frozenset().union(
+                    *(w for w in upsets if w & u <= v))
+    assert count == 1 + 1 + 3 + 19 + 219
 
 
 def test_extrema_examples():
