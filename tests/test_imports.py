@@ -84,8 +84,9 @@ def unresolved(boundaries):
 
 
 def test_every_traced_boundary_resolves():
-    # the benchmark traces these names; one renamed or deleted here
-    # would otherwise fail only the benchmark's own, longer test run
+    # installing the tracer stops at the first missing name and skips
+    # a kind it does not know; this names every entry that resolves to
+    # nothing in the package
     boundaries = traced_boundaries()
     assert len(boundaries) > 40
     assert unresolved(boundaries) == []
