@@ -31,10 +31,6 @@ class NotAnUpset(WorkbenchError):
     pass
 
 
-class NotClosed(WorkbenchError):
-    pass
-
-
 # --- lattice validation ------------------------------------------------
 
 class NotALattice(WorkbenchError):

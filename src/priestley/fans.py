@@ -468,12 +468,13 @@ def _fans_over(idx, inside, outside):
 
 
 class FanEngine:
-    """Shared machinery: Boolean algebra, topology, points, reps.
+    """Shared machinery: Boolean algebra, topology, points, reps, and
+    the sampling loop.
 
     Subclasses supply the order (strict up/down), the core rule, the
-    pointwise d-core rule, the clopen-Scott-upset test, sampling, and
-    the closed-form topology verdicts (class attributes), one family
-    each.
+    pointwise d-core rule, the clopen-Scott-upset test, one sample draw
+    (``_draw``), and the topology class of an infinite min Y_d, one
+    family each.
     """
 
     family = None
@@ -521,9 +522,7 @@ class FanEngine:
 
     def point_set(self, pt):
         fam = self.family
-        multi_fan, carrier, blob = _SHAPE[fam]
-        if pt.kind in ("fan", "star") and not multi_fan and pt.i != 0:
-            raise NotRepresentable("single-fan family has only fan 0")
+        carrier = _SHAPE[fam][1]
         if pt.kind == "fan":
             if pt.k < 0:
                 raise NotRepresentable(f"{pt!r}: point indices must be non-negative")
@@ -539,8 +538,6 @@ class FanEngine:
                 raise NotRepresentable(f"{fam} has no omega point")
             return make_tame(fam, spine=Region(0, True))
         if pt.kind == "omega_star":
-            if not blob:
-                raise NotRepresentable(f"{fam} has no top blob")
             return make_tame(fam, omega_star=True)
         raise ValueError(f"unknown point kind {pt.kind!r}")
 
@@ -632,11 +629,16 @@ class FanEngine:
         self._localic = make_tame(self.family, default, spine=spine)
         return self._localic
 
-    # -- hooks ----------------------------------------------------------
+    # -- sampling --------------------------------------------------------
 
-    # never called: benchmarks/tracing.py finds the engine classes by it
-    def sample_clopen_upsets(self, count, seed=0):  # pragma: no cover
-        raise NotImplementedError
+    def sample_clopen_upsets(self, count, seed=0):
+        """``count`` clopen upsets, the same for the same seed: the empty
+        and the full set, then the family's draws from one generator."""
+        rng = random.Random(seed)
+        out = [self.empty, self.full]
+        while len(out) < count:
+            out.append(self._draw(rng))
+        return out[:count]
 
     # -- rendering -------------------------------------------------------
 
@@ -699,8 +701,6 @@ class BareFanEngine(FanEngine):
 
     family = "bare_fan"
     infinite_min_yd_class = "discrete"
-    # an infinite discrete space
-    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def strict_up(self, a):
         return self.empty
@@ -718,16 +718,12 @@ class BareFanEngine(FanEngine):
     def clop_sup_test(self, u):
         return u.fan_default.bits >= 0 and not u.fan_default.flag
 
-    def sample_clopen_upsets(self, count, seed=0):
-        rng = random.Random(seed)
-        out = [self.empty, self.full]
-        while len(out) < count:
-            if rng.random() < 0.5:
-                r = Region(_mask(rng.sample(range(12), rng.randint(0, 4))))
-            else:
-                r = Region(~_mask(rng.sample(range(12), rng.randint(0, 4))), True)
-            out.append(make_tame(self.family, r))
-        return out[:count]
+    def _draw(self, rng):
+        if rng.random() < 0.5:
+            r = Region(_mask(rng.sample(range(12), rng.randint(0, 4))))
+        else:
+            r = Region(~_mask(rng.sample(range(12), rng.randint(0, 4))), True)
+        return make_tame(self.family, r)
 
 
 class FanPlusBottomEngine(FanEngine):
@@ -735,7 +731,6 @@ class FanPlusBottomEngine(FanEngine):
 
     family = "fan_plus_bottom"
     infinite_min_yd_class = None  # min Y_d = {y}
-    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def strict_up(self, a):
         if a.spine.member(0):
@@ -764,7 +759,7 @@ class FanPlusBottomEngine(FanEngine):
             return u == self.full
         return u.fan_default.bits >= 0 and not u.fan_default.flag
 
-    sample_clopen_upsets = BareFanEngine.sample_clopen_upsets
+    _draw = BareFanEngine._draw
 
 
 class OmegaFansEngine(FanEngine):
@@ -780,10 +775,6 @@ class OmegaFansEngine(FanEngine):
     # so the realizable traces on min Y_d are the empty and the
     # cofinite ones: the cofinite topology on the spine
     infinite_min_yd_class = "cofinite"
-    # cofinite topology on a countable set: every subset is compact
-    # (locally compact, coherent), but the whole space is an
-    # irreducible closed set with no generic point (not sober)
-    min_yd_space_flags = {"locally_compact": True, "sober": False, "coherent": True}
 
     def strict_down(self, a):
         spine_pts = self._content_region(a)
@@ -839,10 +830,7 @@ class OmegaFansEngine(FanEngine):
         wild = _fan_pred_region(u, lambda r: r.bits < 0 or r.flag).bits
         return out & wild == 0 and (out >= 0 or u.fan_default.is_empty())
 
-    def sample_clopen_upsets(self, count, seed=0):
-        rng = random.Random(seed)
-        out = [self.empty, self.full]
-
+    def _draw(self, rng):
         def clopen_region(full_ok=True):
             if full_ok and rng.random() < 0.35:
                 return FULL_REGION
@@ -850,33 +838,28 @@ class OmegaFansEngine(FanEngine):
                 return Region(_mask(rng.sample(range(9), rng.randint(0, 3))))
             return Region(~_mask(rng.sample(range(9), rng.randint(0, 3))), True)
 
-        while len(out) < count:
-            style = rng.random()
-            if style < 0.3:
-                # finite sets of fan points
-                exc = {
-                    i: Region(_mask(rng.sample(range(8), rng.randint(1, 3))))
-                    for i in rng.sample(range(6), rng.randint(1, 3))
-                }
-                out.append(make_tame(self.family, EMPTY_REGION, exc))
-            elif style < 0.75:
-                # cofinite spine: excluded bottoms get clopen traces,
-                # everything else is forced full by the upset condition
-                excluded = _mask(rng.sample(range(6), rng.randint(0, 3)))
-                exc = {i: clopen_region(full_ok=False) for i in _bits(excluded)}
-                out.append(make_tame(
-                    self.family, FULL_REGION, exc,
-                    spine=Region(~excluded, True), omega_star=True,
-                ))
-            else:
-                # full fans only, no spine, with the blob
-                exc = {
-                    i: clopen_region() for i in rng.sample(range(6), rng.randint(0, 2))
-                }
-                out.append(make_tame(
-                    self.family, FULL_REGION, exc, omega_star=True,
-                ))
-        return out[:count]
+        style = rng.random()
+        if style < 0.3:
+            # finite sets of fan points
+            exc = {
+                i: Region(_mask(rng.sample(range(8), rng.randint(1, 3))))
+                for i in rng.sample(range(6), rng.randint(1, 3))
+            }
+            return make_tame(self.family, EMPTY_REGION, exc)
+        if style < 0.75:
+            # cofinite spine: excluded bottoms get clopen traces,
+            # everything else is forced full by the upset condition
+            excluded = _mask(rng.sample(range(6), rng.randint(0, 3)))
+            exc = {i: clopen_region(full_ok=False) for i in _bits(excluded)}
+            return make_tame(
+                self.family, FULL_REGION, exc,
+                spine=Region(~excluded, True), omega_star=True,
+            )
+        # full fans only, no spine, with the blob
+        exc = {
+            i: clopen_region() for i in rng.sample(range(6), rng.randint(0, 2))
+        }
+        return make_tame(self.family, FULL_REGION, exc, omega_star=True)
 
 
 class ChainFansEngine(FanEngine):
@@ -892,8 +875,6 @@ class ChainFansEngine(FanEngine):
 
     family = "chain_fans"
     infinite_min_yd_class = None  # min Y_d is empty
-    # the empty space is vacuously stably locally compact
-    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def strict_down(self, a):
         content = self._content_region(a).bits
@@ -943,46 +924,32 @@ class ChainFansEngine(FanEngine):
         # every star needs its bottom point inside u
         return region_subset(stars, Region(u.spine.bits))
 
-    def sample_clopen_upsets(self, count, seed=0):
-        rng = random.Random(seed)
-        out = [self.empty, self.full]
-
+    def _draw(self, rng):
         def clopen_region():
             if rng.random() < 0.5:
                 return Region(_mask(rng.sample(range(9), rng.randint(0, 3))))
             return Region(~_mask(rng.sample(range(9), rng.randint(0, 3))), True)
 
-        while len(out) < count:
-            style = rng.random()
-            if style < 0.45:
-                # spine head 0..m, fans up to m full, the rest clopen
-                m = rng.randint(0, 4)
-                exc = {i: FULL_REGION for i in range(m + 1)}
-                for i in range(m + 1, m + 1 + rng.randint(0, 2)):
-                    exc[i] = clopen_region()
-                out.append(make_tame(
-                    self.family, EMPTY_REGION, exc,
-                    spine=Region((1 << (m + 1)) - 1),
-                ))
-            elif style < 0.8:
-                # no spine at all: arbitrary clopen fan regions, maybe blob
-                os = rng.random() < 0.5
-                default = FULL_REGION if os else EMPTY_REGION
-                exc = {
-                    i: clopen_region() for i in rng.sample(range(6), rng.randint(0, 3))
-                }
-                out.append(make_tame(self.family, default, exc, omega_star=os))
-            else:
-                # head plus blob: the blob needs almost all fans full
-                m = rng.randint(0, 3)
-                exc = {i: FULL_REGION for i in range(m + 1)}
-                for i in range(m + 1, m + 1 + rng.randint(0, 2)):
-                    exc[i] = clopen_region()
-                out.append(make_tame(
-                    self.family, FULL_REGION, exc,
-                    spine=Region((1 << (m + 1)) - 1), omega_star=True,
-                ))
-        return out[:count]
+        style = rng.random()
+        if 0.45 <= style < 0.8:
+            # no spine at all: arbitrary clopen fan regions, maybe blob
+            os = rng.random() < 0.5
+            default = FULL_REGION if os else EMPTY_REGION
+            exc = {
+                i: clopen_region() for i in rng.sample(range(6), rng.randint(0, 3))
+            }
+            return make_tame(self.family, default, exc, omega_star=os)
+        # spine head 0..m with fans up to m full and the rest clopen;
+        # with the blob, which needs almost all fans full, m stops at 3
+        blob = style >= 0.8
+        m = rng.randint(0, 3 if blob else 4)
+        exc = {i: FULL_REGION for i in range(m + 1)}
+        for i in range(m + 1, m + 1 + rng.randint(0, 2)):
+            exc[i] = clopen_region()
+        return make_tame(
+            self.family, FULL_REGION if blob else EMPTY_REGION, exc,
+            spine=Region((1 << (m + 1)) - 1), omega_star=blob,
+        )
 
 
 _ENGINES = {

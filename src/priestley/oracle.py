@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from . import spectrum as sp
 from .birkhoff import (
@@ -578,7 +579,7 @@ def check_eqv_conditions_rmax(E):
 
 @_register("max-y-in-yd", _engines)
 def check_max_y_in_yd(E):
-    maxy = sp.maximal_of(E, sp.localic_points(E))
+    maxy = sp.maximal_of(E, E.localic_part())
     return maxy & ~sp.yd_set(E) == 0, E.describe_set(maxy)
 
 
@@ -780,19 +781,22 @@ def check_arithmetic_core_law(E):
 def check_fan_d_laws(E, seed):
     """d-operator laws on deterministic tame samples of every family:
     nucleus axioms, density, agreement with the nuclear-set form, and
-    dU = U** on clopen Scott upsets."""
+    dU = U** on clopen Scott upsets; then the laws of the core: dense,
+    meet-stable, and inside the upset of its localic points."""
     samples = E.sample_clopen_upsets(SAMPLE_COUNT, seed=seed)
     nd = sp.nd_set(E)
-    # d of each distinct set, computed once: samples repeat, d of a
-    # sample is often a sample, and so are many meets of two
-    d = {}
+    # d and the core of each distinct set, computed once: samples
+    # repeat, d of a sample is often a sample, and so are many meets
+    d, core = {}, {}
 
     def d_of(u):
-        if u not in d:
-            d[u] = sp.d_apply(E, u)
-        return d[u]
+        du = d.get(u)
+        if du is None:
+            du = d[u] = sp.d_apply(E, u)
+        return du
 
-    for u in dict.fromkeys(samples):
+    distinct = list(dict.fromkeys(samples))
+    for u in distinct:
         du = d_of(u)
         if not sp.subset(E, u, du):
             return False, f"not inflationary at {E.describe_set(u)}"
@@ -805,14 +809,31 @@ def check_fan_d_laws(E, seed):
             return False, f"Scott test differs at {E.describe_set(u)}"
         if scott and du != sp.double_neg(E, u):
             return False, f"dU != U** at {E.describe_set(u)}"
+    head = samples[:12]
+    pairs = [(u, v, E.meet(u, v)) for u in head for v in head]
     witness = None
-    for u in samples[:12]:
-        for v in samples[:12]:
-            if d_of(E.meet(u, v)) != E.meet(d[u], d[v]):
-                witness = f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
+    for (u, v, uv), (du, dv) in zip(pairs, product([d[u] for u in head], repeat=2)):
+        if d_of(uv) != E.meet(du, dv):
+            witness = f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
     if witness is not None:
         return False, witness
-    return d_of(E.empty) == E.empty, "d is not dense"
+    if d_of(E.empty) != E.empty:
+        return False, "d is not dense"
+    # a Scott upset is the upset of its minimal points, all localic
+    Y = E.localic_part()
+    for u in distinct:
+        cu = core[u] = E.core(u)
+        if E.closure(cu) != u:
+            return False, f"core not dense at {E.describe_set(u)}"
+        if not sp.subset(E, cu, E.up(E.meet(cu, Y))):
+            return False, f"core not generated by localic points at {E.describe_set(u)}"
+    for (u, v, uv), (cu, cv) in zip(pairs, product([core[u] for u in head], repeat=2)):
+        cuv = core.get(uv)
+        if cuv is None:
+            cuv = core[uv] = E.core(uv)
+        if cuv != E.meet(cu, cv):
+            return False, f"core meet law at {E.describe_set(u)} & {E.describe_set(v)}"
+    return True, None
 
 
 _EXPECTED_FIGURES = {
@@ -871,18 +892,39 @@ def check_fan_tame_soundness(E, seed):
             return False, f"sample not clopen: {E.describe_set(a)}"
     ok, witness = True, None
     complements = {a: tame_complement(a) for a in dict.fromkeys(samples[:10])}
+    # the classes of each operand and of its complement, with the
+    # operand's membership there: finer than the classes of a join,
+    # which may merge or drop the operands' pieces
+    classes = {}
+    for a, c in complements.items():
+        classes[a] = [(p, a.member(p)) for p in E.member_reps(a) + E.member_reps(c)]
+        for p, in_a in classes[a]:
+            if c.member(p) == in_a:
+                ok, witness = False, f"complement at {p}"
+    # joins repeat, so each distinct join's classes are listed once
+    join_reps = {}
     for a in samples[:10]:
         c = complements[a]
         for b in samples[:10]:
             m = tame_meet(a, b)
             j = tame_join(a, b)
-            for p in E.member_reps(j) + full_reps:
-                if m.member(p) != (a.member(p) and b.member(p)):
+            if j not in join_reps:
+                join_reps[j] = E.member_reps(j) + full_reps
+            for p in join_reps[j]:
+                in_a, in_b = a.member(p), b.member(p)
+                if m.member(p) != (in_a and in_b):
                     ok, witness = False, f"meet at {p}"
-                if j.member(p) != (a.member(p) or b.member(p)):
+                if j.member(p) != (in_a or in_b):
                     ok, witness = False, f"join at {p}"
-                if c.member(p) != (not a.member(p)):
+                if c.member(p) == in_a:
                     ok, witness = False, f"complement at {p}"
+            for x, y in ((a, b), (b, a)):
+                for p, in_x in classes[x]:
+                    in_y = y.member(p)
+                    if m.member(p) != (in_x and in_y):
+                        ok, witness = False, f"meet at {p}"
+                    if j.member(p) != (in_x or in_y):
+                        ok, witness = False, f"join at {p}"
     return ok, witness
 
 

@@ -30,16 +30,14 @@ command line ask of an engine.
   ``is_open``, ``is_closed``, ``is_representable``, ``is_finite_set``;
 * order: ``up``, ``down``, ``strict_up``, ``strict_down``;
 * points: ``point_set``, ``member_reps``, ``select``, ``localic_part``;
-* structure: ``core``, ``points_with_up_inside``,
-  ``sample_clopen_upsets``;
+* structure: ``core``, ``points_with_up_inside``;
 * rendering: ``name``, ``describe_set``, ``describe_family``;
-* class attributes: ``infinite_min_yd_class``, the topology class of an
-  infinite min Y_d (``None`` where min Y_d is never infinite), and
-  ``min_yd_space_flags``, the stable-local-compactness flags of min Y_d.
+* class attribute: ``infinite_min_yd_class``, the topology class of an
+  infinite min Y_d (``None`` where min Y_d is never infinite).
 
 The oracle's exhaustive checks also read ``poset``, ``n`` and
-``all_upsets`` of a :class:`FiniteEngine`, and ``family`` and
-``clop_sup_test`` of a fan engine.
+``all_upsets`` of a :class:`FiniteEngine`, and ``family``,
+``clop_sup_test`` and ``sample_clopen_upsets`` of a fan engine.
 """
 
 from __future__ import annotations
@@ -48,9 +46,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     InternalAssertionError,
-    NotAnUpset,
     NotClopenUpset,
-    NotClosed,
     NotLocalic,
     NotRepresentable,
 )
@@ -83,11 +79,6 @@ def max_set(E):
     return maximal_of(E, E.full)
 
 
-def localic_points(E):
-    """The localic part Y: points whose principal downset is clopen."""
-    return E.localic_part()
-
-
 def is_clopen_upset(E, u):
     return E.is_open(u) and E.is_closed(u) and is_upset_flag(E, u)
 
@@ -102,23 +93,8 @@ def scott_upset_flag(E, f):
     return (
         E.is_closed(f)
         and is_upset_flag(E, f)
-        and subset(E, minimal_of(E, f), localic_points(E))
+        and subset(E, minimal_of(E, f), E.localic_part())
     )
-
-
-def is_scott_upset(E, f):
-    """Strict form: rejects non-upsets and non-closed sets."""
-    if not is_upset_flag(E, f):
-        raise NotAnUpset(f"{E.describe_set(f)} is not an upset")
-    if not E.is_closed(f):
-        raise NotClosed(f"{E.describe_set(f)} is not closed")
-    return subset(E, minimal_of(E, f), localic_points(E))
-
-
-def core(E, u):
-    """Union of the clopen Scott upsets inside u."""
-    _require_clopen_upset(E, u)
-    return E.core(u)
 
 
 def core_d(E, u):
@@ -154,7 +130,7 @@ def yd_contains(E, y):
     every point of the blob gives the same answer because their
     downsets agree outside the blob.
     """
-    Y = localic_points(E)
+    Y = E.localic_part()
     ps = E.point_set(y)
     if not subset(E, ps, Y):
         raise NotLocalic(f"{y} is not a localic point class")
@@ -170,7 +146,7 @@ def yd_set(E):
     """Y_d as a representable set, cached on the engine."""
     cached = getattr(E, "_yd_cache", None)
     if cached is None:
-        cached = E.select(localic_points(E), lambda y: yd_contains(E, y))
+        cached = E.select(E.localic_part(), lambda y: yd_contains(E, y))
         E._yd_cache = cached
     return cached
 
@@ -216,7 +192,7 @@ def d_initial_check(E, z):
     """z & Y inside up(z & min Y_d)."""
     if not E.is_representable(z):
         raise NotRepresentable("set is not representable on this engine")
-    return subset(E, E.meet(z, localic_points(E)), E.up(E.meet(z, min_yd(E))))
+    return subset(E, E.meet(z, E.localic_part()), E.up(E.meet(z, min_yd(E))))
 
 
 def max_bounded(E):
@@ -235,7 +211,7 @@ def unit_search(E):
     if scott_upset_flag(E, E.full):
         return {"status": "witness", "witness": E.full,
                 "description": "the whole space is a cofinal clopen Scott upset"}
-    Y = localic_points(E)
+    Y = E.localic_part()
     for pt in E.member_reps(max_set(E)):
         if E.meet(E.down(E.point_set(pt)), Y) == E.empty:
             return {
@@ -252,16 +228,16 @@ def unit_search(E):
 
 
 def regularity_suite(E):
-    """Antichain test for Y_d, max Y = Y_d, and the locally-Stone verdict.
+    """Antichain test for Y_d and max Y = Y_d.
 
     The two Boolean conditions are computed independently and asserted
-    equal; the locally-Stone classification coincides with them (the
-    regularity characterizations are equivalent), so it reports the
-    same truth value.
+    equal; either one is the L_d-regularity verdict (the regularity
+    characterizations are equivalent), which the report reads from
+    ``antichain``.
     """
     yd = yd_set(E)
     antichain = E.meet(E.strict_up(yd), yd) == E.empty
-    Y = localic_points(E)
+    Y = E.localic_part()
     maxy_eq = maximal_of(E, Y) == yd
     if antichain != maxy_eq:
         raise InternalAssertionError(
@@ -270,28 +246,7 @@ def regularity_suite(E):
     return {
         "antichain": antichain,
         "max_y_equals_yd": maxy_eq,
-        "locally_stone": antichain,
     }
-
-
-def classify_frame(E):
-    """Algebraicity (cores dense) and arithmeticity (cores meet-stable).
-
-    Finite engines check both exhaustively; symbolic engines validate
-    the closed-form answer on a deterministic sample of clopen upsets.
-    """
-    samples = E.sample_clopen_upsets(24, seed=0)
-    algebraic = True
-    arithmetic = True
-    for u in samples:
-        if E.closure(E.core(u)) != u:
-            algebraic = False
-    for u in samples:
-        for v in samples[: max(6, len(samples) // 4)]:
-            lhs = E.meet(E.core(u), E.core(v))
-            if lhs != E.core(E.meet(u, v)):
-                arithmetic = False
-    return {"algebraic": algebraic, "arithmetic": arithmetic}
 
 
 def topology_class(E):
@@ -313,11 +268,27 @@ def topology_class(E):
     return E.infinite_min_yd_class
 
 
+# The stable-local-compactness flags of min Y_d, per topology class.
+MIN_YD_SPACE_FLAGS = {
+    # the empty space is vacuously locally compact, sober and coherent
+    "empty": {"locally_compact": True, "sober": True, "coherent": True},
+    # a discrete space, finite or infinite: its points are compact
+    # opens (locally compact), it is Hausdorff (sober), and its compact
+    # sets are the finite ones, closed under meets (coherent)
+    "finite-discrete": {"locally_compact": True, "sober": True, "coherent": True},
+    "discrete": {"locally_compact": True, "sober": True, "coherent": True},
+    # cofinite topology on a countable set: every subset is compact
+    # (locally compact, coherent), but the whole space is an
+    # irreducible closed set with no generic point (not sober)
+    "cofinite": {"locally_compact": True, "sober": False, "coherent": True},
+}
+
+
 def spectrum_report(E):
     """The full d-spectrum verdict, with all consistency checks applied."""
     yd = yd_set(E)
     m = min_yd(E)
-    Y = localic_points(E)
+    Y = E.localic_part()
     klass = topology_class(E)
     compact = scott_upset_flag(E, E.up(m))
     unit = unit_search(E)
@@ -325,7 +296,7 @@ def spectrum_report(E):
     hausdorff = klass in ("discrete", "finite-discrete", "empty")
     reg = regularity_suite(E)
     ndd = max_bounded(E)
-    flags = dict(E.min_yd_space_flags)
+    flags = dict(MIN_YD_SPACE_FLAGS[klass])
 
     # cross-checks: these hold structurally and failing any of them
     # indicates a bug, never expected input
@@ -357,7 +328,7 @@ def spectrum_report(E):
             "class": str(unit["certificate"]),
             "violated": "no localic point below this maximal class",
         },
-        l_d_regular=reg["locally_stone"],
+        l_d_regular=reg["antichain"],
         max_bounded=ndd,
         n_d_d_initial=ndd,
         maximal_d_upsets=(
@@ -475,8 +446,6 @@ class FiniteEngine:
 
     # finite spaces have no infinite min Y_d
     infinite_min_yd_class = None
-    # finite discrete space: locally compact, sober, coherent
-    min_yd_space_flags = {"locally_compact": True, "sober": True, "coherent": True}
 
     def __init__(self, poset: FinitePoset):
         self.poset = poset
@@ -557,9 +526,6 @@ class FiniteEngine:
 
     def all_upsets(self):
         return list(upset_masks(self.poset))
-
-    def sample_clopen_upsets(self, count, seed=0):
-        return self.all_upsets()
 
     def is_finite_set(self, a):
         return True

@@ -100,7 +100,7 @@ def test_criterion_04_spectrum_bijections():
 def test_criterion_05_fan_plus_bottom():
     t0 = time.perf_counter()
     E = engine_for("fan_plus_bottom")
-    y = sp.localic_points(E)
+    y = E.localic_part()
     expected_y = make_tame(
         "fan_plus_bottom", Region(-1),
         spine=Region(1),
@@ -115,8 +115,7 @@ def test_criterion_05_fan_plus_bottom():
         and maxy == expected_maxy
         and yd == y
         and yd != maxy
-        and reg == {"antichain": False, "max_y_equals_yd": False,
-                    "locally_stone": False}
+        and reg == {"antichain": False, "max_y_equals_yd": False}
         and elapsed < 1.0
     )
     _report(5, "fan-plus-bottom: Y, max Y, Y_d, regularity all as published",
@@ -131,7 +130,7 @@ def test_criterion_06_omega_fans():
     myd = sp.min_yd(E)
     elapsed = time.perf_counter() - t0
     ok = (
-        yd == sp.localic_points(E)
+        yd == E.localic_part()
         and myd == make_tame("omega_fans", spine=Region(-1))
         and r.topology_class == "cofinite"
         and r.t1 is True

@@ -59,35 +59,35 @@ def test_point_set_rejects_points_the_family_lacks(engines):
 
 def test_localic_parts(engines):
     E = engines["omega_fans"]
-    y = sp.localic_points(E)
+    y = E.localic_part()
     assert y.member(fan_point(4, 7)) and y.member(spine_point(9))
     assert y.member(OMEGA)
     assert not y.member(fan_star(0)) and not y.member(OMEGA_STAR)
 
     E = engines["fan_plus_bottom"]
-    y = sp.localic_points(E)
+    y = E.localic_part()
     assert y.member(fan_point(0, 3)) and y.member(spine_point(0))
     assert not y.member(fan_star(0))
 
     E = engines["chain_fans"]
-    y = sp.localic_points(E)
+    y = E.localic_part()
     assert y.member(fan_point(2, 2)) and y.member(spine_point(5))
     assert not y.member(OMEGA) and not y.member(OMEGA_STAR)
 
     E = engines["bare_fan"]
-    y = sp.localic_points(E)
+    y = E.localic_part()
     assert y.member(fan_point(0, 0)) and not y.member(fan_star(0))
 
 
 def test_yd_equals_localic_part_everywhere(engines):
     # all four families have Y_d = Y; what varies is min Y_d
     for fam, E in engines.items():
-        assert sp.yd_set(E) == sp.localic_points(E), fam
+        assert sp.yd_set(E) == E.localic_part(), fam
 
 
 def test_max_y_strictly_inside_yd_for_fan_plus_bottom(engines):
     E = engines["fan_plus_bottom"]
-    maxy = sp.maximal_of(E, sp.localic_points(E))
+    maxy = sp.maximal_of(E, E.localic_part())
     assert maxy == make_tame("fan_plus_bottom", Region(-1))
     assert maxy != sp.yd_set(E)  # y witnesses the strict inclusion
 
@@ -208,11 +208,6 @@ def test_rho_collapse_on_chain(engines):
         assert sp.rho_apply(E, u) == E.full
 
 
-def test_classify_frame_all_families(engines):
-    for fam, E in engines.items():
-        assert sp.classify_frame(E) == {"algebraic": True, "arithmetic": True}, fam
-
-
 def test_scott_upsets_closed_under_intersection(engines):
     for fam, E in engines.items():
         samples = [u for u in E.sample_clopen_upsets(40, seed=8)
@@ -224,19 +219,21 @@ def test_scott_upsets_closed_under_intersection(engines):
 
 
 def test_stably_locally_compact_lemma(engines):
-    # locally compact + sober + coherent forces Hausdorff; the omega
-    # family fails exactly sobriety
+    # locally compact + sober + coherent forces Hausdorff on a T1 space,
+    # and the cofinite class fails exactly sobriety
+    hausdorff = {"empty", "finite-discrete", "discrete"}
+    assert set(sp.MIN_YD_SPACE_FLAGS) == hausdorff | {"cofinite"}
+    for klass, flags in sp.MIN_YD_SPACE_FLAGS.items():
+        assert all(flags.values()) == (klass in hausdorff), klass
+    assert sp.MIN_YD_SPACE_FLAGS["cofinite"] == {
+        "locally_compact": True, "sober": False, "coherent": True}
     for fam, E in engines.items():
-        flags = E.min_yd_space_flags
         r = sp.spectrum_report(E)
-        # the report holds its own copy, never the class-level dict
+        flags = sp.MIN_YD_SPACE_FLAGS[r.topology_class]
+        # the report holds its own copy, never the table's entry
         assert r.min_yd_space_flags == flags
         assert r.min_yd_space_flags is not flags
-        if all(flags.values()):
-            assert r.hausdorff, fam
-        if fam == "omega_fans":
-            assert flags == {"locally_compact": True, "sober": False,
-                             "coherent": True}
+        assert all(flags.values()) == r.hausdorff, fam
 
 
 def test_core_density(engines):
@@ -266,6 +263,14 @@ class OmegaCoreKeepsAll(OmegaFansEngine):
 class ChainCoreKeepsAll(ChainFansEngine):
     def core(self, u):
         return tame_join(super().core(u), u)
+
+
+class ChainCoreKeepsOmega(ChainFansEngine):
+    # omega is the global minimum and not localic, so no Scott upset
+    # holds it; this core keeps it wherever u does
+    def core(self, u):
+        omega = make_tame(self.family, spine=Region(0, True))
+        return tame_join(super().core(u), tame_meet(u, omega))
 
 
 class OmegaScottAlways(OmegaFansEngine):
@@ -309,6 +314,8 @@ RULE_FAULTS = {
     OmegaUpInsideKeepsAll: "is not a clopen upset",
     OmegaCoreKeepsAll: "nuclear form differs at",
     ChainCoreKeepsAll: "nuclear form differs at",
+    # every other law holds: only the localic points of the core see it
+    ChainCoreKeepsOmega: "core not generated by localic points at",
     OmegaScottAlways: "Scott test differs at",
     ChainScottNever: "Scott test differs at (empty)",
     ChainUpInsideOnlyY0: "not inflationary at",

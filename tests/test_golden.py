@@ -1,6 +1,7 @@
 """Golden corpus: ``dual``, lattice rejections, ``analyze``, the poset
 enumeration, the nucleus dictionary, the fan engines' operations on
-their samples and their rules on the sparse-shape upsets, and the
+their samples, the samples themselves at small counts and several
+seeds, their rules on the sparse-shape upsets, and the
 theorem registry's verdicts and witnesses, compared byte for byte with
 the files in ``tests/golden/``.
 
@@ -189,6 +190,26 @@ def fan_ops_golden():
     return "".join(out)
 
 
+SAMPLE_SEEDS = (0, 1, 7)
+SAMPLE_COUNTS = (0, 1, 2, 9)
+
+
+def fan_samples_golden():
+    """The samples of each fan family at every count in ``SAMPLE_COUNTS``
+    and seed in ``SAMPLE_SEEDS``, one line each."""
+    out = []
+    for family in FAMILIES:
+        E = engine_for(family)
+        for seed in SAMPLE_SEEDS:
+            for count in SAMPLE_COUNTS:
+                samples = E.sample_clopen_upsets(count, seed=seed)
+                out.append(f"# {family} seed={seed} count={count}: "
+                           f"{len(samples)} samples\n")
+                out += [json.dumps(tame_to_json(u), sort_keys=True) + "\n"
+                        for u in samples]
+    return "".join(out)
+
+
 def fan_rules_golden():
     """For every distinct clopen upset ``E.up(a)`` of the sparse-shape
     sets of each fan family: core, dU and the Scott test, one line each."""
@@ -293,6 +314,7 @@ def golden_outputs():
             repr(P) + "\n" for P in enumerate_posets(n))
     files["nuclei.txt"] = nuclei_golden()
     files["fan_ops.txt"] = fan_ops_golden()
+    files["fan_samples.txt"] = fan_samples_golden()
     files["fan_rules.txt"] = fan_rules_golden()
     files[f"verify_b{VERIFY_BOUND}.txt"] = verify_golden()
     return files

@@ -25,24 +25,86 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def test_engine_contract_resolves_on_every_engine():
-    # the contract is listed once, in spectrum's module docstring; every
-    # name it lists must exist on the finite engine and each fan engine
+def contract_names():
+    """The names the engine contract in spectrum's module docstring
+    lists, and the names its line of engine-kind extras lists."""
+    from priestley import spectrum
+
+    doc = spectrum.__doc__
+    start, extras = doc.index("The engine contract"), doc.index("The oracle's exhaustive")
+
+    def names(text):
+        return re.findall(r"``([a-z_]\w*)``", text)  # not ``None``
+
+    return names(doc[start:extras]), names(doc[extras:])
+
+
+def every_engine():
     from priestley import spectrum
     from priestley.fans import FAMILIES, engine_for
     from priestley.poset import build_poset
 
-    doc = spectrum.__doc__
-    listed = doc[doc.index("The engine contract"):doc.index("The oracle's exhaustive")]
-    names = re.findall(r"``([a-z_]\w*)``", listed)  # not ``None``
-    assert len(names) > 20, names
     engines = [spectrum.FiniteEngine(build_poset(["a", "b"], [("a", "b")]))]
-    engines += [engine_for(fam) for fam in FAMILIES]
+    return engines + [engine_for(fam) for fam in FAMILIES]
+
+
+def test_engine_contract_resolves_on_every_engine():
+    # the contract is listed once, in spectrum's module docstring; every
+    # name it lists must exist on the finite engine and each fan engine
+    names, _ = contract_names()
+    assert len(names) == 23, names
     missing = [
         (type(E).__name__, name)
-        for E in engines for name in names if not hasattr(E, name)
+        for E in every_engine() for name in names if not hasattr(E, name)
     ]
     assert missing == []
+
+
+def unread_names(names, trees):
+    """The names that no tree reads as an attribute outside a class
+    body; inside one, an engine's own methods read its attributes."""
+    read = set()
+
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                read.add(child.attr)
+            walk(child)
+
+    for tree in trees:
+        walk(tree)
+    return [name for name in names if name not in read]
+
+
+def unlisted_attributes(engines, listed):
+    """The public attributes of each engine that ``listed`` lacks."""
+    return [f"{type(E).__name__}.{name}" for E in engines
+            for name in dir(E) if not name.startswith("_") and name not in listed]
+
+
+def test_engine_contract_is_read_and_complete():
+    # each listed name has a caller among the modules that drive the
+    # engines, and an engine has no public attribute the lists omit: a
+    # method only a test calls would be a second statement of a rule
+    names, extras = contract_names()
+    trees = [ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+             for module in ("spectrum", "oracle", "cli")]
+    assert unread_names(names + extras, trees) == []
+    assert unlisted_attributes(every_engine(), names + extras) == []
+    # and the lint sees each kind of gap
+    planted = ast.parse("def f(E):\n    return E.meet(E.full, E.empty)\n"
+                        "class G:\n    def g(self):\n        return self.up\n")
+    assert unread_names(["meet", "full", "up", "down"], [planted]) == ["up", "down"]
+    engine = every_engine()[0]
+
+    class Planted(type(engine)):
+        def helper(self):
+            return self.full
+
+    assert unlisted_attributes([Planted(engine.poset)], names + extras) == [
+        "Planted.helper"]
 
 
 def test_fan_family_names_appear_only_in_the_shape_table_and_engines():
@@ -141,7 +203,7 @@ def test_frozensets_are_made_only_at_the_boundary():
 
 
 def rule_loop_sites(source, engines):
-    """Sites in the named engine classes' methods, the samplers aside,
+    """Sites in the named engine classes' methods, the sample draws aside,
     that walk fans one at a time: a for or while statement, a call of
     ``_fan_region``, or ``dict(<set>.fan_exc)`` passed on."""
     found = []
@@ -150,7 +212,7 @@ def rule_loop_sites(source, engines):
             continue
         for method in cls.body:
             if (not isinstance(method, ast.FunctionDef)
-                    or method.name == "sample_clopen_upsets"):
+                    or method.name == "_draw"):
                 continue
             for node in ast.walk(method):
                 call = node.func if isinstance(node, ast.Call) else None

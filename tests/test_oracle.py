@@ -4,7 +4,7 @@ import pytest
 
 from priestley import NuclearSet, build_poset, enumerate_upsets, oracle
 from priestley import spectrum as sp
-from priestley.fans import FAMILIES, engine_for
+from priestley.fans import FAMILIES, TameSet, engine_for
 from priestley.errors import BoundExceeded, EmptySelection, UnknownTheoremId
 
 
@@ -242,6 +242,31 @@ def test_fan_tame_soundness_complements_each_set_once(monkeypatch, family):
     cases = oracle.check_fan_tame_soundness.on([(E.name, (E, oracle.DEFAULT_SEED))])
     assert [c.ok() for c in cases] == [True]
     assert seen and len(seen) == len(set(seen))
+
+
+def _drops_last_exception(op):
+    """op with the last exception fan of its result dropped, when both
+    operands have exception fans and differ: wrong only at the classes
+    of the operands, which the result's own classes need not show."""
+    def faulty(a, b):
+        r = op(a, b)
+        if a.fan_exc and b.fan_exc and a != b:
+            r = TameSet(r.family, r.fan_default, r.fan_exc[:-1], r.spine, r.omega_star)
+        return r
+
+    return faulty
+
+
+@pytest.mark.parametrize("name, family", [
+    ("tame_join", "omega_fans"), ("tame_join", "chain_fans"),
+    ("tame_meet", "omega_fans"),
+])
+def test_fan_tame_soundness_probes_the_operands_classes(monkeypatch, name, family):
+    monkeypatch.setattr(oracle, name, _drops_last_exception(getattr(oracle, name)))
+    E = engine_for(family)
+    cases = oracle.check_fan_tame_soundness.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    assert [c.status for c in cases] == ["failed"]
+    assert cases[0].witness.startswith(name[len("tame_"):] + " at ")
 
 
 def test_d_table_double_negates_each_upset_once(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from priestley import build_poset
 from priestley import spectrum as sp
-from priestley.errors import NotAnUpset, NotClopenUpset
+from priestley.errors import NotClopenUpset
 
 
 def engine(labels, covers):
@@ -21,31 +21,26 @@ def two_antichain():
 
 def test_localic_points_every_point():
     E = two_chain()
-    assert sp.localic_points(E) == E.full
+    assert E.localic_part() == E.full
 
 
 def test_scott_upset_every_upset():
     E = two_chain()
     for u in E.all_upsets():
-        assert sp.is_scott_upset(E, u)
-
-
-def test_is_scott_upset_rejects_non_upsets():
-    E = two_chain()
-    with pytest.raises(NotAnUpset):
-        sp.is_scott_upset(E, 0b01)  # {x1} is not an upset
+        assert sp.scott_upset_flag(E, u)
+    assert not sp.scott_upset_flag(E, 0b01)  # {x1} is not an upset
 
 
 def test_core_is_identity():
     E = two_chain()
     for u in E.all_upsets():
-        assert sp.core(E, u) == u
+        assert E.core(u) == u
 
 
-def test_core_rejects_non_upsets():
+def test_d_rejects_non_upsets():
     E = two_chain()
     with pytest.raises(NotClopenUpset):
-        sp.core(E, 0b01)
+        sp.d_apply(E, 0b01)
 
 
 def test_d_examples():
@@ -105,14 +100,7 @@ def test_unit_is_whole_space():
 
 def test_regularity_all_true():
     E = two_chain()
-    assert sp.regularity_suite(E) == {
-        "antichain": True, "max_y_equals_yd": True, "locally_stone": True,
-    }
-
-
-def test_classify_frame_finite():
-    E = two_chain()
-    assert sp.classify_frame(E) == {"algebraic": True, "arithmetic": True}
+    assert sp.regularity_suite(E) == {"antichain": True, "max_y_equals_yd": True}
 
 
 def test_report_flags_all_true():
