@@ -28,6 +28,10 @@ def test_scott_upset_every_upset():
     E = two_chain()
     for u in E.all_upsets():
         assert sp.scott_upset_flag(E, u)
+
+
+def test_is_scott_upset_rejects_non_upsets():
+    E = two_chain()
     assert not sp.scott_upset_flag(E, 0b01)  # {x1} is not an upset
 
 
