@@ -1,8 +1,9 @@
 """Command-line surface: dualize lattices, analyze spaces, verify theorems.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 internal
-assertion (a bug, never expected), 64 usage error.  Output is
-deterministic: identical inputs produce byte-identical reports.
+Exit codes: 0 ok, 1 verification failure, 2 input error (including an
+unreadable input or unwritable output file), 3 internal assertion (a
+bug, never expected), 64 usage error.  Output is deterministic:
+identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -50,8 +51,17 @@ def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or JSON
         print(f"cannot read {path}: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"cannot write {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 
 
@@ -146,13 +156,11 @@ def cmd_dual(args):
         return EXIT_INPUT
     payload = json.dumps(poset_to_json(X), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot_finite(X))
+        _write(args.dot, dot_finite(X))
     return EXIT_OK
 
 
@@ -189,13 +197,11 @@ def cmd_analyze(args):
     else:
         out = report.to_text() + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        _write(args.out, out)
     else:
         sys.stdout.write(out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot())
+        _write(args.dot, dot())
     return EXIT_OK
 
 

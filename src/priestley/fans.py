@@ -71,25 +71,27 @@ parts and omega on cofinite spine parts; the top blob is added when
 almost every fan closes up to its star (the blob is a limit of the
 fans as a whole).  Interior is the de Morgan dual.
 
-Closed-form rules (derived once, validated in the test suite against
-the finite oracle analogues and against each family's published facts):
+Closed-form rules (each stated once, validated in the test suite
+against the finite oracle analogues and against each family's
+published facts).  A family states only its order (``strict_up``,
+``strict_down``), its clopen-Scott-upset test and its sample draw;
+:class:`FanEngine` derives the rest from them:
 
-* clopen Scott upsets of ``omega_fans`` are the finite sets of fan
+* ``core U`` is the meet of U with the stars-over-bottoms mask: fan i
+  whole over a bottom y_i of U (in a clopen upset y_i forces the whole
+  upset of y_i), its points alone elsewhere, the localic spine points,
+  and the blob only with a localic omega in U;
+* the d-core of D is the pointwise ``{x : up(x) inside D}``: up(y_i)
+  is y_i, fan i, omega and the blob, and up(omega) the last two, each
+  where the family has it.  ``chain_fans``, whose spine descends,
+  overrides it with its own order;
+* for ``omega_fans`` the clopen Scott upsets are the finite sets of fan
   points, and the upsets with cofinite spine whose trace on every fan
-  with excluded bottom is finite;
-* ``core U`` keeps the fan points of U, keeps star i and spine point i
-  exactly when the whole upset of spine point i lies inside U, and
-  keeps omega / the top blob when the spine of U is cofinite with the
-  matching flags (conditions that are automatic for clopen upsets once
-  the relevant bottom point is present);
-* membership of the d-core is the pointwise criterion
-  ``up(x) inside down(core U)``, evaluated region by region.
+  with excluded bottom is finite.
 
 The rules are index-region arithmetic, with no walk over fan indices:
-``_fans_over`` spreads an index mask over the fans, ``_fan_pred_region``
-gathers the fans that pass a test into one, and ``core U`` is the meet
-of U with the stars-over-bottoms mask (fan i whole over a bottom y_i of
-U, its points alone elsewhere).
+``_fans_over`` spreads an index mask over the fans, and
+``_fan_pred_region`` gathers the fans that pass a test into one.
 """
 
 from __future__ import annotations
@@ -261,6 +263,11 @@ class TameSet:
         )
 
 
+def _leaves(spine, carrier):
+    """Whether a spine region has a point or omega outside the carrier."""
+    return spine.bits & ~carrier.bits or spine.flag > carrier.flag
+
+
 def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
               spine=EMPTY_REGION, omega_star=False):
     """Build a tame set from arbitrary fields, in canonical form.
@@ -293,7 +300,7 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
         raise NotRepresentable("fan indices must be non-negative")
     # meet with the carrier only when the spine leaves it: one more
     # Region per call costs the symbolic sweeps measurably
-    if spine.bits & ~carrier.bits or spine.flag > carrier.flag:
+    if _leaves(spine, carrier):
         if carrier.is_empty():
             raise NotRepresentable(f"{family} has no spine")
         spine = region_meet(spine, carrier)
@@ -468,13 +475,12 @@ def _fans_over(idx, inside, outside):
 
 
 class FanEngine:
-    """Shared machinery: Boolean algebra, topology, points, reps, and
-    the sampling loop.
+    """Shared machinery: Boolean algebra, topology, points, reps, the
+    core and d-core rules, and the sampling loop.
 
-    Subclasses supply the order (strict up/down), the core rule, the
-    pointwise d-core rule, the clopen-Scott-upset test, one sample draw
-    (``_draw``), and the topology class of an infinite min Y_d, one
-    family each.
+    Subclasses supply the order (strict up/down), the clopen-Scott-upset
+    test, one sample draw (``_draw``), and the topology class of an
+    infinite min Y_d, one family each.
     """
 
     family = None
@@ -629,6 +635,31 @@ class FanEngine:
         self._localic = make_tame(self.family, default, spine=spine)
         return self._localic
 
+    # -- rules derived from the order ------------------------------------
+
+    def core(self, u):
+        """The meet of u with the stars-over-bottoms mask."""
+        L = self.localic_part()
+        stars = make_tame(
+            self.family, *_fans_over(u.spine.bits, FULL_REGION, POINTS_REGION),
+            spine=L.spine, omega_star=u.spine.flag and L.spine.flag,
+        )
+        return tame_meet(u, stars)
+
+    def points_with_up_inside(self, d):
+        """``{x : up(x) inside d}`` with each bottom under its own fan."""
+        full = self.full
+        omega = d.spine.flag == full.spine.flag and d.omega_star == full.omega_star
+        # only the spine can shrink: y_i stays when fan i is whole in d
+        ups_ok = 0
+        if omega and d.spine.bits:
+            ups_ok = _fan_pred_region(d, Region.is_full).bits
+        spine = region_meet(d.spine, Region(ups_ok, omega))
+        if spine == d.spine:
+            return d
+        return tame_meet(d, make_tame(self.family, FULL_REGION, spine=spine,
+                                      omega_star=full.omega_star))
+
     # -- sampling --------------------------------------------------------
 
     def sample_clopen_upsets(self, count, seed=0):
@@ -693,11 +724,7 @@ class FanEngine:
 
 class BareFanEngine(FanEngine):
     """Trivially ordered fan plus star: the dual of the full powerset.
-
-    Order closures are identities, the core of a clopen upset strips the
-    star (the star blob is never inside a Scott upset: its points are
-    minimal but not localic), and d fixes every clopen upset.
-    """
+    Order closures are identities."""
 
     family = "bare_fan"
     infinite_min_yd_class = "discrete"
@@ -707,13 +734,6 @@ class BareFanEngine(FanEngine):
 
     def strict_down(self, a):
         return self.empty
-
-    def core(self, u):
-        return make_tame(self.family, Region(u.fan_default.bits))
-
-    def points_with_up_inside(self, d):
-        # identity order: up(x) = {x} for every class
-        return d
 
     def clop_sup_test(self, u):
         return u.fan_default.bits >= 0 and not u.fan_default.flag
@@ -744,20 +764,10 @@ class FanPlusBottomEngine(FanEngine):
             return make_tame(self.family, spine=Region(1))
         return self.empty
 
-    def core(self, u):
-        if u.spine.member(0):
-            # an upset containing y is the whole space, itself Scott
-            return u
-        return make_tame(self.family, Region(u.fan_default.bits))
-
-    def points_with_up_inside(self, d):
-        spine = Region(1 if d == self.full else 0)
-        return make_tame(self.family, d.fan_default, spine=spine)
-
     def clop_sup_test(self, u):
         if u.spine.member(0):
             return u == self.full
-        return u.fan_default.bits >= 0 and not u.fan_default.flag
+        return BareFanEngine.clop_sup_test(self, u)
 
     _draw = BareFanEngine._draw
 
@@ -790,32 +800,6 @@ class OmegaFansEngine(FanEngine):
             self.family, *_fans_over(s.bits, FULL_REGION, EMPTY_REGION),
             spine=Region(0, any_member), omega_star=any_member or s.flag,
         )
-
-    def core(self, u):
-        """Keep the fan points; keep star i only over a bottom point of u;
-        keep omega and the blob only together.
-
-        For a clopen upset, y_i in u already forces the whole upset of
-        y_i inside u and a cofinite spine with omega, so the published
-        conditions collapse to membership of the relevant bottoms: stars
-        survive exactly over bottoms of u, spine points survive as they
-        are, omega survives as it is, and the blob survives exactly when
-        omega is present (every clopen Scott upset through the blob runs
-        through omega).
-        """
-        stars = make_tame(
-            self.family, *_fans_over(u.spine.bits, FULL_REGION, POINTS_REGION),
-            spine=FULL_REGION, omega_star=u.spine.flag,
-        )
-        return tame_meet(u, stars)
-
-    def points_with_up_inside(self, d):
-        # up(y_i) is y_i, fan i, omega and the blob; up(omega) the last two
-        omega = d.spine.flag and d.omega_star
-        ups_ok = _fan_pred_region(d, Region.is_full).bits if omega else 0
-        mask = make_tame(self.family, FULL_REGION, spine=Region(ups_ok, omega),
-                         omega_star=True)
-        return tame_meet(d, mask)
 
     def clop_sup_test(self, u):
         """Finite set of fan points, or cofinite spine with finite fan
@@ -894,20 +878,6 @@ class ChainFansEngine(FanEngine):
             self.family, *_fans_over(heads, FULL_REGION, EMPTY_REGION),
             spine=Region(heads >> 1), omega_star=s.flag,
         )
-
-    def core(self, u):
-        """Keep the fan points and spine points; keep star i only over a
-        bottom point of u; omega and the blob are never in any Scott
-        upset here (omega is the global minimum and it is not localic).
-
-        For a clopen upset, y_i in u forces the whole upset of y_i
-        inside u, which is what the star rule really requires.
-        """
-        stars = make_tame(
-            self.family, *_fans_over(u.spine.bits, FULL_REGION, POINTS_REGION),
-            spine=POINTS_REGION,
-        )
-        return tame_meet(u, stars)
 
     def points_with_up_inside(self, d):
         # up(y_i) is y_0..y_i and fans 0..i: the initial run of the
@@ -1042,7 +1012,7 @@ def tame_from_json(family, obj):
     spine = _region_from_json(obj.get("spine", "empty"), "omega", "spine")
     # make_tame would meet the spine into the carrier: refuse it here
     carrier = _SHAPE[family][1] if family in _SHAPE else FULL_REGION
-    if spine.bits & ~carrier.bits or spine.flag > carrier.flag:
+    if _leaves(spine, carrier):
         raise NotRepresentable(f"spine: {family} has no such spine points: "
                                f"{obj['spine']!r}")
     omega_star = _flag(obj, "omega_star", "omega_star")

@@ -121,6 +121,22 @@ def test_analyze_bad_input(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"family": "omega_fans\xe9"}')
+    code, out, err = run_cli(["analyze", str(p)], capsys)
+    assert code == 2 and out == "" and f"cannot read {p}" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("dual", "--out"), ("dual", "--dot"), ("analyze", "--out"), ("analyze", "--dot"),
+])
+def test_an_unwritable_output_exits_2(command, option, chain3, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, _, err = run_cli([command, chain3, option, str(target)], capsys)
+    assert code == 2 and f"cannot write {target}" in err, err
+
+
 @pytest.mark.parametrize("command, obj, field", [
     ("dual", {"points": ["0", "1"], "covers": [["0"]]}, "covers.0"),
     ("analyze", {"points": ["0", "1"], "covers": [["0"]]}, "covers.0"),

@@ -11,7 +11,9 @@ from priestley.fans import (
     FULL_REGION,
     OMEGA,
     OMEGA_STAR,
+    BareFanEngine,
     ChainFansEngine,
+    FanPlusBottomEngine,
     OmegaFansEngine,
     Region,
     engine_for,
@@ -248,6 +250,19 @@ def test_core_density(engines):
 # d-law check has to fail it with a witness on the seeded samples.
 
 
+class BareCoreKeepsStar(BareFanEngine):
+    # the star blob's points are not localic, so no core holds them
+    def core(self, u):
+        return tame_join(super().core(u), u)
+
+
+class BottomUpInsideDropsY(FanPlusBottomEngine):
+    # up(y) is the whole space, so y is in the d-core of the full set
+    def points_with_up_inside(self, d):
+        return tame_meet(super().points_with_up_inside(d),
+                         make_tame(self.family, FULL_REGION))
+
+
 class OmegaUpInsideKeepsAll(OmegaFansEngine):
     # every point of d counts as having its upset inside d
     def points_with_up_inside(self, d):
@@ -310,6 +325,8 @@ class OmegaUpDropsBlob(OmegaFansEngine):
 
 # fault -> a part of the witness the d-law check gives
 RULE_FAULTS = {
+    BareCoreKeepsStar: "core not generated by localic points at",
+    BottomUpInsideDropsY: "not inflationary at",
     # d of a sample comes out no clopen upset, and d_apply of it raises
     OmegaUpInsideKeepsAll: "is not a clopen upset",
     OmegaCoreKeepsAll: "nuclear form differs at",

@@ -18,6 +18,8 @@ import pathlib
 import sys
 import tempfile
 
+import pytest
+
 from priestley import (
     NuclearSet,
     admissible_upset,
@@ -210,6 +212,23 @@ def fan_samples_golden():
     return "".join(out)
 
 
+def sparse_clopen_upsets(E):
+    """Every distinct clopen upset ``E.up(a)`` of the sparse-shape sets."""
+    ups = dict.fromkeys(E.up(a) for a in sparse_sets(E.family))
+    return [u for u in ups if E.is_open(u) and E.is_closed(u)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_core_is_the_upset_of_its_localic_points(family):
+    # the closed-form core against its slow generic form, so that a
+    # regenerated fan_rules.txt cannot bless a changed rule
+    E = engine_for(family)
+    L = E.localic_part()
+    samples = E.sample_clopen_upsets(oracle.SAMPLE_COUNT, seed=oracle.DEFAULT_SEED)
+    for u in sparse_clopen_upsets(E) + samples:
+        assert E.core(u) == E.up(E.meet(u, L)), E.describe_set(u)
+
+
 def fan_rules_golden():
     """For every distinct clopen upset ``E.up(a)`` of the sparse-shape
     sets of each fan family: core, dU and the Scott test, one line each."""
@@ -219,8 +238,7 @@ def fan_rules_golden():
     out = []
     for family in FAMILIES:
         E = engine_for(family)
-        ups = dict.fromkeys(E.up(a) for a in sparse_sets(family))
-        ups = [u for u in ups if E.is_open(u) and E.is_closed(u)]
+        ups = sparse_clopen_upsets(E)
         out.append(f"# {family}: {len(ups)} clopen upsets\n")
         out += [f"u={show(u)} core={show(E.core(u))} d={show(sp.d_apply(E, u))} "
                 f"clop_sup_test={E.clop_sup_test(u)}\n" for u in ups]

@@ -203,16 +203,19 @@ def test_frozensets_are_made_only_at_the_boundary():
 
 
 def rule_loop_sites(source, engines):
-    """Sites in the named engine classes' methods, the sample draws aside,
-    that walk fans one at a time: a for or while statement, a call of
-    ``_fan_region``, or ``dict(<set>.fan_exc)`` passed on."""
+    """Sites in the methods of the named engine classes that walk fans
+    one at a time: a for or while statement, a call of ``_fan_region``,
+    or ``dict(<set>.fan_exc)`` passed on.  ``engines`` maps a class name
+    to the names of the methods to search, or to None for every method
+    but the sample draw."""
     found = []
     for cls in ast.parse(source).body:
         if not (isinstance(cls, ast.ClassDef) and cls.name in engines):
             continue
+        rules = engines[cls.name]
         for method in cls.body:
-            if (not isinstance(method, ast.FunctionDef)
-                    or method.name == "_draw"):
+            if (not isinstance(method, ast.FunctionDef) or method.name == "_draw"
+                    or rules is not None and method.name not in rules):
                 continue
             for node in ast.walk(method):
                 call = node.func if isinstance(node, ast.Call) else None
@@ -229,6 +232,9 @@ def rule_loop_sites(source, engines):
     return found
 
 
+SHARED_RULES = ("up", "down", "core", "points_with_up_inside")
+
+
 def test_engine_rules_do_not_walk_the_fans():
     # the order, core and Scott rules are index-region arithmetic: a
     # loop over fan indices or a rebuilt exception dict is a second,
@@ -236,16 +242,52 @@ def test_engine_rules_do_not_walk_the_fans():
     from priestley import fans
 
     source = pathlib.Path(fans.__file__).read_text(encoding="utf-8")
-    engines = {cls.__name__ for cls in fans._ENGINES.values()}
+    engines = dict.fromkeys(cls.__name__ for cls in fans._ENGINES.values())
     assert len(engines) == 4
+    # the shared engine's rules, not its rendering and point walks
+    engines["FanEngine"] = SHARED_RULES
     assert rule_loop_sites(source, engines) == []
-    # and the lint sees each kind of site
+    # and the lint sees each kind of site, in the searched methods only
     planted = ("class E:\n"
                "    def core(self, u):\n"
                "        for i in u: pass\n"
-               "        return u._fan_region(0), dict(u.fan_exc)\n")
-    assert rule_loop_sites(planted, {"E"}) == [
+               "        return u._fan_region(0), dict(u.fan_exc)\n"
+               "    def describe_set(self, u):\n"
+               "        for i in u: pass\n")
+    assert rule_loop_sites(planted, {"E": None}) == [
+        "E.core:3 for", "E.core:4 _fan_region", "E.core:4 dict(fan_exc)",
+        "E.describe_set:6 for"]
+    assert rule_loop_sites(planted, {"E": SHARED_RULES}) == [
         "E.core:3 for", "E.core:4 _fan_region", "E.core:4 dict(fan_exc)"]
+
+
+def definers(source, name):
+    """The classes of a module whose body defines or assigns ``name``."""
+    def binds(node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name == name
+        return isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == name for t in node.targets)
+
+    return [cls.name for cls in ast.walk(ast.parse(source))
+            if isinstance(cls, ast.ClassDef) and any(map(binds, cls.body))]
+
+
+def test_each_derived_fan_rule_is_stated_once():
+    # the core and the pointwise d-core follow from each family's order;
+    # FanEngine states them once, and only chain_fans, whose spine
+    # descends, has a d-core of its own
+    from priestley import fans
+
+    source = pathlib.Path(fans.__file__).read_text(encoding="utf-8")
+    assert definers(source, "core") == ["FanEngine"]
+    assert definers(source, "points_with_up_inside") == [
+        "FanEngine", "ChainFansEngine"]
+    # and the lint sees a rule restated by a method or an alias
+    planted = ("class A:\n    def core(self, u): return u\n"
+               "class B(A):\n    core = A.core\n"
+               "class C(A):\n    def up(self, u): return u\n")
+    assert definers(planted, "core") == ["A", "B"]
 
 
 MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
