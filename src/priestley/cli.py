@@ -51,7 +51,8 @@ def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad UTF-8 or JSON
+    # ValueError: bad UTF-8 or JSON; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 

@@ -64,6 +64,14 @@ build their results from canonical operands directly.  The JSON form
 keeps a mode field plus the sorted exception list, and omits the spine
 and the blob where the family has none.
 
+:class:`Region`, :class:`TameSet` and :class:`SymbolicPoint` are
+immutable values: each is a ``namedtuple`` of its fields in order,
+read by name and, on the hot path, by index.  Building one is a
+single ``tuple.__new__``, and ``==``, ``!=`` and ``hash`` are the
+tuple's, in C, so a tame set is hashed without rebuilding a field
+tuple.  They are not ordered, and ``pt in u`` asks whether the tame
+set u holds the point, as ``u.member(pt)`` does.
+
 Topology of a region: a finite part is clopen; a cofinite part is open
 and closed only when its limit flag is set; a limit-only part is
 closed, not open.  Closure therefore sets the star on cofinite fan
@@ -97,7 +105,8 @@ The rules are index-region arithmetic, with no walk over fan indices:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 from .errors import FamilyMismatch, NotRepresentable
@@ -108,27 +117,66 @@ from .poset import _bits, _mask
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Region:
-    bits: int            # bit k set iff k is a member; negative = cofinite
-    flag: bool = False   # the region's limit class (star / omega)
+class _Frozen:
+    """What a namedtuple lacks to stand in for a frozen dataclass:
+    assigning or deleting any attribute raises ``FrozenInstanceError``,
+    ``<`` and its kin raise ``TypeError`` instead of comparing the field
+    tuples, and ``in`` is not the tuple's element test."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __contains__(self, item):
+        raise TypeError(f"{type(self).__name__} is not a container")
+
+    # Python-level order methods send == and != through a slot lookup
+    # too, about 0.1 us more per compare; the sweeps do not show it
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
+class Region(_Frozen, namedtuple("Region", "bits flag")):
+    """A finite or cofinite subset of one copy of N, plus a limit flag:
+    bit k of ``bits`` is set iff k is a member (negative = cofinite),
+    and ``flag`` is the region's limit class (star / omega)."""
+
+    __slots__ = ()
+
+    def __new__(cls, bits, flag=False):
+        self = tuple.__new__(cls, (bits, flag))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make and _replace would skip the bits check
+        return cls(*iterable)
 
     def __post_init__(self):
-        if type(self.bits) is not int:
-            raise TypeError(f"region bits must be an int, not {self.bits!r}")
+        if type(self[0]) is not int:
+            raise TypeError(f"region bits must be an int, not {self[0]!r}")
 
     def member(self, k):
-        return self.bits >> k & 1 == 1
+        return self[0] >> k & 1 == 1
 
     def has_points(self):
-        return self.bits != 0
+        return self[0] != 0
 
     def is_empty(self):
-        return self.bits == 0 and not self.flag
+        bits, flag = self
+        return bits == 0 and not flag
 
     def is_full(self):
         """All points of the region and its limit class."""
-        return self.bits == -1 and self.flag
+        bits, flag = self
+        return bits == -1 and flag
 
 
 EMPTY_REGION = Region(0)
@@ -150,31 +198,37 @@ def _exc(r):
     """The exceptions of a region as a non-negative mask: its members
     when finite, its non-members when cofinite.  ``_bits`` of a negative
     int would never end, so every walk over a region goes through here."""
-    return ~r.bits if r.bits < 0 else r.bits
+    bits = r[0]
+    return ~bits if bits < 0 else bits
 
 
 def region_meet(a, b):
     # an operand that already is the result is returned as it is: most
     # meets and joins in the engines leave one side unchanged
-    bits, flag = a.bits & b.bits, a.flag and b.flag
-    if bits == a.bits and flag == a.flag:
+    abits, aflag = a
+    bbits, bflag = b
+    bits, flag = abits & bbits, aflag and bflag
+    if bits == abits and flag == aflag:
         return a
-    if bits == b.bits and flag == b.flag:
+    if bits == bbits and flag == bflag:
         return b
     return Region(bits, flag)
 
 
 def region_join(a, b):
-    bits, flag = a.bits | b.bits, a.flag or b.flag
-    if bits == a.bits and flag == a.flag:
+    abits, aflag = a
+    bbits, bflag = b
+    bits, flag = abits | bbits, aflag or bflag
+    if bits == abits and flag == aflag:
         return a
-    if bits == b.bits and flag == b.flag:
+    if bits == bbits and flag == bflag:
         return b
     return Region(bits, flag)
 
 
 def region_complement(a):
-    return Region(~a.bits, not a.flag)
+    bits, flag = a
+    return Region(~bits, not flag)
 
 
 def region_subset(a, b):
@@ -186,20 +240,22 @@ def region_subset(a, b):
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolicPoint:
-    kind: str  # "fan" | "star" | "spine" | "omega" | "omega_star"
-    i: int = -1
-    k: int = -1
+class SymbolicPoint(_Frozen, namedtuple("SymbolicPoint", "kind i k", defaults=(-1, -1))):
+    """One point of a fan space, by ``kind`` ("fan" | "star" | "spine" |
+    "omega" | "omega_star"): fan point k of fan i, the star of fan i,
+    spine point i, omega, or the top blob; an unused index is -1."""
+
+    __slots__ = ()
 
     def __repr__(self):
-        if self.kind == "fan":
-            return f"x({self.i},{self.k})"
-        if self.kind == "star":
-            return f"X*({self.i})"
-        if self.kind == "spine":
-            return f"y({self.i})"
-        if self.kind == "omega":
+        kind, i, k = self
+        if kind == "fan":
+            return f"x({i},{k})"
+        if kind == "star":
+            return f"X*({i})"
+        if kind == "spine":
+            return f"y({i})"
+        if kind == "omega":
             return "omega"
         return "X_omega*"
 
@@ -225,34 +281,36 @@ OMEGA_STAR = SymbolicPoint("omega_star")
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TameSet:
-    """Canonical symbolic subset of one catalog space."""
+class TameSet(_Frozen, namedtuple(
+        "TameSet", "family fan_default fan_exc spine omega_star")):
+    """Canonical symbolic subset of one catalog space: the Region of
+    every fan not in ``fan_exc``, the sorted ``((i, Region), ...)`` of
+    the others (every value != ``fan_default``), the ``spine`` Region
+    inside the family's carrier, and whether the top blob is in."""
 
-    family: str
-    fan_default: Region
-    fan_exc: tuple  # sorted ((i, Region), ...), every value != fan_default
-    spine: Region   # inside the family's spine carrier
-    omega_star: bool
+    __slots__ = ()
 
     def member(self, pt):
-        if pt.kind == "fan":
-            return self._fan_region(pt.i).member(pt.k)
-        if pt.kind == "star":
-            return self._fan_region(pt.i).flag
-        if pt.kind == "spine":
-            return self.spine.member(pt.i)
-        if pt.kind == "omega":
-            return self.spine.flag
-        if pt.kind == "omega_star":
-            return self.omega_star
-        raise ValueError(f"unknown point kind {pt.kind!r}")
+        kind, i, k = pt
+        if kind == "fan":
+            return self._fan_region(i).member(k)
+        if kind == "star":
+            return self._fan_region(i)[1]
+        if kind == "spine":
+            return self[3].member(i)
+        if kind == "omega":
+            return self[3][1]
+        if kind == "omega_star":
+            return self[4]
+        raise ValueError(f"unknown point kind {kind!r}")
+
+    __contains__ = member
 
     def _fan_region(self, i):
-        for j, r in self.fan_exc:
+        for j, r in self[2]:
             if j == i:
                 return r
-        return self.fan_default
+        return self[1]
 
     def is_empty_set(self):
         return (
@@ -265,7 +323,7 @@ class TameSet:
 
 def _leaves(spine, carrier):
     """Whether a spine region has a point or omega outside the carrier."""
-    return spine.bits & ~carrier.bits or spine.flag > carrier.flag
+    return spine[0] & ~carrier[0] or spine[1] > carrier[1]
 
 
 def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
@@ -283,21 +341,23 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
     if family not in _SHAPE:
         raise FamilyMismatch(f"unknown family {family!r}")
     multi_fan, carrier, blob = _SHAPE[family]
-    exc = dict(fan_exc or {})
-    if not multi_fan and exc:
-        # single fan: everything lives in the default slot
-        if set(exc) - {0}:
-            raise NotRepresentable("single-fan family has only fan 0")
-        fan_default = exc.pop(0)
-    # a plain loop: a generator expression here raised peak memory by ~1 MB
-    items = []
-    for i in sorted(exc):
-        r = exc[i]
-        if r != fan_default:
-            items.append((i, r))
-    items = tuple(items)
-    if items and items[0][0] < 0:
-        raise NotRepresentable("fan indices must be non-negative")
+    items = ()
+    if fan_exc:
+        exc = dict(fan_exc)
+        if not multi_fan:
+            # single fan: everything lives in the default slot
+            if set(exc) - {0}:
+                raise NotRepresentable("single-fan family has only fan 0")
+            fan_default = exc.pop(0)
+        # a plain loop: a generator expression here raised peak memory by ~1 MB
+        items = []
+        for i in sorted(exc):
+            r = exc[i]
+            if r != fan_default:
+                items.append((i, r))
+        items = tuple(items)
+        if items and items[0][0] < 0:
+            raise NotRepresentable("fan indices must be non-negative")
     # meet with the carrier only when the spine leaves it: one more
     # Region per call costs the symbolic sweeps measurably
     if _leaves(spine, carrier):
@@ -324,11 +384,11 @@ def _combine(a, b, rop, omega_star):
     default are dropped.  rop of two in-carrier spines stays in the
     carrier, and the blob flag is whatever the caller computed from two
     valid operands, so nothing needs checking again."""
-    if a.family != b.family:
-        raise FamilyMismatch(f"{a.family} vs {b.family}")
-    da, db = a.fan_default, b.fan_default
+    family, da, xa, sa, _ = a
+    other, db, xb, sb, _ = b
+    if family != other:
+        raise FamilyMismatch(f"{family} vs {other}")
     default = rop(da, db)
-    xa, xb = a.fan_exc, b.fan_exc
     na, nb = len(xa), len(xb)
     # plain loops throughout: generator expressions here grow peak memory
     items = []
@@ -357,28 +417,29 @@ def _combine(a, b, rop, omega_star):
         r = rop(da, r)
         if r != default:
             items.append((i, r))
-    return TameSet(a.family, default, tuple(items), rop(a.spine, b.spine), omega_star)
+    return TameSet(family, default, tuple(items), rop(sa, sb), omega_star)
 
 
 def tame_meet(a, b):
-    return _combine(a, b, region_meet, a.omega_star and b.omega_star)
+    return _combine(a, b, region_meet, a[4] and b[4])
 
 
 def tame_join(a, b):
-    return _combine(a, b, region_join, a.omega_star or b.omega_star)
+    return _combine(a, b, region_join, a[4] or b[4])
 
 
 def tame_complement(a):
     """The complement within the family's regions: the spine within its
     carrier, the blob only where the family has one.  r != d exactly
     when ~r != ~d, so the complemented exceptions need no filter."""
-    _, carrier, blob = _SHAPE[a.family]
+    family, default, exc, (sbits, sflag), omega_star = a
+    _, (cbits, cflag), blob = _SHAPE[family]
     items = []
-    for i, r in a.fan_exc:
+    for i, r in exc:
         items.append((i, region_complement(r)))
-    spine = Region(~a.spine.bits & carrier.bits, carrier.flag and not a.spine.flag)
-    return TameSet(a.family, region_complement(a.fan_default), tuple(items),
-                   spine, blob and not a.omega_star)
+    return TameSet(family, region_complement(default), tuple(items),
+                   Region(~sbits & cbits, cflag and not sflag),
+                   blob and not omega_star)
 
 
 def tame_diff(a, b):
@@ -386,9 +447,10 @@ def tame_diff(a, b):
 
 
 def _close_region(r):
-    if r.flag or r.bits >= 0:
+    bits, flag = r
+    if flag or bits >= 0:
         return r
-    return Region(r.bits, True)
+    return Region(bits, True)
 
 
 def tame_closure(a):
@@ -397,38 +459,45 @@ def tame_closure(a):
     a carrier with omega holds a cofinite spine, so the closed spine
     stays in the carrier; closing can make an exception equal to the
     closed default, and only those are dropped."""
-    default = _close_region(a.fan_default)
+    family, default, exc, spine, omega_star = a
+    default = _close_region(default)
     items = []
-    for i, r in a.fan_exc:
+    for i, r in exc:
         r = _close_region(r)
         if r != default:
             items.append((i, r))
-    os = a.omega_star or (_SHAPE[a.family][2] and default.flag)
-    return TameSet(a.family, default, tuple(items), _close_region(a.spine), os)
+    os = omega_star or (_SHAPE[family][2] and default[1])
+    return TameSet(family, default, tuple(items), _close_region(spine), os)
 
 
 def _regions(a):
-    return (a.fan_default, a.spine, *(r for _, r in a.fan_exc))
+    regions = [a[1], a[3]]
+    for _, r in a[2]:
+        regions.append(r)
+    return regions
 
 
 def tame_is_open(a):
     # a limit class is open only with almost all of its region
-    if any(r.flag and r.bits >= 0 for r in _regions(a)):
-        return False
+    for bits, flag in _regions(a):
+        if flag and bits >= 0:
+            return False
     # a neighbourhood of the top blob must eventually contain almost all
     # of almost every closed fan; exception fans are finitely many and
     # do not matter
-    return not a.omega_star or (a.fan_default.flag and a.fan_default.bits < 0)
+    bits, flag = a[1]
+    return not a[4] or (flag and bits < 0)
 
 
 def tame_is_closed(a):
     # a cofinite part is closed only with its limit class
-    if any(r.bits < 0 and not r.flag for r in _regions(a)):
-        return False
+    for bits, flag in _regions(a):
+        if bits < 0 and not flag:
+            return False
     # the top blob is a limit of the default fans once they close up to
     # their stars
-    d = a.fan_default
-    return not _SHAPE[a.family][2] or a.omega_star or not (d.flag or d.bits < 0)
+    bits, flag = a[1]
+    return not _SHAPE[a[0]][2] or a[4] or not (flag or bits < 0)
 
 
 # ---------------------------------------------------------------------
@@ -455,9 +524,13 @@ def _fan_pred_region(a, pred):
     """Indices of fans whose region satisfies pred, as an index region:
     the exception fans that pass, and every other fan if the default
     passes."""
-    passed = _mask(i for i, r in a.fan_exc if pred(r))
-    if pred(a.fan_default):
-        passed |= ~_fan_indices(a)
+    passed = seen = 0
+    for i, r in a[2]:
+        seen |= 1 << i
+        if pred(r):
+            passed |= 1 << i
+    if pred(a[1]):
+        passed |= ~seen
     return Region(passed)
 
 
@@ -522,7 +595,8 @@ class FanEngine:
 
     def _content_region(self, a):
         """Which fans have points or star, as an index region."""
-        return _fan_pred_region(a, lambda r: r.has_points() or r.flag)
+        # the tuple's own !=, in C: a region has content iff it is not empty
+        return _fan_pred_region(a, EMPTY_REGION.__ne__)
 
     # -- points ----------------------------------------------------------
 

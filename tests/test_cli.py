@@ -128,6 +128,15 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and f"cannot read {p}" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_json_nested_too_deep_exits_2(command, tmp_path, capsys):
+    # the decoder gives up with RecursionError, not ValueError
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli([command, str(p)], capsys)
+    assert code == 2 and out == "" and f"cannot read {p}" in err, err
+
+
 @pytest.mark.parametrize("command, option", [
     ("dual", "--out"), ("dual", "--dot"), ("analyze", "--out"), ("analyze", "--dot"),
 ])

@@ -1,8 +1,11 @@
 """The tame algebra: canonical forms, Boolean ops, topology, order."""
 
+import copy
 import dataclasses
 import functools
 import itertools
+import operator
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from priestley.fans import (
     OMEGA,
     OMEGA_STAR,
     Region,
+    SymbolicPoint,
     _SHAPE,
     engine_for,
     fan_point,
@@ -95,7 +99,7 @@ def test_canonical_forms_unique():
     )
 
 
-def test_region_and_tame_set_contract():
+def test_region_and_tame_set_contract(monkeypatch):
     # a region is one int: equal point sets are == and hash equal
     assert Region(0b110) == fins(2, 1) and hash(Region(0b110)) == hash(fins(1, 2))
     with pytest.raises(TypeError):
@@ -118,6 +122,49 @@ def test_region_and_tame_set_contract():
         assert not hasattr(value, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, field, "bare_fan")
+    # points too are values: equal points hash equal, and nothing is assignable
+    pt = fan_point(1, 2)
+    assert pt == SymbolicPoint("fan", 1, 2) and hash(pt) == hash(SymbolicPoint("fan", 1, 2))
+    assert pt != fan_point(2, 1) and OMEGA == SymbolicPoint("omega")
+    for value in (a.fan_default, a, pt):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.foo = 1
+    assert not hasattr(pt, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pt.kind = "star"
+    with pytest.raises(TypeError):
+        Region(frozenset())
+    with pytest.raises(TypeError):
+        Region(1)._replace(bits=frozenset())
+    # a repr names each field
+    assert repr(Region(6)) == "Region(bits=6, flag=False)"
+    assert repr(make_tame("bare_fan", FULL_REGION)) == (
+        "TameSet(family='bare_fan', fan_default=Region(bits=-1, flag=True), "
+        "fan_exc=(), spine=Region(bits=0, flag=False), omega_star=False)")
+    for value in (a, a.spine, pt):
+        for back in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert back == value and type(back) is type(value)
+    # `in` asks for membership, not for a field; values are not ordered
+    u = tame_full("omega_fans")
+    assert OMEGA in u and pt in u and OMEGA not in make_tame("omega_fans")
+    for x, y in ((6, Region(6)), ("fan", pt)):
+        with pytest.raises(TypeError):
+            x in y
+    for x, y in ((u, make_tame("omega_fans")), (fins(1), fins(2)), (pt, OMEGA)):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(x, y)
+    # the bits check runs once per Region(...), however it is reached
+    r, calls = fins(3), []
+    check = Region.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(Region, "__post_init__", counted)
+    made = [Region(0b101), Region(-1, True), region_complement(r), r._replace(flag=True)]
+    assert calls == made
 
 
 def test_single_fan_families_fold_exceptions():
