@@ -68,8 +68,8 @@ from .nuclei import (
     sublocale_of_nucleus,
 )
 from .poset import (FinitePoset, _bits, _mask, _mask_union, _restrict, canonical_form,
-                    closure_tables, extrema, relabel_canonically, sub_upset_unions,
-                    upset_index, upset_masks)
+                    canonical_rows, closure_tables, extrema, relabel_canonically,
+                    sub_upset_unions, upset_index, upset_masks)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -115,28 +115,34 @@ def _posets_of_size(n):
 
     Every n-point poset is an (n-1)-point poset Q plus a new maximal
     point whose strict downset is a downset of Q, i.e. the complement of
-    one of Q's upsets.  Each such candidate is deduplicated by canonical
-    form, and the first one of each class is kept, canonically
-    relabelled; a candidate's canonical labelling is computed once.
+    one of Q's upsets.  Each such candidate is labelled canonically from
+    its rows (:func:`canonical_rows`): the old points keep Q's down rows,
+    since the new point lies above none of them.  Only the first
+    candidate of each class becomes a :class:`FinitePoset`, validated,
+    keeping that labelling, and is canonically relabelled; a later one
+    has the same key, so it is a relabelling of that validated order.
     """
     if n in _POSET_MEMO:
         return _POSET_MEMO[n]
     if n <= 0:
         _POSET_MEMO[n] = ()
         return ()
-    parents = _posets_of_size(n - 1) if n > 1 else (FinitePoset([], []),)
+    if n == 1:
+        parents = [((), (), (0,))]  # the empty order and its one upset
+    else:
+        parents = [(Q.up, Q.down, upset_masks(Q)) for Q in _posets_of_size(n - 1)]
     labels = [f"p{i}" for i in range(n)]
     top = 1 << (n - 1)
     found = {}
-    for Q in parents:
-        for u in upset_masks(Q):
-            rows = [r if u >> i & 1 else r | top for i, r in enumerate(Q.up)]
+    for up, down, upsets in parents:
+        for u in upsets:
+            rows = [r if u >> i & 1 else r | top for i, r in enumerate(up)]
             rows.append(top)
-            P = FinitePoset(labels, rows)
-            key = canonical_form(P)
+            key, perm = canonical_rows(rows, (*down, (top - 1) & ~u | top))
             if key not in found:
-                found[key] = relabel_canonically(P)
-    result = tuple(P for _, P in sorted(found.items()))
+                P = found[key] = FinitePoset(labels, rows)
+                P._canon = key, perm  # its labelling, just computed from its rows
+    result = tuple(map(relabel_canonically, sorted(found.values(), key=canonical_form)))
     _POSET_MEMO[n] = result
     return result
 
@@ -154,6 +160,7 @@ def posets_up_to(bound):
 # ---------------------------------------------------------------------
 
 CHECKS = {}
+DOMAINS = {}
 
 
 def _cases(tid, check, instances):
@@ -179,7 +186,11 @@ def _register(tid, domain):
     ``domain(bound, seed)``; its ``on`` runs the check on given ones.
     The instances are built once per domain in the dict ``shared``, so
     the checks that are given one dict share them (and what the
-    instances cache); without one they are built afresh."""
+    instances cache); without one they are built afresh.  ``DOMAINS``
+    maps ``tid`` to ``domain``, so that a run can tell which checks
+    share instances."""
+    DOMAINS[tid] = domain
+
     def register(check):
         @functools.wraps(check)
         def run(bound, seed=DEFAULT_SEED, shared=None):
@@ -943,7 +954,9 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
     once, by the first check that uses it, and what an instance caches
     (an engine's Y_d and d table, a small poset's nuclei) is computed by
     the first check that asks for it; those checks' seconds include
-    that work.  Nothing is kept once the call returns.
+    that work.  A domain's instances are dropped after the last
+    selected check that uses them, and nothing is kept once the call
+    returns.
     """
     if bound > MAX_BOUND:
         raise BoundExceeded(f"bound {bound} exceeds the configured cap {MAX_BOUND}")
@@ -962,9 +975,12 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
         stats["theorems"] = {}
     cases = []
     shared = {}
+    last = {DOMAINS[tid]: tid for tid in theorem_ids}
     for tid in theorem_ids:
         t0 = time.perf_counter()
         found = CHECKS[tid](bound, seed=seed, shared=shared)
+        if last[DOMAINS[tid]] == tid:
+            shared.pop((DOMAINS[tid], bound, seed), None)
         if stats is not None:
             stats["theorems"][tid] = {
                 "cases": len(found),

@@ -10,12 +10,19 @@ converted at the boundary by :func:`mask_of` and :func:`set_of` alone.
 Equality is always exact, never tolerance-based.  Iteration orders are
 deterministic so downstream reports are byte-identical across runs.
 
-Beside its upset masks and their index (:func:`upset_index`) a poset
+A poset's upset masks are grown a size at a time, each upset from a
+smaller one plus a point maximal outside it, so only upsets are ever
+built.  Beside them and their index (:func:`upset_index`) a poset
 caches structural tables, each built on first use: the up- and
 down-closure of a point mask (:func:`closure_tables`), the lower covers
 of each upset in the upset lattice (:func:`upset_lower_covers`, which
 turns a union over all sub-upsets into U*n steps) and one meet split
 per upset (:func:`upset_meet_splits`, which nucleus validation reads).
+
+The canonical labelling (:func:`canonical_rows`) reads only the up and
+down rows of an order, so poset enumeration labels each candidate
+before it builds any :class:`FinitePoset`, and builds one only for the
+first candidate of each isomorphism class.
 """
 
 from __future__ import annotations
@@ -64,20 +71,32 @@ class FinitePoset:
         n = len(labels)
         if len(set(labels)) != n:
             raise DuplicateLabel(f"labels are not unique: {labels}")
-        if len(up) != n or any(r >> n for r in up):
+        if len(up) != n or any(not isinstance(r, int) or isinstance(r, bool) or r >> n
+                               for r in up):
             raise ValueError(f"up must be {n} rows of {n} bits")
-        if any(not up[i] >> i & 1 for i in range(n)):
+        if any(not r >> i & 1 for i, r in enumerate(up)):
             raise ValueError("order is not reflexive")
+        # one pass over the pairs i <= j: the transpose, and whether the
+        # principal upsets of the points above i lie in up[i] (transitivity)
         down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
+        transitive = True
+        for i, r in enumerate(up):
+            reach = 0
+            m = r
+            while m:  # _bits inlined
+                low = m & -m
+                j = low.bit_length() - 1
+                reach |= up[j]
                 down[j] |= 1 << i
+                m ^= low
+            if reach != r:
+                transitive = False
         for i in range(n):
             both = up[i] & down[i] & ~(1 << i)
             if both:
                 j = next(_bits(both))
                 raise CycleDetected(f"{labels[i]} and {labels[j]} lie below each other")
-        if any(up[j] & ~up[i] for i in range(n) for j in _bits(up[i])):
+        if not transitive:
             raise ValueError("order is not transitive")
         self.labels = labels
         self.up = up
@@ -222,10 +241,23 @@ def extrema(P, members, which):
 
 
 def upset_masks(P):
-    """All upsets as bitmasks, in the order of :func:`enumerate_upsets`."""
+    """All upsets as bitmasks, in the order of :func:`enumerate_upsets`.
+
+    They are grown a size at a time: an upset of k+1 points is an upset
+    of k points plus one point maximal outside it (U minus a minimal
+    point of U is an upset), so no mask that is not an upset is tried.
+    Each size is then sorted by its points, as a list.
+    """
     if P._upset_masks is None:
-        found = [m for m in range(1 << P.n) if _mask_union(P.up, m) == m]
-        found.sort(key=lambda m: (m.bit_count(), list(_bits(m))))
+        up = P.up
+        points = range(P.n)
+        level = [0]
+        found = [0]
+        for _ in points:
+            # up[m] holds m, so this also says that m lies outside u
+            grown = {u | 1 << m for u in level for m in points if up[m] & ~u == 1 << m}
+            level = sorted(grown, key=lambda m: list(_bits(m)))
+            found += level
         P._upset_masks = tuple(found)
     return P._upset_masks
 
@@ -337,31 +369,40 @@ def enumerate_upsets(P):
 # -- canonical forms ---------------------------------------------------
 
 
-def _canonical(P):
-    """Return (key, perm): the minimal relabelled order matrix and a
-    permutation realizing it.
+def canonical_rows(up, down):
+    """Return (key, perm) for the order with these up and down rows: the
+    minimal relabelled order matrix and a permutation realizing it.
 
-    Iterated invariant refinement first, then a minimum over the
-    refinement-respecting relabelings only, which keeps the search tiny
-    for every poset of workbench size.
+    The points are coloured by (|down|, |up|), and the colours refined by
+    the sorted colours below and above each point until a round splits
+    no class or every point has a colour of its own (so refinement is
+    skipped when the first colours are already all distinct).  A colour
+    leads its own signature, so a further round would only rename the
+    classes in the same order (the partition is equitable: McKay &
+    Piperno, "Practical graph isomorphism II", 2014).
+    The key is then a minimum over the relabelings that keep the classes
+    in order, which keeps the search tiny for every poset of workbench
+    size.
     """
-    n = P.n
-    up = P.up
-    below = [list(_bits(P.down[i] & ~(1 << i))) for i in range(n)]
-    above = [list(_bits(up[i] & ~(1 << i))) for i in range(n)]
-    colors = [(d.bit_count(), u.bit_count()) for d, u in zip(P.down, up)]
-    for _ in range(n):
-        new = [
-            (colors[i],
-             tuple(sorted([colors[j] for j in below[i]])),
-             tuple(sorted([colors[j] for j in above[i]])))
-            for i in range(n)
-        ]
-        ranking = {c: r for r, c in enumerate(sorted(set(new)))}
-        new = [(ranking[c],) for c in new]
-        if new == colors:
-            break
-        colors = new
+    n = len(up)
+    colors = [(d.bit_count(), u.bit_count()) for d, u in zip(down, up)]
+    classes = len(set(colors))
+    if classes < n:
+        below = [list(_bits(down[i] & ~(1 << i))) for i in range(n)]
+        above = [list(_bits(up[i] & ~(1 << i))) for i in range(n)]
+        while classes < n:
+            new = [
+                (colors[i],
+                 tuple(sorted([colors[j] for j in below[i]])),
+                 tuple(sorted([colors[j] for j in above[i]])))
+                for i in range(n)
+            ]
+            ranks = sorted(set(new))
+            ranking = {c: r for r, c in enumerate(ranks)}
+            colors = [ranking[c] for c in new]
+            if len(ranks) == classes:
+                break
+            classes = len(ranks)
     groups = {}
     for i in range(n):
         groups.setdefault(colors[i], []).append(i)
@@ -377,6 +418,11 @@ def _canonical(P):
             best = key
             best_perm = perm
     return (n, best), best_perm
+
+
+def _canonical(P):
+    """The (key, perm) of :func:`canonical_rows` for a poset."""
+    return canonical_rows(P.up, P.down)
 
 
 def _labelling(P):

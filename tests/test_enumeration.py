@@ -84,29 +84,36 @@ def test_canonical_form_separates_exactly_the_isomorphism_classes(n):
 
 
 def test_enumeration_labels_each_candidate_once(monkeypatch):
-    # one canonical labelling per candidate, shared by canonical_form and
-    # relabel_canonically, both reached through oracle's names
-    labelled, keyed, kept = [], [], []
-    canonical = poset._canonical
+    # one canonical labelling per candidate, from its rows, reached
+    # through oracle's name; a FinitePoset only for the first candidate
+    # of each class, which keeps that labelling for canonical_form and
+    # relabel_canonically (also reached through oracle's names)
+    labelled, relabelled, built, keyed, kept = [], [], [], [], []
 
-    def counted(P):
-        labelled.append(P)
-        return canonical(P)
+    def spy(module, name, seen):
+        fn = getattr(module, name)
 
-    def spy(fn, seen):
-        def wrapper(P):
-            seen.append(P)
-            return fn(P)
-        return wrapper
+        def wrapper(*args):
+            out = fn(*args)
+            seen.append((args, out))
+            return out
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(poset, "_canonical", counted)
-    monkeypatch.setattr(oracle, "canonical_form", spy(oracle.canonical_form, keyed))
-    monkeypatch.setattr(oracle, "relabel_canonically",
-                        spy(oracle.relabel_canonically, kept))
+    spy(oracle, "canonical_rows", labelled)
+    spy(poset, "canonical_rows", relabelled)
+    spy(oracle, "FinitePoset", built)
+    spy(oracle, "canonical_form", keyed)
+    spy(oracle, "relabel_canonically", kept)
     monkeypatch.setattr(oracle, "_POSET_MEMO", {})
     oracle.posets_up_to(5)
     candidates = 1 + sum(len(upset_masks(Q)) for Q in oracle.posets_up_to(4))
     assert candidates == 173
-    assert len(labelled) == len(keyed) == candidates
-    assert all(P is Q for P, Q in zip(labelled, keyed))
-    assert len(kept) == len(oracle.posets_up_to(5)) == 87
+    assert len(labelled) == candidates
+    assert len({tuple(map(tuple, rows)) for rows, _ in labelled}) == candidates
+    assert relabelled == []
+    assert len(built) == len(keyed) == len(kept) == len(oracle.posets_up_to(5)) == 87
+    # the posets built are the ones keyed and relabelled, and the
+    # relabelled copies are the posets enumerated
+    candidates_built = {id(P) for _, P in built}
+    assert {id(P) for (P,), _ in keyed} == {id(P) for (P,), _ in kept} == candidates_built
+    assert [id(P) for _, P in kept] == [id(P) for P in oracle.posets_up_to(5)]

@@ -1,5 +1,8 @@
 """The verifier itself: enumeration counts, determinism, green runs."""
 
+import gc
+import weakref
+
 import pytest
 
 from priestley import NuclearSet, build_poset, enumerate_upsets, oracle
@@ -177,6 +180,32 @@ def test_a_run_builds_one_engine_and_one_y_d_per_poset(monkeypatch):
     assert len(engines) == len(posets)
     # Y_d tests every point of its poset once
     assert sorted(tested) == sorted((id(P), y) for P in posets for y in range(P.n))
+
+
+def test_a_run_drops_a_domain_after_its_last_check(monkeypatch):
+    # the engines (with their d tables and Y_d) are released once the last
+    # check that reads them has run, not when run_suite returns
+    on_engines = [t for t in sorted(oracle.CHECKS) if oracle.DOMAINS[t] is oracle._engines]
+    others = [t for t in sorted(oracle.CHECKS) if t not in on_engines]
+    assert on_engines and others
+    refs = []
+
+    def spy(tid, fn):
+        def wrapper(bound, seed=oracle.DEFAULT_SEED, shared=None):
+            if refs:
+                gc.collect()
+                assert refs[0]() is None, f"an engine is alive when {tid} runs"
+            found = fn(bound, seed=seed, shared=shared)
+            if tid == on_engines[-1]:
+                _, (E,) = shared[(oracle._engines, bound, seed)][-1]
+                refs.append(weakref.ref(E))
+            return found
+        return wrapper
+
+    for tid in on_engines + others:
+        monkeypatch.setitem(oracle.CHECKS, tid, spy(tid, oracle.CHECKS[tid]))
+    assert all(c.ok() for c in oracle.run_suite(on_engines + others, bound=3))
+    assert len(refs) == 1
 
 
 NUCLEI_IDS = [

@@ -68,6 +68,42 @@ def test_build_rejects_unknown_label():
         build_poset(["a"], [("a", "b")])
 
 
+@pytest.mark.parametrize("row", [True, 1.0, "1", None, [1]],
+                         ids=["bool", "float", "str", "none", "list"])
+def test_rows_must_be_ints(row):
+    # a bool is an int to Python but not a row of bits; anything else
+    # would reach the shift and fail with a bare TypeError
+    with pytest.raises(ValueError, match="up must be 1 rows of 1 bits"):
+        FinitePoset(["a"], [row])
+    with pytest.raises(ValueError, match="up must be 2 rows of 2 bits"):
+        FinitePoset(["a", "b"], [0b11, row])
+
+
+def test_rows_are_accepted_exactly_when_they_are_a_partial_order():
+    # every reflexive relation on 3 points, against the definitions; a
+    # relation with a cycle is refused as a cycle even when intransitive
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
+    accepted = 0
+    for bits in range(1 << len(pairs)):
+        rel = {(i, i) for i in range(3)} | {p for k, p in enumerate(pairs) if bits >> k & 1}
+        rows = [sum(1 << j for j in range(3) if (i, j) in rel) for i in range(3)]
+        cyclic = any((j, i) in rel for i, j in rel if i != j)
+        transitive = all((i, k) in rel for i, j in rel for j2, k in rel if j == j2)
+        if cyclic:
+            with pytest.raises(CycleDetected):
+                FinitePoset("abc", rows)
+        elif not transitive:
+            with pytest.raises(ValueError, match="order is not transitive"):
+                FinitePoset("abc", rows)
+        else:
+            assert FinitePoset("abc", rows).down == tuple(
+                sum(1 << i for i in range(3) if (i, j) in rel) for j in range(3))
+            accepted += 1
+    assert accepted == 19  # the labelled posets on 3 points (OEIS A001035)
+    with pytest.raises(ValueError, match="order is not reflexive"):
+        FinitePoset("ab", [0b01, 0b00])
+
+
 def test_transitive_closure_applied():
     P = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert P.le(0, 2)

@@ -377,6 +377,12 @@ SPINES = st.one_of(st.builds(Region, st.just(0), st.booleans()), REGIONS)
 EXCEPTIONS = st.dictionaries(st.integers(0, FAR - 1), REGIONS, max_size=3)
 
 
+def test_property_tests_draw_the_same_examples_on_every_run():
+    # the profile loaded by conftest.py
+    assert settings.default.derandomize
+    assert settings.default.database is None
+
+
 @st.composite
 def tame_sets(draw, family):
     default = draw(DEFAULTS)
