@@ -56,5 +56,5 @@ print("round trip sizes match:", chain.n, "=", back.n)
 anti = build_poset(["a", "b"], [])
 a = ClopenUpset(anti, frozenset({0}))
 b = ClopenUpset(anti, frozenset({1}))
-print("{a} -> {b} =", heyting(anti, a, b, op="implies").labels())
-print("{a}* =", heyting(anti, a, op="pseudocomplement").labels())
+print("{a} -> {b} =", heyting(anti, a, b).labels())
+print("{a}* =", heyting(anti, a).labels())

@@ -258,21 +258,16 @@ def implies_set(X, u, v):
     return (1 << X.n) - 1 & ~closure_tables(X).down[u & ~v]
 
 
-def heyting(X, U, V=None, op="implies"):
-    """Heyting operations on clopen upsets of a finite space.
-
-    ``op='pseudocomplement'`` ignores V and returns U*; ``op='implies'``
-    returns U -> V.
-    """
+def heyting(X, U, V=None):
+    """Heyting operations on clopen upsets of a finite space: U -> V,
+    or the pseudocomplement U* when V is not given."""
     if U.space is not X:
         raise SpaceMismatch("U lives on a different space")
-    if op == "pseudocomplement":
+    if V is None:
         return ClopenUpset(X, _bits(pseudocomplement_set(X, U.mask)))
-    if op == "implies":
-        if V is None or V.space is not X:
-            raise SpaceMismatch("V missing or on a different space")
-        return ClopenUpset(X, _bits(implies_set(X, U.mask, V.mask)))
-    raise ValueError(f"unknown Heyting op {op!r}")
+    if V.space is not X:
+        raise SpaceMismatch("V lives on a different space")
+    return ClopenUpset(X, _bits(implies_set(X, U.mask, V.mask)))
 
 
 # -- JSON interchange ---------------------------------------------------

@@ -79,15 +79,17 @@ def _dot(nodes, edges):
     for node, label, in_yd, in_min_yd in nodes:
         shape = "doublecircle" if in_min_yd else "circle"
         style = "solid,filled" if in_yd else "solid"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {node} [label="{label}", shape={shape}, style="{style}"];')
     lines += [f"  {a} -> {b};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def dot_finite(P, engine=None):
-    """Hasse diagram of a finite poset (covers only)."""
-    E = engine or sp.FiniteEngine(P)
+def dot_finite(E):
+    """Hasse diagram of the finite engine E's poset (covers only), with
+    Y_d and min Y_d read from E."""
+    P = E.poset
     yd = sp.yd_set(E)
     myd = sp.min_yd(E)
     nodes = [(f"n{i}", lab, yd >> i & 1, myd >> i & 1)
@@ -129,12 +131,12 @@ _FAN_DOT_NODES = {
 }
 
 
-def dot_fan(family):
-    """Hasse diagram of a fan family, one node per region class."""
-    E = engine_for(family)
+def dot_fan(E):
+    """Hasse diagram of the fan engine E's family, one node per region
+    class, with Y_d and min Y_d read from E."""
     yd = sp.yd_set(E)
     myd = sp.min_yd(E)
-    names, edges = _FAN_DOT_EDGES[family]
+    names, edges = _FAN_DOT_EDGES[E.family]
     nodes = []
     for node in names:
         label, pt = _FAN_DOT_NODES[node]
@@ -152,6 +154,9 @@ def cmd_dual(args):
     try:
         D = lattice_from_json(obj)
         X = priestley_dual(D)
+    except InternalAssertionError as e:
+        print(f"internal assertion failed: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except WorkbenchError as e:
         print(f"invalid lattice: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -161,7 +166,7 @@ def cmd_dual(args):
     else:
         sys.stdout.write(payload)
     if args.dot:
-        _write(args.dot, dot_finite(X))
+        _write(args.dot, dot_finite(sp.FiniteEngine(X)))
     return EXIT_OK
 
 
@@ -174,14 +179,14 @@ def cmd_analyze(args):
                 print(f"unknown family {family!r}", file=sys.stderr)
                 return EXIT_INPUT
             engine = engine_for(family)
-            dot = lambda: dot_fan(family)
+            dot = dot_fan
         elif isinstance(obj, dict) and "points" in obj:
             P = poset_from_json(obj)
             if P.n == 0:
                 print("space must have at least one point", file=sys.stderr)
                 return EXIT_INPUT
             engine = sp.FiniteEngine(P)
-            dot = lambda: dot_finite(P, engine)
+            dot = dot_finite
         else:
             print("space JSON needs 'family' or 'points'", file=sys.stderr)
             return EXIT_INPUT
@@ -202,7 +207,7 @@ def cmd_analyze(args):
     else:
         sys.stdout.write(out)
     if args.dot:
-        _write(args.dot, dot())
+        _write(args.dot, dot(engine))
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ The oracle's exhaustive checks also read ``poset``, ``n`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import (
     InternalAssertionError,
@@ -339,94 +339,77 @@ def spectrum_report(E):
     )
 
 
+def _shown(label, flag=False, text=str, **kw):
+    """A report field with its text label (``None`` values are left out
+    of the text), whether the JSON groups it under ``flags``, and its
+    text rendering."""
+    return field(metadata={"label": label, "flag": flag, "text": text}, **kw)
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """The d-spectrum verdict for one space.
 
-    Three flags are definitions rather than separate computations:
+    The field list is the report's layout: ``to_text`` prints one
+    labelled line per field in this order, and ``to_json_dict`` keeps
+    each field at top level or under ``flags``.  A new field is one
+    declaration here and one keyword in :func:`spectrum_report`.
 
-    * ``t1`` is True by definition: min Y_d is an antichain, so its
-      specialization order is trivial and the subspace is T1 (the
-      registry's ``t1-min-yd`` check separates its points on every
-      finite space).
-    * ``n_d_d_initial`` is :func:`max_bounded`, the test that
-      N_d = cl(Y_d) is d-initial, and ``max_bounded`` reports the same
-      value through the theorem that the two are equivalent (checked
-      literally by ``max-bounded-iff-d-initial`` on finite spaces).
-    * ``l_d_regular`` is the antichain test of Y_d from
-      :func:`regularity_suite`, which also computes max Y = Y_d
-      independently and raises when the two disagree (the
-      ``regularity-equivalences`` check compares both with literal
-      L-regularity on finite spaces).
+    Three flags are definitions rather than separate computations; the
+    comment at each says why.
     """
 
-    space: str
-    localic_part: str
-    y_d: str
-    min_y_d: str
-    topology_class: str
-    t1: bool
-    compact: bool
-    hausdorff: bool
-    has_unit: bool
-    unit_witness: str | None
-    unit_refutation: dict | None
-    l_d_regular: bool
-    max_bounded: bool
-    n_d_d_initial: bool
-    maximal_d_upsets: str
-    min_yd_space_flags: dict = field(default_factory=dict)
+    space: str = _shown("space")
+    localic_part: str = _shown("localic part Y")
+    y_d: str = _shown("Y_d")
+    min_y_d: str = _shown("min Y_d")
+    topology_class: str = _shown("topology class")
+    # True by definition: min Y_d is an antichain, so its specialization
+    # order is trivial and the subspace is T1 (the registry's
+    # ``t1-min-yd`` check separates its points on every finite space)
+    t1: bool = _shown("T1", flag=True)
+    compact: bool = _shown("compact", flag=True)
+    hausdorff: bool = _shown("Hausdorff", flag=True)
+    has_unit: bool = _shown("has unit", flag=True)
+    unit_witness: str | None = _shown("unit witness")
+    unit_refutation: dict | None = _shown(
+        "unit refutation", text=lambda r: f"{r['class']} ({r['violated']})")
+    # the antichain test of Y_d from :func:`regularity_suite`, which also
+    # computes max Y = Y_d independently and raises when the two
+    # disagree (``regularity-equivalences`` compares both with literal
+    # L-regularity on finite spaces)
+    l_d_regular: bool = _shown("L_d regular", flag=True)
+    # the next field's value, carried through the theorem that the two
+    # are equivalent (checked literally by ``max-bounded-iff-d-initial``
+    # on finite spaces)
+    max_bounded: bool = _shown("max-bounded", flag=True)
+    # :func:`max_bounded`, the test that N_d = cl(Y_d) is d-initial
+    n_d_d_initial: bool = _shown("N_d d-initial", flag=True)
+    maximal_d_upsets: str = _shown("maximal d-upsets")
+    min_yd_space_flags: dict = _shown(
+        "min Y_d flags", default_factory=dict,
+        text=lambda f: ", ".join(f"{k}={v}" for k, v in sorted(f.items())))
 
     def to_json_dict(self):
-        return {
-            "space": self.space,
-            "localic_part": self.localic_part,
-            "y_d": self.y_d,
-            "min_y_d": self.min_y_d,
-            "topology_class": self.topology_class,
-            "flags": {
-                "t1": self.t1,
-                "compact": self.compact,
-                "hausdorff": self.hausdorff,
-                "has_unit": self.has_unit,
-                "l_d_regular": self.l_d_regular,
-                "max_bounded": self.max_bounded,
-                "n_d_d_initial": self.n_d_d_initial,
-            },
-            "unit_witness": self.unit_witness,
-            "unit_refutation": self.unit_refutation,
-            "maximal_d_upsets": self.maximal_d_upsets,
-            "min_yd_space_flags": dict(sorted(self.min_yd_space_flags.items())),
-        }
+        out = {}
+        for name, _, flag, _ in _LAYOUT:
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                value = dict(sorted(value.items()))
+            (out.setdefault("flags", {}) if flag else out)[name] = value
+        return out
 
     def to_text(self):
-        lines = [
-            f"space:            {self.space}",
-            f"localic part Y:   {self.localic_part}",
-            f"Y_d:              {self.y_d}",
-            f"min Y_d:          {self.min_y_d}",
-            f"topology class:   {self.topology_class}",
-            f"T1:               {self.t1}",
-            f"compact:          {self.compact}",
-            f"Hausdorff:        {self.hausdorff}",
-            f"has unit:         {self.has_unit}",
-        ]
-        if self.unit_witness is not None:
-            lines.append(f"unit witness:     {self.unit_witness}")
-        if self.unit_refutation is not None:
-            lines.append(
-                f"unit refutation:  {self.unit_refutation['class']} "
-                f"({self.unit_refutation['violated']})"
-            )
-        lines += [
-            f"L_d regular:      {self.l_d_regular}",
-            f"max-bounded:      {self.max_bounded}",
-            f"N_d d-initial:    {self.n_d_d_initial}",
-            f"maximal d-upsets: {self.maximal_d_upsets}",
-            "min Y_d flags:    "
-            + ", ".join(f"{k}={v}" for k, v in sorted(self.min_yd_space_flags.items())),
-        ]
-        return "\n".join(lines)
+        return "\n".join(
+            head + text(value)
+            for name, head, _, text in _LAYOUT
+            if (value := getattr(self, name)) is not None)
+
+
+# (name, text line head, under flags, text rendering) of each report
+# field, in order
+_LAYOUT = tuple((f.name, f"{f.metadata['label'] + ':':<18}", f.metadata["flag"],
+                 f.metadata["text"]) for f in fields(AnalysisReport))
 
 
 # ---------------------------------------------------------------------

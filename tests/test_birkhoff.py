@@ -154,14 +154,14 @@ def test_dual_satisfies_priestley_separation():
 def test_heyting_examples():
     two_chain = build_poset(["x1", "x2"], [("x1", "x2")])
     U = ClopenUpset(two_chain, frozenset({1}))
-    star = heyting(two_chain, U, op="pseudocomplement")
+    star = heyting(two_chain, U)
     assert star.members == frozenset()
     empty = ClopenUpset(two_chain, frozenset())
-    assert heyting(two_chain, empty, op="pseudocomplement").members == {0, 1}
+    assert heyting(two_chain, empty).members == {0, 1}
     anti = build_poset(["a", "b"], [])
     a = ClopenUpset(anti, frozenset({0}))
     b = ClopenUpset(anti, frozenset({1}))
-    assert heyting(anti, a, b, op="implies").members == {1}
+    assert heyting(anti, a, b).members == {1}
 
 
 def test_heyting_adjunction_and_join_meet_formulas():
@@ -192,7 +192,9 @@ def test_heyting_space_mismatch():
     X = build_poset(["a"], [])
     Y = build_poset(["b"], [])
     with pytest.raises(SpaceMismatch):
-        heyting(Y, ClopenUpset(X, frozenset({0})), op="pseudocomplement")
+        heyting(Y, ClopenUpset(X, frozenset({0})))
+    with pytest.raises(SpaceMismatch):
+        heyting(Y, ClopenUpset(Y, frozenset({0})), ClopenUpset(X, frozenset({0})))
 
 
 def test_clopen_upset_rejects_non_upset():

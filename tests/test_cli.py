@@ -1,10 +1,15 @@
 """CLI: subcommands, exit codes, deterministic output."""
 
+import dataclasses
 import json
+import re
 
 import pytest
 
-from priestley import cli, oracle
+from priestley import build_poset, cli, oracle
+from priestley import spectrum as sp
+from priestley.errors import InternalAssertionError
+from priestley.fans import FAMILIES, engine_for
 
 
 def run_cli(argv, capsys):
@@ -57,6 +62,35 @@ def test_dual_rejects_m3(m3, capsys):
     assert "distributivity" in err
 
 
+def test_dual_reports_an_internal_assertion_as_exit_3(chain3, monkeypatch, capsys):
+    def broken(obj):
+        raise InternalAssertionError("every triple distributes")
+    monkeypatch.setattr(cli, "lattice_from_json", broken)
+    code, out, err = run_cli(["dual", chain3], capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal assertion failed: every triple distributes\n"
+
+
+# a DOT node line whose label is one quoted string, quotes and
+# backslashes inside it escaped
+DOT_NODE = re.compile(r'  n\d+ \[label="((?:[^"\\]|\\.)*)", shape=\w+, style="[^"]*"\];')
+
+
+@pytest.mark.parametrize("command, labels", [
+    ("dual", ["c\\"]),
+    ("analyze", ['a"b', "c\\"]),
+])
+def test_dot_labels_escape_quotes_and_backslashes(command, labels, tmp_path, capsys):
+    p = tmp_path / "quoted.json"
+    p.write_text(json.dumps({"points": ['a"b', "c\\"], "covers": [['a"b', "c\\"]]}))
+    dot = tmp_path / "out.dot"
+    code, _, _ = run_cli([command, str(p), "--dot", str(dot)], capsys)
+    nodes = [line for line in dot.read_text().splitlines() if "label=" in line]
+    matches = [DOT_NODE.fullmatch(line) for line in nodes]
+    assert code == 0 and all(matches), nodes
+    assert [re.sub(r"\\(.)", r"\1", m[1]) for m in matches] == labels
+
+
 def test_dual_two_element(tmp_path, capsys):
     p = tmp_path / "two.json"
     p.write_text(json.dumps({"points": ["0", "1"], "covers": [["0", "1"]]}))
@@ -107,6 +141,44 @@ def test_analyze_fan_dot(tmp_path, capsys):
     assert code == 0
     text = dot.read_text()
     assert "X_omega*" in text and "..." in text
+
+
+def test_analyze_dot_builds_one_engine(tmp_path, monkeypatch, capsys):
+    # the report and the diagram read Y_d and min Y_d from the same engine
+    built = []
+    monkeypatch.setattr(cli, "engine_for",
+                        lambda family: built.append(family) or engine_for(family))
+    p = tmp_path / "omega.json"
+    p.write_text(json.dumps({"family": "omega_fans"}))
+    code, _, _ = run_cli(["analyze", str(p), "--dot", str(tmp_path / "o.dot")],
+                         capsys)
+    assert code == 0 and built == ["omega_fans"]
+
+
+@pytest.mark.parametrize("space", [
+    *FAMILIES,
+    build_poset(["a", "b", "c", "d", "e"],
+                [("a", "c"), ("b", "c"), ("b", "d"), ("d", "e")]),
+], ids=[*FAMILIES, "finite"])
+def test_every_report_field_is_rendered_once(space):
+    E = engine_for(space) if isinstance(space, str) else sp.FiniteEngine(space)
+    report = sp.spectrum_report(E)
+    fields = dataclasses.fields(sp.AnalysisReport)
+    # exactly one of the two unit lines, as the report has them
+    assert (report.unit_witness is None) != (report.unit_refutation is None)
+    shown = [f for f in fields if getattr(report, f.name) is not None]
+    lines = report.to_text().splitlines()
+    assert len({f.metadata["label"] for f in fields}) == len(fields)
+    assert [line.split(":")[0] for line in lines] == [
+        f.metadata["label"] for f in shown]
+    for f, line in zip(shown, lines):
+        value = getattr(report, f.name)
+        if not isinstance(value, dict):
+            assert line == f"{f.metadata['label'] + ':':<18}{value}", f.name
+    out = report.to_json_dict()
+    flags = out.pop("flags")
+    assert not set(out) & set(flags)
+    assert {**out, **flags} == {f.name: getattr(report, f.name) for f in fields}
 
 
 def test_analyze_bad_input(tmp_path, capsys):

@@ -3,7 +3,8 @@ enumeration, the nucleus dictionary, the fan engines' operations on
 their samples, the samples themselves at small counts and several
 seeds, their rules on the sparse-shape upsets, and the
 theorem registry's verdicts and witnesses, compared byte for byte with
-the files in ``tests/golden/``.
+the files in ``tests/golden/``.  The demos' stdout is kept there too,
+and ``test_demos.py`` compares it.
 
 Regenerate the files (only when an output change is intended) with::
 
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -41,7 +43,9 @@ from priestley.oracle import enumerate_posets
 from test_oracle import NUCLEI_FAULTS
 from test_tame import sparse_sets
 
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
 
 
 def _boolean(k):
@@ -338,9 +342,34 @@ def golden_outputs():
     return files
 
 
+def demo_golden_name(demo):
+    return f"demo_{demo.name[:2]}.txt"
+
+
+def run_demos():
+    """Golden file name -> (stdout bytes, stderr text, exit code) of each
+    demo, each run in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    # started together, so the caller waits for the slowest demo only
+    procs = [
+        subprocess.Popen([sys.executable, str(p)], cwd=ROOT, env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for p in DEMOS
+    ]
+    results = {}
+    for p, proc in zip(DEMOS, procs):
+        out, err = proc.communicate(timeout=120)
+        results[demo_golden_name(p)] = (out, err.decode("utf-8", "replace"),
+                                        proc.returncode)
+    return results
+
+
 def test_golden_corpus_is_byte_identical():
     expected = golden_outputs()
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(
+        [*expected, *map(demo_golden_name, DEMOS)])
     for name, text in expected.items():
         assert (GOLDEN / name).read_bytes() == text.encode("utf-8"), name
 
@@ -351,4 +380,7 @@ if __name__ == "__main__":
         old.unlink()
     for name, text in golden_outputs().items():
         (GOLDEN / name).write_bytes(text.encode("utf-8"))
+    for name, (out, err, code) in run_demos().items():
+        assert code == 0, (name, err)
+        (GOLDEN / name).write_bytes(out)
     print(f"wrote {len(list(GOLDEN.iterdir()))} files to {GOLDEN}", file=sys.stderr)

@@ -203,7 +203,7 @@ def test_public_point_sets_match_their_definitions():
             U = ClopenUpset(P, u)
             # U* is the largest upset disjoint from U, U -> V the largest
             # upset whose meet with U lies in V
-            assert heyting(P, U, op="pseudocomplement").members == frozenset().union(
+            assert heyting(P, U).members == frozenset().union(
                 *(w for w in upsets if not w & u))
             for v in upsets:
                 assert heyting(P, U, ClopenUpset(P, v)).members == frozenset().union(
