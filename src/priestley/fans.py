@@ -1019,38 +1019,6 @@ def _region_to_json(r, limit_key):
     return {"mode": mode, "set": list(_bits(_exc(r))), limit_key: r.flag}
 
 
-def _region_from_json(obj, limit_key, field):
-    if obj == "empty":
-        return EMPTY_REGION
-    if obj == "full":
-        return FULL_REGION
-    if not isinstance(obj, dict):
-        raise ValueError(f"{field}: expected 'empty', 'full' or an object, not {obj!r}")
-    mode = obj.get("mode")
-    if mode not in ("fin", "cofin"):
-        raise ValueError(f"{field}.mode: bad region mode {mode!r}")
-    members = obj.get("set", [])
-    if not (isinstance(members, list)
-            and all(type(k) is int and k >= 0 for k in members)):
-        raise ValueError(f"{field}.set: not a list of point indices: {members!r}")
-    exc = _mask(members)
-    flag = _flag(obj, limit_key, f"{field}.{limit_key}")
-    return Region(~exc if mode == "cofin" else exc, flag)
-
-
-def _object(obj, field):
-    if not isinstance(obj, dict):
-        raise ValueError(f"{field}: expected an object, not {obj!r}")
-    return obj
-
-
-def _flag(obj, key, field):
-    value = obj.get(key, False)
-    if type(value) is not bool:
-        raise ValueError(f"{field}: expected true or false, not {value!r}")
-    return value
-
-
 def tame_to_json(a):
     _, carrier, blob = _SHAPE[a.family]
     default = a.fan_default
@@ -1069,25 +1037,3 @@ def tame_to_json(a):
     if blob:
         out["omega_star"] = a.omega_star
     return out
-
-
-def tame_from_json(family, obj):
-    """Parse a tame set; a malformed field raises ValueError naming it,
-    and a spine the family does not have NotRepresentable naming
-    ``spine``."""
-    fans = _object(_object(obj, "tame set").get("fans", {}), "fans")
-    default = _region_from_json(fans.get("default", "empty"), "star", "fans.default")
-    exc = {}
-    for i, r in _object(fans.get("exceptions", {}), "fans.exceptions").items():
-        field = f"fans.exceptions.{i}"
-        if not str(i).isdecimal():
-            raise ValueError(f"{field}: a fan index is a decimal string, not {i!r}")
-        exc[int(i)] = _region_from_json(r, "star", field)
-    spine = _region_from_json(obj.get("spine", "empty"), "omega", "spine")
-    # make_tame would meet the spine into the carrier: refuse it here
-    carrier = _SHAPE[family][1] if family in _SHAPE else FULL_REGION
-    if _leaves(spine, carrier):
-        raise NotRepresentable(f"spine: {family} has no such spine points: "
-                               f"{obj['spine']!r}")
-    omega_star = _flag(obj, "omega_star", "omega_star")
-    return make_tame(family, default, exc, spine, omega_star)

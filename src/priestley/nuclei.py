@@ -41,7 +41,6 @@ from .errors import (
     NotInflationary,
     NotMeetPreserving,
     SpaceMismatch,
-    UnknownLabel,
 )
 from .poset import (FinitePoset, _bits, _mask, closure_tables, enumerate_upsets,
                     extrema, mask_of, order_closure, set_of, upset_index,
@@ -323,45 +322,3 @@ def all_nuclei(space):
     """
     for mask in range(1 << space.n):
         yield nucleus_of_nuclear(NuclearSet._of_mask(space, mask))
-
-
-# -- JSON interchange ---------------------------------------------------
-
-
-def nucleus_to_json(j):
-    def render(m):
-        return sorted(j.space.labels[i] for i in _bits(m))
-
-    return [[render(u), render(v)] for u, v in j.masks.items()]
-
-
-def nucleus_from_json(space, obj):
-    """Read the ``[[upset labels, image labels], ...]`` of
-    :func:`nucleus_to_json`.
-
-    A malformed document raises :class:`UnknownLabel` naming the entry
-    at fault: ``nucleus`` for the document, ``2`` for its third pair,
-    ``2.1`` for that pair's image.
-    """
-    if not isinstance(obj, list):
-        raise UnknownLabel(f"nucleus: expected a list of [upset, image] pairs, got {obj!r}")
-    masks, seen = {}, {}
-    for k, pair in enumerate(obj):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise UnknownLabel(f"{k}: expected a pair [upset, image], got {pair!r}")
-        u, v = (_labels_mask(space, f"{k}.{side}", labels)
-                for side, labels in enumerate(pair))
-        if u in seen:
-            raise UnknownLabel(f"{k}: upset {pair[0]!r} repeats entry {seen[u]}")
-        seen[u] = k
-        masks[u] = v
-    return Nucleus(space, masks)
-
-
-def _labels_mask(space, field, labels):
-    if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
-        raise UnknownLabel(f"{field}: expected a list of string labels, got {labels!r}")
-    try:
-        return _mask(map(space.index, labels))
-    except UnknownLabel as e:
-        raise UnknownLabel(f"{field}: {e}") from None

@@ -181,28 +181,15 @@ def _cases(tid, check, instances):
 
 
 def _register(tid, domain):
-    """Register a per-instance check under ``tid``.  The registered
-    callable maps (bound, seed) to the cases of every instance of
-    ``domain(bound, seed)``; its ``on`` runs the check on given ones.
-    The instances are built once per domain in the dict ``shared``, so
-    the checks that are given one dict share them (and what the
-    instances cache); without one they are built afresh.  ``DOMAINS``
-    maps ``tid`` to ``domain``, so that a run can tell which checks
-    share instances."""
-    DOMAINS[tid] = domain
-
+    """Register a per-instance check under ``tid``: ``CHECKS[tid]`` maps
+    a list of (label, args) instances to the check's cases on them, and
+    ``DOMAINS[tid]`` is the ``domain(bound, seed)`` that
+    :func:`run_suite` builds those instances from.  The check itself is
+    returned unchanged."""
     def register(check):
-        @functools.wraps(check)
-        def run(bound, seed=DEFAULT_SEED, shared=None):
-            shared = {} if shared is None else shared
-            key = (domain, bound, seed)
-            if key not in shared:
-                shared[key] = domain(bound, seed)
-            return run.on(shared[key])
-
-        run.on = functools.partial(_cases, tid, check)
-        CHECKS[tid] = run
-        return run
+        DOMAINS[tid] = domain
+        CHECKS[tid] = functools.partial(_cases, tid, check)
+        return check
     return register
 
 
@@ -950,13 +937,13 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
     ``theorems``: id -> ``cases``, ``failed`` and ``seconds``, in run
     order.
 
-    The checks of one call share their instances: each domain is built
-    once, by the first check that uses it, and what an instance caches
-    (an engine's Y_d and d table, a small poset's nuclei) is computed by
-    the first check that asks for it; those checks' seconds include
-    that work.  A domain's instances are dropped after the last
-    selected check that uses them, and nothing is kept once the call
-    returns.
+    Each selected domain is built once, before the first check that
+    reads it (whose seconds include the build), and dropped after the
+    last one.  What an instance caches (an engine's Y_d and d table, a
+    small poset's nuclei) is computed by the first check that asks for
+    it and goes with its domain.  The posets stay memoized for the
+    process in ``_POSET_MEMO``, each with the structural tables it
+    keeps (closure tables, splits, upset masks).
     """
     if bound > MAX_BOUND:
         raise BoundExceeded(f"bound {bound} exceeds the configured cap {MAX_BOUND}")
@@ -974,13 +961,16 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
         stats["enumerate_s"] = time.perf_counter() - t0
         stats["theorems"] = {}
     cases = []
-    shared = {}
+    built = {}
     last = {DOMAINS[tid]: tid for tid in theorem_ids}
     for tid in theorem_ids:
         t0 = time.perf_counter()
-        found = CHECKS[tid](bound, seed=seed, shared=shared)
-        if last[DOMAINS[tid]] == tid:
-            shared.pop((DOMAINS[tid], bound, seed), None)
+        domain = DOMAINS[tid]
+        if domain not in built:
+            built[domain] = domain(bound, seed)
+        found = CHECKS[tid](built[domain])
+        if last[domain] == tid:
+            del built[domain]
         if stats is not None:
             stats["theorems"][tid] = {
                 "cases": len(found),
@@ -1015,7 +1005,7 @@ def mutation_corrupt_d_table():
             return self.all_upsets()[1] if a == self.full else a
 
     broken = WrongClosure(posets_up_to(2)[-1])
-    return check_d_is_double_negation.on([(broken.name, (broken,))])
+    return CHECKS["d-is-double-negation"]([(broken.name, (broken,))])
 
 
 def mutation_drop_spine_link():
@@ -1027,7 +1017,7 @@ def mutation_drop_spine_link():
             return region_meet(super()._content_region(a), Region(~1))
 
     broken = DroppedSpineLink()
-    return check_fan_figures.on([(broken.name, (broken, DEFAULT_SEED))])
+    return CHECKS["fan-figures"]([(broken.name, (broken, DEFAULT_SEED))])
 
 
 def noncanonical_twin(a):
@@ -1053,7 +1043,7 @@ def mutation_break_canonical_form():
             return samples + [noncanonical_twin(samples[1])]
 
     broken = NoncanonicalSample()
-    return check_fan_tame_soundness.on([(broken.name, (broken, DEFAULT_SEED))])
+    return CHECKS["fan-tame-soundness"]([(broken.name, (broken, DEFAULT_SEED))])
 
 
 MUTATIONS = {

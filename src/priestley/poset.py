@@ -420,15 +420,11 @@ def canonical_rows(up, down):
     return (n, best), best_perm
 
 
-def _canonical(P):
-    """The (key, perm) of :func:`canonical_rows` for a poset."""
-    return canonical_rows(P.up, P.down)
-
-
 def _labelling(P):
-    """The (key, perm) of :func:`_canonical`, computed once per poset."""
+    """The (key, perm) of :func:`canonical_rows` for a poset, computed
+    once per poset."""
     if P._canon is None:
-        P._canon = _canonical(P)
+        P._canon = canonical_rows(P.up, P.down)
     return P._canon
 
 

@@ -36,7 +36,7 @@ def _report(number, label, ok, detail=""):
 
 def test_criterion_01_duality_round_trip():
     t0 = time.perf_counter()
-    cases = oracle.check_duality_round_trip(6)
+    cases = oracle.run_suite(["duality-round-trip"], bound=6)
     elapsed = time.perf_counter() - t0
     failures = [c for c in cases if not c.ok()]
     ok = not failures and elapsed < 60.0
@@ -73,7 +73,7 @@ def test_criterion_02_nuclei_dictionary():
 
 def test_criterion_03_yd_four_way():
     t0 = time.perf_counter()
-    cases = oracle.check_eqv_conditions_rmax(6)
+    cases = oracle.run_suite(["eqv-conditions-rmax"], bound=6)
     elapsed = time.perf_counter() - t0
     failures = [c for c in cases if not c.ok()]
     ok = not failures
@@ -83,14 +83,9 @@ def test_criterion_03_yd_four_way():
 
 def test_criterion_04_spectrum_bijections():
     t0 = time.perf_counter()
-    failures = []
-    for check in (
-        oracle.check_min_yd_max_d_upsets,
-        oracle.check_min_yd_homeomorphism,
-        oracle.check_compacts_d_initial,
-        oracle.check_rho_forms,
-    ):
-        failures.extend(c for c in check(6) if not c.ok())
+    ids = ["min-yd-max-d-upsets", "min-yd-homeomorphism", "compacts-d-initial",
+           "rho-forms"]
+    failures = [c for c in oracle.run_suite(ids, bound=6) if not c.ok()]
     elapsed = time.perf_counter() - t0
     ok = not failures
     _report(4, "spectrum bijections and rho on every <= 6-point space", ok,

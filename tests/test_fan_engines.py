@@ -4,7 +4,7 @@ import pytest
 
 from priestley import oracle
 from priestley import spectrum as sp
-from priestley.errors import FamilyMismatch, NotRepresentable
+from priestley.errors import FamilyMismatch, NotLocalic, NotRepresentable
 from priestley.fans import (
     EMPTY_REGION,
     FAMILIES,
@@ -79,6 +79,15 @@ def test_localic_parts(engines):
     E = engines["bare_fan"]
     y = E.localic_part()
     assert y.member(fan_point(0, 0)) and not y.member(fan_star(0))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_yd_membership_refuses_a_point_outside_the_localic_part(family):
+    # the star X*(0) of fan 0 is a point of every family, but not a
+    # localic one, so Y_d membership is not a question about it
+    with pytest.raises(NotLocalic) as info:
+        sp.yd_contains(engine_for(family), fan_star(0))
+    assert "X*(0)" in str(info.value)
 
 
 def test_yd_equals_localic_part_everywhere(engines):
@@ -344,12 +353,12 @@ RULE_FAULTS = {
 @pytest.mark.parametrize("fault", RULE_FAULTS, ids=lambda c: c.__name__)
 def test_a_fault_in_each_rule_fails_the_d_laws(fault):
     E = fault()
-    cases = oracle.check_fan_d_laws.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    cases = oracle.CHECKS["fan-d-laws"]([(E.name, (E, oracle.DEFAULT_SEED))])
     assert [c.status for c in cases] == ["failed"]
     assert RULE_FAULTS[fault] in cases[0].witness
 
 
 def test_a_blob_dropped_from_strict_up_fails_the_figures():
     E = OmegaUpDropsBlob()
-    cases = oracle.check_fan_figures.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    cases = oracle.CHECKS["fan-figures"]([(E.name, (E, oracle.DEFAULT_SEED))])
     assert [c.status for c in cases] == ["failed"] and cases[0].witness

@@ -38,7 +38,7 @@ from priestley import (
 from priestley import oracle
 from priestley import spectrum as sp
 from priestley.fans import FAMILIES, engine_for, tame_to_json
-from priestley.nuclei import all_nuclei, nucleus_to_json
+from priestley.nuclei import all_nuclei
 from priestley.oracle import enumerate_posets
 from test_oracle import NUCLEI_FAULTS
 from test_tame import sparse_sets
@@ -125,11 +125,16 @@ def nuclei_golden():
         def show(s):
             return json.dumps(sorted(P.labels[i] for i in s))
 
+        def table(j):
+            # [[upset labels], [image labels]] per upset, in table order
+            return json.dumps([[sorted(P.labels[i] for i in range(P.n) if m >> i & 1)
+                                for m in pair] for pair in j.masks.items()])
+
         out.append(f"# {name}: {P!r}\n")
         for j in all_nuclei(P):
             back = nuclear_of_nucleus(j).members
             out.append(
-                f"N={show(back)} table={json.dumps(nucleus_to_json(j))} "
+                f"N={show(back)} table={table(j)} "
                 f"admissible={show(admissible_upset(j))} "
                 f"density={json.dumps(density_check(j), sort_keys=True)}\n")
             assert nucleus_of_nuclear(NuclearSet(P, back)) == j

@@ -333,3 +333,70 @@ def test_the_oracle_keeps_instance_data_only_per_run():
                "@functools.lru_cache(maxsize=None)\ndef g(x): return x\n"
                "@functools.cache\ndef h(x): return x\n")
     assert module_level_containers(planted) == ["A", "B", "C", "D", "g", "h"]
+
+
+def names_by_owner(tree):
+    """Each name a module's code reads (a name, an attribute, or a part
+    of a dotted string such as ``"poset.extrema"``), with the
+    module-level function it is read in, or None outside one."""
+    out = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                out.append((node.attr, owner))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.fullmatch(r"\w+(\.\w+)*", node.value)):
+                out += [(part, owner) for part in node.value.split(".")]
+    return out
+
+
+def unnamed_functions(package, others, exported):
+    """The module-level functions of the ``package`` trees that no code
+    names outside their own def, in the package or the ``others`` trees,
+    that are not registered through ``_register`` and not ``exported``."""
+    named = {}
+    for module, tree in {**package, **others}.items():
+        for name, owner in names_by_owner(tree):
+            named.setdefault(name, set()).add((module, owner))
+    return [f"{module}:{node.name}"
+            for module, tree in package.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and not any(getattr(getattr(d, "func", None), "id", None) == "_register"
+                        for d in node.decorator_list)
+            and node.name not in exported
+            and not named.get(node.name, set()) - {(module, node.name)}]
+
+
+def test_every_package_function_has_a_caller():
+    # a function that only tests call (a reader of a format no command
+    # reads, a wrapper nothing wraps) is surface to keep for nobody:
+    # each one is named by the package, the demos or the benchmarks,
+    # registered as a check, or exported
+    root = PACKAGE.parents[1]
+
+    def trees(paths):
+        return {f"{p.parent.name}/{p.name}": ast.parse(p.read_text(encoding="utf-8"))
+                for p in paths}
+
+    package = trees(sorted(PACKAGE.glob("*.py")))
+    others = trees(p for d in ("demos", "benchmarks")
+                   for p in sorted((root / d).glob("*.py"))
+                   if not p.name.startswith("test_"))
+    assert "demos/04_theorem_sweep.py" in others and "benchmarks/spec.py" in others
+    assert unnamed_functions(package, others, set(priestley.__all__)) == []
+    # and the lint sees a function named only by itself or by a string
+    # that is not a dotted name, and none of the ways of being reached
+    planted = {"m.py": ast.parse(
+        "def alone(n): return alone(n - 1)\n"
+        "def shown(): 'shown'\n"
+        "def helper(): return 1\n"
+        "def used(): return helper()\n"
+        "def traced(): pass\n"
+        "def exported(): pass\n"
+        "@_register('id', None)\ndef check(): pass\n")}
+    reached = {"b.py": ast.parse("used()\nBOUNDARIES = ('m.traced',)\n"
+                                 "'no alone here'\n")}
+    assert unnamed_functions(planted, reached, {"exported"}) == ["m.py:alone", "m.py:shown"]

@@ -28,14 +28,11 @@ from priestley.errors import (
     NotAnUpset,
     NotInflationary,
     SpaceMismatch,
-    UnknownLabel,
     UnknownPoint,
 )
 from priestley.nuclei import (
     all_nuclei,
-    nucleus_from_json,
     nucleus_of_sublocale,
-    nucleus_to_json,
     sublocale_of_nucleus,
 )
 
@@ -221,28 +218,6 @@ def test_sublocale_round_trip():
         for j in all_nuclei(P):
             S = sublocale_of_nucleus(j)
             assert nucleus_of_sublocale(P, S) == j
-
-
-def test_nucleus_json_round_trip():
-    P = two_chain()
-    j = double_negation(P)
-    assert nucleus_from_json(P, nucleus_to_json(j)) == j
-
-
-@pytest.mark.parametrize("obj, field", [
-    ({"x1": ["x2"]}, "nucleus"),
-    ([["x1"]], "0"),
-    ([[None, []]], "0.0"),
-    ([[[], []], [["x2"], "x2"]], "1.1"),
-    ([[[], []], [["x2"], ["x1", "x2"]], [["x2"], ["x2"]]], "2"),
-    ([[["x3"], []]], "0.0"),
-    ([[[], [1]]], "0.1"),
-    ([[[], []], [["x2"], ["x2"]], "x2"], "2"),
-])
-def test_nucleus_from_json_names_the_entry_at_fault(obj, field):
-    with pytest.raises(UnknownLabel) as info:
-        nucleus_from_json(two_chain(), obj)
-    assert str(info.value).startswith(field + ":"), info.value
 
 
 def test_booleanization_checks_survive_optimized_mode():

@@ -191,15 +191,14 @@ def test_a_run_drops_a_domain_after_its_last_check(monkeypatch):
     refs = []
 
     def spy(tid, fn):
-        def wrapper(bound, seed=oracle.DEFAULT_SEED, shared=None):
+        def wrapper(instances):
             if refs:
                 gc.collect()
                 assert refs[0]() is None, f"an engine is alive when {tid} runs"
-            found = fn(bound, seed=seed, shared=shared)
             if tid == on_engines[-1]:
-                _, (E,) = shared[(oracle._engines, bound, seed)][-1]
+                _, (E,) = instances[-1]
                 refs.append(weakref.ref(E))
-            return found
+            return fn(instances)
         return wrapper
 
     for tid in on_engines + others:
@@ -252,7 +251,7 @@ def test_fan_d_laws_computes_each_d_once(monkeypatch, family):
     # d of each distinct set is computed once and looked up after
     calls = _counting(monkeypatch, "d_apply")
     E = engine_for(family)
-    cases = oracle.check_fan_d_laws.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    cases = oracle.CHECKS["fan-d-laws"]([(E.name, (E, oracle.DEFAULT_SEED))])
     assert [c.ok() for c in cases] == [True]
     assert calls and len(calls) == len(set(calls))
 
@@ -268,7 +267,7 @@ def test_fan_tame_soundness_complements_each_set_once(monkeypatch, family):
 
     monkeypatch.setattr(oracle, "tame_complement", counted)
     E = engine_for(family)
-    cases = oracle.check_fan_tame_soundness.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    cases = oracle.CHECKS["fan-tame-soundness"]([(E.name, (E, oracle.DEFAULT_SEED))])
     assert [c.ok() for c in cases] == [True]
     assert seen and len(seen) == len(set(seen))
 
@@ -293,7 +292,7 @@ def _drops_last_exception(op):
 def test_fan_tame_soundness_probes_the_operands_classes(monkeypatch, name, family):
     monkeypatch.setattr(oracle, name, _drops_last_exception(getattr(oracle, name)))
     E = engine_for(family)
-    cases = oracle.check_fan_tame_soundness.on([(E.name, (E, oracle.DEFAULT_SEED))])
+    cases = oracle.CHECKS["fan-tame-soundness"]([(E.name, (E, oracle.DEFAULT_SEED))])
     assert [c.status for c in cases] == ["failed"]
     assert cases[0].witness.startswith(name[len("tame_"):] + " at ")
 
@@ -312,7 +311,7 @@ def test_eqv_conditions_rmax_computes_each_core_once(monkeypatch):
     for P in oracle.posets_up_to(4):
         E = sp.FiniteEngine(P)
         calls.clear()
-        assert oracle.check_eqv_conditions_rmax.on([(E.name, (E,))])[0].ok()
+        assert oracle.CHECKS["eqv-conditions-rmax"]([(E.name, (E,))])[0].ok()
         assert sorted(calls) == sorted(E.all_upsets()), repr(P)
 
 
@@ -329,7 +328,7 @@ def test_compacts_d_initial_computes_each_image_once():
     for P in oracle.posets_up_to(5):
         E = CountingUp(P)
         E.up_calls = 0
-        assert oracle.check_compacts_d_initial.on([(E.name, (E,))])[0].ok()
+        assert oracle.CHECKS["compacts-d-initial"]([(E.name, (E,))])[0].ok()
         k = sp.min_yd(sp.FiniteEngine(P)).bit_count()
         assert E.up_calls <= 2 * len(E.all_upsets()) + E.n + 2 ** k, repr(P)
 
@@ -368,7 +367,7 @@ def test_heyting_adjunction_matches_the_cubic_form(engine):
     failed = 0
     for P in oracle.posets_up_to(5):
         E = engine(P)
-        got = oracle.check_heyting_adjunction.__wrapped__(E)
+        got = oracle.check_heyting_adjunction(E)
         assert got == heyting_adjunction_reference(E), repr(P)
         failed += not got[0]
     # the broken down is caught, so witnesses were compared too
@@ -385,5 +384,5 @@ def test_heyting_adjunction_catches_a_wrong_pseudocomplement():
     # comparing the two with each other can never fail; the check
     # compares U* with the largest upset disjoint from U instead
     E = DownIsIdentity(build_poset(["a", "b"], [("a", "b")]))
-    assert oracle.check_heyting_adjunction.__wrapped__(E) == (
+    assert oracle.check_heyting_adjunction(E) == (
         False, "U* != U -> empty at {b}")
