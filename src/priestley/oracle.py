@@ -11,10 +11,10 @@ regular) — the collapsed form and the literal form are always computed
 separately and compared.
 
 Each check is written once, for one instance, and registered with its
-theorem id and its instance domain; one case loop turns the domain into
-cases.  Checks over all nuclear subsets are capped at four points (the
-object count is exponential squared); purely structural checks run at
-the full bound.  The mutations prove the suite can fail: each builds a
+theorem id and the kind of instance it takes; one case loop turns
+instances into cases, and the runner goes one poset at a time.  Checks
+over all nuclear subsets are capped at four points (the object count is
+exponential squared); purely structural checks run at the full bound.  The mutations prove the suite can fail: each builds a
 broken ingredient of its own (a finite or fan engine subclass) and runs
 an unchanged registered check on it, which must produce at
 least one failed case with a witness.
@@ -67,9 +67,9 @@ from .nuclei import (
     nucleus_of_sublocale,
     sublocale_of_nucleus,
 )
-from .poset import (FinitePoset, _bits, _mask, _mask_union, _restrict, canonical_form,
-                    canonical_rows, closure_tables, extrema, relabel_canonically,
-                    sub_upset_unions, upset_index, upset_masks)
+from .poset import (FinitePoset, _bits, _labelling, _mask, _mask_union, _restrict,
+                    canonical_form, canonical_rows, closure_tables, drop_tables, extrema,
+                    relabel_canonically, sub_upset_unions, upset_index, upset_masks)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -141,7 +141,7 @@ def _posets_of_size(n):
             key, perm = canonical_rows(rows, (*down, (top - 1) & ~u | top))
             if key not in found:
                 P = found[key] = FinitePoset(labels, rows)
-                P._canon = key, perm  # its labelling, just computed from its rows
+                P._tables[_labelling] = key, perm  # just computed from its rows
     result = tuple(map(relabel_canonically, sorted(found.values(), key=canonical_form)))
     _POSET_MEMO[n] = result
     return result
@@ -156,11 +156,11 @@ def posets_up_to(bound):
 
 
 # ---------------------------------------------------------------------
-# the case loop, the registry and the instance domains
+# the case loop and the registry
 # ---------------------------------------------------------------------
 
 CHECKS = {}
-DOMAINS = {}
+KINDS = {}
 
 
 def _cases(tid, check, instances):
@@ -180,41 +180,33 @@ def _cases(tid, check, instances):
     return cases
 
 
-def _register(tid, domain):
+def _register(tid, kind):
     """Register a per-instance check under ``tid``: ``CHECKS[tid]`` maps
     a list of (label, args) instances to the check's cases on them, and
-    ``DOMAINS[tid]`` is the ``domain(bound, seed)`` that
-    :func:`run_suite` builds those instances from.  The check itself is
-    returned unchanged."""
+    ``KINDS[tid]`` says what :func:`run_suite` passes as args: the poset
+    (``"poset"``), its ``FiniteEngine`` (``"engine"``), a poset of at
+    most ``NUCLEI_BOUND`` points with a thunk for its nuclei
+    (``"nuclei"``), or a fan engine and the sample seed (``"fan"``).
+    The check itself is returned unchanged."""
     def register(check):
-        DOMAINS[tid] = domain
+        KINDS[tid] = kind
         CHECKS[tid] = functools.partial(_cases, tid, check)
         return check
     return register
 
 
-# Instance domains: (bound, seed) -> [(label, args)].  Fan checks get a
-# fresh engine and the sample seed; the finite ones ignore the seed.
-# Nuclei checks get each small poset with a thunk for its nuclei.
-
-
-def _posets(bound, seed):
-    return [(repr(P), (P,)) for P in posets_up_to(bound)]
-
-
-def _engines(bound, seed):
-    return [(E.name, (E,)) for E in map(sp.FiniteEngine, posets_up_to(bound))]
-
-
-def _nuclei_spaces(bound, seed):
-    # the thunk keeps the list it built, but not an error: each check
-    # that asks again fails its own case with it
-    return [(repr(P), (P, functools.cache(functools.partial(_nuclei_of_subsets, P))))
-            for P in posets_up_to(min(bound, NUCLEI_BOUND))]
-
-
-def _fans(bound, seed):
-    return [(E.name, (E, seed)) for E in map(engine_for, FAMILIES)]
+def _instances(P, kinds):
+    """The instances of the given kinds that poset P yields, by kind."""
+    label = repr(P)
+    out = {"poset": [(label, (P,))]}
+    if "engine" in kinds:
+        E = sp.FiniteEngine(P)
+        out["engine"] = [(E.name, (E,))]
+    if "nuclei" in kinds and P.n <= NUCLEI_BOUND:
+        # the thunk keeps the list it built, but not an error: each check
+        # that asks again fails its own case with it
+        out["nuclei"] = [(label, (P, functools.cache(functools.partial(_nuclei_of_subsets, P))))]
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -222,7 +214,7 @@ def _fans(bound, seed):
 # ---------------------------------------------------------------------
 
 
-@_register("duality-round-trip", _posets)
+@_register("duality-round-trip", "poset")
 def check_duality_round_trip(P):
     """Both directions of the finite duality, with exact tables."""
     # space -> lattice -> space: x maps to the principal upset of x
@@ -273,7 +265,7 @@ def check_duality_round_trip(P):
     return witness is None, witness
 
 
-@_register("stone-embedding", _posets)
+@_register("stone-embedding", "poset")
 def check_stone_embedding(P):
     """The Stone map of a lattice is an order embedding (no case for a
     poset that is not a lattice)."""
@@ -290,7 +282,7 @@ def check_stone_embedding(P):
     return ok, witness
 
 
-@_register("priestley-separation", _posets)
+@_register("priestley-separation", "poset")
 def check_priestley_separation(P):
     ok, witness = True, None
     for x in range(P.n):
@@ -302,7 +294,7 @@ def check_priestley_separation(P):
     return ok, witness
 
 
-@_register("join-meet-formulas", _engines)
+@_register("join-meet-formulas", "engine")
 def check_join_meet_formulas(E):
     """Frame joins are closures of unions and meets the interior formula;
     in the finite case both collapse to union and intersection.  Each
@@ -324,7 +316,7 @@ def check_join_meet_formulas(E):
     return ok, witness
 
 
-@_register("heyting-adjunction", _engines)
+@_register("heyting-adjunction", "engine")
 def check_heyting_adjunction(E):
     """W & U <= V iff W <= U -> V, for all upsets.  For each (U, V)
     both sides are computed as the whole set of W that satisfy them, a
@@ -366,7 +358,7 @@ def _nuclei_of_subsets(P):
             for members in range(1 << P.n)]
 
 
-@_register("nuclei-galois", _nuclei_spaces)
+@_register("nuclei-galois", "nuclei")
 def check_nuclei_galois(P, nuclei):
     ok, witness = True, None
     for members, j in nuclei():
@@ -377,7 +369,7 @@ def check_nuclei_galois(P, nuclei):
     return ok, witness
 
 
-@_register("nuclei-order-reversal", _nuclei_spaces)
+@_register("nuclei-order-reversal", "nuclei")
 def check_nuclei_order_reversal(P, nuclei):
     ok, witness = True, None
     js = [j for _, j in nuclei()]
@@ -388,7 +380,7 @@ def check_nuclei_order_reversal(P, nuclei):
     return ok, witness
 
 
-@_register("upset-Nj-eq-Fj", _nuclei_spaces)
+@_register("upset-Nj-eq-Fj", "nuclei")
 def check_upset_nj_eq_fj(P, nuclei):
     """The admissible upset of a nucleus is the up-closure of its nuclear set."""
     ok, witness = True, None
@@ -404,7 +396,7 @@ def check_upset_nj_eq_fj(P, nuclei):
     return ok, witness
 
 
-@_register("dense-iff-cofinal", _nuclei_spaces)
+@_register("dense-iff-cofinal", "nuclei")
 def check_dense_iff_cofinal(P, nuclei):
     ok, witness = True, None
     maxx = _mask(extrema(P, range(P.n), "max"))
@@ -416,7 +408,7 @@ def check_dense_iff_cofinal(P, nuclei):
     return ok, witness
 
 
-@_register("max-least-cofinal", _nuclei_spaces)
+@_register("max-least-cofinal", "nuclei")
 def check_max_least_cofinal(P, nuclei):
     """max X is a nuclear set, cofinal, and contained in every cofinal one."""
     ok, witness = True, None
@@ -433,7 +425,7 @@ def check_max_least_cofinal(P, nuclei):
     return ok, witness
 
 
-@_register("booleanization-sublocale", _nuclei_spaces)
+@_register("booleanization-sublocale", "nuclei")
 def check_booleanization(P, nuclei):
     """Fixpoints of double negation form a sublocale inside every dense one."""
     try:
@@ -449,7 +441,7 @@ def check_booleanization(P, nuclei):
     return ok, witness
 
 
-@_register("lemma-nj-restrict", _nuclei_spaces)
+@_register("lemma-nj-restrict", "nuclei")
 def check_lemma_nj_restrict(P, nuclei):
     """U and jU agree when restricted to the nuclear set."""
     ok, witness = True, None
@@ -460,7 +452,7 @@ def check_lemma_nj_restrict(P, nuclei):
     return ok, witness
 
 
-@_register("sublocale-roundtrip", _nuclei_spaces)
+@_register("sublocale-roundtrip", "nuclei")
 def check_sublocale_roundtrip(P, nuclei):
     ok, witness = True, None
     for members, j in nuclei():
@@ -469,7 +461,7 @@ def check_sublocale_roundtrip(P, nuclei):
     return ok, witness
 
 
-@_register("inductive-core-collapse", _nuclei_spaces)
+@_register("inductive-core-collapse", "nuclei")
 def check_inductive_core_collapse(P, nuclei):
     """Every nuclear set of a finite space is inductive, witnessed on
     both sides: up(F & N) is a Scott upset for every Scott upset F, and
@@ -513,7 +505,7 @@ def _d_fixed_upsets(E, ups, table):
     return proper, maximal
 
 
-@_register("d-is-double-negation", _engines)
+@_register("d-is-double-negation", "engine")
 def check_d_is_double_negation(E):
     """The three computations of d agree: union form, U**, cl(core_d)."""
     ok, witness = True, None
@@ -525,14 +517,14 @@ def check_d_is_double_negation(E):
     return ok, witness
 
 
-@_register("d-nucleus-laws", _engines)
+@_register("d-nucleus-laws", "engine")
 def check_d_nucleus_laws(E):
     """The d table is a dense nucleus (validated through the nucleus
     axioms, not assumed)."""
     return density_check(Nucleus(E.poset, _d_table(E)))["dense"], "d is not dense"
 
 
-@_register("core-d-forms", _engines)
+@_register("core-d-forms", "engine")
 def check_core_d_forms(E):
     """Pointwise d-core equals the union of dV over upsets V inside U."""
     ok, witness = True, None
@@ -545,7 +537,7 @@ def check_core_d_forms(E):
     return ok, witness
 
 
-@_register("eqv-conditions-rmax", _engines)
+@_register("eqv-conditions-rmax", "engine")
 def check_eqv_conditions_rmax(E):
     """The four characterizations of Y_d select the same points."""
     ups = E.all_upsets()
@@ -575,7 +567,7 @@ def check_eqv_conditions_rmax(E):
     )
 
 
-@_register("max-y-in-yd", _engines)
+@_register("max-y-in-yd", "engine")
 def check_max_y_in_yd(E):
     maxy = sp.maximal_of(E, E.localic_part())
     return maxy & ~sp.yd_set(E) == 0, E.describe_set(maxy)
@@ -587,7 +579,7 @@ def _subposet(P, members):
     return FinitePoset([P.labels[i] for i in members], _restrict(P, members))
 
 
-@_register("regularity-equivalences", _engines)
+@_register("regularity-equivalences", "engine")
 def check_regularity_equivalences(E):
     """Y_d antichain, max Y = Y_d, and L-regularity of the d-nuclear
     subspace (the regular part of every upset is the upset itself)."""
@@ -607,7 +599,7 @@ def check_regularity_equivalences(E):
     return ok, f"suite={reg}, l_regular={lreg}"
 
 
-@_register("min-yd-max-d-upsets", _engines)
+@_register("min-yd-max-d-upsets", "engine")
 def check_min_yd_max_d_upsets(E):
     """Maximal proper d-fixed upsets are exactly the complements of
     downsets of min Y_d points, bijectively."""
@@ -626,7 +618,7 @@ def check_min_yd_max_d_upsets(E):
     return ok, witness
 
 
-@_register("min-yd-homeomorphism", _engines)
+@_register("min-yd-homeomorphism", "engine")
 def check_min_yd_homeomorphism(E):
     """The bijection transports the subspace topology of min Y_d onto
     the hull-kernel opens of the maximal d-fixed upsets."""
@@ -640,7 +632,7 @@ def check_min_yd_homeomorphism(E):
             f"open families differ on {E.describe_set(m)}")
 
 
-@_register("rho-forms", _engines)
+@_register("rho-forms", "engine")
 def check_rho_forms(E):
     """Three computations of rho agree and its nuclear set is cl(min Y_d):
     the closure-of-union display, the nucleus of the nuclear set, and
@@ -670,7 +662,7 @@ def check_rho_forms(E):
     return nuclear_of_nucleus(j).mask == E.closure(m), "nuclear set of rho"
 
 
-@_register("compacts-d-initial", _engines)
+@_register("compacts-d-initial", "engine")
 def check_compacts_d_initial(E):
     """Subsets of min Y_d (all compact here) correspond to d-initial
     Scott upsets by K -> up(K), an order isomorphism; the d-initial
@@ -703,7 +695,7 @@ def check_compacts_d_initial(E):
     return ok, witness
 
 
-@_register("max-bounded-iff-d-initial", _engines)
+@_register("max-bounded-iff-d-initial", "engine")
 def check_max_bounded_iff_d_initial(E):
     """Every proper d-fixed upset below a maximal one iff N_d is d-initial."""
     proper, maximal = _d_fixed_upsets(E, E.all_upsets(), _d_table(E))
@@ -713,7 +705,7 @@ def check_max_bounded_iff_d_initial(E):
     return literal == sp.max_bounded(E), f"literal={literal}"
 
 
-@_register("unit-criteria", _engines)
+@_register("unit-criteria", "engine")
 def check_unit_criteria(E):
     """Units: a cofinal clopen Scott upset exists iff one contains Y_d;
     both imply up(min Y_d) is a Scott upset; with N_d d-initial all the
@@ -740,7 +732,7 @@ def check_unit_criteria(E):
     return ok, witness
 
 
-@_register("t1-min-yd", _engines)
+@_register("t1-min-yd", "engine")
 def check_t1_min_yd(E):
     """Distinct points of min Y_d are separated by subspace opens."""
     ok, witness = True, None
@@ -755,7 +747,7 @@ def check_t1_min_yd(E):
     return ok, witness
 
 
-@_register("arithmetic-core-law", _engines)
+@_register("arithmetic-core-law", "engine")
 def check_arithmetic_core_law(E):
     """Cores are dense and distribute over intersections (literal form)."""
     ok, witness = True, None
@@ -775,7 +767,7 @@ def check_arithmetic_core_law(E):
 # ---------------------------------------------------------------------
 
 
-@_register("fan-d-laws", _fans)
+@_register("fan-d-laws", "fan")
 def check_fan_d_laws(E, seed):
     """d-operator laws on deterministic tame samples of every family:
     nucleus axioms, density, agreement with the nuclear-set form, and
@@ -858,7 +850,7 @@ _EXPECTED_FIGURES = {
 }
 
 
-@_register("fan-figures", _fans)
+@_register("fan-figures", "fan")
 def check_fan_figures(E, seed):
     """Exact Boolean reproduction of the published verdicts per family."""
     r = sp.spectrum_report(E)
@@ -867,7 +859,7 @@ def check_fan_figures(E, seed):
     return not diffs, f"got!=expected: {diffs}"
 
 
-@_register("fan-tame-soundness", _fans)
+@_register("fan-tame-soundness", "fan")
 def check_fan_tame_soundness(E, seed):
     """Canonical uniqueness plus pointwise soundness of the Boolean ops
     at every representative class of the operands."""
@@ -932,18 +924,20 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
     A bound outside 1..MAX_BOUND raises BoundExceeded, an empty
     selection EmptySelection and an unknown id UnknownTheoremId, all
     before any check runs.  A repeated id runs once, at its first
-    place.  Given a dict as ``stats``, the posets are enumerated first
-    and it is filled with ``enumerate_s``, the seconds that took, and
-    ``theorems``: id -> ``cases``, ``failed`` and ``seconds``, in run
-    order.
+    place.  Given a dict as ``stats``, it is filled with
+    ``enumerate_s``, the seconds poset enumeration took, and
+    ``theorems``: id -> ``cases``, ``failed`` and ``seconds`` (summed
+    over the posets, instance builds left out), in the selected order.
 
-    Each selected domain is built once, before the first check that
-    reads it (whose seconds include the build), and dropped after the
-    last one.  What an instance caches (an engine's Y_d and d table, a
-    small poset's nuclei) is computed by the first check that asks for
-    it and goes with its domain.  The posets stay memoized for the
-    process in ``_POSET_MEMO``, each with the structural tables it
-    keeps (closure tables, splits, upset masks).
+    The posets the selection reads are enumerated first (only to
+    ``NUCLEI_BOUND`` for nuclei checks alone) and stay in
+    ``_POSET_MEMO``.  Then, one poset at a time, the instances of the
+    selected kinds are built from it, each selected check runs on its
+    own, and the poset's tables are dropped: everything a run derives
+    from a poset (its engine, Y_d, d table, nuclei, closure tables,
+    splits, upset masks) lives only while that poset's checks run.  The
+    fan checks share one engine per family.  Cases come in the selected
+    order, each id's in poset order.
     """
     if bound > MAX_BOUND:
         raise BoundExceeded(f"bound {bound} exceeds the configured cap {MAX_BOUND}")
@@ -955,30 +949,33 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
     for tid in theorem_ids:
         if tid not in CHECKS:
             raise UnknownTheoremId(f"unknown theorem id {tid!r}")
+    kinds = {KINDS[tid] for tid in theorem_ids}
+    top = bound if kinds & {"poset", "engine"} else NUCLEI_BOUND if "nuclei" in kinds else 0
+    t0 = time.perf_counter()
+    posets = posets_up_to(min(bound, top))
+    enumerate_s = time.perf_counter() - t0
+    found = {tid: [] for tid in theorem_ids}
+    seconds = dict.fromkeys(theorem_ids, 0.0)
+
+    def run(instances):
+        # CHECKS is read on every call: a caller may have rewrapped it
+        for tid in theorem_ids:
+            if KINDS[tid] in instances:
+                t0 = time.perf_counter()
+                found[tid] += CHECKS[tid](instances[KINDS[tid]])
+                seconds[tid] += time.perf_counter() - t0
+
+    for P in posets:
+        run(_instances(P, kinds))
+        drop_tables(P)
+    if "fan" in kinds:
+        run({"fan": [(E.name, (E, seed)) for E in map(engine_for, FAMILIES)]})
     if stats is not None:
-        t0 = time.perf_counter()
-        posets_up_to(bound)
-        stats["enumerate_s"] = time.perf_counter() - t0
-        stats["theorems"] = {}
-    cases = []
-    built = {}
-    last = {DOMAINS[tid]: tid for tid in theorem_ids}
-    for tid in theorem_ids:
-        t0 = time.perf_counter()
-        domain = DOMAINS[tid]
-        if domain not in built:
-            built[domain] = domain(bound, seed)
-        found = CHECKS[tid](built[domain])
-        if last[domain] == tid:
-            del built[domain]
-        if stats is not None:
-            stats["theorems"][tid] = {
-                "cases": len(found),
-                "failed": sum(not c.ok() for c in found),
-                "seconds": time.perf_counter() - t0,
-            }
-        cases.extend(found)
-    return cases
+        stats["enumerate_s"] = enumerate_s
+        stats["theorems"] = {tid: {"cases": len(found[tid]),
+                                   "failed": sum(not c.ok() for c in found[tid]),
+                                   "seconds": seconds[tid]} for tid in theorem_ids}
+    return [c for tid in theorem_ids for c in found[tid]]
 
 
 def summarize(cases):

@@ -10,14 +10,16 @@ converted at the boundary by :func:`mask_of` and :func:`set_of` alone.
 Equality is always exact, never tolerance-based.  Iteration orders are
 deterministic so downstream reports are byte-identical across runs.
 
-A poset's upset masks are grown a size at a time, each upset from a
-smaller one plus a point maximal outside it, so only upsets are ever
-built.  Beside them and their index (:func:`upset_index`) a poset
-caches structural tables, each built on first use: the up- and
-down-closure of a point mask (:func:`closure_tables`), the lower covers
-of each upset in the upset lattice (:func:`upset_lower_covers`, which
-turns a union over all sub-upsets into U*n steps) and one meet split
-per upset (:func:`upset_meet_splits`, which nucleus validation reads).
+Whatever is derived from an order is a table of the poset (a function
+under ``_table``), built on first use and kept in its one memo,
+``P._tables``, which :func:`drop_tables` empties: the upset masks (grown
+a size at a time, each from a smaller upset plus a point maximal
+outside it) and their index, the up- and down-closure of a point mask
+(:func:`closure_tables`), the lower covers of each upset in the upset
+lattice (:func:`upset_lower_covers`, which turns a union over all
+sub-upsets into U*n steps), one meet split per upset
+(:func:`upset_meet_splits`, which nucleus validation reads), the cover
+pairs and the canonical labelling.
 
 The canonical labelling (:func:`canonical_rows`) reads only the up and
 down rows of an order, so poset enumeration labels each candidate
@@ -27,6 +29,7 @@ first candidate of each isomorphism class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -53,6 +56,23 @@ def _mask(members):
     return out
 
 
+def _table(build):
+    """A table of a poset: ``build(P)`` is kept in ``P._tables`` (keyed
+    by the returned function) the first time it is asked for."""
+    def table(P):
+        try:
+            return P._tables[table]
+        except KeyError:
+            out = P._tables[table] = build(P)
+            return out
+    return functools.update_wrapper(table, build)
+
+
+def drop_tables(P):
+    """Forget every table of P; each is built again on its next use."""
+    P._tables.clear()
+
+
 class FinitePoset:
     """Immutable finite partial order.
 
@@ -61,9 +81,7 @@ class FinitePoset:
     discrete, so the order carries all the structure.
     """
 
-    __slots__ = ("labels", "up", "down", "_index", "_upset_index",
-                 "_upset_masks", "_closures", "_lower_covers", "_splits",
-                 "_covers", "_canon")
+    __slots__ = ("labels", "up", "down", "_index", "_tables")
 
     def __init__(self, labels, up):
         labels = tuple(labels)
@@ -102,13 +120,7 @@ class FinitePoset:
         self.up = up
         self.down = tuple(down)
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._upset_index = None
-        self._upset_masks = None
-        self._closures = None
-        self._lower_covers = None
-        self._splits = None
-        self._covers = None
-        self._canon = None
+        self._tables = {}
 
     # -- basic accessors --------------------------------------------
 
@@ -125,16 +137,15 @@ class FinitePoset:
     def le(self, i, j):
         return bool(self.up[i] >> j & 1)
 
+    @_table
     def covers(self):
         """Cover pairs (i, j) with j covering i, for Hasse diagrams."""
-        if self._covers is None:
-            strict = [m & ~(1 << i) for i, m in enumerate(self.up)]
-            self._covers = tuple(
-                (i, j)
-                for i, m in enumerate(strict)
-                for j in _bits(m & ~_mask_union(strict, m))
-            )
-        return self._covers
+        strict = [m & ~(1 << i) for i, m in enumerate(self.up)]
+        return tuple(
+            (i, j)
+            for i, m in enumerate(strict)
+            for j in _bits(m & ~_mask_union(strict, m))
+        )
 
     # -- equality / hashing -----------------------------------------
 
@@ -240,6 +251,7 @@ def extrema(P, members, which):
     return set_of(_mask(i for i in _bits(m) if rows[i] & m == 1 << i))
 
 
+@_table
 def upset_masks(P):
     """All upsets as bitmasks, in the order of :func:`enumerate_upsets`.
 
@@ -248,25 +260,22 @@ def upset_masks(P):
     point of U is an upset), so no mask that is not an upset is tried.
     Each size is then sorted by its points, as a list.
     """
-    if P._upset_masks is None:
-        up = P.up
-        points = range(P.n)
-        level = [0]
-        found = [0]
-        for _ in points:
-            # up[m] holds m, so this also says that m lies outside u
-            grown = {u | 1 << m for u in level for m in points if up[m] & ~u == 1 << m}
-            level = sorted(grown, key=lambda m: list(_bits(m)))
-            found += level
-        P._upset_masks = tuple(found)
-    return P._upset_masks
+    up = P.up
+    points = range(P.n)
+    level = [0]
+    found = [0]
+    for _ in points:
+        # up[m] holds m, so this also says that m lies outside u
+        grown = {u | 1 << m for u in level for m in points if up[m] & ~u == 1 << m}
+        level = sorted(grown, key=lambda m: list(_bits(m)))
+        found += level
+    return tuple(found)
 
 
+@_table
 def upset_index(P):
-    """Upset mask -> its position in :func:`upset_masks`, cached per poset."""
-    if P._upset_index is None:
-        P._upset_index = {u: k for k, u in enumerate(upset_masks(P))}
-    return P._upset_index
+    """Upset mask -> its position in :func:`upset_masks`."""
+    return {u: k for k, u in enumerate(upset_masks(P))}
 
 
 class _ClosureTable(dict):
@@ -295,34 +304,29 @@ class ClosureTables(NamedTuple):
     strict_down: _ClosureTable
 
 
+@_table
 def closure_tables(P):
-    """The :class:`ClosureTables` of a poset, cached per poset like its
-    upset masks."""
-    if P._closures is None:
-        strict_up = [m & ~(1 << i) for i, m in enumerate(P.up)]
-        strict_down = [m & ~(1 << i) for i, m in enumerate(P.down)]
-        P._closures = ClosureTables(*map(_ClosureTable, (P.up, P.down,
-                                                          strict_up, strict_down)))
-    return P._closures
+    """The :class:`ClosureTables` of a poset."""
+    strict_up = [m & ~(1 << i) for i, m in enumerate(P.up)]
+    strict_down = [m & ~(1 << i) for i, m in enumerate(P.down)]
+    return ClosureTables(*map(_ClosureTable, (P.up, P.down, strict_up, strict_down)))
 
 
+@_table
 def upset_lower_covers(P):
     """For each upset U, in :func:`upset_masks` order, the indices of its
     lower covers in the upset lattice: U minus one minimal point of U.
 
     Every proper sub-upset of U lies inside one of them (Davey &
     Priestley, *Introduction to Lattices and Order*, 2nd ed., 2002), and
-    each comes before U in size order.  Cached per poset.
+    each comes before U in size order.
     """
-    if P._lower_covers is None:
-        ups = upset_masks(P)
-        index = upset_index(P)
-        down = P.down
-        P._lower_covers = tuple(
-            tuple(index[u ^ 1 << m] for m in _bits(u) if down[m] & u == 1 << m)
-            for u in ups
-        )
-    return P._lower_covers
+    index = upset_index(P)
+    down = P.down
+    return tuple(
+        tuple(index[u ^ 1 << m] for m in _bits(u) if down[m] & u == 1 << m)
+        for u in upset_masks(P)
+    )
 
 
 def sub_upset_unions(P, values):
@@ -337,6 +341,7 @@ def sub_upset_unions(P, values):
     return acc
 
 
+@_table
 def upset_meet_splits(P):
     """For each upset U other than the whole space, in :func:`upset_masks`
     order, a triple (U, V, M) of upset masks with U = V & M: V is U plus
@@ -344,17 +349,15 @@ def upset_meet_splits(P):
     U), and M is the meet-irreducible upset X minus down(m).
 
     Every upset U is the meet of the M over the points outside it, and
-    the splits chain U to the whole space through them.  Cached per poset.
+    the splits chain U to the whole space through them.
     """
-    if P._splits is None:
-        full = (1 << P.n) - 1
-        splits = []
-        for u in upset_masks(P)[:-1]:
-            rest = full & ~u
-            m = next(m for m in _bits(rest) if P.up[m] & rest == 1 << m)
-            splits.append((u, u | 1 << m, full & ~P.down[m]))
-        P._splits = tuple(splits)
-    return P._splits
+    full = (1 << P.n) - 1
+    splits = []
+    for u in upset_masks(P)[:-1]:
+        rest = full & ~u
+        m = next(m for m in _bits(rest) if P.up[m] & rest == 1 << m)
+        splits.append((u, u | 1 << m, full & ~P.down[m]))
+    return tuple(splits)
 
 
 def enumerate_upsets(P):
@@ -420,12 +423,10 @@ def canonical_rows(up, down):
     return (n, best), best_perm
 
 
+@_table
 def _labelling(P):
-    """The (key, perm) of :func:`canonical_rows` for a poset, computed
-    once per poset."""
-    if P._canon is None:
-        P._canon = canonical_rows(P.up, P.down)
-    return P._canon
+    """The (key, perm) of :func:`canonical_rows` for a poset."""
+    return canonical_rows(P.up, P.down)
 
 
 def canonical_form(P):

@@ -458,7 +458,8 @@ class FiniteEngine:
         return True
 
     def is_representable(self, a):
-        return isinstance(a, int) and 0 <= a <= self.full
+        # a bool is an int, but not a point mask (as in poset.mask_of)
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a <= self.full
 
     def up(self, a):
         return self._tables.up[a]

@@ -158,25 +158,46 @@ def calls_any(node, names):
                for n in ast.walk(node))
 
 
+def poset_slots(tree):
+    """The ``__slots__`` of the ``FinitePoset`` class of a module tree."""
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "FinitePoset"
+            for s in node.body
+            if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "__slots__"
+            for name in ast.literal_eval(s.value)}
+
+
+def is_table(node):
+    """Whether a function is a table of its poset, built by ``_table``."""
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "_table"
+               for d in node.decorator_list)
+
+
 def frozenset_caches(trees):
-    """Assignments, in any of the module trees, of a value that makes
-    frozensets to a slot of ``FinitePoset``.  A value makes frozensets
-    when it calls ``frozenset``, ``set_of``, or a function of the trees
-    whose body calls ``set_of``."""
+    """Caches of a poset, in any of the module trees, that make
+    frozensets: assignments of such a value to a slot of
+    ``FinitePoset`` or an entry of its ``_tables``, and ``_table``
+    builders that make one.  A value or builder makes frozensets when it
+    calls ``frozenset``, ``set_of``, or a function of the trees whose
+    body calls ``set_of``."""
     makers, slots = {"frozenset", "set_of"}, set()
     for tree in trees.values():
+        slots |= poset_slots(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and calls_any(node, {"set_of"}):
                 makers.add(node.name)
-            if isinstance(node, ast.ClassDef) and node.name == "FinitePoset":
-                for s in node.body:
-                    if (isinstance(s, ast.Assign)
-                            and getattr(s.targets[0], "id", None) == "__slots__"):
-                        slots.update(ast.literal_eval(s.value))
-    return [f"{module}:{node.lineno} {t.attr}"
-            for module, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, ast.Assign) and calls_any(node.value, makers)
-            for t in node.targets if getattr(t, "attr", None) in slots]
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and calls_any(node.value, makers):
+                found += [(module, node.lineno, t.attr) for t in node.targets
+                          if getattr(t, "attr", None) in slots]
+                found += [(module, node.lineno, "_tables[]") for t in node.targets
+                          if getattr(getattr(t, "value", None), "attr", None) == "_tables"]
+            elif (isinstance(node, ast.FunctionDef) and is_table(node)
+                  and calls_any(node, makers)):
+                found.append((module, node.lineno, node.name))
+    return [f"{module}:{line} {name}" for module, line, name in sorted(found)]
 
 
 def test_frozensets_are_made_only_at_the_boundary():
@@ -198,8 +219,92 @@ def test_frozensets_are_made_only_at_the_boundary():
                         "    P._b = {m: frozenset() for m in P.up}\n"
                         "    P._c = views(P)\n"
                         "    P._d = frozenset()\n"
-                        "    P.up = tuple(P.up)\n")
-    assert frozenset_caches({"m": planted}) == ["m:6 _a", "m:7 _b", "m:8 _c"]
+                        "    P.up = tuple(P.up)\n"
+                        "@_table\n"
+                        "def _e(P): return tuple(views(P))\n"
+                        "@_table\n"
+                        "def _f(P): return P.up\n"
+                        "def _g(P): return views(P)\n"
+                        "def seed(P, key):\n"
+                        "    P._tables[key] = views(P)\n"
+                        "    P._tables[key] = tuple(P.up)\n")
+    assert frozenset_caches({"m": planted}) == [
+        "m:6 _a", "m:7 _b", "m:8 _c", "m:12 _e", "m:17 _tables[]"]
+
+
+# The names the package gives posets: a variable, or an attribute such
+# as ``E.poset`` or ``L.space``.
+POSET_NAMES = {"P", "Q", "X", "X2", "space", "sub", "poset"}
+
+
+def attribute_writes(node):
+    """Each attribute node assigned or deleted under node."""
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Assign, ast.Delete)):
+            targets = n.targets
+        elif isinstance(n, (ast.AugAssign, ast.AnnAssign)):
+            targets = [n.target]
+        else:
+            continue
+        yield from (t for target in targets for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute) and not isinstance(t.ctx, ast.Load))
+
+
+def poset_attribute_writes(trees, names):
+    """Writes of an attribute of a poset, in any of the module trees,
+    other than ``FinitePoset.__init__`` setting one of its slots.  A
+    poset is ``self`` in the methods of ``FinitePoset``, and anywhere
+    an object named by one of ``names``."""
+    found = []
+    for module, tree in trees.items():
+        slots, own, init = poset_slots(tree), set(), set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "FinitePoset":
+                for f in cls.body:
+                    for t in attribute_writes(f):
+                        own.add(t)
+                        if (getattr(f, "name", None) == "__init__"
+                                and getattr(t.value, "id", None) == "self"
+                                and t.attr in slots):
+                            init.add(t)
+        for t in attribute_writes(tree):
+            name = getattr(t.value, "id", getattr(t.value, "attr", None))
+            if t not in init and (name in names or t in own and name == "self"):
+                found.append((module, t.lineno, f"{name}.{t.attr}"))
+    return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
+
+
+def test_a_poset_keeps_its_tables_in_one_memo():
+    # everything derived from an order lives in P._tables, which
+    # poset.drop_tables empties in one call: a poset has no other slot
+    # to cache in, and no code sets an attribute of a poset after
+    # FinitePoset.__init__
+    from priestley.poset import FinitePoset
+
+    assert FinitePoset.__slots__ == ("labels", "up", "down", "_index", "_tables")
+    assert not hasattr(FinitePoset(["a"], [1]), "__dict__")
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert poset_attribute_writes(trees, POSET_NAMES) == []
+    # and the lint sees each kind of write, and none of the allowed ones
+    planted = ast.parse("class FinitePoset:\n"
+                        "    __slots__ = ('up', '_tables')\n"
+                        "    def __init__(self, up):\n"
+                        "        self.up = up\n"
+                        "        self._tables = {}\n"
+                        "        self._extra = None\n"
+                        "    def grow(self):\n"
+                        "        self.up = ()\n"
+                        "def seed(P, E, key):\n"
+                        "    P._tables[key] = 1\n"
+                        "    P._canon = key\n"
+                        "    E.poset._x, n = 1, 2\n"
+                        "    E.name = 'e'\n"
+                        "    del P._tables\n"
+                        "    P.n += 1\n")
+    assert poset_attribute_writes({"m": planted}, {"P", "poset"}) == [
+        "m:6 self._extra", "m:8 self.up", "m:11 P._canon", "m:12 poset._x",
+        "m:14 P._tables", "m:15 P.n"]
 
 
 def rule_loop_sites(source, engines):
@@ -318,14 +423,15 @@ def module_level_containers(source):
 
 
 def test_the_oracle_keeps_instance_data_only_per_run():
-    # engines, Y_d, d tables and nuclei are shared within one run_suite
-    # call and dropped after it; a module-level cache would let a fault
-    # planted in a later run read a clean value from an earlier one
+    # engines, Y_d, d tables and nuclei are built for one poset's checks
+    # in a run_suite call and dropped after them; a module-level cache
+    # would let a fault planted in a later run read a clean value from
+    # an earlier one
     from priestley import oracle
 
     source = pathlib.Path(oracle.__file__).read_text(encoding="utf-8")
     assert sorted(module_level_containers(source)) == sorted(
-        ["CHECKS", "DOMAINS", "MUTATIONS", "_POSET_MEMO", "_EXPECTED_FIGURES"])
+        ["CHECKS", "KINDS", "MUTATIONS", "_POSET_MEMO", "_EXPECTED_FIGURES"])
     # and the lint sees each kind of container
     planted = ("import functools\n"
                "A = {}\nB: list = []\nC = set()\nD = {k: 1 for k in 'ab'}\n"

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from priestley import NuclearSet, build_poset, enumerate_upsets, oracle
+from priestley import FinitePoset, NuclearSet, build_poset, enumerate_upsets, oracle
 from priestley import spectrum as sp
 from priestley.fans import FAMILIES, TameSet, engine_for
 from priestley.errors import BoundExceeded, EmptySelection, UnknownTheoremId
@@ -182,29 +182,52 @@ def test_a_run_builds_one_engine_and_one_y_d_per_poset(monkeypatch):
     assert sorted(tested) == sorted((id(P), y) for P in posets for y in range(P.n))
 
 
-def test_a_run_drops_a_domain_after_its_last_check(monkeypatch):
-    # the engines (with their d tables and Y_d) are released once the last
-    # check that reads them has run, not when run_suite returns
-    on_engines = [t for t in sorted(oracle.CHECKS) if oracle.DOMAINS[t] is oracle._engines]
-    others = [t for t in sorted(oracle.CHECKS) if t not in on_engines]
-    assert on_engines and others
-    refs = []
+def test_a_run_drops_what_it_derives_from_a_poset_after_its_checks(monkeypatch):
+    # a poset's engine (with its d table and Y_d) is released before the
+    # next poset's first check, and no enumerated poset keeps a table
+    # (closure tables, splits, upset masks) once run_suite returns
+    monkeypatch.setattr(oracle, "_POSET_MEMO", {})
+    seen = []  # (poset, weakref to its engine), in run order
 
     def spy(tid, fn):
         def wrapper(instances):
-            if refs:
-                gc.collect()
-                assert refs[0]() is None, f"an engine is alive when {tid} runs"
-            if tid == on_engines[-1]:
-                _, (E,) = instances[-1]
-                refs.append(weakref.ref(E))
+            _, (x, *_) = instances[0]
+            P = x.poset if isinstance(x, sp.FiniteEngine) else x
+            if isinstance(P, FinitePoset):
+                if not seen or seen[-1][0] is not P:
+                    if seen:
+                        gc.collect()
+                        assert seen[-1][1]() is None, f"an engine is alive when {tid} runs"
+                    seen.append((P, None))
+                if x is not P:
+                    seen[-1] = P, weakref.ref(x)
             return fn(instances)
         return wrapper
 
-    for tid in on_engines + others:
+    for tid in oracle.CHECKS:
         monkeypatch.setitem(oracle.CHECKS, tid, spy(tid, oracle.CHECKS[tid]))
-    assert all(c.ok() for c in oracle.run_suite(on_engines + others, bound=3))
-    assert len(refs) == 1
+    assert all(c.ok() for c in oracle.run_suite(bound=3))
+    posets = oracle.posets_up_to(3)
+    assert [P for P, _ in seen] == posets
+    assert all(ref is not None for _, ref in seen)
+    gc.collect()
+    assert seen[-1][1]() is None
+    memo = [P for Ps in oracle._POSET_MEMO.values() for P in Ps]
+    assert len(memo) == len(posets)
+    assert [P for P in memo if P._tables] == []
+
+
+def test_a_selection_builds_only_the_instances_it_reads(monkeypatch):
+    engines = []
+    init = sp.FiniteEngine.__init__
+
+    def counted_init(E, P):
+        engines.append(P)
+        init(E, P)
+
+    monkeypatch.setattr(sp.FiniteEngine, "__init__", counted_init)
+    assert all(c.ok() for c in oracle.run_suite(["priestley-separation"], bound=4))
+    assert engines == []
 
 
 NUCLEI_IDS = [
@@ -212,6 +235,13 @@ NUCLEI_IDS = [
     "dense-iff-cofinal", "max-least-cofinal", "booleanization-sublocale",
     "lemma-nj-restrict", "sublocale-roundtrip", "inductive-core-collapse",
 ]
+
+
+def test_nuclei_checks_alone_enumerate_only_to_the_nuclei_bound(monkeypatch):
+    monkeypatch.setattr(oracle, "_POSET_MEMO", {})
+    cases = oracle.run_suite(NUCLEI_IDS, bound=7)
+    assert sorted(oracle._POSET_MEMO) == list(range(1, oracle.NUCLEI_BOUND + 1))
+    assert len(cases) == len(NUCLEI_IDS) * 24 and all(c.ok() for c in cases)
 
 
 def test_a_failing_nuclei_build_fails_only_its_own_case(monkeypatch):

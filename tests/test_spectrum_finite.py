@@ -4,7 +4,7 @@ import pytest
 
 from priestley import build_poset
 from priestley import spectrum as sp
-from priestley.errors import NotClopenUpset
+from priestley.errors import NotClopenUpset, NotRepresentable
 
 
 def engine(labels, covers):
@@ -94,6 +94,15 @@ def test_d_initial_and_max_bounded():
     E = two_chain()
     assert sp.d_initial_check(E, sp.nd_set(E))
     assert sp.max_bounded(E)
+
+
+@pytest.mark.parametrize("z", [True, False, -1, 0b100, "x1", None])
+def test_d_initial_check_refuses_what_is_not_a_point_mask(z):
+    # True == 1 is the mask {x1}, but a bool is refused as mask_of does
+    E = two_chain()
+    assert not E.is_representable(z)
+    with pytest.raises(NotRepresentable):
+        sp.d_initial_check(E, z)
 
 
 def test_unit_is_whole_space():
