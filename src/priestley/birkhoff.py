@@ -15,7 +15,7 @@ inclusion the image is always an upset, no orientation flip needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter, ne
 
 from .errors import (
@@ -31,6 +31,7 @@ from .errors import (
 from .poset import (
     FinitePoset,
     _bits,
+    _Frozen,
     _mask,
     _mask_union,
     closure_tables,
@@ -83,23 +84,25 @@ class DistLattice:
         return f"DistLattice({self.n} elements, bottom={self.labels[self.bottom]!r}, top={self.labels[self.top]!r})"
 
 
-@dataclass(frozen=True, init=False)
-class ClopenUpset:
-    """An upward-closed point set of a finite Priestley space.
+class ClopenUpset(_Frozen, namedtuple("ClopenUpset", "space mask")):
+    """An upward-closed point set of a finite Priestley space, built
+    from the ``space`` and its points.
 
     ``mask`` holds the points (bit i for point i); ``members`` is the
     same set as a frozenset.
     """
 
-    space: FinitePoset
-    mask: int
+    __slots__ = ()
 
-    def __init__(self, space, members):
+    def __new__(cls, space, members):
         mask = mask_of(space, members)
         if _mask_union(space.up, mask) != mask:
             raise NotAnUpset(f"{list(_bits(mask))} is not an upset")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask)
+        return tuple.__new__(cls, (space, mask))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through the constructor, which takes points
+        return self.space, self.members
 
     @property
     def members(self):

@@ -1,15 +1,17 @@
 """Command-line surface: dualize lattices, analyze spaces, verify theorems.
 
 Exit codes: 0 ok, 1 verification failure, 2 input error (including an
-unreadable input or unwritable output file), 3 internal assertion (a
-bug, never expected), 64 usage error.  Output is deterministic:
-identical inputs produce byte-identical reports.
+unreadable input, an unwritable output file or a standard output whose
+reader is gone), 3 internal assertion (a bug, never expected), 64 usage
+error.  Output is deterministic: identical inputs produce byte-identical
+reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import spectrum as sp
@@ -295,7 +297,18 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    sys.exit(args.fn(args))
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError as e:
+        # the reader of stdout is gone: what is still buffered goes to
+        # devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write to stdout: {e}", file=sys.stderr)
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -65,12 +65,14 @@ keeps a mode field plus the sorted exception list, and omits the spine
 and the blob where the family has none.
 
 :class:`Region`, :class:`TameSet` and :class:`SymbolicPoint` are
-immutable values: each is a ``namedtuple`` of its fields in order,
-read by name and, on the hot path, by index.  Building one is a
-single ``tuple.__new__``, and ``==``, ``!=`` and ``hash`` are the
-tuple's, in C, so a tame set is hashed without rebuilding a field
-tuple.  They are not ordered, and ``pt in u`` asks whether the tame
-set u holds the point, as ``u.member(pt)`` does.
+immutable values, declared as every value class of the package is: a
+``namedtuple`` of the fields in order under the frozen, unordered
+mixin :class:`~priestley.poset._Frozen`.  Fields are read by name
+and, on the hot path, by index.  Building one is a single
+``tuple.__new__``, and ``==``, ``!=`` and ``hash`` are the tuple's, in
+C, so a tame set is hashed without rebuilding a field tuple.
+``pt in u`` asks whether the tame set u holds the point, as
+``u.member(pt)`` does.
 
 Topology of a region: a finite part is clopen; a cofinite part is open
 and closed only when its limit flag is set; a limit-only part is
@@ -106,40 +108,14 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import FrozenInstanceError
 from functools import partial
 
 from .errors import FamilyMismatch, NotRepresentable
-from .poset import _bits, _mask
+from .poset import _bits, _Frozen, _mask
 
 # ---------------------------------------------------------------------
 # regions: finite/cofinite subsets of one copy of N, plus a limit flag
 # ---------------------------------------------------------------------
-
-
-class _Frozen:
-    """What a namedtuple lacks to stand in for a frozen dataclass:
-    assigning or deleting any attribute raises ``FrozenInstanceError``,
-    ``<`` and its kin raise ``TypeError`` instead of comparing the field
-    tuples, and ``in`` is not the tuple's element test."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __contains__(self, item):
-        raise TypeError(f"{type(self).__name__} is not a container")
-
-    # Python-level order methods send == and != through a slot lookup
-    # too, about 0.1 us more per compare; the sweeps do not show it
-    def _unordered(self, other):
-        return NotImplemented
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 class Region(_Frozen, namedtuple("Region", "bits flag")):

@@ -31,7 +31,7 @@ nuclear set holds ``mask``.  Point sets from outside pass through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
     NotMeetPreserving,
     SpaceMismatch,
 )
-from .poset import (FinitePoset, _bits, _mask, closure_tables, enumerate_upsets,
+from .poset import (_bits, _Frozen, _mask, closure_tables, enumerate_upsets,
                     extrema, mask_of, order_closure, set_of, upset_index,
                     upset_masks, upset_meet_splits)
 
@@ -151,28 +151,27 @@ def _first_unmet_pair(ups, masks):
     raise InternalAssertionError("a split fails but every pair preserves meets")
 
 
-@dataclass(frozen=True, init=False)
-class NuclearSet:
-    """A point subset of a finite space, in its role as a nuclear set.
+class NuclearSet(_Frozen, namedtuple("NuclearSet", "space mask")):
+    """A point subset of a finite space, in its role as a nuclear set,
+    built from the ``space`` and its points.
 
     Every subset of a finite Priestley space is nuclear: all subsets are
     closed and down(U & N) is clopen.  ``members`` is the subset
     ``mask`` as a frozenset.
     """
 
-    space: FinitePoset
-    mask: int
+    __slots__ = ()
 
-    def __init__(self, space, members):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask_of(space, members))
+    def __new__(cls, space, members):
+        return tuple.__new__(cls, (space, mask_of(space, members)))
 
     @classmethod
     def _of_mask(cls, space, mask):
-        N = cls.__new__(cls)
-        object.__setattr__(N, "space", space)
-        object.__setattr__(N, "mask", mask)
-        return N
+        return tuple.__new__(cls, (space, mask))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through the constructor, which takes points
+        return self.space, self.members
 
     @property
     def members(self):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from . import spectrum as sp
@@ -67,9 +67,10 @@ from .nuclei import (
     nucleus_of_sublocale,
     sublocale_of_nucleus,
 )
-from .poset import (FinitePoset, _bits, _labelling, _mask, _mask_union, _restrict,
-                    canonical_form, canonical_rows, closure_tables, drop_tables, extrema,
-                    relabel_canonically, sub_upset_unions, upset_index, upset_masks)
+from .poset import (FinitePoset, _bits, _Frozen, _labelling, _mask, _mask_union,
+                    _restrict, canonical_form, canonical_rows, closure_tables, drop_tables,
+                    extrema, relabel_canonically, sub_upset_unions, upset_index,
+                    upset_masks)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -78,12 +79,12 @@ SAMPLE_COUNT = 60
 DEFAULT_SEED = 2024
 
 
-@dataclass(frozen=True)
-class TheoremCase:
-    theorem_id: str
-    instance: str
-    status: str           # "verified" | "failed"
-    witness: str | None = None
+class TheoremCase(_Frozen, namedtuple(
+        "TheoremCase", "theorem_id instance status witness", defaults=(None,))):
+    """One check on one instance: ``status`` is "verified" or "failed",
+    and a failed case names its ``witness``."""
+
+    __slots__ = ()
 
     def ok(self):
         return self.status == "verified"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import (
     CycleDetected,
@@ -54,6 +54,37 @@ def _mask(members):
     for i in members:
         out |= 1 << i
     return out
+
+
+class _Frozen:
+    """The package's immutable values, mixed in before a ``namedtuple``
+    of the fields: assigning or deleting any attribute raises
+    ``FrozenInstanceError``, ``<`` and its kin raise ``TypeError``
+    instead of comparing the field tuples, and ``in`` is not the tuple's
+    element test.  ``==``, ``!=``, ``hash`` and the repr are the
+    namedtuple's, so a value also equals the plain tuple of its fields.
+    The error's module is imported only to raise it: imported up front,
+    it would load ``inspect`` and ``ast`` into every run."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __contains__(self, item):
+        raise TypeError(f"{type(self).__name__} is not a container")
+
+    # Python-level order methods send == and != through a slot lookup
+    # too, about 0.1 us more per compare; the sweeps do not show it
+    def _unordered(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 def _table(build):
@@ -294,14 +325,12 @@ class _ClosureTable(dict):
         return out
 
 
-class ClosureTables(NamedTuple):
-    """The closure tables of one poset: mask -> the union over its points
-    of their principal upsets, downsets, and both without the point."""
+class ClosureTables(_Frozen, namedtuple("ClosureTables", "up down strict_up strict_down")):
+    """The closure tables of one poset, each a :class:`_ClosureTable`:
+    mask -> the union over its points of their principal upsets,
+    downsets, and both without the point."""
 
-    up: _ClosureTable
-    down: _ClosureTable
-    strict_up: _ClosureTable
-    strict_down: _ClosureTable
+    __slots__ = ()
 
 
 @_table

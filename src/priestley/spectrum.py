@@ -42,7 +42,7 @@ The oracle's exhaustive checks also read ``poset``, ``n`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 from .errors import (
     InternalAssertionError,
@@ -50,7 +50,7 @@ from .errors import (
     NotLocalic,
     NotRepresentable,
 )
-from .poset import FinitePoset, _bits, closure_tables, upset_masks
+from .poset import FinitePoset, _bits, _Frozen, closure_tables, upset_masks
 
 
 # ---------------------------------------------------------------------
@@ -339,61 +339,64 @@ def spectrum_report(E):
     )
 
 
-def _shown(label, flag=False, text=str, **kw):
-    """A report field with its text label (``None`` values are left out
-    of the text), whether the JSON groups it under ``flags``, and its
-    text rendering."""
-    return field(metadata={"label": label, "flag": flag, "text": text}, **kw)
+def _shown(name, label, flag=False, text=str):
+    """A report field: its name, its text label (``None`` values are
+    left out of the text), whether the JSON groups it under ``flags``,
+    and its text rendering."""
+    return name, label, flag, text
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """The d-spectrum verdict for one space.
-
-    The field list is the report's layout: ``to_text`` prints one
-    labelled line per field in this order, and ``to_json_dict`` keeps
-    each field at top level or under ``flags``.  A new field is one
-    declaration here and one keyword in :func:`spectrum_report`.
-
-    Three flags are definitions rather than separate computations; the
-    comment at each says why.
-    """
-
-    space: str = _shown("space")
-    localic_part: str = _shown("localic part Y")
-    y_d: str = _shown("Y_d")
-    min_y_d: str = _shown("min Y_d")
-    topology_class: str = _shown("topology class")
+# The report's fields in order, each declared once: the namedtuple's
+# fields, the text lines and the JSON keys are read from here.  Three
+# flags are definitions rather than separate computations; the comment
+# at each says why.
+_LAYOUT = (
+    _shown("space", "space"),
+    _shown("localic_part", "localic part Y"),
+    _shown("y_d", "Y_d"),
+    _shown("min_y_d", "min Y_d"),
+    _shown("topology_class", "topology class"),
     # True by definition: min Y_d is an antichain, so its specialization
     # order is trivial and the subspace is T1 (the registry's
     # ``t1-min-yd`` check separates its points on every finite space)
-    t1: bool = _shown("T1", flag=True)
-    compact: bool = _shown("compact", flag=True)
-    hausdorff: bool = _shown("Hausdorff", flag=True)
-    has_unit: bool = _shown("has unit", flag=True)
-    unit_witness: str | None = _shown("unit witness")
-    unit_refutation: dict | None = _shown(
-        "unit refutation", text=lambda r: f"{r['class']} ({r['violated']})")
+    _shown("t1", "T1", flag=True),
+    _shown("compact", "compact", flag=True),
+    _shown("hausdorff", "Hausdorff", flag=True),
+    _shown("has_unit", "has unit", flag=True),
+    _shown("unit_witness", "unit witness"),
+    _shown("unit_refutation", "unit refutation",
+           text=lambda r: f"{r['class']} ({r['violated']})"),
     # the antichain test of Y_d from :func:`regularity_suite`, which also
     # computes max Y = Y_d independently and raises when the two
     # disagree (``regularity-equivalences`` compares both with literal
     # L-regularity on finite spaces)
-    l_d_regular: bool = _shown("L_d regular", flag=True)
+    _shown("l_d_regular", "L_d regular", flag=True),
     # the next field's value, carried through the theorem that the two
     # are equivalent (checked literally by ``max-bounded-iff-d-initial``
     # on finite spaces)
-    max_bounded: bool = _shown("max-bounded", flag=True)
+    _shown("max_bounded", "max-bounded", flag=True),
     # :func:`max_bounded`, the test that N_d = cl(Y_d) is d-initial
-    n_d_d_initial: bool = _shown("N_d d-initial", flag=True)
-    maximal_d_upsets: str = _shown("maximal d-upsets")
-    min_yd_space_flags: dict = _shown(
-        "min Y_d flags", default_factory=dict,
-        text=lambda f: ", ".join(f"{k}={v}" for k, v in sorted(f.items())))
+    _shown("n_d_d_initial", "N_d d-initial", flag=True),
+    _shown("maximal_d_upsets", "maximal d-upsets"),
+    _shown("min_yd_space_flags", "min Y_d flags",
+           text=lambda f: ", ".join(f"{k}={v}" for k, v in sorted(f.items()))),
+)
+
+
+class AnalysisReport(_Frozen, namedtuple("AnalysisReport", [f[0] for f in _LAYOUT])):
+    """The d-spectrum verdict for one space.
+
+    ``_LAYOUT`` is the report's layout: ``to_text`` prints one labelled
+    line per field in that order, and ``to_json_dict`` keeps each field
+    at top level or under ``flags``.  A new field is one entry there and
+    one keyword in :func:`spectrum_report`.
+    """
+
+    __slots__ = ()
 
     def to_json_dict(self):
         out = {}
-        for name, _, flag, _ in _LAYOUT:
-            value = getattr(self, name)
+        for (name, _, flag, _), value in zip(_LAYOUT, self):
             if isinstance(value, dict):
                 value = dict(sorted(value.items()))
             (out.setdefault("flags", {}) if flag else out)[name] = value
@@ -401,15 +404,9 @@ class AnalysisReport:
 
     def to_text(self):
         return "\n".join(
-            head + text(value)
-            for name, head, _, text in _LAYOUT
-            if (value := getattr(self, name)) is not None)
-
-
-# (name, text line head, under flags, text rendering) of each report
-# field, in order
-_LAYOUT = tuple((f.name, f"{f.metadata['label'] + ':':<18}", f.metadata["flag"],
-                 f.metadata["text"]) for f in fields(AnalysisReport))
+            f"{label + ':':<18}{text(value)}"
+            for (_, label, _, text), value in zip(_LAYOUT, self)
+            if value is not None)
 
 
 # ---------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """CLI: subcommands, exit codes, deterministic output."""
 
-import dataclasses
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -163,22 +166,25 @@ def test_analyze_dot_builds_one_engine(tmp_path, monkeypatch, capsys):
 def test_every_report_field_is_rendered_once(space):
     E = engine_for(space) if isinstance(space, str) else sp.FiniteEngine(space)
     report = sp.spectrum_report(E)
-    fields = dataclasses.fields(sp.AnalysisReport)
+    # the report's one field declaration: (name, label, flag, text)
+    fields = sp._LAYOUT
+    assert sp.AnalysisReport._fields == tuple(name for name, *_ in fields)
     # exactly one of the two unit lines, as the report has them
     assert (report.unit_witness is None) != (report.unit_refutation is None)
-    shown = [f for f in fields if getattr(report, f.name) is not None]
+    shown = [(name, label) for name, label, *_ in fields
+             if getattr(report, name) is not None]
     lines = report.to_text().splitlines()
-    assert len({f.metadata["label"] for f in fields}) == len(fields)
-    assert [line.split(":")[0] for line in lines] == [
-        f.metadata["label"] for f in shown]
-    for f, line in zip(shown, lines):
-        value = getattr(report, f.name)
+    assert len({label for _, label, *_ in fields}) == len(fields)
+    assert [line.split(":")[0] for line in lines] == [label for _, label in shown]
+    for (name, label), line in zip(shown, lines):
+        value = getattr(report, name)
         if not isinstance(value, dict):
-            assert line == f"{f.metadata['label'] + ':':<18}{value}", f.name
+            assert line == f"{label + ':':<18}{value}", name
     out = report.to_json_dict()
     flags = out.pop("flags")
     assert not set(out) & set(flags)
-    assert {**out, **flags} == {f.name: getattr(report, f.name) for f in fields}
+    assert set(flags) == {name for name, _, flag, _ in fields if flag}
+    assert {**out, **flags} == {name: getattr(report, name) for name, *_ in fields}
 
 
 def test_analyze_bad_input(tmp_path, capsys):
@@ -345,3 +351,28 @@ def test_verify_stats_count_every_case_once(capsys):
 def test_verify_without_stats_prints_only_the_summary(capsys):
     code, out, _ = run_cli(["verify", "--bound", "2", "--format", "json"], capsys)
     assert code == 0 and "stats" not in json.loads(out)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["verify", "--bound", "2"], ["analyze", "{space}"]],
+                         ids=["verify", "analyze"])
+def test_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered, tmp_path):
+    space = tmp_path / "omega.json"
+    space.write_text(json.dumps({"family": "omega_fans"}))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    # the reader is gone before the writer starts, so the first write
+    # (or the flush of a buffered stdout) fails every time
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "priestley.cli",
+             *(a.format(space=space) for a in argv)],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("cannot write to stdout:")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

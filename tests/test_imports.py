@@ -21,6 +21,26 @@ def test_import_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_import_does_not_load_dataclasses_or_typing():
+    # each of these costs every run its import time; -S because a .pth
+    # file of the site packages may import typing before the package
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-c",
+         f"import sys, priestley.cli; print(*[m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    # those modules' lines and the package's, in import order: the
+    # package module printed next after a heavy one is its importer
+    lines = [line for line in out.stderr.splitlines()
+             if line.rsplit("|", 1)[-1].strip() in loaded
+             or "priestley" in line]
+    assert loaded == [], "\n".join(lines)
+
+
 def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

@@ -1,14 +1,20 @@
 """Poset substrate: construction, closures, extrema, upset enumeration."""
 
+import copy
+import dataclasses
 import itertools
+import operator
+import pickle
 
 import pytest
 
 from priestley import (
+    AnalysisReport,
     ClopenUpset,
     FinitePoset,
     NuclearSet,
     Nucleus,
+    TheoremCase,
     build_poset,
     canonical_form,
     enumerate_upsets,
@@ -17,8 +23,10 @@ from priestley import (
     order_closure,
     poset_from_json,
     poset_to_json,
+    spectrum_report,
     validate_nucleus,
 )
+from priestley.spectrum import FiniteEngine
 from priestley.errors import (
     CycleDetected,
     DuplicateLabel,
@@ -267,3 +275,39 @@ def test_json_applies_closure():
     P = poset_from_json({"points": ["a", "b", "c"],
                          "covers": [["a", "b"], ["b", "c"]]})
     assert P.le(0, 2)
+
+
+VEE = build_poset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ClopenUpset(VEE, {1, 2}),
+    lambda: NuclearSet(VEE, {0, 2}),
+    lambda: TheoremCase("t1-min-yd", "P3", "failed", "{a}"),
+    lambda: spectrum_report(FiniteEngine(VEE)),
+], ids=["ClopenUpset", "NuclearSet", "TheoremCase", "AnalysisReport"])
+def test_every_value_class_is_frozen_and_unordered(make):
+    a, b = make(), make()
+    assert a == b and a is not b and not hasattr(a, "__dict__")
+    name = a._fields[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(a, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(a, name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.foo = 1
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(a, b)
+    with pytest.raises(TypeError):
+        None in a
+    if isinstance(a, AnalysisReport):
+        # its dict fields make a report unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+    assert repr(a) == f"{type(a).__name__}(" + ", ".join(
+        f"{field}={getattr(a, field)!r}" for field in a._fields) + ")"
+    for back in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert back == a and type(back) is type(a)
