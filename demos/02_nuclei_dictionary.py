@@ -31,7 +31,8 @@ print("upsets of the 2-chain:", [show(u) for u in enumerate_upsets(space)])
 # Direction one: a point set induces a nucleus.
 for members in (frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})):
     j = nucleus_of_nuclear(NuclearSet(space, members))
-    table = {show(u): show(j.table[u]) for u in enumerate_upsets(space)}
+    images = j.table
+    table = {show(u): show(images[u]) for u in enumerate_upsets(space)}
     back = nuclear_of_nucleus(j).members
     print(f"N = {show(members):8}  j: {table}  back to {show(back)}")
 

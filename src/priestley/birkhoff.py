@@ -34,6 +34,7 @@ from .poset import (
     _Frozen,
     _mask,
     _mask_union,
+    _table,
     closure_tables,
     mask_of,
     poset_from_json,
@@ -50,12 +51,15 @@ class DistLattice:
 
     ``up`` and ``down`` are the principal upsets and downsets as bitmask
     rows; ``meet[a][b]`` and ``join[a][b]`` are element indices.
+    ``space`` is the finite space whose upsets the elements are, for a
+    lattice built by :func:`clopen_upset_lattice`, and ``None``
+    otherwise.  Its dual is a table of the lattice (:func:`prime_filters`).
     """
 
     __slots__ = ("labels", "up", "down", "meet", "join", "bottom", "top",
-                 "space", "_index", "_dual")
+                 "space", "_index", "_tables")
 
-    def __init__(self, labels, up, down, meet, join, bottom, top):
+    def __init__(self, labels, up, down, meet, join, bottom, top, space=None):
         self.labels = tuple(labels)
         self.up = up
         self.down = down
@@ -63,9 +67,9 @@ class DistLattice:
         self.join = join
         self.bottom = int(bottom)
         self.top = int(top)
-        self.space = None  # set by clopen_upset_lattice
+        self.space = space
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._dual = None
+        self._tables = {}
 
     @property
     def n(self):
@@ -188,21 +192,24 @@ def _join_irreducible_mask(down):
     return _mask(j for j, m in enumerate(down) if m & ~(1 << j) in principal)
 
 
-def priestley_dual(D):
-    """The dual poset of prime filters, ordered by inclusion.
+@_table
+def prime_filters(D):
+    """The dual poset of prime filters, ordered by inclusion, and the
+    join-irreducible whose principal upset each of its points is.
 
     Prime filters of a finite distributive lattice are exactly the
     principal upsets of join-irreducibles; filter inclusion reverses the
     lattice order on the irreducibles.
     """
-    if D._dual is not None:
-        return D._dual[0]
     ji = list(_bits(_join_irreducible_mask(D.down)))
     # up(p) included in up(q)  iff  q <= p
     up = [sum(1 << j for j, q in enumerate(ji) if D.le(q, p)) for p in ji]
-    space = FinitePoset([D.labels[p] for p in ji], up)
-    D._dual = (space, ji)
-    return space
+    return FinitePoset([D.labels[p] for p in ji], up), ji
+
+
+def priestley_dual(D):
+    """The dual poset of prime filters, ordered by inclusion."""
+    return prime_filters(D)[0]
 
 
 def stone_map(D, a):
@@ -213,8 +220,7 @@ def stone_map(D, a):
         raise UnknownElement(f"element {a!r} is neither a label nor an index")
     if not 0 <= a < D.n:
         raise UnknownElement(f"element index {a} out of range")
-    space = priestley_dual(D)
-    ji = D._dual[1]
+    space, ji = prime_filters(D)
     return ClopenUpset(space, (i for i, p in enumerate(ji) if D.le(p, a)))
 
 
@@ -238,10 +244,8 @@ def clopen_upset_lattice(X):
     meet = tuple(tuple(index[u & v] for v in masks) for u in masks)
     join = tuple(tuple(index[u | v] for v in masks) for u in masks)
     labels = [_upset_label(X, u) for u in masks]
-    D = DistLattice(labels, tuple(up), tuple(down), meet, join, index[0],
-                    index[(1 << X.n) - 1])
-    D.space = X
-    return D
+    return DistLattice(labels, tuple(up), tuple(down), meet, join, index[0],
+                       index[(1 << X.n) - 1], space=X)
 
 
 def _upset_label(X, mask):

@@ -1,9 +1,9 @@
 """Command-line surface: dualize lattices, analyze spaces, verify theorems.
 
 Exit codes: 0 ok, 1 verification failure, 2 input error (including an
-unreadable input, an unwritable output file or a standard output whose
-reader is gone), 3 internal assertion (a bug, never expected), 64 usage
-error.  Output is deterministic: identical inputs produce byte-identical
+unreadable input, an unwritable output file or an unwritable standard
+output), 3 internal assertion (a bug, never expected), 64 usage error.
+Output is deterministic: identical inputs produce byte-identical
 reports.
 """
 
@@ -49,14 +49,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _fail(code, message):
+    print(message, file=sys.stderr)
+    raise SystemExit(code)
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     # ValueError: bad UTF-8 or JSON; RecursionError: nesting too deep
     except (OSError, ValueError, RecursionError) as e:
-        print(f"cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        _fail(EXIT_INPUT, f"cannot read {path}: {e}")
 
 
 def _write(path, text):
@@ -64,8 +68,7 @@ def _write(path, text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
-        print(f"cannot write {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        _fail(EXIT_INPUT, f"cannot write {path}: {e}")
 
 
 # ---------------------------------------------------------------------
@@ -157,19 +160,16 @@ def cmd_dual(args):
         D = lattice_from_json(obj)
         X = priestley_dual(D)
     except InternalAssertionError as e:
-        print(f"internal assertion failed: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        _fail(EXIT_INTERNAL, f"internal assertion failed: {e}")
     except WorkbenchError as e:
-        print(f"invalid lattice: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    payload = json.dumps(poset_to_json(X), indent=2, sort_keys=True) + "\n"
+        _fail(EXIT_INPUT, f"invalid lattice: {e}")
+    out = json.dumps(poset_to_json(X), indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write(args.out, payload)
-    else:
-        sys.stdout.write(payload)
+        _write(args.out, out)
+        out = ""
     if args.dot:
         _write(args.dot, dot_finite(sp.FiniteEngine(X)))
-    return EXIT_OK
+    return EXIT_OK, out
 
 
 def cmd_analyze(args):
@@ -178,39 +178,33 @@ def cmd_analyze(args):
         if isinstance(obj, dict) and "family" in obj:
             family = obj["family"]
             if family not in FAMILIES:
-                print(f"unknown family {family!r}", file=sys.stderr)
-                return EXIT_INPUT
+                _fail(EXIT_INPUT, f"unknown family {family!r}")
             engine = engine_for(family)
             dot = dot_fan
         elif isinstance(obj, dict) and "points" in obj:
             P = poset_from_json(obj)
             if P.n == 0:
-                print("space must have at least one point", file=sys.stderr)
-                return EXIT_INPUT
+                _fail(EXIT_INPUT, "space must have at least one point")
             engine = sp.FiniteEngine(P)
             dot = dot_finite
         else:
-            print("space JSON needs 'family' or 'points'", file=sys.stderr)
-            return EXIT_INPUT
+            _fail(EXIT_INPUT, "space JSON needs 'family' or 'points'")
     except WorkbenchError as e:
-        print(f"invalid space: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        _fail(EXIT_INPUT, f"invalid space: {e}")
     try:
         report = sp.spectrum_report(engine)
     except InternalAssertionError as e:
-        print(f"internal assertion failed: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        _fail(EXIT_INTERNAL, f"internal assertion failed: {e}")
     if args.format == "json":
         out = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     else:
         out = report.to_text() + "\n"
     if args.out:
         _write(args.out, out)
-    else:
-        sys.stdout.write(out)
+        out = ""
     if args.dot:
         _write(args.dot, dot(engine))
-    return EXIT_OK
+    return EXIT_OK, out
 
 
 def cmd_verify(args):
@@ -221,14 +215,11 @@ def cmd_verify(args):
     try:
         cases = run_suite(only, bound=args.bound, seed=args.seed, stats=stats)
     except BoundExceeded as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
+        _fail(EXIT_USAGE, str(e))
     except EmptySelection as e:
-        print(f"--only: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        _fail(EXIT_USAGE, f"--only: {e}")
     except UnknownTheoremId as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_INPUT
+        _fail(EXIT_INPUT, str(e))
     s = summarize(cases)
     if args.format == "json":
         payload = {
@@ -243,14 +234,15 @@ def cmd_verify(args):
         }
         if stats is not None:
             payload["stats"] = stats
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        lines = [json.dumps(payload, indent=2, sort_keys=True)]
     else:
-        for c in s["failures"]:
-            print(f"FAILED {c.theorem_id} on {c.instance}: {c.witness}")
-        print(f"{s['verified']}/{s['total']} cases verified, {s['failed']} failed")
+        lines = [f"FAILED {c.theorem_id} on {c.instance}: {c.witness}"
+                 for c in s["failures"]]
+        lines.append(f"{s['verified']}/{s['total']} cases verified, {s['failed']} failed")
         if stats is not None:
-            print(_stats_text(stats))
-    return EXIT_OK if s["failed"] == 0 else EXIT_VERIFICATION
+            lines.append(_stats_text(stats))
+    code = EXIT_OK if s["failed"] == 0 else EXIT_VERIFICATION
+    return code, "\n".join(lines) + "\n"
 
 
 def _stats_text(stats):
@@ -297,12 +289,16 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
+    # each command returns its exit code and its stdout text, which is
+    # written here only: a failed write (a reader gone, a full device)
+    # is an output error, and one raised by the computation is not
+    code, out = args.fn(args)
     try:
-        code = args.fn(args)
+        sys.stdout.write(out)
         sys.stdout.flush()
-    except BrokenPipeError as e:
-        # the reader of stdout is gone: what is still buffered goes to
-        # devnull, so the flush at exit cannot fail again
+    except OSError as e:
+        # what is still buffered goes to devnull, so the flush at exit
+        # cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -111,7 +111,7 @@ from collections import namedtuple
 from functools import partial
 
 from .errors import FamilyMismatch, NotRepresentable
-from .poset import _bits, _Frozen, _mask
+from .poset import _bits, _Frozen, _mask, _table
 
 # ---------------------------------------------------------------------
 # regions: finite/cofinite subsets of one copy of N, plus a limit flag
@@ -529,7 +529,8 @@ class FanEngine:
 
     Subclasses supply the order (strict up/down), the clopen-Scott-upset
     test, one sample draw (``_draw``), and the topology class of an
-    infinite min Y_d, one family each.
+    infinite min Y_d, one family each.  The localic part and Y_d are
+    tables of the engine, kept in its own ``_tables`` memo.
     """
 
     family = None
@@ -538,8 +539,7 @@ class FanEngine:
         self.name = self.family
         self.full = tame_full(self.family)
         self.empty = tame_empty(self.family)
-        self._localic = None
-        self._yd_cache = None
+        self._tables = {}
 
     # -- Boolean / topology -------------------------------------------
 
@@ -660,6 +660,7 @@ class FanEngine:
 
     # -- localic part ----------------------------------------------------
 
+    @_table
     def localic_part(self):
         """Points with clopen principal downset, assembled per class type.
 
@@ -667,9 +668,6 @@ class FanEngine:
         are non-isolated limit points, so their principal downsets are
         closed but not open.  The singleton classes are tested directly.
         """
-        if self._localic is not None:
-            return self._localic
-
         def clopen_down(pt):
             d = self.down(self.point_set(pt))
             return tame_is_open(d) and tame_is_closed(d)
@@ -682,8 +680,7 @@ class FanEngine:
             spine_ok = clopen_down(spine_point(0))
             spine = Region(carrier.bits if spine_ok else 0,
                            carrier.flag and clopen_down(OMEGA))
-        self._localic = make_tame(self.family, default, spine=spine)
-        return self._localic
+        return make_tame(self.family, default, spine=spine)
 
     # -- rules derived from the order ------------------------------------
 

@@ -25,8 +25,9 @@ nuclear set holds ``mask``.  Point sets from outside pass through
 :func:`~priestley.poset.mask_of` once (``validate_nucleus``, ``j(U)``,
 ``NuclearSet``); frozensets are made by
 :func:`~priestley.poset.set_of` only on the way out (``j(U)``,
-``.members``, ``admissible_upset``, ``booleanization``, the errors), and
-``j.table`` is the one cached frozenset view.
+``.members``, ``j.table``, ``admissible_upset``, ``booleanization``,
+the errors).  Nothing here caches a frozenset: ``j.table`` builds its
+view on each read.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Nucleus:
     for the scan over pairs that names the first failing one.
     """
 
-    __slots__ = ("space", "masks", "_table")
+    __slots__ = ("space", "masks")
 
     def __init__(self, space, masks):
         ups = upset_masks(space)
@@ -90,14 +91,12 @@ class Nucleus:
             raise NotMeetPreserving(set_of(u), set_of(v))
         self.space = space
         self.masks = masks
-        self._table = None
 
     @property
     def table(self):
-        """The table as upset frozenset -> image frozenset (cached)."""
-        if self._table is None:
-            self._table = {set_of(u): set_of(v) for u, v in self.masks.items()}
-        return self._table
+        """The table as upset frozenset -> image frozenset, built anew
+        on each read."""
+        return {set_of(u): set_of(v) for u, v in self.masks.items()}
 
     def __call__(self, u):
         m = mask_of(self.space, u)

@@ -14,10 +14,11 @@ Each check is written once, for one instance, and registered with its
 theorem id and the kind of instance it takes; one case loop turns
 instances into cases, and the runner goes one poset at a time.  Checks
 over all nuclear subsets are capped at four points (the object count is
-exponential squared); purely structural checks run at the full bound.  The mutations prove the suite can fail: each builds a
-broken ingredient of its own (a finite or fan engine subclass) and runs
-an unchanged registered check on it, which must produce at
-least one failed case with a witness.
+exponential squared); purely structural checks run at the full bound.
+The mutations prove the suite can fail: each builds a broken ingredient
+of its own (a finite or fan engine subclass) and runs an unchanged
+registered check on it, which must produce at least one failed case
+with a witness.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from . import spectrum as sp
 from .birkhoff import (
     clopen_upset_lattice,
     priestley_dual,
+    prime_filters,
     stone_map,
     validate_lattice,
 )
@@ -68,9 +70,9 @@ from .nuclei import (
     sublocale_of_nucleus,
 )
 from .poset import (FinitePoset, _bits, _Frozen, _labelling, _mask, _mask_union,
-                    _restrict, canonical_form, canonical_rows, closure_tables, drop_tables,
-                    extrema, relabel_canonically, sub_upset_unions, upset_index,
-                    upset_masks)
+                    _restrict, _table, canonical_form, canonical_rows, closure_tables,
+                    drop_tables, extrema, relabel_canonically, sub_upset_unions,
+                    upset_index, upset_masks)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -220,8 +222,7 @@ def check_duality_round_trip(P):
     """Both directions of the finite duality, with exact tables."""
     # space -> lattice -> space: x maps to the principal upset of x
     L = clopen_upset_lattice(P)
-    X2 = priestley_dual(L)
-    ji = L._dual[1]
+    X2, ji = prime_filters(L)
     send = {}
     ok = X2.n == P.n
     if ok:
@@ -483,17 +484,15 @@ def check_inductive_core_collapse(P, nuclei):
     return ok, witness
 
 
+@_table
 def _d_table(E):
     """dU for every upset, via the closure-of-union-of-double-negations
     form (the union ranges over all upsets inside U: in the finite case
-    every upset is a clopen Scott upset), taken over lower covers.
-    Cached on the engine, like Y_d; callers only read the table."""
-    table = getattr(E, "_d_table_cache", None)
-    if table is None:
-        ups = E.all_upsets()
-        unions = sub_upset_unions(E.poset, [sp.double_neg(E, v) for v in ups])
-        table = E._d_table_cache = {u: E.closure(acc) for u, acc in zip(ups, unions)}
-    return table
+    every upset is a clopen Scott upset), taken over lower covers.  A
+    table of the engine, like Y_d; callers only read it."""
+    ups = E.all_upsets()
+    unions = sub_upset_unions(E.poset, [sp.double_neg(E, v) for v in ups])
+    return {u: E.closure(acc) for u, acc in zip(ups, unions)}
 
 
 def _d_fixed_upsets(E, ups, table):

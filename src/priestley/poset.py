@@ -88,13 +88,16 @@ class _Frozen:
 
 
 def _table(build):
-    """A table of a poset: ``build(P)`` is kept in ``P._tables`` (keyed
-    by the returned function) the first time it is asked for."""
-    def table(P):
+    """A table of an object: ``build(obj)`` is kept in ``obj._tables``
+    (keyed by the returned function) the first time it is asked for.
+    This is the package's one lazy cache.  A poset, an engine and a
+    lattice each make their own empty ``_tables`` in their constructor,
+    so a table never outlives, nor is shared beyond, its object."""
+    def table(obj):
         try:
-            return P._tables[table]
+            return obj._tables[table]
         except KeyError:
-            out = P._tables[table] = build(P)
+            out = obj._tables[table] = build(obj)
             return out
     return functools.update_wrapper(table, build)
 

@@ -50,7 +50,7 @@ from .errors import (
     NotLocalic,
     NotRepresentable,
 )
-from .poset import FinitePoset, _bits, _Frozen, closure_tables, upset_masks
+from .poset import FinitePoset, _bits, _Frozen, _table, closure_tables, upset_masks
 
 
 # ---------------------------------------------------------------------
@@ -142,13 +142,10 @@ def yd_contains(E, y):
     return False
 
 
+@_table
 def yd_set(E):
-    """Y_d as a representable set, cached on the engine."""
-    cached = getattr(E, "_yd_cache", None)
-    if cached is None:
-        cached = E.select(E.localic_part(), lambda y: yd_contains(E, y))
-        E._yd_cache = cached
-    return cached
+    """Y_d as a representable set, a table of the engine."""
+    return E.select(E.localic_part(), lambda y: yd_contains(E, y))
 
 
 def min_yd(E):
@@ -421,7 +418,8 @@ class FiniteEngine:
     every subset is clopen, every point is localic, and every upset is
     a clopen Scott upset.  The d-operator collapses to double negation
     and Y_d to max X; both collapses are cross-checked in the oracle
-    rather than assumed.
+    rather than assumed.  Y_d and the oracle's d table are tables of the
+    engine, kept in its own ``_tables`` memo.
     """
 
     # finite spaces have no infinite min Y_d
@@ -434,7 +432,8 @@ class FiniteEngine:
         self.full = (1 << n) - 1
         self.empty = 0
         self._up_masks = poset.up
-        self._tables = closure_tables(poset)
+        self._closure = closure_tables(poset)
+        self._tables = {}
         self.name = f"finite poset on {{{', '.join(poset.labels)}}}"
 
     # -- set primitives ----------------------------------------------
@@ -459,16 +458,16 @@ class FiniteEngine:
         return isinstance(a, int) and not isinstance(a, bool) and 0 <= a <= self.full
 
     def up(self, a):
-        return self._tables.up[a]
+        return self._closure.up[a]
 
     def down(self, a):
-        return self._tables.down[a]
+        return self._closure.down[a]
 
     def strict_up(self, a):
-        return self._tables.strict_up[a]
+        return self._closure.strict_up[a]
 
     def strict_down(self, a):
-        return self._tables.strict_down[a]
+        return self._closure.strict_down[a]
 
     # -- points and classes ------------------------------------------
 

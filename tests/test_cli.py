@@ -353,19 +353,33 @@ def test_verify_without_stats_prints_only_the_summary(capsys):
     assert code == 0 and "stats" not in json.loads(out)
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["verify", "--bound", "2"], ["analyze", "{space}"]],
-                         ids=["verify", "analyze"])
-def test_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered, tmp_path):
+def unwritable_stdout_cases():
+    """(argv, PYTHONUNBUFFERED, stdout) per command and buffering: stdout
+    a pipe whose reader is gone, or a full device where there is one."""
+    full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    for name, argv in (("verify", ["verify", "--bound", "2"]),
+                       ("analyze", ["analyze", "{space}"])):
+        for mode, unbuffered in (("buffered", ""), ("unbuffered", "1")):
+            yield pytest.param(argv, unbuffered, "pipe", id=f"{name}-{mode}")
+            yield pytest.param(argv, unbuffered, "/dev/full",
+                               id=f"{name}-{mode}-dev-full", marks=full)
+
+
+@pytest.mark.parametrize("argv, unbuffered, stdout", unwritable_stdout_cases())
+def test_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered, stdout, tmp_path):
     space = tmp_path / "omega.json"
     space.write_text(json.dumps({"family": "omega_fans"}))
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    # the reader is gone before the writer starts, so the first write
-    # (or the flush of a buffered stdout) fails every time
-    read, write = os.pipe()
-    os.close(read)
+    # the reader is gone before the writer starts, or the device is
+    # full, so the first write (or the flush of a buffered stdout) fails
+    # every time
+    if stdout == "pipe":
+        read, write = os.pipe()
+        os.close(read)
+    else:
+        write = os.open(stdout, os.O_WRONLY)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "priestley.cli",
@@ -376,3 +390,14 @@ def test_a_closed_stdout_exits_2_without_a_traceback(argv, unbuffered, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("cannot write to stdout:")
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_an_error_raised_by_a_command_is_not_taken_for_a_stdout_error(monkeypatch):
+    # only the write of a command's stdout text is an output error: an
+    # OSError raised by the computation itself propagates
+    def broken(*args, **kwargs):
+        raise BrokenPipeError("raised by the checks")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    with pytest.raises(BrokenPipeError, match="raised by the checks"):
+        cli.main(["verify", "--bound", "2"])

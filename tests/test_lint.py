@@ -158,13 +158,19 @@ def calls_any(node, names):
                for n in ast.walk(node))
 
 
+def class_slots(cls):
+    """The ``__slots__`` a class body declares, or None."""
+    for s in cls.body:
+        if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "__slots__":
+            return set(ast.literal_eval(s.value))
+    return None
+
+
 def poset_slots(tree):
     """The ``__slots__`` of the ``FinitePoset`` class of a module tree."""
     return {name for node in ast.walk(tree)
             if isinstance(node, ast.ClassDef) and node.name == "FinitePoset"
-            for s in node.body
-            if isinstance(s, ast.Assign) and getattr(s.targets[0], "id", None) == "__slots__"
-            for name in ast.literal_eval(s.value)}
+            for name in class_slots(node) or ()}
 
 
 def is_table(node):
@@ -232,11 +238,6 @@ def test_frozensets_are_made_only_at_the_boundary():
         "m:6 _a", "m:7 _b", "m:8 _c", "m:12 _e", "m:17 _tables[]"]
 
 
-# The names the package gives posets: a variable, or an attribute such
-# as ``E.poset`` or ``L.space``.
-POSET_NAMES = {"P", "Q", "X", "X2", "space", "sub", "poset"}
-
-
 def attribute_writes(node):
     """Each attribute node assigned or deleted under node."""
     for n in ast.walk(node):
@@ -250,43 +251,68 @@ def attribute_writes(node):
                     if isinstance(t, ast.Attribute) and not isinstance(t.ctx, ast.Load))
 
 
-def poset_attribute_writes(trees, names):
-    """Writes of an attribute of a poset, in any of the module trees,
-    other than ``FinitePoset.__init__`` setting one of its slots.  A
-    poset is ``self`` in the methods of ``FinitePoset``, and anywhere
-    an object named by one of ``names``."""
+def writes_after_construction(trees):
+    """Attribute writes in any of the module trees other than a class's
+    own ``__init__`` setting an attribute of ``self`` (one of its slots,
+    where the class declares them), and every ``setattr`` or
+    ``delattr`` call: so no poset, engine, lattice or nucleus is written
+    after its constructor."""
     found = []
     for module, tree in trees.items():
-        slots, own, init = poset_slots(tree), set(), set()
+        init = set()
         for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and cls.name == "FinitePoset":
-                for f in cls.body:
-                    for t in attribute_writes(f):
-                        own.add(t)
-                        if (getattr(f, "name", None) == "__init__"
-                                and getattr(t.value, "id", None) == "self"
-                                and t.attr in slots):
-                            init.add(t)
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots = class_slots(cls)
+            for f in cls.body:
+                if getattr(f, "name", None) == "__init__":
+                    init.update(t for t in attribute_writes(f)
+                                if getattr(t.value, "id", None) == "self"
+                                and (slots is None or t.attr in slots))
         for t in attribute_writes(tree):
-            name = getattr(t.value, "id", getattr(t.value, "attr", None))
-            if t not in init and (name in names or t in own and name == "self"):
+            if t not in init:
+                name = getattr(t.value, "id", getattr(t.value, "attr", None))
                 found.append((module, t.lineno, f"{name}.{t.attr}"))
+        found += [(module, n.lineno, n.func.id) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", None) in ("setattr", "delattr")]
     return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
+
+
+def default_getattr_reads(trees):
+    """Calls of ``getattr`` with a default, in any of the module trees:
+    the read of a cache kept in an attribute that may not be set yet."""
+    return [f"{module}:{n.lineno} getattr" for module, tree in trees.items()
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+            and len(n.args) + len(n.keywords) > 2]
 
 
 def test_a_poset_keeps_its_tables_in_one_memo():
     # everything derived from an order lives in P._tables, which
-    # poset.drop_tables empties in one call: a poset has no other slot
-    # to cache in, and no code sets an attribute of a poset after
-    # FinitePoset.__init__
+    # poset.drop_tables empties in one call, and everything derived from
+    # an engine or a lattice lives in its own _tables, through
+    # poset._table: no object has another slot to cache in, no code
+    # sets an attribute of an object after its constructor, and none
+    # reads a cache through getattr(obj, name, default)
+    from priestley import spectrum
+    from priestley.birkhoff import DistLattice
+    from priestley.nuclei import Nucleus
     from priestley.poset import FinitePoset
 
     assert FinitePoset.__slots__ == ("labels", "up", "down", "_index", "_tables")
+    assert DistLattice.__slots__[-1] == "_tables" and "_table" not in Nucleus.__slots__
     assert not hasattr(FinitePoset(["a"], [1]), "__dict__")
+    for E in every_engine():
+        attributes = set(vars(E))
+        spectrum.spectrum_report(E)
+        assert set(vars(E)) == attributes and E._tables
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert poset_attribute_writes(trees, POSET_NAMES) == []
-    # and the lint sees each kind of write, and none of the allowed ones
+    assert writes_after_construction(trees) == []
+    assert default_getattr_reads(trees) == []
+    # and the lint sees each kind of write and read, and none of the
+    # allowed ones
     planted = ast.parse("class FinitePoset:\n"
                         "    __slots__ = ('up', '_tables')\n"
                         "    def __init__(self, up):\n"
@@ -301,10 +327,20 @@ def test_a_poset_keeps_its_tables_in_one_memo():
                         "    E.poset._x, n = 1, 2\n"
                         "    E.name = 'e'\n"
                         "    del P._tables\n"
-                        "    P.n += 1\n")
-    assert poset_attribute_writes({"m": planted}, {"P", "poset"}) == [
+                        "    P.n += 1\n"
+                        "class Nucleus:\n"
+                        "    def __init__(self, masks):\n"
+                        "        self.masks = masks\n"
+                        "    def table(self):\n"
+                        "        self._table = dict(self.masks)\n"
+                        "        setattr(self, 'masks', None)\n"
+                        "def read(E, r, k):\n"
+                        "    return getattr(E, '_yd', None), getattr(r, k)\n")
+    assert writes_after_construction({"m": planted}) == [
         "m:6 self._extra", "m:8 self.up", "m:11 P._canon", "m:12 poset._x",
-        "m:14 P._tables", "m:15 P.n"]
+        "m:13 E.name", "m:14 P._tables", "m:15 P.n", "m:20 self._table",
+        "m:21 setattr"]
+    assert default_getattr_reads({"m": planted}) == ["m:23 getattr"]
 
 
 def rule_loop_sites(source, engines):
@@ -424,14 +460,20 @@ def module_level_containers(source):
 
 def test_the_oracle_keeps_instance_data_only_per_run():
     # engines, Y_d, d tables and nuclei are built for one poset's checks
-    # in a run_suite call and dropped after them; a module-level cache
-    # would let a fault planted in a later run read a clean value from
-    # an earlier one
-    from priestley import oracle
-
-    source = pathlib.Path(oracle.__file__).read_text(encoding="utf-8")
-    assert sorted(module_level_containers(source)) == sorted(
-        ["CHECKS", "KINDS", "MUTATIONS", "_POSET_MEMO", "_EXPECTED_FIGURES"])
+    # in a run_suite call and dropped after them; a module-level cache,
+    # in any module, would let a fault planted in a later run read a
+    # clean value from an earlier one.  The containers left are declared
+    # tables, and the oracle's enumeration memo
+    found = {path.name: module_level_containers(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: sorted(names) for module, names in found.items() if names} == {
+        "__init__.py": ["__all__"],
+        "cli.py": ["_FAN_DOT_EDGES", "_FAN_DOT_NODES"],
+        "fans.py": ["_ENGINES", "_SHAPE"],
+        "oracle.py": sorted(["CHECKS", "KINDS", "MUTATIONS", "_POSET_MEMO",
+                             "_EXPECTED_FIGURES"]),
+        "spectrum.py": ["MIN_YD_SPACE_FLAGS"],
+    }
     # and the lint sees each kind of container
     planted = ("import functools\n"
                "A = {}\nB: list = []\nC = set()\nD = {k: 1 for k in 'ab'}\n"
