@@ -518,6 +518,16 @@ def _fans_over(idx, inside, outside):
     return outside, dict.fromkeys(_bits(idx), inside)
 
 
+def _random_region(rng, finite_share, n, k):
+    """A drawn clopen region: with probability ``finite_share``, up to k
+    of the first n points, else the cofinite complement of such a set
+    with its limit class.  The generator is read in one order: the
+    branch, the size, the points."""
+    finite = rng.random() < finite_share
+    points = _mask(rng.sample(range(n), rng.randint(0, k)))
+    return Region(points) if finite else Region(~points, True)
+
+
 # ---------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------
@@ -786,15 +796,12 @@ class BareFanEngine(FanEngine):
         return u.fan_default.bits >= 0 and not u.fan_default.flag
 
     def _draw(self, rng):
-        if rng.random() < 0.5:
-            r = Region(_mask(rng.sample(range(12), rng.randint(0, 4))))
-        else:
-            r = Region(~_mask(rng.sample(range(12), rng.randint(0, 4))), True)
-        return make_tame(self.family, r)
+        return make_tame(self.family, _random_region(rng, 0.5, 12, 4))
 
 
-class FanPlusBottomEngine(FanEngine):
-    """One fan with an isolated bottom point y below every other point."""
+class FanPlusBottomEngine(BareFanEngine):
+    """One fan with an isolated bottom point y below every other point.
+    Its samples are the bare fan's draws, on its own family."""
 
     family = "fan_plus_bottom"
     infinite_min_yd_class = None  # min Y_d = {y}
@@ -814,9 +821,7 @@ class FanPlusBottomEngine(FanEngine):
     def clop_sup_test(self, u):
         if u.spine.member(0):
             return u == self.full
-        return BareFanEngine.clop_sup_test(self, u)
-
-    _draw = BareFanEngine._draw
+        return super().clop_sup_test(u)
 
 
 class OmegaFansEngine(FanEngine):
@@ -862,13 +867,6 @@ class OmegaFansEngine(FanEngine):
         return out & wild == 0 and (out >= 0 or u.fan_default.is_empty())
 
     def _draw(self, rng):
-        def clopen_region(full_ok=True):
-            if full_ok and rng.random() < 0.35:
-                return FULL_REGION
-            if rng.random() < 0.6:
-                return Region(_mask(rng.sample(range(9), rng.randint(0, 3))))
-            return Region(~_mask(rng.sample(range(9), rng.randint(0, 3))), True)
-
         style = rng.random()
         if style < 0.3:
             # finite sets of fan points
@@ -881,14 +879,15 @@ class OmegaFansEngine(FanEngine):
             # cofinite spine: excluded bottoms get clopen traces,
             # everything else is forced full by the upset condition
             excluded = _mask(rng.sample(range(6), rng.randint(0, 3)))
-            exc = {i: clopen_region(full_ok=False) for i in _bits(excluded)}
+            exc = {i: _random_region(rng, 0.6, 9, 3) for i in _bits(excluded)}
             return make_tame(
                 self.family, FULL_REGION, exc,
                 spine=Region(~excluded, True), omega_star=True,
             )
         # full fans only, no spine, with the blob
         exc = {
-            i: clopen_region() for i in rng.sample(range(6), rng.randint(0, 2))
+            i: FULL_REGION if rng.random() < 0.35 else _random_region(rng, 0.6, 9, 3)
+            for i in rng.sample(range(6), rng.randint(0, 2))
         }
         return make_tame(self.family, FULL_REGION, exc, omega_star=True)
 
@@ -942,18 +941,14 @@ class ChainFansEngine(FanEngine):
         return region_subset(stars, Region(u.spine.bits))
 
     def _draw(self, rng):
-        def clopen_region():
-            if rng.random() < 0.5:
-                return Region(_mask(rng.sample(range(9), rng.randint(0, 3))))
-            return Region(~_mask(rng.sample(range(9), rng.randint(0, 3))), True)
-
         style = rng.random()
         if 0.45 <= style < 0.8:
             # no spine at all: arbitrary clopen fan regions, maybe blob
             os = rng.random() < 0.5
             default = FULL_REGION if os else EMPTY_REGION
             exc = {
-                i: clopen_region() for i in rng.sample(range(6), rng.randint(0, 3))
+                i: _random_region(rng, 0.5, 9, 3)
+                for i in rng.sample(range(6), rng.randint(0, 3))
             }
             return make_tame(self.family, default, exc, omega_star=os)
         # spine head 0..m with fans up to m full and the rest clopen;
@@ -962,7 +957,7 @@ class ChainFansEngine(FanEngine):
         m = rng.randint(0, 3 if blob else 4)
         exc = {i: FULL_REGION for i in range(m + 1)}
         for i in range(m + 1, m + 1 + rng.randint(0, 2)):
-            exc[i] = clopen_region()
+            exc[i] = _random_region(rng, 0.5, 9, 3)
         return make_tame(
             self.family, FULL_REGION if blob else EMPTY_REGION, exc,
             spine=Region((1 << (m + 1)) - 1), omega_star=blob,

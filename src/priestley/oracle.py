@@ -3,7 +3,8 @@
 Finite posets stand in for Priestley spaces, their upset lattices for
 frames.  Every poset up to the bound (six points by default, seven at
 most) is generated once per isomorphism class, each size from the one
-below by adding a new maximal point, and each registered check
+below by adding a new maximal point (``poset.one_point_extensions``;
+the oracle keeps each size in its memo), and each registered check
 evaluates both sides of one identity on every instance: nothing is
 assumed from theory, including the finite-case collapses (d = double
 negation, Y_d = max X, every nuclear set inductive, L_d always
@@ -69,10 +70,9 @@ from .nuclei import (
     nucleus_of_sublocale,
     sublocale_of_nucleus,
 )
-from .poset import (FinitePoset, _bits, _Frozen, _labelling, _mask, _mask_union,
-                    _restrict, _table, canonical_form, canonical_rows, closure_tables,
-                    drop_tables, extrema, relabel_canonically, sub_upset_unions,
-                    upset_index, upset_masks)
+from .poset import (FinitePoset, _bits, _Frozen, _mask, _mask_union, _table,
+                    closure_tables, drop_tables, extrema, one_point_extensions,
+                    sub_upset_unions, upset_index, upset_masks)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -103,7 +103,7 @@ def enumerate_posets(n_points):
     """All posets with exactly n_points points, up to isomorphism.
 
     Each size is generated once, by one-point extension of the size
-    below (:func:`_posets_of_size`), and memoized.  Output is
+    below (:func:`poset.one_point_extensions`), and memoized.  Output is
     deterministic: canonical labels, sorted by canonical key.
     """
     if n_points > MAX_BOUND:
@@ -112,42 +112,12 @@ def enumerate_posets(n_points):
 
 
 def _posets_of_size(n):
-    """The n-point posets of :func:`enumerate_posets`, by one-point
-    extension (McKay, "Isomorph-free exhaustive generation", 1998;
-    Brinkmann & McKay, "Posets on up to 16 points", 2002).
-
-    Every n-point poset is an (n-1)-point poset Q plus a new maximal
-    point whose strict downset is a downset of Q, i.e. the complement of
-    one of Q's upsets.  Each such candidate is labelled canonically from
-    its rows (:func:`canonical_rows`): the old points keep Q's down rows,
-    since the new point lies above none of them.  Only the first
-    candidate of each class becomes a :class:`FinitePoset`, validated,
-    keeping that labelling, and is canonically relabelled; a later one
-    has the same key, so it is a relabelling of that validated order.
-    """
-    if n in _POSET_MEMO:
-        return _POSET_MEMO[n]
+    """The n-point posets of :func:`enumerate_posets`, memoized for n >= 1."""
     if n <= 0:
-        _POSET_MEMO[n] = ()
         return ()
-    if n == 1:
-        parents = [((), (), (0,))]  # the empty order and its one upset
-    else:
-        parents = [(Q.up, Q.down, upset_masks(Q)) for Q in _posets_of_size(n - 1)]
-    labels = [f"p{i}" for i in range(n)]
-    top = 1 << (n - 1)
-    found = {}
-    for up, down, upsets in parents:
-        for u in upsets:
-            rows = [r if u >> i & 1 else r | top for i, r in enumerate(up)]
-            rows.append(top)
-            key, perm = canonical_rows(rows, (*down, (top - 1) & ~u | top))
-            if key not in found:
-                P = found[key] = FinitePoset(labels, rows)
-                P._tables[_labelling] = key, perm  # just computed from its rows
-    result = tuple(map(relabel_canonically, sorted(found.values(), key=canonical_form)))
-    _POSET_MEMO[n] = result
-    return result
+    if n not in _POSET_MEMO:
+        _POSET_MEMO[n] = one_point_extensions(_posets_of_size(n - 1))
+    return _POSET_MEMO[n]
 
 
 def posets_up_to(bound):
@@ -576,7 +546,9 @@ def check_max_y_in_yd(E):
 def _subposet(P, members):
     """Induced subposet on a subset of points."""
     members = sorted(members)
-    return FinitePoset([P.labels[i] for i in members], _restrict(P, members))
+    return FinitePoset([P.labels[i] for i in members],
+                       [_mask(b for b, y in enumerate(members) if P.up[x] >> y & 1)
+                        for x in members])
 
 
 @_register("regularity-equivalences", "engine")
@@ -921,10 +893,10 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
               stats=None):
     """Run the selected checks; deterministic case order.
 
-    A bound outside 1..MAX_BOUND raises BoundExceeded, an empty
-    selection EmptySelection and an unknown id UnknownTheoremId, all
-    before any check runs.  A repeated id runs once, at its first
-    place.  Given a dict as ``stats``, it is filled with
+    A bound outside 1..MAX_BOUND raises BoundExceeded, a bare string
+    of ids TypeError, an empty selection EmptySelection and an unknown
+    id UnknownTheoremId, all before any check runs.  A repeated id runs
+    once, at its first place.  Given a dict as ``stats``, it is filled with
     ``enumerate_s``, the seconds poset enumeration took, and
     ``theorems``: id -> ``cases``, ``failed`` and ``seconds`` (summed
     over the posets, instance builds left out), in the selected order.
@@ -943,6 +915,8 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
         raise BoundExceeded(f"bound {bound} exceeds the configured cap {MAX_BOUND}")
     if bound < 1:
         raise BoundExceeded(f"bound {bound} is below 1: no poset would be checked")
+    if isinstance(theorem_ids, str):
+        raise TypeError(f"theorem_ids must be a collection of ids, not the string {theorem_ids!r}")
     theorem_ids = sorted(CHECKS) if theorem_ids is None else list(dict.fromkeys(theorem_ids))
     if not theorem_ids:
         raise EmptySelection("no theorem id given: no case would be checked")

@@ -19,12 +19,16 @@ outside it) and their index, the up- and down-closure of a point mask
 lattice (:func:`upset_lower_covers`, which turns a union over all
 sub-upsets into U*n steps), one meet split per upset
 (:func:`upset_meet_splits`, which nucleus validation reads), the cover
-pairs and the canonical labelling.
+pairs and the canonical key.
 
 The canonical labelling (:func:`canonical_rows`) reads only the up and
-down rows of an order, so poset enumeration labels each candidate
-before it builds any :class:`FinitePoset`, and builds one only for the
-first candidate of each isomorphism class.
+down rows of an order and gives its canonical key, the least order
+matrix over the relabellings it searches; the canonical poset is read
+off that key, so no permutation is kept.  One-point extension
+(:func:`one_point_extensions`, which enumeration runs a size at a time)
+labels each candidate from its rows before it builds any
+:class:`FinitePoset`, and builds one only for the first candidate of
+each isomorphism class, its key seeded in its memo.
 """
 
 from __future__ import annotations
@@ -405,8 +409,11 @@ def enumerate_upsets(P):
 
 
 def canonical_rows(up, down):
-    """Return (key, perm) for the order with these up and down rows: the
-    minimal relabelled order matrix and a permutation realizing it.
+    """The canonical key of the order with these up and down rows: its
+    size and the least order matrix, read row by row, over the
+    relabellings that keep the colour classes in order.  Row i of the
+    canonical order is entries i*n .. i*n+n-1 of the key, so the key
+    alone names the canonical poset.
 
     The points are coloured by (|down|, |up|), and the colours refined by
     the sorted colours below and above each point until a round splits
@@ -415,9 +422,8 @@ def canonical_rows(up, down):
     leads its own signature, so a further round would only rename the
     classes in the same order (the partition is equitable: McKay &
     Piperno, "Practical graph isomorphism II", 2014).
-    The key is then a minimum over the relabelings that keep the classes
-    in order, which keeps the search tiny for every poset of workbench
-    size.
+    The search over the relabellings inside the classes stays tiny for
+    every poset of workbench size.
     """
     n = len(up)
     colors = [(d.bit_count(), u.bit_count()) for d, u in zip(down, up)]
@@ -441,23 +447,15 @@ def canonical_rows(up, down):
     groups = {}
     for i in range(n):
         groups.setdefault(colors[i], []).append(i)
-    ordered_groups = [groups[c] for c in sorted(groups)]
-    best = None
-    best_perm = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(g) for g in ordered_groups)
-    ):
-        perm = [i for part in perm_parts for i in part]
-        key = tuple([up[x] >> y & 1 == 1 for x in perm for y in perm])
-        if best is None or key < best:
-            best = key
-            best_perm = perm
-    return (n, best), best_perm
+    relabellings = itertools.product(
+        *(itertools.permutations(groups[c]) for c in sorted(groups)))
+    return n, min(tuple([up[x] >> y & 1 == 1 for x in order for y in order])
+                  for order in (sum(parts, ()) for parts in relabellings))
 
 
 @_table
 def _labelling(P):
-    """The (key, perm) of :func:`canonical_rows` for a poset."""
+    """The canonical key of :func:`canonical_rows` for a poset."""
     return canonical_rows(P.up, P.down)
 
 
@@ -467,20 +465,49 @@ def canonical_form(P):
     Used only for deduplication during enumeration, not as a general
     isomorphism service.
     """
-    key, _ = _labelling(P)
-    return key
+    return _labelling(P)
 
 
 def relabel_canonically(P):
-    """Return an isomorphic copy with labels p0..p{n-1} in canonical order."""
-    _, perm = _labelling(P)
-    return FinitePoset([f"p{i}" for i in range(P.n)], _restrict(P, perm))
+    """Return an isomorphic copy with labels p0..p{n-1} in canonical order,
+    its up rows read off the canonical key."""
+    n, key = _labelling(P)
+    return FinitePoset([f"p{i}" for i in range(n)],
+                       [_mask(itertools.compress(range(n), key[i * n:i * n + n]))
+                        for i in range(n)])
 
 
-def _restrict(P, points):
-    """Up rows of the order induced on ``points``, numbered in list order."""
-    return [_mask(b for b, y in enumerate(points) if P.up[x] >> y & 1)
-            for x in points]
+def one_point_extensions(smaller):
+    """The posets of one point more than the posets ``smaller`` (all of
+    one size, one per isomorphism class), up to isomorphism: canonically
+    labelled, sorted by canonical key.  Given no posets, the one-point
+    poset, the extension of the empty order.
+
+    One-point extension (McKay, "Isomorph-free exhaustive generation",
+    1998; Brinkmann & McKay, "Posets on up to 16 points", 2002): every
+    n-point poset is an (n-1)-point poset Q plus a new maximal point
+    whose strict downset is a downset of Q, i.e. the complement of one
+    of Q's upsets.  Each such candidate is labelled canonically from its
+    rows (:func:`canonical_rows`): the old points keep Q's down rows,
+    since the new point lies above none of them.  Only the first
+    candidate of each class becomes a :class:`FinitePoset`, validated,
+    keeping that key, and is canonically relabelled; a later one has the
+    same key, so it is a relabelling of that validated order.
+    """
+    parents = [(Q.up, Q.down, upset_masks(Q)) for Q in smaller] or [((), (), (0,))]
+    n = len(parents[0][0]) + 1
+    labels = [f"p{i}" for i in range(n)]
+    top = 1 << (n - 1)
+    found = {}
+    for up, down, upsets in parents:
+        for u in upsets:
+            rows = [r if u >> i & 1 else r | top for i, r in enumerate(up)]
+            rows.append(top)
+            key = canonical_rows(rows, (*down, (top - 1) & ~u | top))
+            if key not in found:
+                P = found[key] = FinitePoset(labels, rows)
+                P._tables[_labelling] = key  # just computed from its rows
+    return tuple(map(relabel_canonically, sorted(found.values(), key=canonical_form)))
 
 
 # -- JSON interchange ---------------------------------------------------

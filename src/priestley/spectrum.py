@@ -206,19 +206,11 @@ def unit_search(E):
     upset would need a localic minimal point below that class.
     """
     if scott_upset_flag(E, E.full):
-        return {"status": "witness", "witness": E.full,
-                "description": "the whole space is a cofinal clopen Scott upset"}
+        return {"status": "witness", "witness": E.full}
     Y = E.localic_part()
     for pt in E.member_reps(max_set(E)):
         if E.meet(E.down(E.point_set(pt)), Y) == E.empty:
-            return {
-                "status": "refutation",
-                "certificate": pt,
-                "description": (
-                    f"maximal class {pt} has no localic point below it, so no "
-                    "cofinal clopen Scott upset exists"
-                ),
-            }
+            return {"status": "refutation", "certificate": pt}
     raise InternalAssertionError(
         "unit search resolved neither a witness nor a certificate"
     )

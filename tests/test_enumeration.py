@@ -1,5 +1,6 @@
 """Poset enumeration and canonical forms, against independent references:
-the natural-order brute force and networkx isomorphism."""
+the natural-order brute force and, where it is installed, networkx
+isomorphism."""
 
 import random
 
@@ -8,8 +9,6 @@ import pytest
 from priestley import oracle, poset
 from priestley.poset import (FinitePoset, _bits, canonical_form, relabel_canonically,
                              upset_masks)
-
-nx = pytest.importorskip("networkx")
 
 
 def natural_order_posets(n):
@@ -40,7 +39,7 @@ def brute_force_posets(n):
     return [P for _, P in sorted(found.items())]
 
 
-def strict_graph(P):
+def strict_graph(nx, P):
     G = nx.DiGraph()
     G.add_nodes_from(range(P.n))
     G.add_edges_from((i, j) for i in range(P.n) for j in _bits(P.up[i]) if i != j)
@@ -68,14 +67,19 @@ def test_canonical_form_invariant_under_relabelling():
             perm = list(range(P.n))
             rng.shuffle(perm)
             Q = relabelled(P, perm)
-            assert nx.is_isomorphic(strict_graph(P), strict_graph(Q))
+            assert all(P.le(i, j) == Q.le(perm[i], perm[j])
+                       for i in range(P.n) for j in range(P.n))
             assert canonical_form(Q) == canonical_form(P), (repr(P), perm)
+            # the canonical poset is a function of the key alone, so no
+            # permutation needs to be kept to build it
+            assert relabel_canonically(Q) == relabel_canonically(P), (repr(P), perm)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_canonical_form_separates_exactly_the_isomorphism_classes(n):
+    nx = pytest.importorskip("networkx")
     posets = list(natural_order_posets(n))
-    graphs = [strict_graph(P) for P in posets]
+    graphs = [strict_graph(nx, P) for P in posets]
     keys = [canonical_form(P) for P in posets]
     for a in range(len(posets)):
         for b in range(a + 1, len(posets)):
@@ -84,36 +88,38 @@ def test_canonical_form_separates_exactly_the_isomorphism_classes(n):
 
 
 def test_enumeration_labels_each_candidate_once(monkeypatch):
-    # one canonical labelling per candidate, from its rows, reached
-    # through oracle's name; a FinitePoset only for the first candidate
-    # of each class, which keeps that labelling for canonical_form and
-    # relabel_canonically (also reached through oracle's names)
-    labelled, relabelled, built, keyed, kept = [], [], [], [], []
+    # one canonical labelling per candidate, from its rows, and none
+    # after it; a FinitePoset only for the first candidate of each
+    # class, which keeps its key for canonical_form and
+    # relabel_canonically, and one more for each relabelled copy; all
+    # reached through poset.py's names
+    labelled, built, keyed, kept = [], [], [], []
 
-    def spy(module, name, seen):
-        fn = getattr(module, name)
+    def spy(name, seen):
+        fn = getattr(poset, name)
 
         def wrapper(*args):
             out = fn(*args)
             seen.append((args, out))
             return out
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(poset, name, wrapper)
 
-    spy(oracle, "canonical_rows", labelled)
-    spy(poset, "canonical_rows", relabelled)
-    spy(oracle, "FinitePoset", built)
-    spy(oracle, "canonical_form", keyed)
-    spy(oracle, "relabel_canonically", kept)
+    spy("canonical_rows", labelled)
+    spy("FinitePoset", built)
+    spy("canonical_form", keyed)
+    spy("relabel_canonically", kept)
     monkeypatch.setattr(oracle, "_POSET_MEMO", {})
     oracle.posets_up_to(5)
     candidates = 1 + sum(len(upset_masks(Q)) for Q in oracle.posets_up_to(4))
     assert candidates == 173
     assert len(labelled) == candidates
     assert len({tuple(map(tuple, rows)) for rows, _ in labelled}) == candidates
-    assert relabelled == []
-    assert len(built) == len(keyed) == len(kept) == len(oracle.posets_up_to(5)) == 87
-    # the posets built are the ones keyed and relabelled, and the
-    # relabelled copies are the posets enumerated
-    candidates_built = {id(P) for _, P in built}
-    assert {id(P) for (P,), _ in keyed} == {id(P) for (P,), _ in kept} == candidates_built
-    assert [id(P) for _, P in kept] == [id(P) for P in oracle.posets_up_to(5)]
+    posets = oracle.posets_up_to(5)
+    assert len(keyed) == len(kept) == len(posets) == 87
+    # the posets keyed are the ones relabelled, the relabelled copies
+    # are the posets enumerated, and nothing else was built
+    firsts = {id(P) for (P,), _ in keyed}
+    assert {id(P) for (P,), _ in kept} == firsts
+    assert [id(P) for _, P in kept] == [id(P) for P in posets]
+    assert len(built) == 2 * 87
+    assert {id(P) for _, P in built} == firsts | {id(P) for P in posets}

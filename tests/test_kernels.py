@@ -253,8 +253,8 @@ def test_clopen_upset_lattice_rows_match_the_generator_sums():
 
 
 def literal_canonical(P):
-    """The canonical labelling with refinement run until a round gives
-    back the very colours it was given."""
+    """The canonical key with refinement run until a round gives back
+    the very colours it was given."""
     n = P.n
     up = P.up
     below = [list(_bits(P.down[i] & ~(1 << i))) for i in range(n)]
@@ -277,14 +277,12 @@ def literal_canonical(P):
         groups.setdefault(colors[i], []).append(i)
     ordered_groups = [groups[c] for c in sorted(groups)]
     best = None
-    best_perm = None
     for perm_parts in product(*(permutations(g) for g in ordered_groups)):
         perm = [i for part in perm_parts for i in part]
         key = tuple([up[x] >> y & 1 == 1 for x in perm for y in perm])
         if best is None or key < best:
             best = key
-            best_perm = perm
-    return (n, best), best_perm
+    return n, best
 
 
 def literal_upset_masks(P):

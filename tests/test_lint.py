@@ -279,6 +279,23 @@ def writes_after_construction(trees):
     return [f"{module}:{line} {what}" for module, line, what in sorted(found)]
 
 
+def memo_writes(trees):
+    """Assignments and deletions of ``<expr>._tables[...]`` in any of the
+    module trees other than poset.py's: only the module that defines
+    ``_table`` writes an object's memo."""
+    found = []
+    for module, tree in trees.items():
+        if module == "poset.py":
+            continue
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)
+                    and isinstance(n.value, ast.Attribute) and n.value.attr == "_tables"):
+                owner = n.value.value
+                name = getattr(owner, "id", getattr(owner, "attr", None))
+                found.append(f"{module}:{n.lineno} {name}._tables[]")
+    return found
+
+
 def default_getattr_reads(trees):
     """Calls of ``getattr`` with a default, in any of the module trees:
     the read of a cache kept in an attribute that may not be set yet."""
@@ -293,8 +310,9 @@ def test_a_poset_keeps_its_tables_in_one_memo():
     # poset.drop_tables empties in one call, and everything derived from
     # an engine or a lattice lives in its own _tables, through
     # poset._table: no object has another slot to cache in, no code
-    # sets an attribute of an object after its constructor, and none
-    # reads a cache through getattr(obj, name, default)
+    # sets an attribute of an object after its constructor, none outside
+    # poset.py writes into a memo, and none reads a cache through
+    # getattr(obj, name, default)
     from priestley import spectrum
     from priestley.birkhoff import DistLattice
     from priestley.nuclei import Nucleus
@@ -310,6 +328,7 @@ def test_a_poset_keeps_its_tables_in_one_memo():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert writes_after_construction(trees) == []
+    assert memo_writes(trees) == []
     assert default_getattr_reads(trees) == []
     # and the lint sees each kind of write and read, and none of the
     # allowed ones
@@ -335,12 +354,17 @@ def test_a_poset_keeps_its_tables_in_one_memo():
                         "        self._table = dict(self.masks)\n"
                         "        setattr(self, 'masks', None)\n"
                         "def read(E, r, k):\n"
-                        "    return getattr(E, '_yd', None), getattr(r, k)\n")
+                        "    return getattr(E, '_yd', None), getattr(r, k)\n"
+                        "def seed_memo(E, key):\n"
+                        "    E.poset._tables[key], n = 1, 2\n")
     assert writes_after_construction({"m": planted}) == [
         "m:6 self._extra", "m:8 self.up", "m:11 P._canon", "m:12 poset._x",
         "m:13 E.name", "m:14 P._tables", "m:15 P.n", "m:20 self._table",
         "m:21 setattr"]
     assert default_getattr_reads({"m": planted}) == ["m:23 getattr"]
+    allowed = ast.parse("def seed(P, key):\n    P._tables[key] = 1\n")
+    assert memo_writes({"m": planted, "poset.py": allowed}) == [
+        "m:10 P._tables[]", "m:25 poset._tables[]"]
 
 
 def rule_loop_sites(source, engines):

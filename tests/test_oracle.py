@@ -37,6 +37,16 @@ def test_unknown_theorem_id():
         oracle.run_suite(["no-such-id"])
 
 
+def test_a_bare_string_of_ids_raises_before_any_check_runs(monkeypatch):
+    # a string is iterable, so without the type check "fan-figures"
+    # would be read as the ids 'f', 'a', 'n', ...
+    ran = []
+    monkeypatch.setitem(oracle.CHECKS, "fan-figures", lambda instances: ran.append(1) or [])
+    with pytest.raises(TypeError, match="'fan-figures'"):
+        oracle.run_suite("fan-figures")
+    assert ran == []
+
+
 def test_an_empty_selection_raises():
     with pytest.raises(EmptySelection):
         oracle.run_suite([])
