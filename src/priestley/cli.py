@@ -20,6 +20,7 @@ from .errors import (
     BoundExceeded,
     EmptySelection,
     InternalAssertionError,
+    NotRepresentable,
     UnknownTheoremId,
     WorkbenchError,
 )
@@ -33,7 +34,7 @@ from .fans import (
     spine_point,
 )
 from .oracle import DEFAULT_BOUND, DEFAULT_SEED, MAX_BOUND, run_suite, summarize
-from .poset import poset_from_json, poset_to_json
+from .poset import FinitePoset, _mask, poset_from_json, poset_to_json
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -76,77 +77,50 @@ def _write(path, text):
 # ---------------------------------------------------------------------
 
 
-def _dot(nodes, edges):
-    """A Hasse diagram in DOT, bottom to top.  Nodes are (id, label,
-    in Y_d, in min Y_d): Y_d is filled and min Y_d double-circled.
-    Edges are (lower id, upper id) pairs."""
+def dot(E, nodes):
+    """A Hasse diagram of the engine E in DOT, bottom to top, read from
+    the engine contract alone.  ``nodes`` lists (id, label, point); a
+    point E does not have is left out.  The edges are the covers of the
+    order E induces on the points kept (a relation that is no order is
+    rejected there), Y_d is filled and min Y_d double-circled."""
+    kept = []
+    for node, label, pt in nodes:
+        try:
+            kept.append((node, label, E.point_set(pt)))
+        except NotRepresentable:
+            pass
+    sets = [s for _, _, s in kept]
+    order = FinitePoset([node for node, _, _ in kept], [
+        _mask(j for j, t in enumerate(sets) if sp.subset(E, t, up)) for up in map(E.up, sets)])
+    yd = sp.yd_set(E)
+    myd = sp.min_yd(E)
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for node, label, in_yd, in_min_yd in nodes:
-        shape = "doublecircle" if in_min_yd else "circle"
-        style = "solid,filled" if in_yd else "solid"
+    for node, label, s in kept:
+        shape = "doublecircle" if sp.subset(E, s, myd) else "circle"
+        style = "solid,filled" if sp.subset(E, s, yd) else "solid"
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {node} [label="{label}", shape={shape}, style="{style}"];')
-    lines += [f"  {a} -> {b};" for a, b in edges]
+    lines += [f"  {order.labels[i]} -> {order.labels[j]};" for i, j in order.covers()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def dot_finite(E):
-    """Hasse diagram of the finite engine E's poset (covers only), with
-    Y_d and min Y_d read from E."""
-    P = E.poset
-    yd = sp.yd_set(E)
-    myd = sp.min_yd(E)
-    nodes = [(f"n{i}", lab, yd >> i & 1, myd >> i & 1)
-             for i, lab in enumerate(P.labels)]
-    return _dot(nodes, [(f"n{i}", f"n{j}") for i, j in P.covers()])
+def _finite_nodes(P):
+    return [(f"n{i}", label, i) for i, label in enumerate(P.labels)]
 
 
-_FAN_DOT_EDGES = {
-    # one representative node per region class, ellipsis markers for the
-    # repeated classes
-    "bare_fan": (
-        ["fan0", "fan_more", "star0"], [],
-    ),
-    "fan_plus_bottom": (
-        ["fan0", "fan_more", "star0", "y0"],
-        [("y0", "fan0"), ("y0", "fan_more"), ("y0", "star0")],
-    ),
-    "omega_fans": (
-        ["fan0", "fan_more", "star0", "y0", "y_more", "omega", "omega_star"],
-        [("y0", "fan0"), ("y0", "fan_more"), ("y0", "star0"),
-         ("y0", "omega"), ("y_more", "omega"), ("omega", "omega_star")],
-    ),
-    "chain_fans": (
-        ["fan0", "fan_more", "star0", "y0", "y_more", "omega", "omega_star"],
-        [("y0", "fan0"), ("y0", "fan_more"), ("y0", "star0"),
-         ("y_more", "y0"), ("omega", "y_more"), ("omega", "omega_star")],
-    ),
-}
-
-# node -> (label, the point it stands for)
-_FAN_DOT_NODES = {
-    "fan0": ("x(0,0) ...", fan_point(0, 0)),
-    "fan_more": ("x(i,k) ...", fan_point(1, 0)),
-    "star0": ("X*(0) ...", fan_star(0)),
-    "y0": ("y(0)", spine_point(0)),
-    "y_more": ("y(i) ...", spine_point(1)),
-    "omega": ("omega", OMEGA),
-    "omega_star": ("X_omega*", OMEGA_STAR),
-}
-
-
-def dot_fan(E):
-    """Hasse diagram of the fan engine E's family, one node per region
-    class, with Y_d and min Y_d read from E."""
-    yd = sp.yd_set(E)
-    myd = sp.min_yd(E)
-    names, edges = _FAN_DOT_EDGES[E.family]
-    nodes = []
-    for node in names:
-        label, pt = _FAN_DOT_NODES[node]
-        nodes.append((node, label, yd.member(pt), myd.member(pt)))
-    return _dot(nodes, edges)
+# one node per region class of a fan space, with ellipsis markers for
+# the repeated classes; x(0,1) stands for a fan point above y(0) other
+# than x(0,0)
+_FAN_NODES = (
+    ("fan0", "x(0,0) ...", fan_point(0, 0)),
+    ("fan_more", "x(i,k) ...", fan_point(0, 1)),
+    ("star0", "X*(0) ...", fan_star(0)),
+    ("y0", "y(0)", spine_point(0)),
+    ("y_more", "y(i) ...", spine_point(1)),
+    ("omega", "omega", OMEGA),
+    ("omega_star", "X_omega*", OMEGA_STAR),
+)
 
 
 # ---------------------------------------------------------------------
@@ -168,7 +142,7 @@ def cmd_dual(args):
         _write(args.out, out)
         out = ""
     if args.dot:
-        _write(args.dot, dot_finite(sp.FiniteEngine(X)))
+        _write(args.dot, dot(sp.FiniteEngine(X), _finite_nodes(X)))
     return EXIT_OK, out
 
 
@@ -180,13 +154,13 @@ def cmd_analyze(args):
             if family not in FAMILIES:
                 _fail(EXIT_INPUT, f"unknown family {family!r}")
             engine = engine_for(family)
-            dot = dot_fan
+            nodes = _FAN_NODES
         elif isinstance(obj, dict) and "points" in obj:
             P = poset_from_json(obj)
             if P.n == 0:
                 _fail(EXIT_INPUT, "space must have at least one point")
             engine = sp.FiniteEngine(P)
-            dot = dot_finite
+            nodes = _finite_nodes(P)
         else:
             _fail(EXIT_INPUT, "space JSON needs 'family' or 'points'")
     except WorkbenchError as e:
@@ -203,7 +177,7 @@ def cmd_analyze(args):
         _write(args.out, out)
         out = ""
     if args.dot:
-        _write(args.dot, dot(engine))
+        _write(args.dot, dot(engine, nodes))
     return EXIT_OK, out
 
 

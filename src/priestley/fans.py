@@ -72,7 +72,8 @@ and, on the hot path, by index.  Building one is a single
 ``tuple.__new__``, and ``==``, ``!=`` and ``hash`` are the tuple's, in
 C, so a tame set is hashed without rebuilding a field tuple.
 ``pt in u`` asks whether the tame set u holds the point, as
-``u.member(pt)`` does.
+``u.member(pt)`` does; a point the family's space lacks raises
+NotRepresentable there.
 
 Topology of a region: a finite part is clopen; a cofinite part is open
 and closed only when its limit flag is set; a limit-only part is
@@ -233,7 +234,9 @@ class SymbolicPoint(_Frozen, namedtuple("SymbolicPoint", "kind i k", defaults=(-
             return f"y({i})"
         if kind == "omega":
             return "omega"
-        return "X_omega*"
+        if kind == "omega_star":
+            return "X_omega*"
+        return super().__repr__()
 
 
 def fan_point(i, k):
@@ -267,18 +270,26 @@ class TameSet(_Frozen, namedtuple(
     __slots__ = ()
 
     def member(self, pt):
+        """Whether pt lies in the set.  A point the family's space lacks
+        raises NotRepresentable: this is the fan engines' one test of a
+        point, and ``point_set`` asks it too."""
         kind, i, k = pt
+        multi_fan, carrier, blob = _SHAPE[self[0]]
         if kind == "fan":
-            return self._fan_region(i).member(k)
-        if kind == "star":
-            return self._fan_region(i)[1]
-        if kind == "spine":
-            return self[3].member(i)
-        if kind == "omega":
-            return self[3][1]
-        if kind == "omega_star":
+            if k >= 0 and (i == 0 or i > 0 and multi_fan):
+                return self._fan_region(i).member(k)
+        elif kind == "star":
+            if i == 0 or i > 0 and multi_fan:
+                return self._fan_region(i)[1]
+        elif kind == "spine":
+            if i >= 0 and carrier.member(i):
+                return self[3].member(i)
+        elif kind == "omega":
+            if carrier[1]:
+                return self[3][1]
+        elif kind == "omega_star" and blob:
             return self[4]
-        raise ValueError(f"unknown point kind {kind!r}")
+        raise NotRepresentable(f"{self[0]} has no point {pt!r}")
 
     __contains__ = member
 
@@ -587,25 +598,18 @@ class FanEngine:
     # -- points ----------------------------------------------------------
 
     def point_set(self, pt):
-        fam = self.family
-        carrier = _SHAPE[fam][1]
-        if pt.kind == "fan":
-            if pt.k < 0:
-                raise NotRepresentable(f"{pt!r}: point indices must be non-negative")
-            return make_tame(fam, fan_exc={pt.i: Region(1 << pt.k)})
-        if pt.kind == "star":
-            return make_tame(fam, fan_exc={pt.i: Region(0, True)})
-        if pt.kind == "spine":
-            if pt.i < 0 or not carrier.member(pt.i):
-                raise NotRepresentable(f"{fam} has no spine point {pt.i}")
-            return make_tame(fam, spine=Region(1 << pt.i))
-        if pt.kind == "omega":
-            if not carrier.flag:
-                raise NotRepresentable(f"{fam} has no omega point")
-            return make_tame(fam, spine=Region(0, True))
-        if pt.kind == "omega_star":
-            return make_tame(fam, omega_star=True)
-        raise ValueError(f"unknown point kind {pt.kind!r}")
+        # membership in the full set raises for a point the space lacks
+        self.full.member(pt)
+        kind, i, k = pt
+        if kind == "fan":
+            return make_tame(self.family, fan_exc={i: Region(1 << k)})
+        if kind == "star":
+            return make_tame(self.family, fan_exc={i: Region(0, True)})
+        if kind == "spine":
+            return make_tame(self.family, spine=Region(1 << i))
+        if kind == "omega":
+            return make_tame(self.family, spine=Region(0, True))
+        return make_tame(self.family, omega_star=True)
 
     def member_reps(self, a):
         """Deterministic representative points covering every piece of a.

@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
+from . import birkhoff
 from .errors import (
     InternalAssertionError,
     NotAnUpset,
@@ -231,8 +232,6 @@ def _maximal_mask(space):
 
 def double_negation(space):
     """The nucleus U |-> U**; its nuclear set is max X."""
-    from . import birkhoff
-
     pc = birkhoff.pseudocomplement_set
     j = Nucleus(space, {u: pc(space, pc(space, u)) for u in upset_masks(space)})
     if _nuclear_mask(j) != _maximal_mask(space):
@@ -242,8 +241,6 @@ def double_negation(space):
 
 def booleanization(space):
     """Fixpoints of double negation, with the sublocale laws asserted."""
-    from . import birkhoff
-
     j = double_negation(space)
     fix = [u for u, v in j.masks.items() if u == v]
     fixset = set(fix)

@@ -158,9 +158,9 @@ def _register(tid, kind):
     a list of (label, args) instances to the check's cases on them, and
     ``KINDS[tid]`` says what :func:`run_suite` passes as args: the poset
     (``"poset"``), its ``FiniteEngine`` (``"engine"``), a poset of at
-    most ``NUCLEI_BOUND`` points with a thunk for its nuclei
-    (``"nuclei"``), or a fan engine and the sample seed (``"fan"``).
-    The check itself is returned unchanged."""
+    most ``NUCLEI_BOUND`` points, whose nuclei the check reads from
+    :func:`_nuclei_of_subsets` (``"nuclei"``), or a fan engine and the
+    sample seed (``"fan"``).  The check itself is returned unchanged."""
     def register(check):
         KINDS[tid] = kind
         CHECKS[tid] = functools.partial(_cases, tid, check)
@@ -176,9 +176,7 @@ def _instances(P, kinds):
         E = sp.FiniteEngine(P)
         out["engine"] = [(E.name, (E,))]
     if "nuclei" in kinds and P.n <= NUCLEI_BOUND:
-        # the thunk keeps the list it built, but not an error: each check
-        # that asks again fails its own case with it
-        out["nuclei"] = [(label, (P, functools.cache(functools.partial(_nuclei_of_subsets, P))))]
+        out["nuclei"] = out["poset"]
     return out
 
 
@@ -323,17 +321,20 @@ def check_heyting_adjunction(E):
     return ok, witness
 
 
+@_table
 def _nuclei_of_subsets(P):
-    """(N, j_N) for every point subset N of P, as masks, ascending.
-    The nuclei checks of one run share this list and only read it."""
+    """(N, j_N) for every point subset N of P, as masks, ascending: a
+    table of P, so the nuclei checks of one run share the list and only
+    read it.  An error is not kept: each check that asks again fails its
+    own case with it."""
     return [(members, nucleus_of_nuclear(NuclearSet._of_mask(P, members)))
             for members in range(1 << P.n)]
 
 
 @_register("nuclei-galois", "nuclei")
-def check_nuclei_galois(P, nuclei):
+def check_nuclei_galois(P):
     ok, witness = True, None
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         if nuclear_of_nucleus(j).mask != members:
             ok, witness = False, f"subset {list(_bits(members))}"
         if nucleus_of_nuclear(nuclear_of_nucleus(j)) != j:
@@ -342,9 +343,9 @@ def check_nuclei_galois(P, nuclei):
 
 
 @_register("nuclei-order-reversal", "nuclei")
-def check_nuclei_order_reversal(P, nuclei):
+def check_nuclei_order_reversal(P):
     ok, witness = True, None
-    js = [j for _, j in nuclei()]
+    js = [j for _, j in _nuclei_of_subsets(P)]
     for a in range(1 << P.n):
         for b in range(1 << P.n):
             if (a & ~b == 0) != js[b].leq(js[a]):
@@ -353,11 +354,11 @@ def check_nuclei_order_reversal(P, nuclei):
 
 
 @_register("upset-Nj-eq-Fj", "nuclei")
-def check_upset_nj_eq_fj(P, nuclei):
+def check_upset_nj_eq_fj(P):
     """The admissible upset of a nucleus is the up-closure of its nuclear set."""
     ok, witness = True, None
     up = closure_tables(P).up
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         try:
             h = admissible_upset(j)
         except InternalAssertionError:
@@ -369,10 +370,10 @@ def check_upset_nj_eq_fj(P, nuclei):
 
 
 @_register("dense-iff-cofinal", "nuclei")
-def check_dense_iff_cofinal(P, nuclei):
+def check_dense_iff_cofinal(P):
     ok, witness = True, None
     maxx = _mask(extrema(P, range(P.n), "max"))
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         dense = j.masks[0] == 0
         cofinal = maxx & ~members == 0
         if dense != cofinal:
@@ -381,13 +382,13 @@ def check_dense_iff_cofinal(P, nuclei):
 
 
 @_register("max-least-cofinal", "nuclei")
-def check_max_least_cofinal(P, nuclei):
+def check_max_least_cofinal(P):
     """max X is a nuclear set, cofinal, and contained in every cofinal one."""
     ok, witness = True, None
     maxx = _mask(extrema(P, range(P.n), "max"))
     if nuclear_of_nucleus(double_negation(P)).mask != maxx:
         ok, witness = False, "double negation nuclear set"
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         if maxx & ~members == 0:
             continue
         # not cofinal: fine; cofinal ones must contain max X, which
@@ -398,14 +399,14 @@ def check_max_least_cofinal(P, nuclei):
 
 
 @_register("booleanization-sublocale", "nuclei")
-def check_booleanization(P, nuclei):
+def check_booleanization(P):
     """Fixpoints of double negation form a sublocale inside every dense one."""
     try:
         booleans = {_mask(u) for u in booleanization(P)}
     except InternalAssertionError:
         return False, "sublocale laws"
     ok, witness = True, None
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         if density_check(j)["dense"]:
             fix = {u for u, v in j.masks.items() if u == v}
             if not booleans <= fix:
@@ -414,10 +415,10 @@ def check_booleanization(P, nuclei):
 
 
 @_register("lemma-nj-restrict", "nuclei")
-def check_lemma_nj_restrict(P, nuclei):
+def check_lemma_nj_restrict(P):
     """U and jU agree when restricted to the nuclear set."""
     ok, witness = True, None
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         for u, v in j.masks.items():
             if u & members != v & members:
                 ok, witness = False, f"{list(_bits(members))} at {list(_bits(u))}"
@@ -425,16 +426,16 @@ def check_lemma_nj_restrict(P, nuclei):
 
 
 @_register("sublocale-roundtrip", "nuclei")
-def check_sublocale_roundtrip(P, nuclei):
+def check_sublocale_roundtrip(P):
     ok, witness = True, None
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         if nucleus_of_sublocale(P, sublocale_of_nucleus(j)) != j:
             ok, witness = False, f"subset {list(_bits(members))}"
     return ok, witness
 
 
 @_register("inductive-core-collapse", "nuclei")
-def check_inductive_core_collapse(P, nuclei):
+def check_inductive_core_collapse(P):
     """Every nuclear set of a finite space is inductive, witnessed on
     both sides: up(F & N) is a Scott upset for every Scott upset F, and
     jU equals the closure of the union of jV over upsets V inside U (a
@@ -442,7 +443,7 @@ def check_inductive_core_collapse(P, nuclei):
     ok, witness = True, None
     ups = upset_masks(P)
     up = closure_tables(P).up
-    for members, j in nuclei():
+    for members, j in _nuclei_of_subsets(P):
         for f in ups:
             lifted = up[f & members]
             if up[lifted] != lifted:

@@ -489,10 +489,13 @@ def one_point_extensions(smaller):
     whose strict downset is a downset of Q, i.e. the complement of one
     of Q's upsets.  Each such candidate is labelled canonically from its
     rows (:func:`canonical_rows`): the old points keep Q's down rows,
-    since the new point lies above none of them.  Only the first
-    candidate of each class becomes a :class:`FinitePoset`, validated,
-    keeping that key, and is canonically relabelled; a later one has the
-    same key, so it is a relabelling of that validated order.
+    since the new point lies above none of them.  A candidate is kept
+    when its key is missing from a dict of every key seen so far, not by
+    McKay's local canonical-augmentation test, so memory grows with the
+    number of classes.  Only the first candidate of each class becomes
+    a :class:`FinitePoset`, validated, keeping that key, and is
+    canonically relabelled; a later one has the same key, so it is a
+    relabelling of that validated order.
     """
     parents = [(Q.up, Q.down, upset_masks(Q)) for Q in smaller] or [((), (), (0,))]
     n = len(parents[0][0]) + 1

@@ -29,7 +29,8 @@ command line ask of an engine.
 * sets: ``full``, ``empty``, ``meet``, ``diff``, ``closure``,
   ``is_open``, ``is_closed``, ``is_representable``, ``is_finite_set``;
 * order: ``up``, ``down``, ``strict_up``, ``strict_down``;
-* points: ``point_set``, ``member_reps``, ``select``, ``localic_part``;
+* points: ``point_set`` (NotRepresentable for a point the space
+  lacks), ``member_reps``, ``select``, ``localic_part``;
 * structure: ``core``, ``points_with_up_inside``;
 * rendering: ``name``, ``describe_set``, ``describe_family``;
 * class attribute: ``infinite_min_yd_class``, the topology class of an
@@ -464,6 +465,9 @@ class FiniteEngine:
     # -- points and classes ------------------------------------------
 
     def point_set(self, pt):
+        # a bool is an int, but not a point index (as in poset.mask_of)
+        if type(pt) is not int or not 0 <= pt < self.n:
+            raise NotRepresentable(f"{pt!r} is no point of {self.name}")
         return 1 << pt
 
     def member_reps(self, a):

@@ -12,7 +12,8 @@ import pytest
 from priestley import build_poset, cli, oracle
 from priestley import spectrum as sp
 from priestley.errors import InternalAssertionError
-from priestley.fans import FAMILIES, engine_for
+from priestley.fans import (FAMILIES, FULL_REGION, OmegaFansEngine, engine_for,
+                            make_tame, tame_meet)
 
 
 def run_cli(argv, capsys):
@@ -156,6 +157,29 @@ def test_analyze_dot_builds_one_engine(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(["analyze", str(p), "--dot", str(tmp_path / "o.dot")],
                          capsys)
     assert code == 0 and built == ["omega_fans"]
+
+
+def edges(text):
+    return re.findall(r"^  (\w+) -> (\w+);$", text, re.M)
+
+
+def test_the_fan_diagram_is_drawn_from_the_engine_order():
+    # with no fan above a spine point, y0 -> fan0 must leave the diagram
+    class NoFanAboveTheSpine(OmegaFansEngine):
+        def strict_up(self, a):
+            no_fans = make_tame(self.family, spine=FULL_REGION, omega_star=True)
+            return tame_meet(super().strict_up(a), no_fans)
+
+    drawn = edges(cli.dot(engine_for("omega_fans"), cli._FAN_NODES))
+    planted = edges(cli.dot(NoFanAboveTheSpine(), cli._FAN_NODES))
+    assert ("y0", "fan0") in drawn and ("y0", "fan0") not in planted
+    assert planted == [("y0", "omega"), ("y_more", "omega"), ("omega", "omega_star")]
+
+
+def test_the_finite_diagram_draws_the_covers():
+    for P in oracle.posets_up_to(5):
+        drawn = edges(cli.dot(sp.FiniteEngine(P), cli._finite_nodes(P)))
+        assert drawn == [(f"n{i}", f"n{j}") for i, j in P.covers()], P
 
 
 @pytest.mark.parametrize("space", [

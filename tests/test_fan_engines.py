@@ -16,6 +16,7 @@ from priestley.fans import (
     FanPlusBottomEngine,
     OmegaFansEngine,
     Region,
+    SymbolicPoint,
     engine_for,
     fan_point,
     fan_star,
@@ -52,11 +53,16 @@ def test_point_set_rejects_points_the_family_lacks(engines):
         "omega_fans": [],
         "chain_fans": [],
     }
-    negative = [fan_point(0, -1), fan_point(-1, 0), fan_star(-1), spine_point(-2)]
+    lacking["bare_fan"].append(fan_point(3, 0))
+    negative = [fan_point(0, -1), fan_point(-1, 0), fan_star(-1), spine_point(-1),
+                spine_point(-2), SymbolicPoint("bogus")]
+    # membership asks the same one test of a point as point_set
     for fam, E in engines.items():
         for pt in lacking[fam] + negative:
-            with pytest.raises(NotRepresentable):
-                E.point_set(pt)
+            for query in (E.point_set, E.full.member, lambda pt: pt in E.full):
+                with pytest.raises(NotRepresentable):
+                    query(pt)
+    assert repr(SymbolicPoint("bogus")) != repr(OMEGA_STAR) == "X_omega*"
 
 
 def test_localic_parts(engines):

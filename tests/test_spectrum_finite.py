@@ -19,6 +19,16 @@ def two_antichain():
     return engine(["a", "b"], [])
 
 
+def test_point_set_rejects_points_the_poset_lacks():
+    # a point is an index of the poset: not a bool, not out of range
+    E = two_chain()
+    assert E.point_set(1) == 2
+    for pt in (5, 2, -1, True):
+        for query in (E.point_set, lambda pt: sp.yd_contains(E, pt)):
+            with pytest.raises(NotRepresentable):
+                query(pt)
+
+
 def test_localic_points_every_point():
     E = two_chain()
     assert E.localic_part() == E.full
