@@ -72,8 +72,12 @@ and, on the hot path, by index.  Building one is a single
 ``tuple.__new__``, and ``==``, ``!=`` and ``hash`` are the tuple's, in
 C, so a tame set is hashed without rebuilding a field tuple.
 ``pt in u`` asks whether the tame set u holds the point, as
-``u.member(pt)`` does; a point the family's space lacks raises
-NotRepresentable there.
+``u.member(pt)`` does; a point the family's space lacks, or an index
+that is not a plain int, raises NotRepresentable there.
+
+One walk, ``_walk``, fixes the representative point of each piece of a
+tame set: ``member_reps`` lists those points, and ``select`` keeps the
+pieces that pass a test asked at them.
 
 Topology of a region: a finite part is clopen; a cofinite part is open
 and closed only when its limit flag is set; a limit-only part is
@@ -109,10 +113,10 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import partial
 
+from . import spectrum as sp
 from .errors import FamilyMismatch, NotRepresentable
-from .poset import _bits, _Frozen, _mask, _table
+from .poset import _bits, _Frozen, _mask
 
 # ---------------------------------------------------------------------
 # regions: finite/cofinite subsets of one copy of N, plus a limit flag
@@ -275,20 +279,22 @@ class TameSet(_Frozen, namedtuple(
         point, and ``point_set`` asks it too."""
         kind, i, k = pt
         multi_fan, carrier, blob = _SHAPE[self[0]]
-        if kind == "fan":
-            if k >= 0 and (i == 0 or i > 0 and multi_fan):
-                return self._fan_region(i).member(k)
-        elif kind == "star":
-            if i == 0 or i > 0 and multi_fan:
-                return self._fan_region(i)[1]
-        elif kind == "spine":
-            if i >= 0 and carrier.member(i):
-                return self[3].member(i)
-        elif kind == "omega":
-            if carrier[1]:
-                return self[3][1]
-        elif kind == "omega_star" and blob:
-            return self[4]
+        # an index is a plain int, not a bool or a float (as in FiniteEngine)
+        if type(i) is type(k) is int:
+            if kind == "fan":
+                if k >= 0 and (i == 0 or i > 0 and multi_fan):
+                    return self._fan_region(i).member(k)
+            elif kind == "star":
+                if i == 0 or i > 0 and multi_fan:
+                    return self._fan_region(i)[1]
+            elif kind == "spine":
+                if i >= 0 and carrier.member(i):
+                    return self[3].member(i)
+            elif kind == "omega":
+                if carrier[1]:
+                    return self[3][1]
+            elif kind == "omega_star" and blob:
+                return self[4]
         raise NotRepresentable(f"{self[0]} has no point {pt!r}")
 
     __contains__ = member
@@ -332,19 +338,20 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
     if fan_exc:
         exc = dict(fan_exc)
         if not multi_fan:
-            # single fan: everything lives in the default slot
-            if set(exc) - {0}:
+            # single fan: everything lives in the default slot, so the
+            # only key is 0, as an int (not False or 0.0)
+            if set(exc) - {0} or type(*exc) is not int:
                 raise NotRepresentable("single-fan family has only fan 0")
             fan_default = exc.pop(0)
         # a plain loop: a generator expression here raised peak memory by ~1 MB
         items = []
         for i in sorted(exc):
+            if type(i) is not int or i < 0:
+                raise NotRepresentable(f"fan index {i!r} is not a non-negative int")
             r = exc[i]
             if r != fan_default:
                 items.append((i, r))
         items = tuple(items)
-        if items and items[0][0] < 0:
-            raise NotRepresentable("fan indices must be non-negative")
     # meet with the carrier only when the spine leaves it: one more
     # Region per call costs the symbolic sweeps measurably
     if _leaves(spine, carrier):
@@ -498,13 +505,40 @@ def _fan_indices(a):
     return _mask(i for i, _ in a.fan_exc)
 
 
-def _fresh_index(a):
-    """The index that stands for the default fans and for the cofinite
-    bulk of the spine: above every fan and spine exception index, or 0
-    where fan 0 is the only fan (such a spine is never cofinite)."""
-    if not _SHAPE[a.family][0]:
-        return 0
-    return (_fan_indices(a) | _exc(a.spine)).bit_length()
+def _walk(a):
+    """Each piece of a tame set with the point that stands for it, as
+    ``(slot, bits, flag, pt)``: slot is a fan index, None for the
+    default fans, "spine" or "blob", and ``(bits, flag)`` the part of
+    the slot's region that pt stands for.  A finite part gives its
+    members one by one; a fan's cofinite bulk stands at the first index
+    past its exceptions, the default fans at the fresh fan and the
+    spine's bulk at the fresh index, past every fan and spine exception
+    (0 with one fan, where the spine is never cofinite)."""
+    family, default, exc, spine, omega_star = a
+    fresh = 0
+    if _SHAPE[family][0]:
+        fresh = (_fan_indices(a) | _exc(spine)).bit_length()
+    fans = exc if default == EMPTY_REGION else exc + ((None, default),)
+    for slot, r in fans:
+        i = fresh if slot is None else slot
+        bits = r[0]
+        if bits < 0:
+            yield slot, bits, False, fan_point(i, _exc(r).bit_length())
+        else:
+            for k in _bits(bits):
+                yield slot, 1 << k, False, fan_point(i, k)
+        if r[1]:
+            yield slot, 0, True, fan_star(i)
+    bits = spine[0]
+    if bits < 0:
+        yield "spine", bits, False, spine_point(fresh)
+    else:
+        for k in _bits(bits):
+            yield "spine", 1 << k, False, spine_point(k)
+    if spine[1]:
+        yield "spine", 0, True, OMEGA
+    if omega_star:
+        yield "blob", 0, True, OMEGA_STAR
 
 
 def _fan_pred_region(a, pred):
@@ -551,7 +585,8 @@ class FanEngine:
     Subclasses supply the order (strict up/down), the clopen-Scott-upset
     test, one sample draw (``_draw``), and the topology class of an
     infinite min Y_d, one family each.  The localic part and Y_d are
-    tables of the engine, kept in its own ``_tables`` memo.
+    tables of the engine that :mod:`priestley.spectrum` derives from
+    the contract, as for every engine, kept in its own ``_tables`` memo.
     """
 
     family = None
@@ -612,95 +647,25 @@ class FanEngine:
         return make_tame(self.family, omega_star=True)
 
     def member_reps(self, a):
-        """Deterministic representative points covering every piece of a.
-
-        Within one region the points outside the exception set behave
-        identically, so one fresh representative stands for the bulk;
-        the same convention covers the fans governed by the default.
-        """
-        reps = []
-        fresh_i = _fresh_index(a)
-
-        def region_reps(i, r):
-            if r.bits < 0:
-                out = [fan_point(i, _exc(r).bit_length())]
-            else:
-                out = [fan_point(i, k) for k in _bits(r.bits)]
-            if r.flag:
-                out.append(fan_star(i))
-            return out
-
-        for i, r in a.fan_exc:
-            reps.extend(region_reps(i, r))
-        if not a.fan_default.is_empty():
-            reps.extend(region_reps(fresh_i, a.fan_default))
-        if a.spine.bits < 0:
-            reps.append(spine_point(fresh_i))
-        else:
-            reps.extend(map(spine_point, _bits(a.spine.bits)))
-        if a.spine.flag:
-            reps.append(OMEGA)
-        if a.omega_star:
-            reps.append(OMEGA_STAR)
-        return reps
+        """One representative point per piece of a, in walk order."""
+        return [pt for _, _, _, pt in _walk(a)]
 
     def select(self, a, pred):
-        """Subset of a whose pieces pass pred.
-
-        Assumes pred is uniform across the bulk of each region and
-        across default fans; used only with predicates built from
-        exception-free structural sets (the localic part, max X).
-        """
-        fresh_i = _fresh_index(a)
-
-        def kept(bits, point, fresh):
-            # a cofinite bulk passes or fails as a whole, at one fresh point
-            if bits < 0:
-                return bits if pred(point(fresh)) else 0
-            return _mask(k for k in _bits(bits) if pred(point(k)))
-
-        def filter_region(i, r):
-            pts = kept(r.bits, partial(fan_point, i), _exc(r).bit_length())
-            return Region(pts, r.flag and pred(fan_star(i)))
-
-        exc = {i: filter_region(i, r) for i, r in a.fan_exc}
-        default = EMPTY_REGION
-        if not a.fan_default.is_empty():
-            default = filter_region(fresh_i, a.fan_default)
-        pts = kept(a.spine.bits, spine_point, fresh_i)
-        spine = Region(pts, a.spine.flag and pred(OMEGA))
-        os = a.omega_star and pred(OMEGA_STAR)
-        return make_tame(self.family, default, exc, spine, os)
-
-    # -- localic part ----------------------------------------------------
-
-    @_table
-    def localic_part(self):
-        """Points with clopen principal downset, assembled per class type.
-
-        Star and top blobs are never localic: their individual points
-        are non-isolated limit points, so their principal downsets are
-        closed but not open.  The singleton classes are tested directly.
-        """
-        def clopen_down(pt):
-            d = self.down(self.point_set(pt))
-            return tame_is_open(d) and tame_is_closed(d)
-
-        fan_ok = clopen_down(fan_point(0, 0))
-        default = POINTS_REGION if fan_ok else EMPTY_REGION
-        carrier = _SHAPE[self.family][1]
-        spine = EMPTY_REGION
-        if carrier.has_points():
-            spine_ok = clopen_down(spine_point(0))
-            spine = Region(carrier.bits if spine_ok else 0,
-                           carrier.flag and clopen_down(OMEGA))
-        return make_tame(self.family, default, spine=spine)
+        """The pieces of a whose representative point passes pred."""
+        kept = {}  # slot -> the part of its region that passed
+        for slot, bits, flag, pt in _walk(a):
+            if pred(pt):
+                b, f = kept.get(slot, EMPTY_REGION)
+                kept[slot] = Region(b | bits, f or flag)
+        exc = {i: kept.get(i, EMPTY_REGION) for i, _ in a.fan_exc}
+        return make_tame(self.family, kept.get(None, EMPTY_REGION), exc,
+                         kept.get("spine", EMPTY_REGION), "blob" in kept)
 
     # -- rules derived from the order ------------------------------------
 
     def core(self, u):
         """The meet of u with the stars-over-bottoms mask."""
-        L = self.localic_part()
+        L = sp.localic_part(self)
         stars = make_tame(
             self.family, *_fans_over(u.spine.bits, FULL_REGION, POINTS_REGION),
             spine=L.spine, omega_star=u.spine.flag and L.spine.flag,

@@ -540,7 +540,7 @@ def check_eqv_conditions_rmax(E):
 
 @_register("max-y-in-yd", "engine")
 def check_max_y_in_yd(E):
-    maxy = sp.maximal_of(E, E.localic_part())
+    maxy = sp.maximal_of(E, sp.localic_part(E))
     return maxy & ~sp.yd_set(E) == 0, E.describe_set(maxy)
 
 
@@ -783,7 +783,7 @@ def check_fan_d_laws(E, seed):
     if d_of(E.empty) != E.empty:
         return False, "d is not dense"
     # a Scott upset is the upset of its minimal points, all localic
-    Y = E.localic_part()
+    Y = sp.localic_part(E)
     for u in distinct:
         cu = core[u] = E.core(u)
         if E.closure(cu) != u:

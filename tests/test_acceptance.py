@@ -95,7 +95,7 @@ def test_criterion_04_spectrum_bijections():
 def test_criterion_05_fan_plus_bottom():
     t0 = time.perf_counter()
     E = engine_for("fan_plus_bottom")
-    y = E.localic_part()
+    y = sp.localic_part(E)
     expected_y = make_tame(
         "fan_plus_bottom", Region(-1),
         spine=Region(1),
@@ -125,7 +125,7 @@ def test_criterion_06_omega_fans():
     myd = sp.min_yd(E)
     elapsed = time.perf_counter() - t0
     ok = (
-        yd == E.localic_part()
+        yd == sp.localic_part(E)
         and myd == make_tame("omega_fans", spine=Region(-1))
         and r.topology_class == "cofinite"
         and r.t1 is True

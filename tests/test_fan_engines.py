@@ -56,9 +56,14 @@ def test_point_set_rejects_points_the_family_lacks(engines):
     lacking["bare_fan"].append(fan_point(3, 0))
     negative = [fan_point(0, -1), fan_point(-1, 0), fan_star(-1), spine_point(-1),
                 spine_point(-2), SymbolicPoint("bogus")]
+    # an index is a plain int: True would read as fan 1 and 1.0 would
+    # build an exception fan indexed by a float
+    not_ints = [fan_point(True, 0), fan_point(False, 0), fan_point(0, True),
+                fan_point(0, 2.0), fan_star(1.0), fan_star(False),
+                spine_point(1.5), spine_point(True), SymbolicPoint("omega", 0.0)]
     # membership asks the same one test of a point as point_set
     for fam, E in engines.items():
-        for pt in lacking[fam] + negative:
+        for pt in lacking[fam] + negative + not_ints:
             for query in (E.point_set, E.full.member, lambda pt: pt in E.full):
                 with pytest.raises(NotRepresentable):
                     query(pt)
@@ -67,23 +72,23 @@ def test_point_set_rejects_points_the_family_lacks(engines):
 
 def test_localic_parts(engines):
     E = engines["omega_fans"]
-    y = E.localic_part()
+    y = sp.localic_part(E)
     assert y.member(fan_point(4, 7)) and y.member(spine_point(9))
     assert y.member(OMEGA)
     assert not y.member(fan_star(0)) and not y.member(OMEGA_STAR)
 
     E = engines["fan_plus_bottom"]
-    y = E.localic_part()
+    y = sp.localic_part(E)
     assert y.member(fan_point(0, 3)) and y.member(spine_point(0))
     assert not y.member(fan_star(0))
 
     E = engines["chain_fans"]
-    y = E.localic_part()
+    y = sp.localic_part(E)
     assert y.member(fan_point(2, 2)) and y.member(spine_point(5))
     assert not y.member(OMEGA) and not y.member(OMEGA_STAR)
 
     E = engines["bare_fan"]
-    y = E.localic_part()
+    y = sp.localic_part(E)
     assert y.member(fan_point(0, 0)) and not y.member(fan_star(0))
 
 
@@ -96,15 +101,29 @@ def test_yd_membership_refuses_a_point_outside_the_localic_part(family):
     assert "X*(0)" in str(info.value)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_select_and_member_reps_agree_with_the_algebra(family):
+    # both read one walk over a set's pieces: select keeps exactly the
+    # pieces that pass, and every representative lies in its set
+    E = engine_for(family)
+    structural = [sp.localic_part(E), sp.max_set(E), sp.yd_set(E)]
+    for a in E.sample_clopen_upsets(60) + [E.full, E.empty]:
+        assert E.select(a, lambda p: True) == a, E.describe_set(a)
+        assert E.select(a, lambda p: False) == E.empty, E.describe_set(a)
+        for b in structural:
+            assert E.select(a, lambda p: p in b) == E.meet(a, b), E.describe_set(a)
+        assert all(p in a for p in E.member_reps(a)), E.describe_set(a)
+
+
 def test_yd_equals_localic_part_everywhere(engines):
     # all four families have Y_d = Y; what varies is min Y_d
     for fam, E in engines.items():
-        assert sp.yd_set(E) == E.localic_part(), fam
+        assert sp.yd_set(E) == sp.localic_part(E), fam
 
 
 def test_max_y_strictly_inside_yd_for_fan_plus_bottom(engines):
     E = engines["fan_plus_bottom"]
-    maxy = sp.maximal_of(E, E.localic_part())
+    maxy = sp.maximal_of(E, sp.localic_part(E))
     assert maxy == make_tame("fan_plus_bottom", Region(-1))
     assert maxy != sp.yd_set(E)  # y witnesses the strict inclusion
 
@@ -236,21 +255,23 @@ def test_scott_upsets_closed_under_intersection(engines):
 
 
 def test_stably_locally_compact_lemma(engines):
-    # locally compact + sober + coherent forces Hausdorff on a T1 space,
-    # and the cofinite class fails exactly sobriety
-    hausdorff = {"empty", "finite-discrete", "discrete"}
-    assert set(sp.MIN_YD_SPACE_FLAGS) == hausdorff | {"cofinite"}
-    for klass, flags in sp.MIN_YD_SPACE_FLAGS.items():
-        assert all(flags.values()) == (klass in hausdorff), klass
-    assert sp.MIN_YD_SPACE_FLAGS["cofinite"] == {
-        "locally_compact": True, "sober": False, "coherent": True}
+    # over every row of the class table: a cofinite class is not
+    # Hausdorff, and a row is Hausdorff exactly when it is locally
+    # compact, sober and coherent (on a T1 space these force Hausdorff);
+    # the cofinite class fails exactly sobriety
+    assert set(sp.MIN_YD_CLASSES) == {"empty", "finite-discrete", "discrete", "cofinite"}
+    for klass, (hausdorff, flags) in sp.MIN_YD_CLASSES.items():
+        assert not (klass == "cofinite" and hausdorff), klass
+        assert all(flags.values()) == hausdorff, klass
+    assert sp.MIN_YD_CLASSES["cofinite"] == (False, {
+        "locally_compact": True, "sober": False, "coherent": True})
     for fam, E in engines.items():
         r = sp.spectrum_report(E)
-        flags = sp.MIN_YD_SPACE_FLAGS[r.topology_class]
+        hausdorff, flags = sp.MIN_YD_CLASSES[r.topology_class]
         # the report holds its own copy, never the table's entry
         assert r.min_yd_space_flags == flags
         assert r.min_yd_space_flags is not flags
-        assert all(flags.values()) == r.hausdorff, fam
+        assert r.hausdorff == hausdorff, fam
 
 
 def test_core_density(engines):

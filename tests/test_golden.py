@@ -232,7 +232,7 @@ def test_core_is_the_upset_of_its_localic_points(family):
     # the closed-form core against its slow generic form, so that a
     # regenerated fan_rules.txt cannot bless a changed rule
     E = engine_for(family)
-    L = E.localic_part()
+    L = sp.localic_part(E)
     samples = E.sample_clopen_upsets(oracle.SAMPLE_COUNT, seed=oracle.DEFAULT_SEED)
     for u in sparse_clopen_upsets(E) + samples:
         assert E.core(u) == E.up(E.meet(u, L)), E.describe_set(u)

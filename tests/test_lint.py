@@ -52,7 +52,7 @@ def test_engine_contract_resolves_on_every_engine():
     # the contract is listed once, in spectrum's module docstring; every
     # name it lists must exist on the finite engine and each fan engine
     names, _ = contract_names()
-    assert len(names) == 23, names
+    assert len(names) == 22, names
     missing = [
         (type(E).__name__, name)
         for E in every_engine() for name in names if not hasattr(E, name)
@@ -457,21 +457,50 @@ def definers(source, name):
             if isinstance(cls, ast.ClassDef) and any(map(binds, cls.body))]
 
 
+def bulk_index_sites(node, owner="<module>"):
+    """The enclosing function of each representative index computed in
+    a tree: a ``.bit_length()`` of an expression that calls ``_exc`` or
+    ``_fan_indices`` (a bulk past its exceptions, or the fresh index)."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "bit_length"
+                and calls_any(child.func.value, {"_exc", "_fan_indices"})):
+            yield owner
+        scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        yield from bulk_index_sites(child, child.name if scope else owner)
+
+
 def test_each_derived_fan_rule_is_stated_once():
     # the core and the pointwise d-core follow from each family's order;
     # FanEngine states them once, and only chain_fans, whose spine
-    # descends, has a d-core of its own
-    from priestley import fans
+    # descends, has a d-core of its own.  The localic part is one table
+    # in spectrum, for every engine, and the representative of each
+    # piece of a tame set is fixed by one walk, which member_reps and
+    # select both read
+    from priestley import fans, spectrum
 
     source = pathlib.Path(fans.__file__).read_text(encoding="utf-8")
     assert definers(source, "core") == ["FanEngine"]
     assert definers(source, "points_with_up_inside") == [
         "FanEngine", "ChainFansEngine"]
+    for module in (fans, spectrum):
+        assert definers(pathlib.Path(module.__file__).read_text(encoding="utf-8"),
+                         "localic_part") == [], module.__name__
+    assert set(bulk_index_sites(ast.parse(source))) == {"_walk"}
     # and the lint sees a rule restated by a method or an alias
     planted = ("class A:\n    def core(self, u): return u\n"
                "class B(A):\n    core = A.core\n"
-               "class C(A):\n    def up(self, u): return u\n")
+               "class C(A):\n    def up(self, u): return u\n"
+               "    def localic_part(self): return self.full\n")
     assert definers(planted, "core") == ["A", "B"]
+    assert definers(planted, "localic_part") == ["C"]
+    # and a bulk or fresh index computed outside the walk
+    planted = ("def _walk(a):\n    yield _exc(a.spine).bit_length()\n"
+               "class E:\n    def member_reps(self, a):\n"
+               "        return (_fan_indices(a) | _exc(a.spine)).bit_length()\n"
+               "    def select(self, a, pred):\n"
+               "        def bulk(r): return _exc(r).bit_length()\n"
+               "        return a.spine.bits.bit_length()\n")
+    assert list(bulk_index_sites(ast.parse(planted))) == ["_walk", "member_reps", "bulk"]
 
 
 MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
@@ -514,7 +543,7 @@ def test_the_oracle_keeps_instance_data_only_per_run():
         "fans.py": ["_ENGINES", "_SHAPE"],
         "oracle.py": sorted(["CHECKS", "KINDS", "MUTATIONS", "_POSET_MEMO",
                              "_EXPECTED_FIGURES"]),
-        "spectrum.py": ["MIN_YD_SPACE_FLAGS"],
+        "spectrum.py": ["MIN_YD_CLASSES"],
     }
     # and the lint sees each kind of container
     planted = ("import functools\n"

@@ -147,13 +147,13 @@ def test_an_internal_assertion_fails_its_case(monkeypatch):
 
 # Each fault changes one cached quantity and leaves alone at least one
 # side it is compared with, so a clean value kept from an earlier run
-# would hide it: localic_part changes Y_d (eqv-conditions-rmax compares
+# would hide it: the localic part changes Y_d (eqv-conditions-rmax compares
 # it with three other forms), closure changes the d table and d, and a
 # fan's content region changes the omega family's localic part and Y_d
 # (fan-figures compares the report with the published figures).
 RUN_SCOPED_IDS = ["eqv-conditions-rmax", "unit-criteria", "d-is-double-negation"]
 ENGINE_FAULTS = [
-    (sp.FiniteEngine, "localic_part", lambda E: E.full & ~1, RUN_SCOPED_IDS,
+    (sp, "localic_part", lambda E: E.full & ~1, RUN_SCOPED_IDS,
      {"eqv-conditions-rmax", "unit-criteria"}),
     (sp.FiniteEngine, "closure", lambda E, a: E.full if a else a, RUN_SCOPED_IDS,
      {"eqv-conditions-rmax", "d-is-double-negation"}),
@@ -164,11 +164,12 @@ ENGINE_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("engine, method, fault, ids, caught", ENGINE_FAULTS,
+@pytest.mark.parametrize("owner, name, fault, ids, caught", ENGINE_FAULTS,
                          ids=[f[1] for f in ENGINE_FAULTS])
-def test_nothing_cached_outlives_a_run(monkeypatch, engine, method, fault, ids, caught):
+def test_nothing_cached_outlives_a_run(monkeypatch, owner, name, fault, ids, caught):
+    # the fault replaces a spectrum table or an engine method
     assert all(c.ok() for c in oracle.run_suite(ids, bound=3))
-    monkeypatch.setattr(engine, method, fault)
+    monkeypatch.setattr(owner, name, fault)
     failed = [c for c in oracle.run_suite(ids, bound=3) if not c.ok()]
     assert all(c.witness for c in failed)
     assert {c.theorem_id for c in failed} == caught

@@ -2,9 +2,10 @@
 
 import pytest
 
-from priestley import build_poset
+from priestley import build_poset, oracle
 from priestley import spectrum as sp
 from priestley.errors import NotClopenUpset, NotRepresentable
+from priestley.poset import drop_tables
 
 
 def engine(labels, covers):
@@ -30,8 +31,11 @@ def test_point_set_rejects_points_the_poset_lacks():
 
 
 def test_localic_points_every_point():
-    E = two_chain()
-    assert E.localic_part() == E.full
+    # computed from each principal downset, not taken as given
+    for P in oracle.posets_up_to(5):
+        E = sp.FiniteEngine(P)
+        assert sp.localic_part(E) == E.full, repr(P)
+        drop_tables(P)  # the enumeration memo keeps P
 
 
 def test_scott_upset_every_upset():

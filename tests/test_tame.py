@@ -177,6 +177,16 @@ def test_single_fan_families_fold_exceptions():
         make_tame("fan_plus_bottom", omega_star=True)
 
 
+def test_make_tame_refuses_fan_indices_that_are_not_ints():
+    # every index is checked, not only the sign of the first kept one
+    for fam, index in [("omega_fans", 1.0), ("omega_fans", True),
+                       ("chain_fans", -1), ("bare_fan", False), ("bare_fan", 0.0)]:
+        with pytest.raises(NotRepresentable):
+            make_tame(fam, fan_exc={index: fins(3)})
+    with pytest.raises(NotRepresentable):
+        make_tame("omega_fans", FULL_REGION, {2: fins(1), -1: FULL_REGION})
+
+
 def test_fan_plus_bottom_spine_normalized():
     a = make_tame("fan_plus_bottom", spine=cofins())
     assert a.spine == Region(1, False)
