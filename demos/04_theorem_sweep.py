@@ -2,13 +2,15 @@
 
 The suite enumerates every poset up to the bound (deduplicated up to
 isomorphism) and evaluates both sides of every registered identity.
-The second half injects the shipped faults and shows each one caught.
+The second half plants a fault of its own, a wrong closure on the
+finite engines, and shows the unchanged suite fail with a witness.
 """
 
 import sys
 import time
 
 from priestley import oracle
+from priestley import spectrum as sp
 
 bound = 5  # bump to 6 for the full run (the acceptance suite does)
 
@@ -31,7 +33,18 @@ for tid in sorted(per_theorem):
 
 print()
 print("fault injection:")
-for name, (caught, mcases) in sorted(oracle.run_mutations().items()):
-    first = next((c for c in mcases if not c.ok()), None)
-    mark = "caught" if caught else "MISSED"
-    print(f"  {name:24} {mark}: {first.witness if first else '-'}")
+# closure sends every nonempty upset to the whole space, so d does too
+closure = sp.FiniteEngine.closure
+sp.FiniteEngine.closure = lambda E, a: E.full if a else a
+try:
+    failed = oracle.summarize(oracle.run_suite(bound=bound))["failures"]
+finally:
+    sp.FiniteEngine.closure = closure
+print(f"  a wrong FiniteEngine.closure: {'caught' if failed else 'MISSED'}, "
+      f"{len(failed)} failed cases")
+failed_by_theorem = {}
+for c in failed:
+    failed_by_theorem.setdefault(c.theorem_id, []).append(c.witness)
+for tid in sorted(failed_by_theorem):
+    witnesses = failed_by_theorem[tid]
+    print(f"  {tid:32} {len(witnesses):3} failed, first: {witnesses[0]}")

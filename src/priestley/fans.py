@@ -323,35 +323,44 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
               spine=EMPTY_REGION, omega_star=False):
     """Build a tame set from arbitrary fields, in canonical form.
 
-    This is the boundary: the engines' rules, the samplers,
-    ``point_set`` and the JSON reader all build through here.  It checks
-    the family, the fan indices, the spine carrier and the blob, folds a
-    single-fan family's exceptions into the default, sorts the
-    exceptions and drops those equal to the default.  The four algebra
-    operations below take canonical operands and build canonical results
-    directly, without coming back through here.
+    This is the boundary: the engines' rules, the samplers and
+    ``point_set`` all build through here.  It checks the family, that
+    every fan part and the spine are Regions, the fan indices, the spine
+    carrier and the blob, folds a single-fan family's exceptions into
+    the default, sorts the exceptions and drops those equal to the
+    default.  The four algebra operations below take canonical operands
+    and build canonical results directly, without coming back through
+    here.
     """
     if family not in _SHAPE:
         raise FamilyMismatch(f"unknown family {family!r}")
     multi_fan, carrier, blob = _SHAPE[family]
+    exc = dict(fan_exc) if fan_exc else None
+    if exc and not multi_fan:
+        # single fan: everything lives in the default slot, so the
+        # only key is 0, as an int (not False or 0.0)
+        if set(exc) - {0} or type(*exc) is not int:
+            raise NotRepresentable("single-fan family has only fan 0")
+        fan_default = exc.pop(0)
+    if type(fan_default) is not Region:
+        raise NotRepresentable(f"fan part {fan_default!r} is not a Region")
     items = ()
-    if fan_exc:
-        exc = dict(fan_exc)
-        if not multi_fan:
-            # single fan: everything lives in the default slot, so the
-            # only key is 0, as an int (not False or 0.0)
-            if set(exc) - {0} or type(*exc) is not int:
-                raise NotRepresentable("single-fan family has only fan 0")
-            fan_default = exc.pop(0)
-        # a plain loop: a generator expression here raised peak memory by ~1 MB
+    if exc:
+        # a plain loop: a generator expression here raised peak memory by
+        # ~1 MB.  The keys are checked before the sort, which compares
+        # distinct ints only
         items = []
-        for i in sorted(exc):
+        for i, r in exc.items():
             if type(i) is not int or i < 0:
                 raise NotRepresentable(f"fan index {i!r} is not a non-negative int")
-            r = exc[i]
+            if type(r) is not Region:
+                raise NotRepresentable(f"fan part {r!r} is not a Region")
             if r != fan_default:
                 items.append((i, r))
+        items.sort()
         items = tuple(items)
+    if type(spine) is not Region:
+        raise NotRepresentable(f"spine {spine!r} is not a Region")
     # meet with the carrier only when the spine leaves it: one more
     # Region per call costs the symbolic sweeps measurably
     if _leaves(spine, carrier):

@@ -16,10 +16,6 @@ theorem id and the kind of instance it takes; one case loop turns
 instances into cases, and the runner goes one poset at a time.  Checks
 over all nuclear subsets are capped at four points (the object count is
 exponential squared); purely structural checks run at the full bound.
-The mutations prove the suite can fail: each builds a broken ingredient
-of its own (a finite or fan engine subclass) and runs an unchanged
-registered check on it, which must produce at least one failed case
-with a witness.
 """
 
 from __future__ import annotations
@@ -46,12 +42,7 @@ from .errors import (
 )
 from .fans import (
     FAMILIES,
-    OmegaFansEngine,
-    Region,
-    TameSet,
-    _fan_indices,
     engine_for,
-    region_meet,
     tame_complement,
     tame_is_closed,
     tame_is_open,
@@ -963,74 +954,3 @@ def summarize(cases):
         "failures": failed,
     }
 
-
-# ---------------------------------------------------------------------
-# mutations: the suite must be able to fail
-# ---------------------------------------------------------------------
-
-
-def mutation_corrupt_d_table():
-    """Corrupt d on a finite engine through its closure, which sends the
-    whole space to a smaller upset; d-is-double-negation must fail."""
-    class WrongClosure(sp.FiniteEngine):
-        def closure(self, a):
-            return self.all_upsets()[1] if a == self.full else a
-
-    broken = WrongClosure(posets_up_to(2)[-1])
-    return CHECKS["d-is-double-negation"]([(broken.name, (broken,))])
-
-
-def mutation_drop_spine_link():
-    """Sever one fan-to-spine order pair in the omega family; the
-    published verdicts can no longer be reproduced."""
-    class DroppedSpineLink(OmegaFansEngine):
-        def _content_region(self, a):
-            # fan 0 no longer lies above its spine point
-            return region_meet(super()._content_region(a), Region(~1))
-
-    broken = DroppedSpineLink()
-    return CHECKS["fan-figures"]([(broken.name, (broken, DEFAULT_SEED))])
-
-
-def noncanonical_twin(a):
-    """A semantically equal TameSet with a redundant exception entry.
-
-    Bypasses the canonicalizing constructor on purpose: structural
-    equality must now disagree with pointwise equality, and the
-    canonical-form check in the verification suite has to flag it.
-    """
-    fresh = _fan_indices(a).bit_length()
-    return TameSet(
-        a.family, a.fan_default,
-        tuple(sorted(list(a.fan_exc) + [(fresh, a.fan_default)])),
-        a.spine, a.omega_star,
-    )
-
-
-def mutation_break_canonical_form():
-    """Inject a non-canonical tame set; the uniqueness check must flag it."""
-    class NoncanonicalSample(OmegaFansEngine):
-        def sample_clopen_upsets(self, count, seed=0):
-            samples = super().sample_clopen_upsets(count, seed=seed)
-            return samples + [noncanonical_twin(samples[1])]
-
-    broken = NoncanonicalSample()
-    return CHECKS["fan-tame-soundness"]([(broken.name, (broken, DEFAULT_SEED))])
-
-
-MUTATIONS = {
-    "corrupt-d-table": mutation_corrupt_d_table,
-    "drop-spine-link": mutation_drop_spine_link,
-    "break-canonical-form": mutation_break_canonical_form,
-}
-
-
-def run_mutations():
-    """Each shipped fault must produce at least one failed case with a
-    witness; the result maps mutation name to (caught, cases)."""
-    out = {}
-    for name, fn in sorted(MUTATIONS.items()):
-        cases = fn()
-        caught = any(not c.ok() and c.witness for c in cases)
-        out[name] = (caught, cases)
-    return out

@@ -40,7 +40,7 @@ from priestley import spectrum as sp
 from priestley.fans import FAMILIES, engine_for, tame_to_json
 from priestley.nuclei import all_nuclei
 from priestley.oracle import enumerate_posets
-from test_oracle import NUCLEI_FAULTS
+from test_oracle import ENGINE_FAULTS, NUCLEI_FAULTS
 from test_tame import sparse_sets
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -266,7 +266,7 @@ def _patched(module, name, replacement):
 
 def verify_golden():
     """Every case of the registry at bound 4, the failed cases (with
-    witnesses) under planted faults, and the shipped mutations."""
+    witnesses) under planted faults."""
     out = [f"# run_suite(bound={VERIFY_BOUND})\n"]
     out += [f"{c.theorem_id} | {c.instance} | {c.status}\n"
             for c in oracle.run_suite(bound=VERIFY_BOUND)]
@@ -284,10 +284,10 @@ def verify_golden():
         out.append(f"# fault spectrum.{name} on finite engines\n")
         with _patched(sp, name, _finite_only(getattr(sp, name), corrupt)):
             out += failures(finite)
-    out.append("# run_mutations()\n")
-    for name, (caught, cases) in oracle.run_mutations().items():
-        out += [f"{name} | caught={caught} | {c.theorem_id} | {c.instance} | "
-                f"{c.status} | {c.witness}\n" for c in cases]
+    for owner, name, fault, ids, _ in ENGINE_FAULTS:
+        out.append(f"# fault {owner.__name__.rpartition('.')[2]}.{name}\n")
+        with _patched(owner, name, fault):
+            out += failures(ids)
     return "".join(out)
 
 

@@ -10,6 +10,7 @@ from priestley import spectrum as sp
 from priestley.fans import (FAMILIES, FanEngine, OmegaFansEngine, Region, TameSet,
                             engine_for, region_meet)
 from priestley.errors import BoundExceeded, EmptySelection, UnknownTheoremId
+from test_tame import noncanonical_twin
 
 
 def test_poset_counts():
@@ -145,22 +146,36 @@ def test_an_internal_assertion_fails_its_case(monkeypatch):
         c.witness == "Y_d antichain test disagrees with max Y = Y_d" for c in failed)
 
 
-# Each fault changes one cached quantity and leaves alone at least one
-# side it is compared with, so a clean value kept from an earlier run
-# would hide it: the localic part changes Y_d (eqv-conditions-rmax compares
-# it with three other forms), closure changes the d table and d, and a
-# fan's content region changes the omega family's localic part and Y_d
-# (fan-figures compares the report with the published figures).
+# The planted engine faults, the only ones: each row replaces one engine
+# method or spectrum table, and names the ids it runs under and the ids
+# that must then fail with a witness.  The first three change one cached
+# quantity and leave alone at least one side it is compared with, so a
+# clean value kept from an earlier run would hide them: the localic part
+# changes Y_d (eqv-conditions-rmax compares it with three other forms),
+# closure changes the d table and d, and a fan's content region changes
+# the omega family's localic part and Y_d (fan-figures compares the report
+# with the published figures).  The last adds a sample that equals another
+# pointwise but not structurally.
 RUN_SCOPED_IDS = ["eqv-conditions-rmax", "unit-criteria", "d-is-double-negation"]
+
+
+def _samples_with_a_twin(E, count, seed=0):
+    samples = FanEngine.sample_clopen_upsets(E, count, seed=seed)
+    return samples + [noncanonical_twin(samples[1])]
+
+
 ENGINE_FAULTS = [
     (sp, "localic_part", lambda E: E.full & ~1, RUN_SCOPED_IDS,
      {"eqv-conditions-rmax", "unit-criteria"}),
+    # closure sends every nonempty upset to the whole space, so d does too
     (sp.FiniteEngine, "closure", lambda E, a: E.full if a else a, RUN_SCOPED_IDS,
      {"eqv-conditions-rmax", "d-is-double-negation"}),
-    # fan 0 no longer lies above its spine point, as in drop-spine-link
+    # fan 0 no longer lies above its spine point
     (OmegaFansEngine, "_content_region",
      lambda E, a: region_meet(FanEngine._content_region(E, a), Region(~1)),
      ["fan-figures"], {"fan-figures"}),
+    (OmegaFansEngine, "sample_clopen_upsets", _samples_with_a_twin,
+     ["fan-tame-soundness"], {"fan-tame-soundness"}),
 ]
 
 
@@ -173,6 +188,16 @@ def test_nothing_cached_outlives_a_run(monkeypatch, owner, name, fault, ids, cau
     failed = [c for c in oracle.run_suite(ids, bound=3) if not c.ok()]
     assert all(c.witness for c in failed)
     assert {c.theorem_id for c in failed} == caught
+
+
+def test_a_wrong_closure_names_the_upset(monkeypatch):
+    # d-is-double-negation's witness is the upset on which the three
+    # computations of d disagree
+    [(owner, name, fault, _, _)] = [f for f in ENGINE_FAULTS if f[1] == "closure"]
+    monkeypatch.setattr(owner, name, fault)
+    witnesses = [c.witness for c in oracle.run_suite(["d-is-double-negation"], bound=3)
+                 if not c.ok()]
+    assert witnesses and all(w[0] == "{" and w[-1] == "}" for w in witnesses)
 
 
 def test_a_run_builds_one_engine_and_one_y_d_per_poset(monkeypatch):

@@ -21,7 +21,9 @@ from priestley.fans import (
     OMEGA_STAR,
     Region,
     SymbolicPoint,
+    TameSet,
     _SHAPE,
+    _fan_indices,
     engine_for,
     fan_point,
     fan_star,
@@ -42,11 +44,25 @@ from priestley.fans import (
     tame_meet,
     tame_to_json,
 )
-from priestley.oracle import noncanonical_twin
 from priestley.poset import _mask
 
 
 _MULTI = ("omega_fans", "chain_fans")  # the families with many fans
+
+
+def noncanonical_twin(a):
+    """A set equal to ``a`` pointwise, with a redundant exception entry.
+
+    Bypasses the canonicalizing constructor on purpose: structural
+    equality must now disagree with pointwise equality, and the
+    canonical-form check in the verification suite has to flag it.
+    """
+    fresh = _fan_indices(a).bit_length()
+    return TameSet(
+        a.family, a.fan_default,
+        tuple(sorted(list(a.fan_exc) + [(fresh, a.fan_default)])),
+        a.spine, a.omega_star,
+    )
 
 
 def fins(*ks):
@@ -185,6 +201,21 @@ def test_make_tame_refuses_fan_indices_that_are_not_ints():
             make_tame(fam, fan_exc={index: fins(3)})
     with pytest.raises(NotRepresentable):
         make_tame("omega_fans", FULL_REGION, {2: fins(1), -1: FULL_REGION})
+    # keys that do not sort together are refused as indices, not by sorted
+    with pytest.raises(NotRepresentable, match="'a'"):
+        make_tame("omega_fans", fan_exc={"a": Region(1), 1: Region(1)})
+
+
+@pytest.mark.parametrize("family, fields", [
+    ("omega_fans", {"fan_exc": {1: 5}}),
+    ("omega_fans", {"fan_default": 5}),
+    ("omega_fans", {"spine": (3, True)}),
+    # a single fan's exception becomes its default
+    ("bare_fan", {"fan_exc": {0: (1, False)}}),
+], ids=["exception", "default", "spine", "single-fan-exception"])
+def test_make_tame_refuses_parts_that_are_not_regions(family, fields):
+    with pytest.raises(NotRepresentable, match="is not a Region"):
+        make_tame(family, **fields)
 
 
 def test_fan_plus_bottom_spine_normalized():
