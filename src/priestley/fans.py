@@ -325,17 +325,19 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
 
     This is the boundary: the engines' rules, the samplers and
     ``point_set`` all build through here.  It checks the family, that
-    every fan part and the spine are Regions, the fan indices, the spine
-    carrier and the blob, folds a single-fan family's exceptions into
-    the default, sorts the exceptions and drops those equal to the
-    default.  The four algebra operations below take canonical operands
-    and build canonical results directly, without coming back through
-    here.
+    every fan part and the spine are Regions, the fan indices (none
+    repeated), the spine carrier and the blob flag (a bool), folds a
+    single-fan family's exceptions into the default, sorts the
+    exceptions and drops those equal to the default.  The four algebra
+    operations below take canonical operands and build canonical
+    results directly, without coming back through here.
     """
     if family not in _SHAPE:
         raise FamilyMismatch(f"unknown family {family!r}")
     multi_fan, carrier, blob = _SHAPE[family]
     exc = dict(fan_exc) if fan_exc else None
+    if exc and len(exc) != len(fan_exc):
+        raise NotRepresentable(f"a fan index is repeated in {fan_exc!r}")
     if exc and not multi_fan:
         # single fan: everything lives in the default slot, so the
         # only key is 0, as an int (not False or 0.0)
@@ -367,9 +369,11 @@ def make_tame(family, fan_default=EMPTY_REGION, fan_exc=None,
         if carrier.is_empty():
             raise NotRepresentable(f"{family} has no spine")
         spine = region_meet(spine, carrier)
+    if type(omega_star) is not bool:
+        raise NotRepresentable(f"blob flag {omega_star!r} is not a bool")
     if omega_star and not blob:
         raise NotRepresentable(f"{family} has no top blob")
-    return TameSet(family, fan_default, items, spine, bool(omega_star))
+    return TameSet(family, fan_default, items, spine, omega_star)
 
 
 def tame_empty(family):

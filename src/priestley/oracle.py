@@ -12,10 +12,12 @@ regular) — the collapsed form and the literal form are always computed
 separately and compared.
 
 Each check is written once, for one instance, and registered with its
-theorem id and the kind of instance it takes; one case loop turns
-instances into cases, and the runner goes one poset at a time.  Checks
-over all nuclear subsets are capped at four points (the object count is
-exponential squared); purely structural checks run at the full bound.
+theorem id and the kind of instance it takes.  It returns None when its
+identity holds, or the witness of the first counterexample it meets;
+one case loop turns instances into cases, and the runner goes one poset
+at a time.  Checks over all nuclear subsets are capped at four points
+(the object count is exponential squared); purely structural checks run
+at the full bound.
 """
 
 from __future__ import annotations
@@ -125,33 +127,39 @@ def posets_up_to(bound):
 
 CHECKS = {}
 KINDS = {}
+INSTANCE_KINDS = ("poset", "lattice", "engine", "nuclei", "fan")
 
 
 def _cases(tid, check, instances):
-    """One case per (label, args) instance: ``check(*args)`` gives
-    ``(ok, witness)``, or None for no case.  An error raised while
-    checking one instance fails that case with the message as witness."""
+    """One case per (label, args) instance: verified when ``check(*args)``
+    returns None, else failed with the returned witness.  An error raised
+    while checking one instance fails that case with its message."""
     cases = []
     for label, args in instances:
         try:
-            result = check(*args)
+            witness = check(*args)
         except (WorkbenchError, ValueError) as e:
-            result = False, str(e)
-        if result is not None:
-            ok, witness = result
-            cases.append(TheoremCase(tid, label, "verified" if ok else "failed",
-                                     None if ok else witness))
+            witness = str(e)
+        status = "verified" if witness is None else "failed"
+        cases.append(TheoremCase(tid, label, status, witness))
     return cases
 
 
 def _register(tid, kind):
-    """Register a per-instance check under ``tid``: ``CHECKS[tid]`` maps
-    a list of (label, args) instances to the check's cases on them, and
-    ``KINDS[tid]`` says what :func:`run_suite` passes as args: the poset
-    (``"poset"``), its ``FiniteEngine`` (``"engine"``), a poset of at
-    most ``NUCLEI_BOUND`` points, whose nuclei the check reads from
+    """Register a check of one instance under ``tid``.  It returns None
+    when the identity holds there, or the witness of the first
+    counterexample it meets.  ``CHECKS[tid]`` maps a list of (label,
+    args) instances to its cases, and ``KINDS[tid]``, one of
+    ``INSTANCE_KINDS`` (another kind raises ValueError), says what
+    :func:`run_suite` passes as args: the poset (``"poset"``), the
+    poset as a ``DistLattice`` when it is one (``"lattice"``), its
+    ``FiniteEngine`` (``"engine"``), a poset of at most
+    ``NUCLEI_BOUND`` points, whose nuclei the check reads from
     :func:`_nuclei_of_subsets` (``"nuclei"``), or a fan engine and the
-    sample seed (``"fan"``).  The check itself is returned unchanged."""
+    sample seed (``"fan"``).  The check is returned unchanged."""
+    if kind not in INSTANCE_KINDS:
+        raise ValueError(f"unknown instance kind {kind!r} for {tid!r}")
+
     def register(check):
         KINDS[tid] = kind
         CHECKS[tid] = functools.partial(_cases, tid, check)
@@ -160,9 +168,15 @@ def _register(tid, kind):
 
 
 def _instances(P, kinds):
-    """The instances of the given kinds that poset P yields, by kind."""
+    """The instances of the given kinds that poset P yields, by kind: a
+    poset that is not a lattice yields no ``"lattice"`` instance."""
     label = repr(P)
     out = {"poset": [(label, (P,))]}
+    if "lattice" in kinds:
+        try:
+            out["lattice"] = [(label, (validate_lattice(P),))]
+        except WorkbenchError:
+            pass
     if "engine" in kinds:
         E = sp.FiniteEngine(P)
         out["engine"] = [(E.name, (E,))]
@@ -182,30 +196,20 @@ def check_duality_round_trip(P):
     # space -> lattice -> space: x maps to the principal upset of x
     L = clopen_upset_lattice(P)
     X2, ji = prime_filters(L)
-    send = {}
-    ok = X2.n == P.n
-    if ok:
-        member_index = upset_index(L.space)
-        dual_index = {e: i for i, e in enumerate(ji)}
-        for x in range(P.n):
-            e = member_index.get(P.up[x])
-            if e is None or e not in dual_index:
-                ok = False
-                break
-            send[x] = dual_index[e]
-        ok = ok and sorted(send.values()) == list(range(P.n))
-    if ok:
-        for x in range(P.n):
-            for y in range(P.n):
-                if P.le(x, y) != X2.le(send[x], send[y]):
-                    ok = False
-    if not ok:
-        return False, "space round trip failed"
+    member_index = upset_index(L.space)
+    dual_index = {e: i for i, e in enumerate(ji)}
+    send = [dual_index.get(member_index.get(P.up[x])) for x in range(P.n)]
+    if X2.n != P.n or set(send) != set(range(P.n)):
+        return "space round trip failed"
+    for x in range(P.n):
+        for y in range(P.n):
+            if P.le(x, y) != X2.le(send[x], send[y]):
+                return "space round trip failed"
     # lattice -> space -> lattice, when the poset is a lattice
     try:
         D = validate_lattice(P)
     except WorkbenchError:
-        return True, None
+        return None
     E = clopen_upset_lattice(priestley_dual(D))
     idx = upset_index(E.space)
     try:
@@ -213,8 +217,7 @@ def check_duality_round_trip(P):
     except KeyError:
         snd = None
     if snd is None or sorted(snd) != list(range(E.n)):
-        return False, "stone map is not a bijection"
-    witness = None
+        return "stone map is not a bijection"
     for a in range(D.n):
         for b in range(D.n):
             if (
@@ -222,37 +225,27 @@ def check_duality_round_trip(P):
                 or snd[D.meet[a][b]] != E.meet[snd[a]][snd[b]]
                 or snd[D.join[a][b]] != E.join[snd[a]][snd[b]]
             ):
-                witness = f"table mismatch at {a},{b}"
-    return witness is None, witness
+                return f"table mismatch at {a},{b}"
 
 
-@_register("stone-embedding", "poset")
-def check_stone_embedding(P):
-    """The Stone map of a lattice is an order embedding (no case for a
-    poset that is not a lattice)."""
-    try:
-        D = validate_lattice(P)
-    except WorkbenchError:
-        return None
-    ok, witness = True, None
+@_register("stone-embedding", "lattice")
+def check_stone_embedding(D):
+    """The Stone map of a lattice is an order embedding."""
     images = [stone_map(D, a).mask for a in range(D.n)]
     for a, phi_a in enumerate(images):
         for b, phi_b in enumerate(images):
             if D.le(a, b) != (phi_a & ~phi_b == 0):
-                ok, witness = False, f"elements {D.labels[a]},{D.labels[b]}"
-    return ok, witness
+                return f"elements {D.labels[a]},{D.labels[b]}"
 
 
 @_register("priestley-separation", "poset")
 def check_priestley_separation(P):
-    ok, witness = True, None
     for x in range(P.n):
         for y in range(P.n):
             if not P.le(x, y):
                 u = P.up[x]
                 if not u >> x & 1 or u >> y & 1:
-                    ok, witness = False, f"{P.labels[x]} vs {P.labels[y]}"
-    return ok, witness
+                    return f"{P.labels[x]} vs {P.labels[y]}"
 
 
 @_register("join-meet-formulas", "engine")
@@ -261,7 +254,6 @@ def check_join_meet_formulas(E):
     in the finite case both collapse to union and intersection.  Each
     formula is computed once per distinct argument mask and every pair
     compared by lookup."""
-    ok, witness = True, None
     ups = E.all_upsets()
     closure = {w: E.closure(w) for w in {u | v for u in ups for v in ups}}
     interior = {w: E.full & ~E.down(E.full & ~w)
@@ -269,12 +261,9 @@ def check_join_meet_formulas(E):
     for u in ups:
         for v in ups:
             if closure[u | v] != (u | v):
-                ok, witness = False, "join formula"
+                return "join formula"
             if interior[u & v] != u & v:
-                ok, witness = False, (
-                    f"meet formula at {E.describe_set(u)}, {E.describe_set(v)}"
-                )
-    return ok, witness
+                return f"meet formula at {E.describe_set(u)}, {E.describe_set(v)}"
 
 
 @_register("heyting-adjunction", "engine")
@@ -286,7 +275,6 @@ def check_heyting_adjunction(E):
     point p) over the points of m, tabulated once for every m.  U* is
     compared with the largest upset disjoint from U, the union of the
     upsets in ``avoiding[U]``."""
-    ok, witness = True, None
     ups = E.all_upsets()
     pc = lambda a: E.full & ~E.down(a)
     imp = lambda a, b: E.full & ~E.down(a & ~b)
@@ -303,13 +291,10 @@ def check_heyting_adjunction(E):
     implied = {w: imp(w, 0) for w in {u & ~v for u in ups for v in ups}}
     for u in ups:
         if pc(u) != _mask_union(ups, avoiding[u]):
-            ok, witness = False, f"U* != U -> empty at {E.describe_set(u)}"
+            return f"U* != U -> empty at {E.describe_set(u)}"
         for v in ups:
             if avoiding[u & ~v] != avoiding[E.full & ~implied[u & ~v]]:
-                ok, witness = False, (
-                    f"adjunction at {E.describe_set(u)}, {E.describe_set(v)}"
-                )
-    return ok, witness
+                return f"adjunction at {E.describe_set(u)}, {E.describe_set(v)}"
 
 
 @_table
@@ -324,69 +309,58 @@ def _nuclei_of_subsets(P):
 
 @_register("nuclei-galois", "nuclei")
 def check_nuclei_galois(P):
-    ok, witness = True, None
     for members, j in _nuclei_of_subsets(P):
         if nuclear_of_nucleus(j).mask != members:
-            ok, witness = False, f"subset {list(_bits(members))}"
+            return f"subset {list(_bits(members))}"
         if nucleus_of_nuclear(nuclear_of_nucleus(j)) != j:
-            ok, witness = False, f"nucleus of {list(_bits(members))}"
-    return ok, witness
+            return f"nucleus of {list(_bits(members))}"
 
 
 @_register("nuclei-order-reversal", "nuclei")
 def check_nuclei_order_reversal(P):
-    ok, witness = True, None
     js = [j for _, j in _nuclei_of_subsets(P)]
     for a in range(1 << P.n):
         for b in range(1 << P.n):
             if (a & ~b == 0) != js[b].leq(js[a]):
-                ok, witness = False, f"{list(_bits(a))} vs {list(_bits(b))}"
-    return ok, witness
+                return f"{list(_bits(a))} vs {list(_bits(b))}"
 
 
 @_register("upset-Nj-eq-Fj", "nuclei")
 def check_upset_nj_eq_fj(P):
     """The admissible upset of a nucleus is the up-closure of its nuclear set."""
-    ok, witness = True, None
     up = closure_tables(P).up
     for members, j in _nuclei_of_subsets(P):
         try:
             h = admissible_upset(j)
         except InternalAssertionError:
-            ok, witness = False, f"subset {list(_bits(members))}"
-            continue
+            return f"subset {list(_bits(members))}"
         if _mask(h) != up[members]:
-            ok, witness = False, f"subset {list(_bits(members))}"
-    return ok, witness
+            return f"subset {list(_bits(members))}"
 
 
 @_register("dense-iff-cofinal", "nuclei")
 def check_dense_iff_cofinal(P):
-    ok, witness = True, None
     maxx = _mask(extrema(P, range(P.n), "max"))
     for members, j in _nuclei_of_subsets(P):
         dense = j.masks[0] == 0
         cofinal = maxx & ~members == 0
         if dense != cofinal:
-            ok, witness = False, f"subset {list(_bits(members))}"
-    return ok, witness
+            return f"subset {list(_bits(members))}"
 
 
 @_register("max-least-cofinal", "nuclei")
 def check_max_least_cofinal(P):
     """max X is a nuclear set, cofinal, and contained in every cofinal one."""
-    ok, witness = True, None
     maxx = _mask(extrema(P, range(P.n), "max"))
     if nuclear_of_nucleus(double_negation(P)).mask != maxx:
-        ok, witness = False, "double negation nuclear set"
+        return "double negation nuclear set"
     for members, j in _nuclei_of_subsets(P):
         if maxx & ~members == 0:
             continue
         # not cofinal: fine; cofinal ones must contain max X, which
         # is immediate from the definition, so check the dense side
         if density_check(j)["dense"]:
-            ok, witness = False, f"dense nucleus from {list(_bits(members))}"
-    return ok, witness
+            return f"dense nucleus from {list(_bits(members))}"
 
 
 @_register("booleanization-sublocale", "nuclei")
@@ -395,34 +369,28 @@ def check_booleanization(P):
     try:
         booleans = {_mask(u) for u in booleanization(P)}
     except InternalAssertionError:
-        return False, "sublocale laws"
-    ok, witness = True, None
+        return "sublocale laws"
     for members, j in _nuclei_of_subsets(P):
         if density_check(j)["dense"]:
             fix = {u for u, v in j.masks.items() if u == v}
             if not booleans <= fix:
-                ok, witness = False, f"dense nucleus from {list(_bits(members))}"
-    return ok, witness
+                return f"dense nucleus from {list(_bits(members))}"
 
 
 @_register("lemma-nj-restrict", "nuclei")
 def check_lemma_nj_restrict(P):
     """U and jU agree when restricted to the nuclear set."""
-    ok, witness = True, None
     for members, j in _nuclei_of_subsets(P):
         for u, v in j.masks.items():
             if u & members != v & members:
-                ok, witness = False, f"{list(_bits(members))} at {list(_bits(u))}"
-    return ok, witness
+                return f"{list(_bits(members))} at {list(_bits(u))}"
 
 
 @_register("sublocale-roundtrip", "nuclei")
 def check_sublocale_roundtrip(P):
-    ok, witness = True, None
     for members, j in _nuclei_of_subsets(P):
         if nucleus_of_sublocale(P, sublocale_of_nucleus(j)) != j:
-            ok, witness = False, f"subset {list(_bits(members))}"
-    return ok, witness
+            return f"subset {list(_bits(members))}"
 
 
 @_register("inductive-core-collapse", "nuclei")
@@ -431,19 +399,17 @@ def check_inductive_core_collapse(P):
     both sides: up(F & N) is a Scott upset for every Scott upset F, and
     jU equals the closure of the union of jV over upsets V inside U (a
     lower-cover union, :func:`sub_upset_unions`)."""
-    ok, witness = True, None
     ups = upset_masks(P)
     up = closure_tables(P).up
     for members, j in _nuclei_of_subsets(P):
         for f in ups:
             lifted = up[f & members]
             if up[lifted] != lifted:
-                ok, witness = False, f"{list(_bits(members))}, F={list(_bits(f))}"
+                return f"{list(_bits(members))}, F={list(_bits(f))}"
         images = list(j.masks.values())
         for u, union, image in zip(ups, sub_upset_unions(P, images), images):
             if union != image:
-                ok, witness = False, f"{list(_bits(members))}, U={list(_bits(u))}"
-    return ok, witness
+                return f"{list(_bits(members))}, U={list(_bits(u))}"
 
 
 @_table
@@ -470,33 +436,30 @@ def _d_fixed_upsets(E, ups, table):
 @_register("d-is-double-negation", "engine")
 def check_d_is_double_negation(E):
     """The three computations of d agree: union form, U**, cl(core_d)."""
-    ok, witness = True, None
     table = _d_table(E)
     for u in E.all_upsets():
         a, b, c = table[u], sp.double_neg(E, u), sp.d_apply(E, u)
         if not (a == b == c):
-            ok, witness = False, E.describe_set(u)
-    return ok, witness
+            return E.describe_set(u)
 
 
 @_register("d-nucleus-laws", "engine")
 def check_d_nucleus_laws(E):
     """The d table is a dense nucleus (validated through the nucleus
     axioms, not assumed)."""
-    return density_check(Nucleus(E.poset, _d_table(E)))["dense"], "d is not dense"
+    if not density_check(Nucleus(E.poset, _d_table(E)))["dense"]:
+        return "d is not dense"
 
 
 @_register("core-d-forms", "engine")
 def check_core_d_forms(E):
     """Pointwise d-core equals the union of dV over upsets V inside U."""
-    ok, witness = True, None
     ups = E.all_upsets()
     table = _d_table(E)
     unions = sub_upset_unions(E.poset, [table[u] for u in ups])
     for u, union in zip(ups, unions):
         if union != sp.core_d(E, u):
-            ok, witness = False, E.describe_set(u)
-    return ok, witness
+            return E.describe_set(u)
 
 
 @_register("eqv-conditions-rmax", "engine")
@@ -523,16 +486,16 @@ def check_eqv_conditions_rmax(E):
             c3 |= 1 << x
     # (4) singleton maximum below some maximal point
     c4 = sp.yd_set(E)
-    return c1 == c2 == c3 == c4, (
-        f"(1)={E.describe_set(c1)} (2)={E.describe_set(c2)} "
-        f"(3)={E.describe_set(c3)} (4)={E.describe_set(c4)}"
-    )
+    if not c1 == c2 == c3 == c4:
+        return (f"(1)={E.describe_set(c1)} (2)={E.describe_set(c2)} "
+                f"(3)={E.describe_set(c3)} (4)={E.describe_set(c4)}")
 
 
 @_register("max-y-in-yd", "engine")
 def check_max_y_in_yd(E):
     maxy = sp.maximal_of(E, sp.localic_part(E))
-    return maxy & ~sp.yd_set(E) == 0, E.describe_set(maxy)
+    if maxy & ~sp.yd_set(E):
+        return E.describe_set(maxy)
 
 
 def _subposet(P, members):
@@ -559,27 +522,23 @@ def check_regularity_equivalences(E):
                 regpart |= v
         if regpart != u:
             lreg = False
-    ok = reg["antichain"] == reg["max_y_equals_yd"] == lreg
-    return ok, f"suite={reg}, l_regular={lreg}"
+    if not reg["antichain"] == reg["max_y_equals_yd"] == lreg:
+        return f"suite={reg}, l_regular={lreg}"
 
 
 @_register("min-yd-max-d-upsets", "engine")
 def check_min_yd_max_d_upsets(E):
     """Maximal proper d-fixed upsets are exactly the complements of
     downsets of min Y_d points, bijectively."""
-    ok, witness = True, None
     _, maximal = _d_fixed_upsets(E, E.all_upsets(), _d_table(E))
     expected = sp.maximal_d_upsets(E)
     if sorted(maximal) != sorted(expected):
-        ok, witness = False, (
-            f"maximal={[E.describe_set(u) for u in maximal]} "
-            f"expected={[E.describe_set(u) for u in expected]}"
-        )
+        return (f"maximal={[E.describe_set(u) for u in maximal]} "
+                f"expected={[E.describe_set(u) for u in expected]}")
     if len(expected) != len(set(expected)) or len(expected) != bin(
         sp.min_yd(E)
     ).count("1"):
-        ok, witness = False, "not a bijection"
-    return ok, witness
+        return "not a bijection"
 
 
 @_register("min-yd-homeomorphism", "engine")
@@ -592,8 +551,8 @@ def check_min_yd_homeomorphism(E):
     image = {y: E.diff(E.full, E.down(E.point_set(y))) for y in points}
     subspace_opens = {u & m for u in ups}
     hull_kernel_opens = {_mask(y for y in points if u & ~image[y] != 0) for u in ups}
-    return (subspace_opens == hull_kernel_opens,
-            f"open families differ on {E.describe_set(m)}")
+    if subspace_opens != hull_kernel_opens:
+        return f"open families differ on {E.describe_set(m)}"
 
 
 @_register("rho-forms", "engine")
@@ -601,7 +560,6 @@ def check_rho_forms(E):
     """Three computations of rho agree and its nuclear set is cl(min Y_d):
     the closure-of-union display, the nucleus of the nuclear set, and
     the meet over the maximal d-fixed upsets above the argument."""
-    ok, witness = True, None
     m = sp.min_yd(E)
     maxd = sp.maximal_d_upsets(E)
     ups = E.all_upsets()
@@ -618,12 +576,10 @@ def check_rho_forms(E):
             if u & ~w == 0:
                 meet_form &= w
         if not (display == via_nuclear == meet_form):
-            ok, witness = False, E.describe_set(u)
+            return E.describe_set(u)
         table[u] = via_nuclear
-    if not ok:
-        return ok, witness
-    j = Nucleus(E.poset, table)
-    return nuclear_of_nucleus(j).mask == E.closure(m), "nuclear set of rho"
+    if nuclear_of_nucleus(Nucleus(E.poset, table)).mask != E.closure(m):
+        return "nuclear set of rho"
 
 
 @_register("compacts-d-initial", "engine")
@@ -631,7 +587,6 @@ def check_compacts_d_initial(E):
     """Subsets of min Y_d (all compact here) correspond to d-initial
     Scott upsets by K -> up(K), an order isomorphism; the d-initial
     Scott upsets are enumerated independently."""
-    ok, witness = True, None
     m = sp.min_yd(E)
     d_initial = [
         f for f in E.all_upsets()
@@ -647,16 +602,15 @@ def check_compacts_d_initial(E):
         ks.append(k)
     images = [E.up(k) for k in ks]
     if sorted(images) != sorted(d_initial):
-        ok, witness = False, "families differ"
+        return "families differ"
     pairs = list(zip(ks, images))
     for k, up_k in pairs:
         if up_k & m != k:
-            ok, witness = False, f"K={E.describe_set(k)}"
+            return f"K={E.describe_set(k)}"
     for a, up_a in pairs:
         for b, up_b in pairs:
             if (a & ~b == 0) != (up_a & ~up_b == 0):
-                ok, witness = False, "order not preserved"
-    return ok, witness
+                return "order not preserved"
 
 
 @_register("max-bounded-iff-d-initial", "engine")
@@ -666,7 +620,8 @@ def check_max_bounded_iff_d_initial(E):
     literal = all(
         any(u & ~w == 0 for w in maximal) for u in proper
     )
-    return literal == sp.max_bounded(E), f"literal={literal}"
+    if literal != sp.max_bounded(E):
+        return f"literal={literal}"
 
 
 @_register("unit-criteria", "engine")
@@ -674,7 +629,6 @@ def check_unit_criteria(E):
     """Units: a cofinal clopen Scott upset exists iff one contains Y_d;
     both imply up(min Y_d) is a Scott upset; with N_d d-initial all the
     conditions coincide (always the case on finite spaces)."""
-    ok, witness = True, None
     ups = E.all_upsets()
     maxx = sp.max_set(E)
     yd = sp.yd_set(E)
@@ -688,18 +642,16 @@ def check_unit_criteria(E):
     search = sp.unit_search(E)["status"] == "witness"
     ndd = sp.max_bounded(E)
     if not (cofinal_exists == over_yd_exists == search):
-        ok, witness = False, "unit characterizations disagree"
+        return "unit characterizations disagree"
     if cofinal_exists and not upmin_scott:
-        ok, witness = False, "unit without compactness"
+        return "unit without compactness"
     if ndd and (upmin_scott != cofinal_exists):
-        ok, witness = False, "d-initial equivalence fails"
-    return ok, witness
+        return "d-initial equivalence fails"
 
 
 @_register("t1-min-yd", "engine")
 def check_t1_min_yd(E):
     """Distinct points of min Y_d are separated by subspace opens."""
-    ok, witness = True, None
     ups = E.all_upsets()
     pts = E.member_reps(sp.min_yd(E))
     for a in pts:
@@ -707,23 +659,20 @@ def check_t1_min_yd(E):
             if a == b:
                 continue
             if not any(u >> a & 1 and not u >> b & 1 for u in ups):
-                ok, witness = False, f"{a} vs {b}"
-    return ok, witness
+                return f"{a} vs {b}"
 
 
 @_register("arithmetic-core-law", "engine")
 def check_arithmetic_core_law(E):
     """Cores are dense and distribute over intersections (literal form)."""
-    ok, witness = True, None
     ups = E.all_upsets()
     cores = [E.core(u) for u in ups]
     for u, core_u in zip(ups, cores):
         if E.closure(core_u) != u:
-            ok, witness = False, E.describe_set(u)
+            return E.describe_set(u)
         for v, core_v in zip(ups, cores):
             if core_u & core_v != E.core(u & v):
-                ok, witness = False, "core meet law"
-    return ok, witness
+                return "core meet law"
 
 
 # ---------------------------------------------------------------------
@@ -753,41 +702,37 @@ def check_fan_d_laws(E, seed):
     for u in distinct:
         du = d_of(u)
         if not sp.subset(E, u, du):
-            return False, f"not inflationary at {E.describe_set(u)}"
+            return f"not inflationary at {E.describe_set(u)}"
         if d_of(du) != du:
-            return False, f"not idempotent at {E.describe_set(u)}"
+            return f"not idempotent at {E.describe_set(u)}"
         if du != E.diff(E.full, E.down(E.diff(nd, u))):
-            return False, f"nuclear form differs at {E.describe_set(u)}"
+            return f"nuclear form differs at {E.describe_set(u)}"
         scott = E.clop_sup_test(u)
         if scott != sp.scott_upset_flag(E, u):
-            return False, f"Scott test differs at {E.describe_set(u)}"
+            return f"Scott test differs at {E.describe_set(u)}"
         if scott and du != sp.double_neg(E, u):
-            return False, f"dU != U** at {E.describe_set(u)}"
+            return f"dU != U** at {E.describe_set(u)}"
     head = samples[:12]
     pairs = [(u, v, E.meet(u, v)) for u in head for v in head]
-    witness = None
     for (u, v, uv), (du, dv) in zip(pairs, product([d[u] for u in head], repeat=2)):
         if d_of(uv) != E.meet(du, dv):
-            witness = f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
-    if witness is not None:
-        return False, witness
+            return f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
     if d_of(E.empty) != E.empty:
-        return False, "d is not dense"
+        return "d is not dense"
     # a Scott upset is the upset of its minimal points, all localic
     Y = sp.localic_part(E)
     for u in distinct:
         cu = core[u] = E.core(u)
         if E.closure(cu) != u:
-            return False, f"core not dense at {E.describe_set(u)}"
+            return f"core not dense at {E.describe_set(u)}"
         if not sp.subset(E, cu, E.up(E.meet(cu, Y))):
-            return False, f"core not generated by localic points at {E.describe_set(u)}"
+            return f"core not generated by localic points at {E.describe_set(u)}"
     for (u, v, uv), (cu, cv) in zip(pairs, product([core[u] for u in head], repeat=2)):
         cuv = core.get(uv)
         if cuv is None:
             cuv = core[uv] = E.core(uv)
         if cuv != E.meet(cu, cv):
-            return False, f"core meet law at {E.describe_set(u)} & {E.describe_set(v)}"
-    return True, None
+            return f"core meet law at {E.describe_set(u)} & {E.describe_set(v)}"
 
 
 _EXPECTED_FIGURES = {
@@ -820,7 +765,8 @@ def check_fan_figures(E, seed):
     r = sp.spectrum_report(E)
     expected = _EXPECTED_FIGURES[E.family]
     diffs = {k: (getattr(r, k), v) for k, v in expected.items() if getattr(r, k) != v}
-    return not diffs, f"got!=expected: {diffs}"
+    if diffs:
+        return f"got!=expected: {diffs}"
 
 
 @_register("fan-tame-soundness", "fan")
@@ -835,10 +781,9 @@ def check_fan_tame_soundness(E, seed):
             twin.member(p) == a.member(p)
             for p in full_reps + E.member_reps(a)
         ):
-            return False, f"canonical forms differ for equal sets: {E.describe_set(a)}"
+            return f"canonical forms differ for equal sets: {E.describe_set(a)}"
         if not tame_is_open(a) or not tame_is_closed(a):
-            return False, f"sample not clopen: {E.describe_set(a)}"
-    ok, witness = True, None
+            return f"sample not clopen: {E.describe_set(a)}"
     complements = {a: tame_complement(a) for a in dict.fromkeys(samples[:10])}
     # the classes of each operand and of its complement, with the
     # operand's membership there: finer than the classes of a join,
@@ -848,7 +793,7 @@ def check_fan_tame_soundness(E, seed):
         classes[a] = [(p, a.member(p)) for p in E.member_reps(a) + E.member_reps(c)]
         for p, in_a in classes[a]:
             if c.member(p) == in_a:
-                ok, witness = False, f"complement at {p}"
+                return f"complement at {p}"
     # joins repeat, so each distinct join's classes are listed once
     join_reps = {}
     for a in samples[:10]:
@@ -861,19 +806,18 @@ def check_fan_tame_soundness(E, seed):
             for p in join_reps[j]:
                 in_a, in_b = a.member(p), b.member(p)
                 if m.member(p) != (in_a and in_b):
-                    ok, witness = False, f"meet at {p}"
+                    return f"meet at {p}"
                 if j.member(p) != (in_a or in_b):
-                    ok, witness = False, f"join at {p}"
+                    return f"join at {p}"
                 if c.member(p) == in_a:
-                    ok, witness = False, f"complement at {p}"
+                    return f"complement at {p}"
             for x, y in ((a, b), (b, a)):
                 for p, in_x in classes[x]:
                     in_y = y.member(p)
                     if m.member(p) != (in_x and in_y):
-                        ok, witness = False, f"meet at {p}"
+                        return f"meet at {p}"
                     if j.member(p) != (in_x or in_y):
-                        ok, witness = False, f"join at {p}"
-    return ok, witness
+                        return f"join at {p}"
 
 
 # ---------------------------------------------------------------------
@@ -916,7 +860,8 @@ def run_suite(theorem_ids=None, bound=DEFAULT_BOUND, seed=DEFAULT_SEED,
         if tid not in CHECKS:
             raise UnknownTheoremId(f"unknown theorem id {tid!r}")
     kinds = {KINDS[tid] for tid in theorem_ids}
-    top = bound if kinds & {"poset", "engine"} else NUCLEI_BOUND if "nuclei" in kinds else 0
+    top = (bound if kinds & {"poset", "lattice", "engine"}
+           else NUCLEI_BOUND if "nuclei" in kinds else 0)
     t0 = time.perf_counter()
     posets = posets_up_to(min(bound, top))
     enumerate_s = time.perf_counter() - t0

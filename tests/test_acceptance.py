@@ -257,5 +257,5 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
     detail = f"{len(ENGINE_FAULTS)} faults, {elapsed:.1f}s"
     if missed:
         detail += f"; missed: {missed}"
-    _report(10, "each planted engine fault trips the suite with a witness",
+    _report(10, "each planted fault trips the suite with a witness",
             not missed, detail)

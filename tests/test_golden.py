@@ -40,7 +40,7 @@ from priestley import spectrum as sp
 from priestley.fans import FAMILIES, engine_for, tame_to_json
 from priestley.nuclei import all_nuclei
 from priestley.oracle import enumerate_posets
-from test_oracle import ENGINE_FAULTS, NUCLEI_FAULTS
+from test_oracle import ENGINE_FAULTS
 from test_tame import sparse_sets
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -152,27 +152,6 @@ def nuclei_golden():
     return "".join(out)
 
 
-def _finite_only(fn, corrupt):
-    """``fn`` with its result corrupted on finite engines only; the fan
-    engines share ``spectrum`` and stay intact."""
-    def broken(E, *args):
-        out = fn(E, *args)
-        return corrupt(E, out) if isinstance(E, sp.FiniteEngine) else out
-    return broken
-
-
-# spectrum name -> corruption of its finite result; none of them makes a
-# check raise, so each shows up as failed cases with witnesses
-SPECTRUM_FAULTS = {
-    "yd_set": lambda E, y: y | 1,
-    "min_yd": lambda E, m: m ^ 1,
-    "core_d": lambda E, c: c ^ 1,
-    "rho_apply": lambda E, r: r ^ 1,
-    "maximal_d_upsets": lambda E, f: f[1:],
-    "unit_search": lambda E, r: {
-        **r, "status": "refutation" if r["status"] == "witness" else "witness"},
-}
-
 VERIFY_BOUND = 4
 
 
@@ -265,29 +244,16 @@ def _patched(module, name, replacement):
 
 
 def verify_golden():
-    """Every case of the registry at bound 4, the failed cases (with
-    witnesses) under planted faults."""
+    """Every case of the registry at bound 4, and the failed cases (with
+    witnesses) under each planted fault of ``ENGINE_FAULTS``."""
     out = [f"# run_suite(bound={VERIFY_BOUND})\n"]
     out += [f"{c.theorem_id} | {c.instance} | {c.status}\n"
             for c in oracle.run_suite(bound=VERIFY_BOUND)]
-
-    def failures(ids):
-        return [f"{c.theorem_id} | {c.instance} | {c.witness}\n"
-                for c in oracle.run_suite(ids, bound=VERIFY_BOUND) if not c.ok()]
-
-    for tid, name, fault in NUCLEI_FAULTS:
-        out.append(f"# fault {tid}: oracle.{name}\n")
-        with _patched(oracle, name, fault(getattr(oracle, name))):
-            out += failures([tid])
-    finite = [t for t in sorted(oracle.CHECKS) if not t.startswith("fan-")]
-    for name, corrupt in SPECTRUM_FAULTS.items():
-        out.append(f"# fault spectrum.{name} on finite engines\n")
-        with _patched(sp, name, _finite_only(getattr(sp, name), corrupt)):
-            out += failures(finite)
     for owner, name, fault, ids, _ in ENGINE_FAULTS:
         out.append(f"# fault {owner.__name__.rpartition('.')[2]}.{name}\n")
         with _patched(owner, name, fault):
-            out += failures(ids)
+            out += [f"{c.theorem_id} | {c.instance} | {c.witness}\n"
+                    for c in oracle.run_suite(ids, bound=VERIFY_BOUND) if not c.ok()]
     return "".join(out)
 
 

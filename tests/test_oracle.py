@@ -48,6 +48,15 @@ def test_a_bare_string_of_ids_raises_before_any_check_runs(monkeypatch):
     assert ran == []
 
 
+def test_a_check_of_an_unknown_kind_is_refused():
+    # a kind run_suite never builds would run nowhere and report 0/0
+    checks, kinds = dict(oracle.CHECKS), dict(oracle.KINDS)
+    with pytest.raises(ValueError, match="'enigne'"):
+        oracle._register("typo-kind", "enigne")(lambda E: "x")
+    assert oracle.CHECKS == checks and oracle.KINDS == kinds
+    assert set(kinds.values()) == set(oracle.INSTANCE_KINDS)
+
+
 def test_an_empty_selection_raises():
     with pytest.raises(EmptySelection):
         oracle.run_suite([])
@@ -88,42 +97,6 @@ def test_small_bound_suite_green():
     assert s["total"] > 0
 
 
-def _drop_point_zero(fn):
-    """Wrap a nuclear-set consumer or producer so point 0 goes missing."""
-    def broken(arg):
-        if isinstance(arg, NuclearSet):
-            return fn(NuclearSet(arg.space, set(arg.members) - {0}))
-        N = fn(arg)
-        return NuclearSet(N.space, set(N.members) - {0})
-    return broken
-
-
-# (check id, oracle name to patch, replacement built from the original):
-# each breaks the one side of the identity the check compares
-NUCLEI_FAULTS = [
-    ("nuclei-galois", "nuclear_of_nucleus", _drop_point_zero),
-    ("nuclei-order-reversal", "nucleus_of_nuclear", _drop_point_zero),
-    ("upset-Nj-eq-Fj", "admissible_upset", lambda fn: lambda j: fn(j) - {0}),
-    ("dense-iff-cofinal", "nucleus_of_nuclear", _drop_point_zero),
-    ("max-least-cofinal", "nucleus_of_nuclear",
-     lambda fn: lambda N: fn(NuclearSet(N.space, range(N.space.n)))),
-    ("booleanization-sublocale", "booleanization",
-     lambda fn: enumerate_upsets),
-    ("lemma-nj-restrict", "nucleus_of_nuclear", _drop_point_zero),
-    ("sublocale-roundtrip", "sublocale_of_nucleus",
-     lambda fn: lambda j: [s for s in fn(j) if s]),
-]
-
-
-@pytest.mark.parametrize("tid, name, fault", NUCLEI_FAULTS,
-                         ids=[f[0] for f in NUCLEI_FAULTS])
-def test_nuclei_checks_can_fail(monkeypatch, tid, name, fault):
-    assert all(c.ok() for c in oracle.run_suite([tid], bound=3))
-    monkeypatch.setattr(oracle, name, fault(getattr(oracle, name)))
-    failed = [c for c in oracle.run_suite([tid], bound=3) if not c.ok()]
-    assert failed and all(c.witness for c in failed)
-
-
 def test_a_check_that_raises_fails_its_case(monkeypatch):
     # point 0 joins every d image: a non-upset image makes Nucleus raise
     # ValueError, which must become a failed case, not abort the suite
@@ -146,17 +119,23 @@ def test_an_internal_assertion_fails_its_case(monkeypatch):
         c.witness == "Y_d antichain test disagrees with max Y = Y_d" for c in failed)
 
 
-# The planted engine faults, the only ones: each row replaces one engine
-# method or spectrum table, and names the ids it runs under and the ids
-# that must then fail with a witness.  The first three change one cached
-# quantity and leave alone at least one side it is compared with, so a
-# clean value kept from an earlier run would hide them: the localic part
-# changes Y_d (eqv-conditions-rmax compares it with three other forms),
-# closure changes the d table and d, and a fan's content region changes
-# the omega family's localic part and Y_d (fan-figures compares the report
-# with the published figures).  The last adds a sample that equals another
-# pointwise but not structurally.
-RUN_SCOPED_IDS = ["eqv-conditions-rmax", "unit-criteria", "d-is-double-negation"]
+def _drop_point_zero(fn):
+    """Wrap a nuclear-set consumer or producer so point 0 goes missing."""
+    def broken(arg):
+        if isinstance(arg, NuclearSet):
+            return fn(NuclearSet(arg.space, set(arg.members) - {0}))
+        N = fn(arg)
+        return NuclearSet(N.space, set(N.members) - {0})
+    return broken
+
+
+def _finite_only(fn, corrupt):
+    """``fn`` with its result corrupted on finite engines only; the fan
+    engines share ``spectrum`` and stay intact."""
+    def broken(E, *args):
+        out = fn(E, *args)
+        return corrupt(E, out) if isinstance(E, sp.FiniteEngine) else out
+    return broken
 
 
 def _samples_with_a_twin(E, count, seed=0):
@@ -164,7 +143,56 @@ def _samples_with_a_twin(E, count, seed=0):
     return samples + [noncanonical_twin(samples[1])]
 
 
+# The planted faults, the only ones.  Each row replaces one oracle name,
+# spectrum function or engine method with a fault built from the
+# original at import, and names the ids it runs under and the ids that
+# must then fail with a witness.  The oracle rows each break the one
+# side of a nuclei identity that its check compares.  The spectrum rows
+# corrupt a finite result, and none of them makes a check raise.  The
+# last four change one cached quantity and leave alone at least one side
+# it is compared with, so a clean value kept from an earlier run would
+# hide them: the localic part changes Y_d (eqv-conditions-rmax compares
+# it with three other forms), closure changes the d table and d, and a
+# fan's content region changes the omega family's localic part and Y_d
+# (fan-figures compares the report with the published figures).  The
+# very last adds a sample that equals another pointwise but not
+# structurally.
+FINITE_IDS = [tid for tid in sorted(oracle.CHECKS) if not tid.startswith("fan-")]
+RUN_SCOPED_IDS = ["eqv-conditions-rmax", "unit-criteria", "d-is-double-negation"]
+
 ENGINE_FAULTS = [
+    (oracle, "nuclear_of_nucleus", _drop_point_zero(oracle.nuclear_of_nucleus),
+     ["nuclei-galois"], {"nuclei-galois"}),
+    (oracle, "nucleus_of_nuclear", _drop_point_zero(oracle.nucleus_of_nuclear),
+     ["nuclei-order-reversal"], {"nuclei-order-reversal"}),
+    (oracle, "admissible_upset", lambda j, fn=oracle.admissible_upset: fn(j) - {0},
+     ["upset-Nj-eq-Fj"], {"upset-Nj-eq-Fj"}),
+    (oracle, "nucleus_of_nuclear", _drop_point_zero(oracle.nucleus_of_nuclear),
+     ["dense-iff-cofinal"], {"dense-iff-cofinal"}),
+    (oracle, "nucleus_of_nuclear",
+     lambda N, fn=oracle.nucleus_of_nuclear: fn(NuclearSet(N.space, range(N.space.n))),
+     ["max-least-cofinal"], {"max-least-cofinal"}),
+    (oracle, "booleanization", enumerate_upsets,
+     ["booleanization-sublocale"], {"booleanization-sublocale"}),
+    (oracle, "nucleus_of_nuclear", _drop_point_zero(oracle.nucleus_of_nuclear),
+     ["lemma-nj-restrict"], {"lemma-nj-restrict"}),
+    (oracle, "sublocale_of_nucleus",
+     lambda j, fn=oracle.sublocale_of_nucleus: [s for s in fn(j) if s],
+     ["sublocale-roundtrip"], {"sublocale-roundtrip"}),
+    (sp, "yd_set", _finite_only(sp.yd_set, lambda E, y: y | 1), FINITE_IDS,
+     {"eqv-conditions-rmax", "min-yd-max-d-upsets"}),
+    (sp, "min_yd", _finite_only(sp.min_yd, lambda E, m: m ^ 1), FINITE_IDS,
+     {"compacts-d-initial", "max-bounded-iff-d-initial", "min-yd-max-d-upsets",
+      "t1-min-yd"}),
+    (sp, "core_d", _finite_only(sp.core_d, lambda E, c: c ^ 1), FINITE_IDS,
+     {"core-d-forms", "d-is-double-negation", "eqv-conditions-rmax"}),
+    (sp, "rho_apply", _finite_only(sp.rho_apply, lambda E, r: r ^ 1), FINITE_IDS,
+     {"rho-forms"}),
+    (sp, "maximal_d_upsets", _finite_only(sp.maximal_d_upsets, lambda E, f: f[1:]),
+     FINITE_IDS, {"min-yd-max-d-upsets", "rho-forms"}),
+    (sp, "unit_search", _finite_only(sp.unit_search, lambda E, r: {
+        **r, "status": "refutation" if r["status"] == "witness" else "witness"}),
+     FINITE_IDS, {"unit-criteria"}),
     (sp, "localic_part", lambda E: E.full & ~1, RUN_SCOPED_IDS,
      {"eqv-conditions-rmax", "unit-criteria"}),
     # closure sends every nonempty upset to the whole space, so d does too
@@ -177,12 +205,14 @@ ENGINE_FAULTS = [
     (OmegaFansEngine, "sample_clopen_upsets", _samples_with_a_twin,
      ["fan-tame-soundness"], {"fan-tame-soundness"}),
 ]
+# a row is named by what it replaces, and by its first id when that repeats
+_REPLACED = [name for _, name, *_ in ENGINE_FAULTS]
+FAULT_IDS = [name if _REPLACED.count(name) == 1 else f"{name}-{ids[0]}"
+             for _, name, _, ids, _ in ENGINE_FAULTS]
 
 
-@pytest.mark.parametrize("owner, name, fault, ids, caught", ENGINE_FAULTS,
-                         ids=[f[1] for f in ENGINE_FAULTS])
+@pytest.mark.parametrize("owner, name, fault, ids, caught", ENGINE_FAULTS, ids=FAULT_IDS)
 def test_nothing_cached_outlives_a_run(monkeypatch, owner, name, fault, ids, caught):
-    # the fault replaces a spectrum table or an engine method
     assert all(c.ok() for c in oracle.run_suite(ids, bound=3))
     monkeypatch.setattr(owner, name, fault)
     failed = [c for c in oracle.run_suite(ids, bound=3) if not c.ok()]
@@ -191,13 +221,20 @@ def test_nothing_cached_outlives_a_run(monkeypatch, owner, name, fault, ids, cau
 
 
 def test_a_wrong_closure_names_the_upset(monkeypatch):
-    # d-is-double-negation's witness is the upset on which the three
-    # computations of d disagree
+    # d-is-double-negation's witness is the first upset, in all_upsets
+    # order, on which the three computations of d disagree
     [(owner, name, fault, _, _)] = [f for f in ENGINE_FAULTS if f[1] == "closure"]
     monkeypatch.setattr(owner, name, fault)
-    witnesses = [c.witness for c in oracle.run_suite(["d-is-double-negation"], bound=3)
-                 if not c.ok()]
-    assert witnesses and all(w[0] == "{" and w[-1] == "}" for w in witnesses)
+    cases = oracle.run_suite(["d-is-double-negation"], bound=3)
+    posets = oracle.posets_up_to(3)
+    assert len(cases) == len(posets)
+    for P, case in zip(posets, cases):
+        E = sp.FiniteEngine(P)
+        table = oracle._d_table(E)
+        first = next((u for u in E.all_upsets()
+                      if not table[u] == sp.double_neg(E, u) == sp.d_apply(E, u)), None)
+        assert case.witness == (None if first is None else E.describe_set(first)), repr(P)
+    assert not all(c.ok() for c in cases)
 
 
 def test_a_run_builds_one_engine_and_one_y_d_per_poset(monkeypatch):
@@ -408,7 +445,6 @@ def test_compacts_d_initial_computes_each_image_once():
 
 def heyting_adjunction_reference(E):
     """The U^3 form of check_heyting_adjunction: one test per (u, v, w)."""
-    ok, witness = True, None
     ups = E.all_upsets()
     pc = lambda a: E.full & ~E.down(a)
     imp = lambda a, b: E.full & ~E.down(a & ~b)
@@ -419,15 +455,12 @@ def heyting_adjunction_reference(E):
             if w & u == 0:
                 largest |= w
         if pc(u) != largest:
-            ok, witness = False, f"U* != U -> empty at {E.describe_set(u)}"
+            return f"U* != U -> empty at {E.describe_set(u)}"
         for v in ups:
             i = imp(u, v)
             for w in ups:
                 if ((w & u) & ~v == 0) != (w & ~i == 0):
-                    ok, witness = False, (
-                        f"adjunction at {E.describe_set(u)}, {E.describe_set(v)}"
-                    )
-    return ok, witness
+                    return f"adjunction at {E.describe_set(u)}, {E.describe_set(v)}"
 
 
 class UpForDown(sp.FiniteEngine):
@@ -442,7 +475,7 @@ def test_heyting_adjunction_matches_the_cubic_form(engine):
         E = engine(P)
         got = oracle.check_heyting_adjunction(E)
         assert got == heyting_adjunction_reference(E), repr(P)
-        failed += not got[0]
+        failed += got is not None
     # the broken down is caught, so witnesses were compared too
     assert (failed > 0) == (engine is UpForDown)
 
@@ -457,5 +490,4 @@ def test_heyting_adjunction_catches_a_wrong_pseudocomplement():
     # comparing the two with each other can never fail; the check
     # compares U* with the largest upset disjoint from U instead
     E = DownIsIdentity(build_poset(["a", "b"], [("a", "b")]))
-    assert oracle.check_heyting_adjunction(E) == (
-        False, "U* != U -> empty at {b}")
+    assert oracle.check_heyting_adjunction(E) == "U* != U -> empty at {b}"

@@ -206,6 +206,22 @@ def test_make_tame_refuses_fan_indices_that_are_not_ints():
         make_tame("omega_fans", fan_exc={"a": Region(1), 1: Region(1)})
 
 
+def test_make_tame_refuses_a_repeated_fan_index():
+    # a pair list would otherwise keep the last pair for the index
+    for family in ("omega_fans", "bare_fan"):
+        with pytest.raises(NotRepresentable, match="repeated"):
+            make_tame(family, fan_exc=[(1, Region(1)), (1, Region(2))])
+    pairs = [(2, Region(1)), (1, Region(2))]
+    assert make_tame("omega_fans", fan_exc=pairs) == make_tame("omega_fans", fan_exc=dict(pairs))
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, 1.0])
+def test_make_tame_refuses_a_blob_flag_that_is_not_a_bool(flag):
+    # read by truthiness, "no" would build a set holding the top blob
+    with pytest.raises(NotRepresentable, match="is not a bool"):
+        make_tame("omega_fans", omega_star=flag)
+
+
 @pytest.mark.parametrize("family, fields", [
     ("omega_fans", {"fan_exc": {1: 5}}),
     ("omega_fans", {"fan_default": 5}),
