@@ -192,8 +192,8 @@ def _instances(P, kinds):
 
 @_register("duality-round-trip", "poset")
 def check_duality_round_trip(P):
-    """Both directions of the finite duality, with exact tables."""
-    # space -> lattice -> space: x maps to the principal upset of x
+    """Space -> lattice -> space: x maps to the principal upset of x, an
+    order isomorphism of P onto the prime filters of its upset lattice."""
     L = clopen_upset_lattice(P)
     X2, ji = prime_filters(L)
     member_index = upset_index(L.space)
@@ -205,47 +205,37 @@ def check_duality_round_trip(P):
         for y in range(P.n):
             if P.le(x, y) != X2.le(send[x], send[y]):
                 return "space round trip failed"
-    # lattice -> space -> lattice, when the poset is a lattice
-    try:
-        D = validate_lattice(P)
-    except WorkbenchError:
-        return None
-    E = clopen_upset_lattice(priestley_dual(D))
-    idx = upset_index(E.space)
-    try:
-        snd = [idx[stone_map(D, a).mask] for a in range(D.n)]
-    except KeyError:
-        snd = None
-    if snd is None or sorted(snd) != list(range(E.n)):
-        return "stone map is not a bijection"
-    for a in range(D.n):
-        for b in range(D.n):
-            if (
-                D.le(a, b) != E.le(snd[a], snd[b])
-                or snd[D.meet[a][b]] != E.meet[snd[a]][snd[b]]
-                or snd[D.join[a][b]] != E.join[snd[a]][snd[b]]
-            ):
-                return f"table mismatch at {a},{b}"
 
 
 @_register("stone-embedding", "lattice")
 def check_stone_embedding(D):
-    """The Stone map of a lattice is an order embedding."""
+    """Lattice -> space -> lattice: the Stone map is a lattice isomorphism
+    of D onto the upsets of its dual (Birkhoff), onto them, order
+    reflecting, and taking D's meet and join tables to intersections and
+    unions."""
     images = [stone_map(D, a).mask for a in range(D.n)]
+    if sorted(images) != sorted(upset_masks(priestley_dual(D))):
+        return "stone map is not a bijection"
     for a, phi_a in enumerate(images):
         for b, phi_b in enumerate(images):
             if D.le(a, b) != (phi_a & ~phi_b == 0):
                 return f"elements {D.labels[a]},{D.labels[b]}"
+            if (images[D.meet[a][b]] != phi_a & phi_b
+                    or images[D.join[a][b]] != phi_a | phi_b):
+                return f"table mismatch at {D.labels[a]},{D.labels[b]}"
 
 
 @_register("priestley-separation", "poset")
 def check_priestley_separation(P):
+    """Points x not below y are told apart by an upset holding x and not
+    y: the least upset holding x, the meet of the enumerated upsets that
+    hold it (not the order row of x)."""
+    ups = upset_masks(P)
     for x in range(P.n):
+        least = functools.reduce(int.__and__, (u for u in ups if u >> x & 1), -1)
         for y in range(P.n):
-            if not P.le(x, y):
-                u = P.up[x]
-                if not u >> x & 1 or u >> y & 1:
-                    return f"{P.labels[x]} vs {P.labels[y]}"
+            if not P.le(x, y) and (not least >> x & 1 or least >> y & 1):
+                return f"{P.labels[x]} vs {P.labels[y]}"
 
 
 @_register("join-meet-formulas", "engine")
@@ -261,7 +251,7 @@ def check_join_meet_formulas(E):
     for u in ups:
         for v in ups:
             if closure[u | v] != (u | v):
-                return "join formula"
+                return f"join formula at {E.describe_set(u)}, {E.describe_set(v)}"
             if interior[u & v] != u & v:
                 return f"meet formula at {E.describe_set(u)}, {E.describe_set(v)}"
 
@@ -544,7 +534,11 @@ def check_min_yd_max_d_upsets(E):
 @_register("min-yd-homeomorphism", "engine")
 def check_min_yd_homeomorphism(E):
     """The bijection transports the subspace topology of min Y_d onto
-    the hull-kernel opens of the maximal d-fixed upsets."""
+    the hull-kernel opens of the maximal d-fixed upsets.
+
+    Its finite cases cannot fail: an upset u meets down(y) iff y is in
+    u, so the hull-kernel open of u is ``u & m`` for every point set m,
+    the same family as the subspace opens, whatever min Y_d is."""
     m = sp.min_yd(E)
     ups = E.all_upsets()
     points = E.member_reps(m)

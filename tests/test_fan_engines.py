@@ -2,19 +2,12 @@
 
 import pytest
 
-from priestley import oracle
 from priestley import spectrum as sp
 from priestley.errors import FamilyMismatch, NotLocalic, NotRepresentable
 from priestley.fans import (
-    EMPTY_REGION,
     FAMILIES,
-    FULL_REGION,
     OMEGA,
     OMEGA_STAR,
-    BareFanEngine,
-    ChainFansEngine,
-    FanPlusBottomEngine,
-    OmegaFansEngine,
     Region,
     SymbolicPoint,
     engine_for,
@@ -23,8 +16,6 @@ from priestley.fans import (
     make_tame,
     spine_point,
     tame_full,
-    tame_join,
-    tame_meet,
 )
 
 
@@ -278,114 +269,3 @@ def test_core_density(engines):
     for fam, E in engines.items():
         for u in E.sample_clopen_upsets(40, seed=12):
             assert E.closure(E.core(u)) == u, (fam, E.describe_set(u))
-
-
-# -- a fault in each closed-form rule is caught ---------------------------
-#
-# Each fault is the engine's own rule with its result bent a little: the
-# d-law check has to fail it with a witness on the seeded samples.
-
-
-class BareCoreKeepsStar(BareFanEngine):
-    # the star blob's points are not localic, so no core holds them
-    def core(self, u):
-        return tame_join(super().core(u), u)
-
-
-class BottomUpInsideDropsY(FanPlusBottomEngine):
-    # up(y) is the whole space, so y is in the d-core of the full set
-    def points_with_up_inside(self, d):
-        return tame_meet(super().points_with_up_inside(d),
-                         make_tame(self.family, FULL_REGION))
-
-
-class OmegaUpInsideKeepsAll(OmegaFansEngine):
-    # every point of d counts as having its upset inside d
-    def points_with_up_inside(self, d):
-        return tame_join(super().points_with_up_inside(d), d)
-
-
-class OmegaCoreKeepsAll(OmegaFansEngine):
-    # the stars off the bottoms and a blob without omega stay in the core
-    def core(self, u):
-        return tame_join(super().core(u), u)
-
-
-class ChainCoreKeepsAll(ChainFansEngine):
-    def core(self, u):
-        return tame_join(super().core(u), u)
-
-
-class ChainCoreKeepsOmega(ChainFansEngine):
-    # omega is the global minimum and not localic, so no Scott upset
-    # holds it; this core keeps it wherever u does
-    def core(self, u):
-        omega = make_tame(self.family, spine=Region(0, True))
-        return tame_join(super().core(u), tame_meet(u, omega))
-
-
-class OmegaScottAlways(OmegaFansEngine):
-    def clop_sup_test(self, u):
-        return super().clop_sup_test(u) or True
-
-
-class ChainScottNever(ChainFansEngine):
-    def clop_sup_test(self, u):
-        return super().clop_sup_test(u) and False
-
-
-class ChainUpInsideOnlyY0(ChainFansEngine):
-    # the spine run of points with their upset inside d stops at y_0
-    def points_with_up_inside(self, d):
-        y0 = make_tame(self.family, FULL_REGION, spine=Region(1, True), omega_star=True)
-        return tame_meet(super().points_with_up_inside(d), y0)
-
-
-class ChainUpOnlyFanM(ChainFansEngine):
-    # y_m lies below fans 0..m; this puts only fan m above it
-    def strict_up(self, a):
-        up = super().strict_up(a)
-        s = a.spine
-        if s.flag or s.bits <= 0:
-            return up
-        fan_m = {s.bits.bit_length() - 1: FULL_REGION}
-        return tame_meet(up, make_tame(self.family, EMPTY_REGION, fan_m,
-                                       spine=FULL_REGION, omega_star=True))
-
-
-class OmegaUpDropsBlob(OmegaFansEngine):
-    def strict_up(self, a):
-        no_blob = make_tame(self.family, FULL_REGION, spine=FULL_REGION)
-        return tame_meet(super().strict_up(a), no_blob)
-
-
-# fault -> a part of the witness the d-law check gives
-RULE_FAULTS = {
-    BareCoreKeepsStar: "core not generated by localic points at",
-    BottomUpInsideDropsY: "not inflationary at",
-    # d of a sample comes out no clopen upset, and d_apply of it raises
-    OmegaUpInsideKeepsAll: "is not a clopen upset",
-    OmegaCoreKeepsAll: "nuclear form differs at",
-    ChainCoreKeepsAll: "nuclear form differs at",
-    # every other law holds: only the localic points of the core see it
-    ChainCoreKeepsOmega: "core not generated by localic points at",
-    OmegaScottAlways: "Scott test differs at",
-    ChainScottNever: "Scott test differs at (empty)",
-    ChainUpInsideOnlyY0: "not inflationary at",
-    ChainUpOnlyFanM: "Scott test differs at",
-    OmegaUpDropsBlob: "Scott test differs at",
-}
-
-
-@pytest.mark.parametrize("fault", RULE_FAULTS, ids=lambda c: c.__name__)
-def test_a_fault_in_each_rule_fails_the_d_laws(fault):
-    E = fault()
-    cases = oracle.CHECKS["fan-d-laws"]([(E.name, (E, oracle.DEFAULT_SEED))])
-    assert [c.status for c in cases] == ["failed"]
-    assert RULE_FAULTS[fault] in cases[0].witness
-
-
-def test_a_blob_dropped_from_strict_up_fails_the_figures():
-    E = OmegaUpDropsBlob()
-    cases = oracle.CHECKS["fan-figures"]([(E.name, (E, oracle.DEFAULT_SEED))])
-    assert [c.status for c in cases] == ["failed"] and cases[0].witness

@@ -7,9 +7,11 @@ import pytest
 
 from priestley import FinitePoset, NuclearSet, build_poset, enumerate_upsets, oracle
 from priestley import spectrum as sp
-from priestley.fans import (FAMILIES, FanEngine, OmegaFansEngine, Region, TameSet,
-                            engine_for, region_meet)
-from priestley.errors import BoundExceeded, EmptySelection, UnknownTheoremId
+from priestley.fans import (EMPTY_REGION, FAMILIES, FULL_REGION, BareFanEngine,
+                            ChainFansEngine, FanEngine, FanPlusBottomEngine,
+                            OmegaFansEngine, Region, TameSet, engine_for, make_tame,
+                            region_meet, tame_join, tame_meet)
+from priestley.errors import BoundExceeded, EmptySelection, UnknownTheoremId, WorkbenchError
 from test_tame import noncanonical_twin
 
 
@@ -143,24 +145,70 @@ def _samples_with_a_twin(E, count, seed=0):
     return samples + [noncanonical_twin(samples[1])]
 
 
+def _reversed_dual(L, fn=oracle.prime_filters):
+    """The prime filters of L with the order of the dual turned over."""
+    X, ji = fn(L)
+    return FinitePoset(X.labels, X.down), ji
+
+
+def _closure_to_full(E, a):
+    """A wrong closure: every nonempty upset goes to the whole space, so
+    d does too."""
+    return E.full if a else a
+
+
+def _down_as_identity(E, a):
+    """A wrong down: U* and U -> V, which read the downset of their
+    argument, take the argument itself."""
+    return a
+
+
+def _joined_with_argument(rule):
+    """A fan engine's rule with its argument joined to its result."""
+    return lambda E, u: tame_join(rule(E, u), u)
+
+
+def _up_only_fan_m(E, a, fn=ChainFansEngine.strict_up):
+    """y_m lies below fans 0..m; this puts only fan m above it."""
+    up = fn(E, a)
+    s = a.spine
+    if s.flag or s.bits <= 0:
+        return up
+    fan_m = {s.bits.bit_length() - 1: FULL_REGION}
+    return tame_meet(up, make_tame(E.family, EMPTY_REGION, fan_m,
+                                   spine=FULL_REGION, omega_star=True))
+
+
 # The planted faults, the only ones.  Each row replaces one oracle name,
 # spectrum function or engine method with a fault built from the
 # original at import, and names the ids it runs under and the ids that
-# must then fail with a witness.  The oracle rows each break the one
+# must then fail with a witness; the witnesses are kept in the
+# ``# fault`` blocks of tests/golden/verify_b4.txt.  The first three
+# rows each break one direction of the finite duality, or the upsets
+# that separate points.  The oracle rows after them each break the one
 # side of a nuclei identity that its check compares.  The spectrum rows
 # corrupt a finite result, and none of them makes a check raise.  The
-# last four change one cached quantity and leave alone at least one side
-# it is compared with, so a clean value kept from an earlier run would
-# hide them: the localic part changes Y_d (eqv-conditions-rmax compares
-# it with three other forms), closure changes the d table and d, and a
-# fan's content region changes the omega family's localic part and Y_d
-# (fan-figures compares the report with the published figures).  The
-# very last adds a sample that equals another pointwise but not
-# structurally.
+# localic part, closure and a fan's content region change one cached
+# quantity and leave alone at least one side it is compared with, so a
+# clean value kept from an earlier run would hide them: the localic
+# part changes Y_d (eqv-conditions-rmax compares it with three other
+# forms), closure changes the d table and d, and a fan's content region
+# changes the omega family's localic part and Y_d (fan-figures compares
+# the report with the published figures).  A fan sample that equals
+# another pointwise but not structurally fails the tame soundness.  The
+# last rows bend one closed-form rule of a fan engine a little, and the
+# d laws fail it on the seeded samples.
 FINITE_IDS = [tid for tid in sorted(oracle.CHECKS) if not tid.startswith("fan-")]
 RUN_SCOPED_IDS = ["eqv-conditions-rmax", "unit-criteria", "d-is-double-negation"]
+DUALITY_IDS = ["duality-round-trip", "stone-embedding"]
 
 ENGINE_FAULTS = [
+    # every element goes to the image of the top
+    (oracle, "stone_map", lambda D, a, fn=oracle.stone_map: fn(D, D.top),
+     DUALITY_IDS, {"stone-embedding"}),
+    (oracle, "prime_filters", _reversed_dual, DUALITY_IDS, {"duality-round-trip"}),
+    (oracle, "upset_masks", lambda P, fn=oracle.upset_masks: [u for u in fn(P) if u != P.up[0]],
+     ["priestley-separation"], {"priestley-separation"}),
     (oracle, "nuclear_of_nucleus", _drop_point_zero(oracle.nuclear_of_nucleus),
      ["nuclei-galois"], {"nuclei-galois"}),
     (oracle, "nucleus_of_nuclear", _drop_point_zero(oracle.nucleus_of_nuclear),
@@ -179,6 +227,10 @@ ENGINE_FAULTS = [
     (oracle, "sublocale_of_nucleus",
      lambda j, fn=oracle.sublocale_of_nucleus: [s for s in fn(j) if s],
      ["sublocale-roundtrip"], {"sublocale-roundtrip"}),
+    # every union of images over the upsets inside U gains point 0
+    (oracle, "sub_upset_unions",
+     lambda P, images, fn=oracle.sub_upset_unions: [u | 1 for u in fn(P, images)],
+     ["inductive-core-collapse"], {"inductive-core-collapse"}),
     (sp, "yd_set", _finite_only(sp.yd_set, lambda E, y: y | 1), FINITE_IDS,
      {"eqv-conditions-rmax", "min-yd-max-d-upsets"}),
     (sp, "min_yd", _finite_only(sp.min_yd, lambda E, m: m ^ 1), FINITE_IDS,
@@ -195,20 +247,97 @@ ENGINE_FAULTS = [
      FINITE_IDS, {"unit-criteria"}),
     (sp, "localic_part", lambda E: E.full & ~1, RUN_SCOPED_IDS,
      {"eqv-conditions-rmax", "unit-criteria"}),
-    # closure sends every nonempty upset to the whole space, so d does too
-    (sp.FiniteEngine, "closure", lambda E, a: E.full if a else a, RUN_SCOPED_IDS,
+    (sp.FiniteEngine, "closure", _closure_to_full, RUN_SCOPED_IDS,
      {"eqv-conditions-rmax", "d-is-double-negation"}),
+    (sp.FiniteEngine, "closure", _closure_to_full,
+     ["join-meet-formulas", "arithmetic-core-law", "d-nucleus-laws", "regularity-equivalences"],
+     {"join-meet-formulas", "arithmetic-core-law", "d-nucleus-laws", "regularity-equivalences"}),
+    (sp.FiniteEngine, "down", _down_as_identity, ["heyting-adjunction"], {"heyting-adjunction"}),
     # fan 0 no longer lies above its spine point
     (OmegaFansEngine, "_content_region",
      lambda E, a: region_meet(FanEngine._content_region(E, a), Region(~1)),
      ["fan-figures"], {"fan-figures"}),
     (OmegaFansEngine, "sample_clopen_upsets", _samples_with_a_twin,
      ["fan-tame-soundness"], {"fan-tame-soundness"}),
+    # the star blob's points are not localic, so no core holds them (the
+    # fan-plus-bottom engine inherits this core)
+    (BareFanEngine, "core", _joined_with_argument(BareFanEngine.core),
+     ["fan-d-laws"], {"fan-d-laws"}),
+    # up(y) is the whole space, so y is in the d-core of the full set
+    (FanPlusBottomEngine, "points_with_up_inside",
+     lambda E, d, fn=FanPlusBottomEngine.points_with_up_inside:
+         tame_meet(fn(E, d), make_tame(E.family, FULL_REGION)),
+     ["fan-d-laws"], {"fan-d-laws"}),
+    # every point of d counts as having its upset inside d: d of a sample
+    # comes out no clopen upset, and d_apply of it raises
+    (OmegaFansEngine, "points_with_up_inside",
+     _joined_with_argument(OmegaFansEngine.points_with_up_inside),
+     ["fan-d-laws"], {"fan-d-laws"}),
+    # the stars off the bottoms and a blob without omega stay in the core
+    (OmegaFansEngine, "core", _joined_with_argument(OmegaFansEngine.core),
+     ["fan-d-laws"], {"fan-d-laws"}),
+    (ChainFansEngine, "core", _joined_with_argument(ChainFansEngine.core),
+     ["fan-d-laws"], {"fan-d-laws"}),
+    # omega is the global minimum and not localic, so no Scott upset holds
+    # it; this core keeps it wherever u does, and only the localic points
+    # of the core see it
+    (ChainFansEngine, "core",
+     lambda E, u, fn=ChainFansEngine.core: tame_join(
+         fn(E, u), tame_meet(u, make_tame(E.family, spine=Region(0, True)))),
+     ["fan-d-laws"], {"fan-d-laws"}),
+    (OmegaFansEngine, "clop_sup_test",
+     lambda E, u, fn=OmegaFansEngine.clop_sup_test: fn(E, u) or True,
+     ["fan-d-laws"], {"fan-d-laws"}),
+    (ChainFansEngine, "clop_sup_test",
+     lambda E, u, fn=ChainFansEngine.clop_sup_test: fn(E, u) and False,
+     ["fan-d-laws"], {"fan-d-laws"}),
+    # the spine run of points with their upset inside d stops at y_0
+    (ChainFansEngine, "points_with_up_inside",
+     lambda E, d, fn=ChainFansEngine.points_with_up_inside: tame_meet(fn(E, d), make_tame(
+         E.family, FULL_REGION, spine=Region(1, True), omega_star=True)),
+     ["fan-d-laws"], {"fan-d-laws"}),
+    (ChainFansEngine, "strict_up", _up_only_fan_m, ["fan-d-laws"], {"fan-d-laws"}),
+    (OmegaFansEngine, "strict_up",
+     lambda E, a, fn=OmegaFansEngine.strict_up: tame_meet(
+         fn(E, a), make_tame(E.family, FULL_REGION, spine=FULL_REGION)),
+     ["fan-d-laws", "fan-figures"], {"fan-d-laws", "fan-figures"}),
 ]
-# a row is named by what it replaces, and by its first id when that repeats
-_REPLACED = [name for _, name, *_ in ENGINE_FAULTS]
-FAULT_IDS = [name if _REPLACED.count(name) == 1 else f"{name}-{ids[0]}"
-             for _, name, _, ids, _ in ENGINE_FAULTS]
+
+
+def _fault_ids(rows):
+    """A row's pytest id: the name it replaces, or else its owner's name
+    and the name, or else the name and its first id, whichever no other
+    row shares first; rows that share all three are numbered."""
+    keys = [(name, f"{owner.__name__.rpartition('.')[2]}.{name}", f"{name}-{ids[0]}")
+            for owner, name, _, ids, _ in rows]
+    out = []
+    for k, row in enumerate(keys):
+        unique = [key for i, key in enumerate(row) if [r[i] for r in keys].count(key) == 1]
+        if unique:
+            out.append(unique[0])
+        else:
+            twins = [j for j, r in enumerate(keys) if r == row]
+            out.append(f"{row[1]}-{twins.index(k) + 1}")
+    return out
+
+
+FAULT_IDS = _fault_ids(ENGINE_FAULTS)
+
+# the checks that no row of ENGINE_FAULTS fails, each with the reason
+UNCOVERED = {
+    "max-y-in-yd": (
+        "only the yd_set row reaches it, and that row adds a point to Y_d, which "
+        "the inclusion of max Y in Y_d allows"),
+    "min-yd-homeomorphism": (
+        "its finite cases cannot fail: an upset u meets down(y) iff y is in u, so "
+        "the hull-kernel opens are the subspace opens whatever min Y_d is"),
+}
+
+
+def test_every_check_is_failed_by_a_planted_fault_or_says_why_not():
+    caught = set().union(*(row[4] for row in ENGINE_FAULTS))
+    assert set(oracle.CHECKS) - caught == set(UNCOVERED)
+    assert caught <= set(oracle.CHECKS) and all(UNCOVERED.values())
 
 
 @pytest.mark.parametrize("owner, name, fault, ids, caught", ENGINE_FAULTS, ids=FAULT_IDS)
@@ -223,8 +352,7 @@ def test_nothing_cached_outlives_a_run(monkeypatch, owner, name, fault, ids, cau
 def test_a_wrong_closure_names_the_upset(monkeypatch):
     # d-is-double-negation's witness is the first upset, in all_upsets
     # order, on which the three computations of d disagree
-    [(owner, name, fault, _, _)] = [f for f in ENGINE_FAULTS if f[1] == "closure"]
-    monkeypatch.setattr(owner, name, fault)
+    monkeypatch.setattr(sp.FiniteEngine, "closure", _closure_to_full)
     cases = oracle.run_suite(["d-is-double-negation"], bound=3)
     posets = oracle.posets_up_to(3)
     assert len(cases) == len(posets)
@@ -308,6 +436,34 @@ def test_a_selection_builds_only_the_instances_it_reads(monkeypatch):
     monkeypatch.setattr(sp.FiniteEngine, "__init__", counted_init)
     assert all(c.ok() for c in oracle.run_suite(["priestley-separation"], bound=4))
     assert engines == []
+
+
+def test_a_run_validates_each_poset_as_a_lattice_once(monkeypatch):
+    verdicts = []
+    validate = oracle.validate_lattice
+
+    def counted(P):
+        try:
+            D = validate(P)
+        except WorkbenchError:
+            verdicts.append("reject")
+            raise
+        verdicts.append("accept")
+        return D
+
+    monkeypatch.setattr(oracle, "validate_lattice", counted)
+    assert all(c.ok() for c in oracle.run_suite(bound=5))
+    assert len(verdicts) == len(oracle.posets_up_to(5)) == 87
+    assert verdicts.count("accept") == 8
+
+
+def test_the_space_round_trip_needs_no_lattice_and_no_stone_map(monkeypatch):
+    def refused(*args):
+        raise AssertionError("called by duality-round-trip")
+
+    monkeypatch.setattr(oracle, "validate_lattice", refused)
+    monkeypatch.setattr(oracle, "stone_map", refused)
+    assert all(c.ok() for c in oracle.run_suite(["duality-round-trip"], bound=5))
 
 
 NUCLEI_IDS = [
@@ -480,14 +636,10 @@ def test_heyting_adjunction_matches_the_cubic_form(engine):
     assert (failed > 0) == (engine is UpForDown)
 
 
-class DownIsIdentity(sp.FiniteEngine):
-    def down(self, a):
-        return a
-
-
-def test_heyting_adjunction_catches_a_wrong_pseudocomplement():
+def test_heyting_adjunction_catches_a_wrong_pseudocomplement(monkeypatch):
     # with down the identity, U* and U -> empty are both X \ U, so
     # comparing the two with each other can never fail; the check
     # compares U* with the largest upset disjoint from U instead
-    E = DownIsIdentity(build_poset(["a", "b"], [("a", "b")]))
+    monkeypatch.setattr(sp.FiniteEngine, "down", _down_as_identity)
+    E = sp.FiniteEngine(build_poset(["a", "b"], [("a", "b")]))
     assert oracle.check_heyting_adjunction(E) == "U* != U -> empty at {b}"
