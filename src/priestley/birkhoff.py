@@ -1,22 +1,25 @@
 """Finite Priestley/Birkhoff duality.
 
-Lattice side: finite bounded distributive lattices with explicit meet
-and join tables.  Distributivity is decided by join-primeness: a finite
-lattice is distributive iff every join-irreducible is join-prime
+Lattice side: finite bounded distributive lattices, kept as their order
+rows; the meet and join tables are built from the rows on first read.
+A finite poset is accepted by Birkhoff's representation theorem: it is
+a distributive lattice exactly when a -> J & down(a), for J its
+join-irreducibles, is an order isomorphism onto the downsets of J
 (Davey & Priestley, *Introduction to Lattices and Order*, 2nd ed.,
-2002, ch. 10), which takes n^2 mask compares; the n^3 scan over triples
-runs only to name the witness of a rejection.  Space side: the dual
-poset of prime filters, realized through join-irreducible elements
-(every prime filter of a finite distributive lattice is the principal
-upset of a unique join-irreducible).  The Stone map sends an element to
-the set of prime filters containing it; with the dual ordered by filter
-inclusion the image is always an upset, no orientation flip needed.
+2002, ch. 5), which takes n*|J| steps.  Only a rejected poset pays for
+the pair scan and the triple scan that name its witness.  Space side:
+the dual poset of prime filters, realized through join-irreducible
+elements (every prime filter of a finite distributive lattice is the
+principal upset of a unique join-irreducible).  The Stone map sends an
+element to the set of prime filters containing it; with the dual
+ordered by filter inclusion the image is always an upset, no
+orientation flip needed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import itemgetter, ne
+from operator import itemgetter
 
 from .errors import (
     InternalAssertionError,
@@ -47,29 +50,38 @@ from .poset import (
 
 
 class DistLattice:
-    """Finite bounded distributive lattice with validated operation tables.
+    """Finite bounded distributive lattice, validated from its order rows.
 
     ``up`` and ``down`` are the principal upsets and downsets as bitmask
-    rows; ``meet[a][b]`` and ``join[a][b]`` are element indices.
-    ``space`` is the finite space whose upsets the elements are, for a
-    lattice built by :func:`clopen_upset_lattice`, and ``None``
-    otherwise.  Its dual is a table of the lattice (:func:`prime_filters`).
+    rows; ``meet[a][b]`` and ``join[a][b]`` are element indices, in
+    tables built from the rows on first read.  ``space`` is the finite
+    space whose upsets the elements are, for a lattice built by
+    :func:`clopen_upset_lattice`, and ``None`` otherwise.  Its dual is a
+    table of the lattice (:func:`prime_filters`).
     """
 
-    __slots__ = ("labels", "up", "down", "meet", "join", "bottom", "top",
-                 "space", "_index", "_tables")
+    __slots__ = ("labels", "up", "down", "bottom", "top", "space", "_index",
+                 "_tables")
 
-    def __init__(self, labels, up, down, meet, join, bottom, top, space=None):
+    def __init__(self, labels, up, down, bottom, top, space=None):
         self.labels = tuple(labels)
         self.up = up
         self.down = down
-        self.meet = meet
-        self.join = join
         self.bottom = int(bottom)
         self.top = int(top)
         self.space = space
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._tables = {}
+
+    @property
+    @_table
+    def meet(self):
+        return _bound_table(self.down)
+
+    @property
+    @_table
+    def join(self):
+        return _bound_table(self.up)
 
     @property
     def n(self):
@@ -117,29 +129,81 @@ class ClopenUpset(_Frozen, namedtuple("ClopenUpset", "space mask")):
 
 
 def validate_lattice(P, bottom=None, top=None):
-    r"""Check that a finite poset is a bounded distributive lattice.
+    """Check that a finite poset is a bounded distributive lattice.
 
-    Fills the meet/join tables; on failure the error names a witness
-    pair (missing meet or join) or triple (distributivity).  Checks run
-    in that order: tables, then bounds, then distributivity.
-
-    A finite lattice is distributive iff every join-irreducible j is
-    join-prime, i.e. j <= a \/ b implies j <= a or j <= b (Davey &
-    Priestley, *Introduction to Lattices and Order*, 2nd ed., 2002,
-    ch. 10).  So the test is that the join-irreducibles below a \/ b
-    are those below a or below b: n^2 mask compares.  Only a rejected
-    lattice pays for the n^3 scan that names the first failing triple.
+    The accept path is Birkhoff's test (:func:`_is_distributive_lattice`),
+    n*|J| steps for the join-irreducibles J, and builds no table.  A
+    rejection names a witness pair (missing meet or join) or triple
+    (distributivity), with checks in that order: tables, then bounds,
+    then distributivity.  Only a rejected poset pays for the pair scan
+    that builds the tables and the scan that names the first failing
+    triple.
     """
     n = P.n
     if n == 0:
         raise Unbounded("empty order has no bounds")
+    up, down = P.up, P.down
+    accepted = _is_distributive_lattice(up, down)
+    if not accepted:
+        meet, join = _operation_tables(P)
+    full = (1 << n) - 1
+    if full not in up or full not in down:
+        raise Unbounded("order lacks a unique bottom or top")
+    bot, top_ = up.index(full), down.index(full)
+    if bottom is not None and P.index(bottom) != bot:
+        raise Unbounded(f"declared bottom {bottom!r} is not the least element")
+    if top is not None and P.index(top) != top_:
+        raise Unbounded(f"declared top {top!r} is not the greatest element")
+    if not accepted:
+        raise NotDistributive(_distributivity_witness(P.labels, meet, join))
+    return DistLattice(P.labels, up, down, bot, top_)
+
+
+def _is_distributive_lattice(up, down):
+    """Birkhoff's test on the order rows of a finite poset.
+
+    With J the join-irreducibles and jd(a) = down(a) & J, the poset is
+    a distributive lattice exactly when jd is an order isomorphism onto
+    the downsets of J.  jd is an order embedding when up(a) is the
+    meet of up(j) over the j in jd(a) (every point when jd(a) is
+    empty): then jd(a) <= jd(b) puts b in up(a).  An embedding whose
+    images are downsets of J is onto them when there are exactly n.
+    """
+    ji = _join_irreducible_mask(down)
+    full = (1 << len(up)) - 1
+    for a, d in enumerate(down):
+        above = full
+        for j in _bits(d & ji):
+            above &= up[j]
+        if above != up[a]:
+            return False
+    return _downset_count(down, ji, len(up) + 1) == len(up)
+
+
+def _downset_count(down, members, stop):
+    """The number of downsets of the points of ``members`` in the order
+    of the ``down`` rows, or a number of at least ``stop`` once the
+    count reaches it: each size is grown from the last by adding a
+    point whose strict downset is inside."""
+    below = [(1 << j, down[j] & members & ~(1 << j)) for j in _bits(members)]
+    level, count = {0}, 1
+    while level and count < stop:
+        level = {d | bit for d in level for bit, lower in below
+                 if not d & bit and not lower & ~d}
+        count += len(level)
+    return count
+
+
+def _operation_tables(P):
+    """The meet and join tables of P, or :class:`NotALattice` naming the
+    first pair (a, b) without a meet or a join, a meet first."""
     up, down = P.up, P.down
     # the common lower bounds of a and b have a greatest element c
     # exactly when they form the principal downset of c
     by_down = {m: c for c, m in enumerate(down)}
     by_up = {m: c for c, m in enumerate(up)}
     meet, join = [], []
-    for a in range(n):
+    for a in range(P.n):
         da, ua = down[a], up[a]
         meet_row = [by_down.get(da & m) for m in down]
         join_row = [by_up.get(ua & m) for m in up]
@@ -150,21 +214,15 @@ def validate_lattice(P, bottom=None, top=None):
             raise NotALattice(kind, (P.labels[a], P.labels[b]))
         meet.append(tuple(meet_row))
         join.append(tuple(join_row))
-    full = (1 << n) - 1
-    bot, top_ = by_up.get(full), by_down.get(full)
-    if bot is None or top_ is None:
-        raise Unbounded("order lacks a unique bottom or top")
-    if bottom is not None and P.index(bottom) != bot:
-        raise Unbounded(f"declared bottom {bottom!r} is not the least element")
-    if top is not None and P.index(top) != top_:
-        raise Unbounded(f"declared top {top!r} is not the greatest element")
-    ji = _join_irreducible_mask(down)
-    jd = [m & ji for m in down]
-    # jd[a \/ b] == jd[a] | jd[b] for every b, without building the rows
-    if any(any(map(ne, map(jd.__getitem__, join[a]), map(jd[a].__or__, jd)))
-           for a in range(n)):
-        raise NotDistributive(_distributivity_witness(P.labels, meet, join))
-    return DistLattice(P.labels, up, down, tuple(meet), tuple(join), bot, top_)
+    return tuple(meet), tuple(join)
+
+
+def _bound_table(rows):
+    """The table of the c with ``rows[c] == rows[a] & rows[b]``: the
+    meets of a lattice from its downset rows, the joins from its upset
+    rows."""
+    at = {m: c for c, m in enumerate(rows)}.__getitem__
+    return tuple(tuple(map(at, map(r.__and__, rows))) for r in rows)
 
 
 def _distributivity_witness(labels, meet, join):
@@ -179,7 +237,7 @@ def _distributivity_witness(labels, meet, join):
                 c = next(c for c in range(n)
                          if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]])
                 return labels[a], labels[b], labels[c]
-    raise InternalAssertionError("join-primeness fails but every triple distributes")
+    raise InternalAssertionError("Birkhoff's test fails but every triple distributes")
 
 
 def _join_irreducible_mask(down):
@@ -232,6 +290,7 @@ def clopen_upset_lattice(X):
     U^2 comparisons: ``down[k]``, the upsets inside U_k, is the union of
     the lower covers' rows plus U_k itself, and ``up[k]``, the upsets
     above U_k, is built the same way downward from the largest upset.
+    The meet and join tables, U x U each, are built only when read.
     """
     masks = upset_masks(X)
     index = upset_index(X)
@@ -241,10 +300,8 @@ def clopen_upset_lattice(X):
     for k in reversed(range(len(masks))):
         for c in lower[k]:
             up[c] |= up[k]
-    meet = tuple(tuple(index[u & v] for v in masks) for u in masks)
-    join = tuple(tuple(index[u | v] for v in masks) for u in masks)
     labels = [_upset_label(X, u) for u in masks]
-    return DistLattice(labels, tuple(up), tuple(down), meet, join, index[0],
+    return DistLattice(labels, tuple(up), tuple(down), index[0],
                        index[(1 << X.n) - 1], space=X)
 
 

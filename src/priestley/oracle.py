@@ -216,12 +216,13 @@ def check_stone_embedding(D):
     images = [stone_map(D, a).mask for a in range(D.n)]
     if sorted(images) != sorted(upset_masks(priestley_dual(D))):
         return "stone map is not a bijection"
+    meet, join = D.meet, D.join
     for a, phi_a in enumerate(images):
         for b, phi_b in enumerate(images):
             if D.le(a, b) != (phi_a & ~phi_b == 0):
                 return f"elements {D.labels[a]},{D.labels[b]}"
-            if (images[D.meet[a][b]] != phi_a & phi_b
-                    or images[D.join[a][b]] != phi_a | phi_b):
+            if (images[meet[a][b]] != phi_a & phi_b
+                    or images[join[a][b]] != phi_a | phi_b):
                 return f"table mismatch at {D.labels[a]},{D.labels[b]}"
 
 

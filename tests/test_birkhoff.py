@@ -4,6 +4,7 @@ import pytest
 
 from priestley import (
     ClopenUpset,
+    DistLattice,
     FinitePoset,
     birkhoff,
     build_poset,
@@ -11,6 +12,7 @@ from priestley import (
     enumerate_upsets,
     heyting,
     lattice_from_json,
+    oracle,
     poset_from_json,
     priestley_dual,
     stone_map,
@@ -247,7 +249,9 @@ def test_lattice_from_json_rejects_a_bound_that_is_not_a_label(field, value):
 
 def _literal_verdict(P):
     """The first missing meet or join (pair order) or failing
-    distributive law (triple order), straight from the definitions."""
+    distributive law (triple order), straight from the definitions, or
+    None; and the glb and lub tables as tuples of int tuples, or None
+    when a pair has no meet or join."""
     n, le, lab = P.n, P.le, P.labels
     meet, join = {}, {}
     for a in range(n):
@@ -255,34 +259,37 @@ def _literal_verdict(P):
             lower = [c for c in range(n) if le(c, a) and le(c, b)]
             glb = [c for c in lower if all(le(d, c) for d in lower)]
             if not glb:
-                return f"no meet for pair {(lab[a], lab[b])}"
+                return f"no meet for pair {(lab[a], lab[b])}", None, None
             upper = [c for c in range(n) if le(a, c) and le(b, c)]
             lub = [c for c in upper if all(le(c, d) for d in upper)]
             if not lub:
-                return f"no join for pair {(lab[a], lab[b])}"
+                return f"no join for pair {(lab[a], lab[b])}", None, None
             meet[a, b], join[a, b] = glb[0], lub[0]
+    tables = [tuple(tuple(t[a, b] for b in range(n)) for a in range(n))
+              for t in (meet, join)]
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
-                    return f"distributivity fails at triple {(lab[a], lab[b], lab[c])}"
-    return None
+                    return (f"distributivity fails at triple {(lab[a], lab[b], lab[c])}",
+                            *tables)
+    return None, *tables
 
 
 def test_validation_witnesses_match_the_definitions():
+    # and an accepted lattice's tables, built on first read, are the
+    # glb and lub tables
     verdicts = set()
     for n in range(1, 7):
         for P in enumerate_posets(n):
+            expected, meet, join = _literal_verdict(P)
             try:
                 D = validate_lattice(P)
             except (NotALattice, NotDistributive) as e:
                 got = str(e)
             else:
                 got = None
-                for a in range(n):
-                    for b in range(n):
-                        assert P.le(D.meet[a][b], a) and P.le(a, D.join[a][b])
-            expected = _literal_verdict(P)
+                assert D.meet == meet and D.join == join, repr(P)
             assert got == expected, repr(P)
             verdicts.add(expected.split()[0] if expected else "ok")
     assert verdicts == {"no", "distributivity", "ok"}
@@ -312,11 +319,36 @@ def _upset_lattices(max_points):
 
 def test_accepted_lattices_never_reach_the_witness_scan(monkeypatch):
     def scan(*args):
-        raise AssertionError("the distributivity witness scan ran on an accept")
+        raise AssertionError("a witness scan ran on an accept")
 
     monkeypatch.setattr(birkhoff, "_distributivity_witness", scan)
+    monkeypatch.setattr(birkhoff, "_operation_tables", scan)
     for P in [*_upset_lattices(5), poset_from_json(_boolean(7))]:
         validate_lattice(P)
+
+
+_TABLES = (DistLattice.meet.fget, DistLattice.join.fget)
+
+
+def test_the_accept_path_builds_no_meet_or_join_table(monkeypatch):
+    D = lattice_from_json(_boolean(7))
+    priestley_dual(D)
+    for a in range(D.n):
+        stone_map(D, a)
+    assert not set(_TABLES) & set(D._tables)
+    # nor does the space round trip build them on the upset lattices
+    used = []
+
+    def kept(P, fn=oracle.clopen_upset_lattice):
+        used.append(fn(P))
+        return used[-1]
+
+    monkeypatch.setattr(oracle, "clopen_upset_lattice", kept)
+    cases = oracle.run_suite(["duality-round-trip"], bound=4)
+    assert all(c.ok() for c in cases) and len(used) == len(cases) == 24
+    assert not any(set(_TABLES) & set(L._tables) for L in used)
+    # and the tables, once read, are kept
+    assert D.meet is D.meet and set(D._tables) >= {_TABLES[0]}
 
 
 # M3 and N5 on a low point "lo" and a high point "hi"; gluing identifies
@@ -341,7 +373,7 @@ def test_glued_non_distributive_pieces_give_the_literal_witness(piece):
             )
             with pytest.raises(NotDistributive) as info:
                 validate_lattice(P)
-            assert str(info.value) == _literal_verdict(P), repr(P)
+            assert str(info.value) == _literal_verdict(P)[0], repr(P)
 
 
 def test_the_boolean_lattice_on_eight_atoms_validates_and_dualizes():

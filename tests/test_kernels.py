@@ -53,6 +53,47 @@ def test_closure_tables_match_the_mask_union_on_every_mask():
             assert t.strict_down[m] == _mask_union(strict_down, m), (P, m)
 
 
+def literal_warshall(labels, covers):
+    """``build_poset`` with the order closed by Warshall's n^3 loop."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for a, b in covers:
+        up[index[a]] |= 1 << index[b]
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return FinitePoset(labels, up)
+
+
+def built(build, labels, covers):
+    """The rows of the built poset, or the class and text of the error."""
+    try:
+        return build(labels, covers).up
+    except (WorkbenchError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_the_closure_matches_warshall_on_random_digraphs():
+    # half the digraphs follow a shuffled order of the points, so are
+    # acyclic without their pairs running from lower to higher indices;
+    # the other half draw every pair, loops included, and mostly cycle
+    rng = random.Random(33)
+    outcomes = set()
+    for trial in range(2000):
+        n = rng.randint(1, 12)
+        labels = [f"x{i}" for i in range(n)]
+        rank = rng.sample(range(n), n)
+        p = rng.uniform(0.02, 0.4)
+        pairs = [(labels[a], labels[b]) for a in range(n) for b in range(n)
+                 if rng.random() < p and (trial % 2 or rank[a] < rank[b])]
+        expected = built(literal_warshall, labels, pairs)
+        assert built(build_poset, labels, pairs) == expected, (labels, pairs)
+        outcomes.add(expected[0] if isinstance(expected[0], str) else "poset")
+    assert outcomes == {"poset", "CycleDetected"}
+
+
 def literal_sub_upset_unions(P, values):
     ups = upset_masks(P)
     out = []

@@ -7,6 +7,7 @@ import pytest
 
 from priestley import FinitePoset, NuclearSet, build_poset, enumerate_upsets, oracle
 from priestley import spectrum as sp
+from priestley.birkhoff import DistLattice
 from priestley.fans import (EMPTY_REGION, FAMILIES, FULL_REGION, BareFanEngine,
                             ChainFansEngine, FanEngine, FanPlusBottomEngine,
                             OmegaFansEngine, Region, TameSet, engine_for, make_tame,
@@ -185,12 +186,13 @@ def _up_without_blob(E, a, fn=OmegaFansEngine.strict_up):
 
 
 # The planted faults, the only ones.  Each row replaces one oracle name,
-# spectrum function or engine method with a fault built from the
-# original at import, and names the ids it runs under and the ids that
-# must then fail with a witness; the witnesses are kept in the
-# ``# fault`` blocks of tests/golden/verify_b4.txt.  The first three
-# rows each break one direction of the finite duality, or the upsets
-# that separate points.  The oracle rows after them each break the one
+# spectrum function, engine method or lattice table with a fault built
+# from the original at import, and names the ids it runs under and the
+# ids that must then fail with a witness; the witnesses are kept in the
+# ``# fault`` blocks of tests/golden/verify_b4.txt.  The first four
+# rows each break one direction of the finite duality, the meet table
+# that a lattice builds on first read, or the upsets that separate
+# points.  The oracle rows after them each break the one
 # side of a nuclei identity that its check compares.  The spectrum rows
 # corrupt a finite result, and none of them makes a check raise.  The
 # localic part, closure and a fan's content region change one cached
@@ -212,6 +214,8 @@ ENGINE_FAULTS = [
     (oracle, "stone_map", lambda D, a, fn=oracle.stone_map: fn(D, D.top),
      DUALITY_IDS, {"stone-embedding"}),
     (oracle, "prime_filters", _reversed_dual, DUALITY_IDS, {"duality-round-trip"}),
+    # the meet table, built on first read, is the join table
+    (DistLattice, "meet", property(lambda D: D.join), DUALITY_IDS, {"stone-embedding"}),
     (oracle, "upset_masks", lambda P, fn=oracle.upset_masks: [u for u in fn(P) if u != P.up[0]],
      ["priestley-separation"], {"priestley-separation"}),
     (oracle, "nuclear_of_nucleus", _drop_point_zero(oracle.nuclear_of_nucleus),
@@ -236,8 +240,9 @@ ENGINE_FAULTS = [
     (oracle, "sub_upset_unions",
      lambda P, images, fn=oracle.sub_upset_unions: [u | 1 for u in fn(P, images)],
      ["inductive-core-collapse"], {"inductive-core-collapse"}),
-    (sp, "yd_set", _finite_only(sp.yd_set, lambda E, y: y | 1), FINITE_IDS,
-     {"eqv-conditions-rmax", "min-yd-max-d-upsets"}),
+    (sp, "yd_set", _finite_only(sp.yd_set, lambda E, y: y ^ 1), FINITE_IDS,
+     {"eqv-conditions-rmax", "max-y-in-yd", "min-yd-max-d-upsets",
+      "regularity-equivalences"}),
     (sp, "min_yd", _finite_only(sp.min_yd, lambda E, m: m ^ 1), FINITE_IDS,
      {"compacts-d-initial", "max-bounded-iff-d-initial", "min-yd-max-d-upsets",
       "t1-min-yd"}),
@@ -333,9 +338,6 @@ FAULT_IDS = _fault_ids(ENGINE_FAULTS)
 
 # the checks that no row of ENGINE_FAULTS fails, each with the reason
 UNCOVERED = {
-    "max-y-in-yd": (
-        "only the yd_set row reaches it, and that row adds a point to Y_d, which "
-        "the inclusion of max Y in Y_d allows"),
     "min-yd-homeomorphism": (
         "its finite cases cannot fail: an upset u meets down(y) iff y is in u, so "
         "the hull-kernel opens are the subspace opens whatever min Y_d is"),
