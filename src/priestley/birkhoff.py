@@ -54,22 +54,18 @@ class DistLattice:
 
     ``up`` and ``down`` are the principal upsets and downsets as bitmask
     rows; ``meet[a][b]`` and ``join[a][b]`` are element indices, in
-    tables built from the rows on first read.  ``space`` is the finite
-    space whose upsets the elements are, for a lattice built by
-    :func:`clopen_upset_lattice`, and ``None`` otherwise.  Its dual is a
-    table of the lattice (:func:`prime_filters`).
+    tables built from the rows on first read.  Its dual is a table of
+    the lattice (:func:`prime_filters`).
     """
 
-    __slots__ = ("labels", "up", "down", "bottom", "top", "space", "_index",
-                 "_tables")
+    __slots__ = ("labels", "up", "down", "bottom", "top", "_index", "_tables")
 
-    def __init__(self, labels, up, down, bottom, top, space=None):
+    def __init__(self, labels, up, down, bottom, top):
         self.labels = tuple(labels)
         self.up = up
         self.down = down
         self.bottom = int(bottom)
         self.top = int(top)
-        self.space = space
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._tables = {}
 
@@ -302,7 +298,7 @@ def clopen_upset_lattice(X):
             up[c] |= up[k]
     labels = [_upset_label(X, u) for u in masks]
     return DistLattice(labels, tuple(up), tuple(down), index[0],
-                       index[(1 << X.n) - 1], space=X)
+                       index[(1 << X.n) - 1])
 
 
 def _upset_label(X, mask):

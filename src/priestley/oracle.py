@@ -18,6 +18,16 @@ one case loop turns instances into cases, and the runner goes one poset
 at a time.  Checks over all nuclear subsets are capped at four points
 (the object count is exponential squared); purely structural checks run
 at the full bound.
+
+The laws of d and of the core are coded once, on the engine contract
+alone (:func:`_nucleus_laws`, :func:`_core_laws`), and run on both
+kinds of engine: d-nucleus-laws and arithmetic-core-law over every
+upset of a finite engine, fan-d-laws over the seeded samples of each
+fan family.  Each engine check's docstring names its kind: (a) a law
+of every arithmetic frame over its clopen (Scott) upsets, which any
+finite family of them tests; (b) a finite collapse, false or empty on
+a fan engine; (c) an extremal or existential statement, which needs
+the whole space.
 """
 
 from __future__ import annotations
@@ -65,7 +75,8 @@ from .nuclei import (
 )
 from .poset import (FinitePoset, _bits, _Frozen, _mask, _mask_union, _table,
                     closure_tables, drop_tables, extrema, one_point_extensions,
-                    sub_upset_unions, upset_index, upset_masks)
+                    sub_upset_unions, upset_index, upset_masks,
+                    upset_meet_splits)
 
 DEFAULT_BOUND = 6
 MAX_BOUND = 7
@@ -196,7 +207,7 @@ def check_duality_round_trip(P):
     order isomorphism of P onto the prime filters of its upset lattice."""
     L = clopen_upset_lattice(P)
     X2, ji = prime_filters(L)
-    member_index = upset_index(L.space)
+    member_index = upset_index(P)
     dual_index = {e: i for i, e in enumerate(ji)}
     send = [dual_index.get(member_index.get(P.up[x])) for x in range(P.n)]
     if X2.n != P.n or set(send) != set(range(P.n)):
@@ -244,7 +255,10 @@ def check_join_meet_formulas(E):
     """Frame joins are closures of unions and meets the interior formula;
     in the finite case both collapse to union and intersection.  Each
     formula is computed once per distinct argument mask and every pair
-    compared by lookup."""
+    compared by lookup.
+
+    Kind (a): joins and meets of two clopen upsets, a law of every
+    arithmetic frame, so any finite family of clopen upsets tests it."""
     ups = E.all_upsets()
     closure = {w: E.closure(w) for w in {u | v for u in ups for v in ups}}
     interior = {w: E.full & ~E.down(E.full & ~w)
@@ -265,7 +279,13 @@ def check_heyting_adjunction(E):
     the point mask m, is the AND of ``missing[p]`` (the upsets without
     point p) over the points of m, tabulated once for every m.  U* is
     compared with the largest upset disjoint from U, the union of the
-    upsets in ``avoiding[U]``."""
+    upsets in ``avoiding[U]``.
+
+    Kind (a): every frame is a Heyting algebra.  One caveat: U -> V is
+    X \\ down(U \\ V), a clopen upset, only where down of a clopen set
+    is clopen; on a fan engine that is a property of the family's down
+    rule, to be checked before the law is run there.  U* as the largest
+    upset disjoint from U also reads every upset."""
     ups = E.all_upsets()
     pc = lambda a: E.full & ~E.down(a)
     imp = lambda a, b: E.full & ~E.down(a & ~b)
@@ -403,6 +423,64 @@ def check_inductive_core_collapse(P):
                 return f"{list(_bits(members))}, U={list(_bits(u))}"
 
 
+# ---------------------------------------------------------------------
+# the laws of d and of the core, on the engine contract
+# ---------------------------------------------------------------------
+
+
+def _nucleus_laws(E, d, universe, pairs):
+    """The witness of the first nucleus law that ``d``, a function on
+    the clopen upsets of engine E, breaks, or None: for each U of
+    ``universe``, a list of clopen upsets, dU is a clopen upset holding
+    U (tested when dU is not in the list) and d(dU) = dU; for each
+    (U, V) of ``pairs`` d(U & V) = dU & dV; and d(empty) = empty (d is
+    dense).  It reads only names of the engine contract, so it runs the
+    same on finite and fan engines."""
+    members = set(universe)
+    for u in universe:
+        du = d(u)
+        if not sp.subset(E, u, du):
+            return f"not inflationary at {E.describe_set(u)}"
+        if du not in members and not sp.is_clopen_upset(E, du):
+            return f"{E.describe_set(du)} is not a clopen upset"
+        if d(du) != du:
+            return f"not idempotent at {E.describe_set(u)}"
+    meet = E.meet
+    for u, v in pairs:
+        if d(meet(u, v)) != meet(d(u), d(v)):
+            return f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
+    if d(E.empty) != E.empty:
+        return "d is not dense"
+
+
+def _core_laws(E, universe, head):
+    """The witness of the first law of the core that fails on engine E,
+    or None: for each U of ``universe`` core U is dense in U (its
+    closure is U) and is the upset of its localic points, as a Scott
+    upset is the upset of its minimal points, all localic; for each
+    ordered pair U, V of ``head``, members of ``universe``, core(U & V)
+    = core U & core V.  Each core is computed once, and only names of
+    the engine contract are read."""
+    cores = {u: E.core(u) for u in universe}
+    Y = sp.localic_part(E)
+    for u, cu in cores.items():
+        if E.closure(cu) != u:
+            return f"core not dense at {E.describe_set(u)}"
+        if E.up(E.meet(cu, Y)) != cu:
+            return f"core not generated by localic points at {E.describe_set(u)}"
+    meet = E.meet
+    with_cores = [(u, cores[u]) for u in head]
+    for u, cu in with_cores:
+        for v, cv in with_cores:
+            uv = meet(u, v)
+            try:
+                core_uv = cores[uv]
+            except KeyError:
+                core_uv = cores[uv] = E.core(uv)
+            if core_uv != meet(cu, cv):
+                return f"core meet law at {E.describe_set(u)} & {E.describe_set(v)}"
+
+
 @_table
 def _d_table(E):
     """dU for every upset, via the closure-of-union-of-double-negations
@@ -426,7 +504,10 @@ def _d_fixed_upsets(E, ups, table):
 
 @_register("d-is-double-negation", "engine")
 def check_d_is_double_negation(E):
-    """The three computations of d agree: union form, U**, cl(core_d)."""
+    """The three computations of d agree: union form, U**, cl(core_d).
+
+    Kind (b): dU = U** is the finite collapse; on a fan engine it holds
+    on the clopen Scott upsets only (fan-d-laws checks it there)."""
     table = _d_table(E)
     for u in E.all_upsets():
         a, b, c = table[u], sp.double_neg(E, u), sp.d_apply(E, u)
@@ -436,15 +517,28 @@ def check_d_is_double_negation(E):
 
 @_register("d-nucleus-laws", "engine")
 def check_d_nucleus_laws(E):
-    """The d table is a dense nucleus (validated through the nucleus
-    axioms, not assumed)."""
-    if not density_check(Nucleus(E.poset, _d_table(E)))["dense"]:
-        return "d is not dense"
+    """The d table is a dense nucleus, by :func:`_nucleus_laws` over
+    every upset.  Its meet law is read on the splits U = V & M of
+    :func:`upset_meet_splits`, one pair per upset: once d(X) = X, which
+    inflation gives, they decide it, by the induction in the docstring
+    of :class:`~priestley.nuclei.Nucleus`.  The table must first be
+    total, so that every lookup the laws make finds an image.
+
+    Kind (a): the nucleus laws, which d obeys on every arithmetic frame;
+    fan-d-laws runs the same :func:`_nucleus_laws` on tame samples."""
+    table, ups = _d_table(E), E.all_upsets()
+    if table.keys() != set(ups):
+        return "table must be total on the upsets of the space"
+    return _nucleus_laws(E, table.__getitem__, ups,
+                         [(v, m) for _, v, m in upset_meet_splits(E.poset)])
 
 
 @_register("core-d-forms", "engine")
 def check_core_d_forms(E):
-    """Pointwise d-core equals the union of dV over upsets V inside U."""
+    """Pointwise d-core equals the union of dV over upsets V inside U.
+
+    Kind (c): the union ranges over every upset inside U, an existential
+    statement that only the whole space decides."""
     ups = E.all_upsets()
     table = _d_table(E)
     unions = sub_upset_unions(E.poset, [table[u] for u in ups])
@@ -455,7 +549,10 @@ def check_core_d_forms(E):
 
 @_register("eqv-conditions-rmax", "engine")
 def check_eqv_conditions_rmax(E):
-    """The four characterizations of Y_d select the same points."""
+    """The four characterizations of Y_d select the same points.
+
+    Kind (c): forms (1) to (3) quantify over every upset, so a sample
+    cannot decide them."""
     ups = E.all_upsets()
     table = _d_table(E)
     # (1) points that cannot tell dU from U (the nuclear set, which
@@ -484,6 +581,9 @@ def check_eqv_conditions_rmax(E):
 
 @_register("max-y-in-yd", "engine")
 def check_max_y_in_yd(E):
+    """The maximal localic points lie in Y_d.
+
+    Kind (c): an extremal statement, about the maximal points of Y."""
     maxy = sp.maximal_of(E, sp.localic_part(E))
     if maxy & ~sp.yd_set(E):
         return E.describe_set(maxy)
@@ -500,7 +600,10 @@ def _subposet(P, members):
 @_register("regularity-equivalences", "engine")
 def check_regularity_equivalences(E):
     """Y_d antichain, max Y = Y_d, and L-regularity of the d-nuclear
-    subspace (the regular part of every upset is the upset itself)."""
+    subspace (the regular part of every upset is the upset itself).
+
+    Kind (b): on a finite space L_d is always regular, so all three
+    conditions hold; on the fans they take both values."""
     reg = sp.regularity_suite(E)
     sub = _subposet(E.poset, _bits(sp.nd_set(E)))
     lreg = True
@@ -520,7 +623,9 @@ def check_regularity_equivalences(E):
 @_register("min-yd-max-d-upsets", "engine")
 def check_min_yd_max_d_upsets(E):
     """Maximal proper d-fixed upsets are exactly the complements of
-    downsets of min Y_d points, bijectively."""
+    downsets of min Y_d points, bijectively.
+
+    Kind (c): maximality among all proper d-fixed upsets is extremal."""
     _, maximal = _d_fixed_upsets(E, E.all_upsets(), _d_table(E))
     expected = sp.maximal_d_upsets(E)
     if sorted(maximal) != sorted(expected):
@@ -539,7 +644,10 @@ def check_min_yd_homeomorphism(E):
 
     Its finite cases cannot fail: an upset u meets down(y) iff y is in
     u, so the hull-kernel open of u is ``u & m`` for every point set m,
-    the same family as the subspace opens, whatever min Y_d is."""
+    the same family as the subspace opens, whatever min Y_d is.
+
+    Kind (c): both topologies are families over every upset, which
+    only the whole space supplies."""
     m = sp.min_yd(E)
     ups = E.all_upsets()
     points = E.member_reps(m)
@@ -554,7 +662,10 @@ def check_min_yd_homeomorphism(E):
 def check_rho_forms(E):
     """Three computations of rho agree and its nuclear set is cl(min Y_d):
     the closure-of-union display, the nucleus of the nuclear set, and
-    the meet over the maximal d-fixed upsets above the argument."""
+    the meet over the maximal d-fixed upsets above the argument.
+
+    Kind (c): the display is a union over every upset, and the meet
+    form ranges over the maximal d-fixed upsets."""
     m = sp.min_yd(E)
     maxd = sp.maximal_d_upsets(E)
     ups = E.all_upsets()
@@ -581,7 +692,10 @@ def check_rho_forms(E):
 def check_compacts_d_initial(E):
     """Subsets of min Y_d (all compact here) correspond to d-initial
     Scott upsets by K -> up(K), an order isomorphism; the d-initial
-    Scott upsets are enumerated independently."""
+    Scott upsets are enumerated independently.
+
+    Kind (c): a bijection between two whole families, each enumerated
+    over the space."""
     m = sp.min_yd(E)
     d_initial = [
         f for f in E.all_upsets()
@@ -610,7 +724,9 @@ def check_compacts_d_initial(E):
 
 @_register("max-bounded-iff-d-initial", "engine")
 def check_max_bounded_iff_d_initial(E):
-    """Every proper d-fixed upset below a maximal one iff N_d is d-initial."""
+    """Every proper d-fixed upset below a maximal one iff N_d is d-initial.
+
+    Kind (c): an extremal statement, over the maximal d-fixed upsets."""
     proper, maximal = _d_fixed_upsets(E, E.all_upsets(), _d_table(E))
     literal = all(
         any(u & ~w == 0 for w in maximal) for u in proper
@@ -623,7 +739,9 @@ def check_max_bounded_iff_d_initial(E):
 def check_unit_criteria(E):
     """Units: a cofinal clopen Scott upset exists iff one contains Y_d;
     both imply up(min Y_d) is a Scott upset; with N_d d-initial all the
-    conditions coincide (always the case on finite spaces)."""
+    conditions coincide (always the case on finite spaces).
+
+    Kind (c): the existence of a unit needs the whole space."""
     ups = E.all_upsets()
     maxx = sp.max_set(E)
     yd = sp.yd_set(E)
@@ -646,7 +764,10 @@ def check_unit_criteria(E):
 
 @_register("t1-min-yd", "engine")
 def check_t1_min_yd(E):
-    """Distinct points of min Y_d are separated by subspace opens."""
+    """Distinct points of min Y_d are separated by subspace opens.
+
+    Kind (c): an existential statement, a separating upset for each
+    pair of points."""
     ups = E.all_upsets()
     pts = E.member_reps(sp.min_yd(E))
     for a in pts:
@@ -659,15 +780,13 @@ def check_t1_min_yd(E):
 
 @_register("arithmetic-core-law", "engine")
 def check_arithmetic_core_law(E):
-    """Cores are dense and distribute over intersections (literal form)."""
+    """The laws of the core, by :func:`_core_laws` over every upset and
+    every pair of upsets (literal form).
+
+    Kind (a): the core laws hold on every arithmetic frame; fan-d-laws
+    runs the same :func:`_core_laws` on tame samples."""
     ups = E.all_upsets()
-    cores = [E.core(u) for u in ups]
-    for u, core_u in zip(ups, cores):
-        if E.closure(core_u) != u:
-            return E.describe_set(u)
-        for v, core_v in zip(ups, cores):
-            if core_u & core_v != E.core(u & v):
-                return "core meet law"
+    return _core_laws(E, ups, ups)
 
 
 # ---------------------------------------------------------------------
@@ -677,57 +796,30 @@ def check_arithmetic_core_law(E):
 
 @_register("fan-d-laws", "fan")
 def check_fan_d_laws(E, seed):
-    """d-operator laws on deterministic tame samples of every family:
-    nucleus axioms, density, agreement with the nuclear-set form, and
-    dU = U** on clopen Scott upsets; then the laws of the core: dense,
-    meet-stable, and inside the upset of its localic points."""
+    """The laws of d and of the core on deterministic tame samples of
+    every family, by :func:`_nucleus_laws` and :func:`_core_laws` over
+    the distinct samples and the pairs of the first twelve; then what
+    only a fan engine shows: d agrees with the nuclear-set form, the
+    family's Scott test with :func:`~priestley.spectrum.scott_upset_flag`,
+    and dU = U** on clopen Scott upsets.  d of each distinct set is
+    computed once: samples repeat, and d of a sample is often a sample."""
     samples = E.sample_clopen_upsets(SAMPLE_COUNT, seed=seed)
-    nd = sp.nd_set(E)
-    # d and the core of each distinct set, computed once: samples
-    # repeat, d of a sample is often a sample, and so are many meets
-    d, core = {}, {}
-
-    def d_of(u):
-        du = d.get(u)
-        if du is None:
-            du = d[u] = sp.d_apply(E, u)
-        return du
-
     distinct = list(dict.fromkeys(samples))
+    head = samples[:12]
+    d = functools.cache(lambda u: sp.d_apply(E, u))
+    witness = (_nucleus_laws(E, d, distinct, product(head, repeat=2))
+               or _core_laws(E, distinct, head))
+    if witness:
+        return witness
+    nd = sp.nd_set(E)
     for u in distinct:
-        du = d_of(u)
-        if not sp.subset(E, u, du):
-            return f"not inflationary at {E.describe_set(u)}"
-        if d_of(du) != du:
-            return f"not idempotent at {E.describe_set(u)}"
-        if du != E.diff(E.full, E.down(E.diff(nd, u))):
+        if d(u) != E.diff(E.full, E.down(E.diff(nd, u))):
             return f"nuclear form differs at {E.describe_set(u)}"
         scott = E.clop_sup_test(u)
         if scott != sp.scott_upset_flag(E, u):
             return f"Scott test differs at {E.describe_set(u)}"
-        if scott and du != sp.double_neg(E, u):
+        if scott and d(u) != sp.double_neg(E, u):
             return f"dU != U** at {E.describe_set(u)}"
-    head = samples[:12]
-    pairs = [(u, v, E.meet(u, v)) for u in head for v in head]
-    for (u, v, uv), (du, dv) in zip(pairs, product([d[u] for u in head], repeat=2)):
-        if d_of(uv) != E.meet(du, dv):
-            return f"meet law at {E.describe_set(u)} & {E.describe_set(v)}"
-    if d_of(E.empty) != E.empty:
-        return "d is not dense"
-    # a Scott upset is the upset of its minimal points, all localic
-    Y = sp.localic_part(E)
-    for u in distinct:
-        cu = core[u] = E.core(u)
-        if E.closure(cu) != u:
-            return f"core not dense at {E.describe_set(u)}"
-        if not sp.subset(E, cu, E.up(E.meet(cu, Y))):
-            return f"core not generated by localic points at {E.describe_set(u)}"
-    for (u, v, uv), (cu, cv) in zip(pairs, product([core[u] for u in head], repeat=2)):
-        cuv = core.get(uv)
-        if cuv is None:
-            cuv = core[uv] = E.core(uv)
-        if cuv != E.meet(cu, cv):
-            return f"core meet law at {E.describe_set(u)} & {E.describe_set(v)}"
 
 
 _EXPECTED_FIGURES = {

@@ -421,11 +421,15 @@ def upset_meet_splits(P):
     the splits chain U to the whole space through them.
     """
     full = (1 << P.n) - 1
+    up, down = P.up, P.down
     splits = []
     for u in upset_masks(P)[:-1]:
-        rest = full & ~u
-        m = next(m for m in _bits(rest) if P.up[m] & rest == 1 << m)
-        splits.append((u, u | 1 << m, full & ~P.down[m]))
+        rest = bits = full & ~u
+        low = bits & -bits
+        while up[low.bit_length() - 1] & rest != low:  # _bits inlined
+            bits ^= low
+            low = bits & -bits
+        splits.append((u, u | low, full & ~down[low.bit_length() - 1]))
     return tuple(splits)
 
 

@@ -47,6 +47,7 @@ The oracle's exhaustive checks also read ``poset``, ``n`` and
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import and_
 
 from .errors import (
     InternalAssertionError,
@@ -441,8 +442,9 @@ class FiniteEngine:
 
     # -- set primitives ----------------------------------------------
 
-    def meet(self, a, b):
-        return a & b
+    # the int form itself, so the engine-generic law checks pay no
+    # Python frame for each of their many meets
+    meet = staticmethod(and_)
 
     def diff(self, a, b):
         return a & ~b

@@ -133,7 +133,7 @@ def test_round_trip_via_stone_map():
     for D in (three_chain_lattice(), boolean_two()):
         X = priestley_dual(D)
         E = clopen_upset_lattice(X)
-        idx = {u: i for i, u in enumerate(enumerate_upsets(E.space))}
+        idx = {u: i for i, u in enumerate(enumerate_upsets(X))}
         send = [idx[stone_map(D, a).members] for a in range(D.n)]
         assert sorted(send) == list(range(E.n))  # bijection
         for a in range(D.n):

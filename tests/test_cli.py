@@ -311,18 +311,19 @@ def test_verify_rejects_an_empty_only(only, capsys):
 D_TABLE_FAILURES = [
     ("finite poset on {p0}", "d is not dense"),
     ("finite poset on {p0, p1}", "d is not dense"),
-    ("finite poset on {p0, p1}", "image of [] is not an upset"),
+    ("finite poset on {p0, p1}", "{p0} is not a clopen upset"),
     ("finite poset on {p0, p1, p2}", "d is not dense"),
     ("finite poset on {p0, p1, p2}", "d is not dense"),
-    ("finite poset on {p0, p1, p2}", "image of [] is not an upset"),
-    ("finite poset on {p0, p1, p2}", "image of [] is not an upset"),
-    ("finite poset on {p0, p1, p2}", "image of [] is not an upset"),
+    ("finite poset on {p0, p1, p2}", "{p0} is not a clopen upset"),
+    ("finite poset on {p0, p1, p2}", "{p0} is not a clopen upset"),
+    ("finite poset on {p0, p1, p2}", "{p0} is not a clopen upset"),
 ]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_reports_each_failure(fmt, monkeypatch, capsys):
-    # point 0 joins every d image, as in test_oracle's raising check
+    # point 0 joins every d image: d of the empty set is not dense, or
+    # not an upset
     d_table = oracle._d_table
     monkeypatch.setattr(oracle, "_d_table",
                         lambda E: {u: v | 1 for u, v in d_table(E).items()})

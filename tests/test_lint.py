@@ -174,6 +174,46 @@ def test_fan_family_names_appear_only_in_the_shape_table_and_engines():
     assert stray_family_names("oracle.py", planted) == ["oracle.py:2 'omega_fans'"]
 
 
+BITWISE = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift, ast.Invert)
+FINITE_ONLY = {"poset", "n", "all_upsets"}
+
+
+def finite_only_sites(source, functions):
+    """Where the bodies of the named functions use a bitwise operator or
+    read ``poset``, ``n`` or ``all_upsets``, as ``function:line what``."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in functions:
+            continue
+        for node in ast.walk(fn):
+            op = getattr(node, "op", None)
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if isinstance(op, BITWISE):
+                found.append((node.lineno, node.col_offset, fn.name, type(op).__name__))
+            elif isinstance(node, (ast.Attribute, ast.Name)) and name in FINITE_ONLY:
+                found.append((node.lineno, node.col_offset, fn.name, name))
+    return [f"{fn}:{line} {what}" for line, _, fn, what in sorted(found)]
+
+
+def test_the_shared_laws_are_engine_generic():
+    # the nucleus and core laws run on finite and fan engines alike: an
+    # int operator or a finite engine's extra name would tie them to one
+    from priestley import oracle
+
+    laws = ("_nucleus_laws", "_core_laws")
+    source = pathlib.Path(oracle.__file__).read_text(encoding="utf-8")
+    assert all(hasattr(oracle, fn) for fn in laws)
+    assert finite_only_sites(source, laws) == []
+    # and the lint sees each kind of breach, in the named functions only
+    planted = ("def _core_laws(E, ups):\n    a = ups[0] & ~E.full\n    a |= 1 << E.n\n"
+               "    return E.poset, all_upsets\n"
+               "def other(E):\n    return E.full & E.n\n")
+    assert finite_only_sites(planted, laws) == [
+        "_core_laws:2 BitAnd", "_core_laws:2 Invert", "_core_laws:3 BitOr",
+        "_core_laws:3 LShift", "_core_laws:3 n", "_core_laws:4 poset",
+        "_core_laws:4 all_upsets"]
+
+
 def callers(node, name, owner="<module>"):
     """The enclosing function (or class) of each ``name(...)`` call."""
     for child in ast.iter_child_nodes(node):

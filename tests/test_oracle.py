@@ -1,6 +1,7 @@
 """The verifier itself: enumeration counts, determinism, green runs."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -101,15 +102,24 @@ def test_small_bound_suite_green():
 
 
 def test_a_check_that_raises_fails_its_case(monkeypatch):
-    # point 0 joins every d image: a non-upset image makes Nucleus raise
-    # ValueError, which must become a failed case, not abort the suite
-    d_table = oracle._d_table
-    monkeypatch.setattr(oracle, "_d_table",
-                        lambda E: {u: v | 1 for u, v in d_table(E).items()})
-    cases = oracle.run_suite(["d-nucleus-laws"], bound=3)
+    # the whole space is not closed: core_d refuses it with
+    # NotClopenUpset, which must become a failed case, not abort the suite
+    monkeypatch.setattr(sp.FiniteEngine, "is_closed", lambda E, a: a != E.full)
+    cases = oracle.run_suite(["core-d-forms"], bound=3)
     assert len(cases) == 8 and not any(c.ok() for c in cases)
     witnesses = {c.witness for c in cases}
-    assert witnesses == {"d is not dense", "image of [] is not an upset"}
+    assert witnesses == {"{p0} is not a clopen upset", "{p0, p1} is not a clopen upset",
+                         "{p0, p1, p2} is not a clopen upset"}
+
+
+def test_a_d_table_without_an_upset_fails_its_case(monkeypatch):
+    # the laws look d up by upset: a table that lacks one is refused
+    # before any lookup, not with a KeyError out of the run
+    d_table = oracle._d_table
+    monkeypatch.setattr(oracle, "_d_table",
+                        lambda E: {u: v for u, v in d_table(E).items() if u != E.full})
+    cases = oracle.run_suite(["d-nucleus-laws"], bound=2)
+    assert [c.witness for c in cases] == ["table must be total on the upsets of the space"] * 3
 
 
 def test_an_internal_assertion_fails_its_case(monkeypatch):
@@ -201,10 +211,12 @@ def _up_without_blob(E, a, fn=OmegaFansEngine.strict_up):
 # part changes Y_d (eqv-conditions-rmax compares it with three other
 # forms), closure changes the d table and d, and a fan's content region
 # changes the omega family's localic part and Y_d (fan-figures compares
-# the report with the published figures).  A fan sample that equals
-# another pointwise but not structurally fails the tame soundness.  The
-# last rows bend one closed-form rule of a fan engine a little, and the
-# d laws fail it on the seeded samples.
+# the report with the published figures).  A finite core that drops a
+# point fails the core laws that arithmetic-core-law and fan-d-laws
+# share (``oracle._core_laws``).  A fan sample that equals another
+# pointwise but not structurally fails the tame soundness.  The last
+# rows bend one closed-form rule of a fan engine a little, and the d
+# laws fail it on the seeded samples.
 FINITE_IDS = [tid for tid in sorted(oracle.CHECKS) if not tid.startswith("fan-")]
 RUN_SCOPED_IDS = ["eqv-conditions-rmax", "unit-criteria", "d-is-double-negation"]
 DUALITY_IDS = ["duality-round-trip", "stone-embedding"]
@@ -263,6 +275,9 @@ ENGINE_FAULTS = [
      ["join-meet-formulas", "arithmetic-core-law", "d-nucleus-laws", "regularity-equivalences"],
      {"join-meet-formulas", "arithmetic-core-law", "d-nucleus-laws", "regularity-equivalences"}),
     (sp.FiniteEngine, "down", _down_as_identity, ["heyting-adjunction"], {"heyting-adjunction"}),
+    # point 0 is in no core, so the core of an upset holding it is not dense
+    (sp.FiniteEngine, "core", lambda E, u: u & ~1, ["arithmetic-core-law"],
+     {"arithmetic-core-law"}),
     # fan 0 no longer lies above its spine point
     (OmegaFansEngine, "_content_region",
      lambda E, a: region_meet(FanEngine._content_region(E, a), Region(~1)),
@@ -653,3 +668,43 @@ def test_heyting_adjunction_catches_a_wrong_pseudocomplement(monkeypatch):
     monkeypatch.setattr(sp.FiniteEngine, "down", _down_as_identity)
     E = sp.FiniteEngine(build_poset(["a", "b"], [("a", "b")]))
     assert oracle.check_heyting_adjunction(E) == "U* != U -> empty at {b}"
+
+
+def _laws_instance(name):
+    """An engine, its d, its universe and its pairs, as d-nucleus-laws
+    and fan-d-laws give them to ``oracle._nucleus_laws``."""
+    if name == "finite":
+        E = sp.FiniteEngine(build_poset(["a", "b", "c"], [("a", "b")]))
+        pairs = [(v, m) for _, v, m in oracle.upset_meet_splits(E.poset)]
+        return E, oracle._d_table(E).__getitem__, E.all_upsets(), pairs
+    E = engine_for(name)
+    samples = E.sample_clopen_upsets(oracle.SAMPLE_COUNT, seed=oracle.DEFAULT_SEED)
+    pairs = [(u, v) for u in samples[:12] for v in samples[:12]]
+    return E, lambda u: sp.d_apply(E, u), list(dict.fromkeys(samples)), pairs
+
+
+@pytest.mark.parametrize("name", ["finite", "omega_fans"])
+def test_a_law_fault_gives_one_witness_on_finite_and_fan_engines(name):
+    # d swaps the empty and the full set: inflationary and clopen at the
+    # empty set, the first member of both universes, and not idempotent
+    E, d, universe, pairs = _laws_instance(name)
+    assert universe[0] == E.empty and oracle._nucleus_laws(E, d, universe, pairs) is None
+    swapped = {E.empty: E.full, E.full: E.empty}
+    planted = lambda u: swapped[u] if u in swapped else d(u)
+    assert (oracle._nucleus_laws(E, planted, universe, pairs)
+            == f"not idempotent at {E.describe_set(E.empty)}")
+
+
+KIND_TAG = re.compile(r"Kind \(([abc])\)")
+
+
+def test_each_engine_check_names_its_kind_once():
+    # (a) a law of every arithmetic frame over its clopen (Scott) upsets,
+    # (b) a finite collapse, (c) an extremal or existential statement
+    tags = {tid: KIND_TAG.findall(oracle.CHECKS[tid].args[1].__doc__ or "")
+            for tid, kind in oracle.KINDS.items() if kind == "engine"}
+    assert len(tags) == 16
+    assert {tid: t for tid, t in tags.items() if len(t) != 1} == {}
+    assert {tid for tid, t in tags.items() if t == ["a"]} == {
+        "arithmetic-core-law", "d-nucleus-laws", "heyting-adjunction",
+        "join-meet-formulas"}
