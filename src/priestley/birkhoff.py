@@ -193,31 +193,22 @@ def _downset_count(down, members, stop):
 def _operation_tables(P):
     """The meet and join tables of P, or :class:`NotALattice` naming the
     first pair (a, b) without a meet or a join, a meet first."""
-    up, down = P.up, P.down
-    # the common lower bounds of a and b have a greatest element c
-    # exactly when they form the principal downset of c
-    by_down = {m: c for c, m in enumerate(down)}
-    by_up = {m: c for c, m in enumerate(up)}
-    meet, join = [], []
-    for a in range(P.n):
-        da, ua = down[a], up[a]
-        meet_row = [by_down.get(da & m) for m in down]
-        join_row = [by_up.get(ua & m) for m in up]
+    meet, join = _bound_table(P.down), _bound_table(P.up)
+    for a, (meet_row, join_row) in enumerate(zip(meet, join)):
         if None in meet_row or None in join_row:
             b = min(row.index(None) for row in (meet_row, join_row)
                     if None in row)
             kind = "meet" if meet_row[b] is None else "join"
             raise NotALattice(kind, (P.labels[a], P.labels[b]))
-        meet.append(tuple(meet_row))
-        join.append(tuple(join_row))
-    return tuple(meet), tuple(join)
+    return meet, join
 
 
 def _bound_table(rows):
-    """The table of the c with ``rows[c] == rows[a] & rows[b]``: the
-    meets of a lattice from its downset rows, the joins from its upset
-    rows."""
-    at = {m: c for c, m in enumerate(rows)}.__getitem__
+    """The table of the c with ``rows[c] == rows[a] & rows[b]``, or None:
+    the common lower bounds of a and b have a greatest element c exactly
+    when they are the downset of c.  So it holds the meets of a lattice
+    from its downset rows, the joins from its upset rows."""
+    at = {m: c for c, m in enumerate(rows)}.get
     return tuple(tuple(map(at, map(r.__and__, rows))) for r in rows)
 
 
@@ -308,14 +299,14 @@ def _upset_label(X, mask):
 # -- Heyting structure on upsets ---------------------------------------
 
 
-def pseudocomplement_set(X, u):
-    """U* = X minus the downset of U, for the upset mask u."""
-    return (1 << X.n) - 1 & ~closure_tables(X).down[u]
-
-
 def implies_set(X, u, v):
-    """U -> V = X minus the downset of (U minus V), for upset masks."""
+    """U -> V = X minus down(U minus V) on masks; j_N V for a point set N as U."""
     return (1 << X.n) - 1 & ~closure_tables(X).down[u & ~v]
+
+
+def pseudocomplement_set(X, u):
+    """U* = U -> empty, for the upset mask u."""
+    return implies_set(X, u, 0)
 
 
 def heyting(X, U, V=None):

@@ -185,17 +185,18 @@ def validate_nucleus(space, raw_table):
                            for u, v in raw_table.items()})
 
 
-def _nuclear_mask(j):
-    """N_j as a mask: the points x with no upset U where x is in jU \\ U."""
+def unmoved_points(table, full):
+    """The nuclear-set rule on masks: the points of ``full`` that no
+    entry U -> jU of ``table`` moves, that is, in no jU \\ U."""
     moved = 0
-    for u, v in j.masks.items():
+    for u, v in table.items():
         moved |= v & ~u
-    return (1 << j.space.n) - 1 & ~moved
+    return full & ~moved
 
 
 def nuclear_of_nucleus(j):
     """N_j: the points that cannot tell jU from U."""
-    return NuclearSet._of_mask(j.space, _nuclear_mask(j))
+    return NuclearSet._of_mask(j.space, unmoved_points(j.masks, (1 << j.space.n) - 1))
 
 
 def nucleus_of_nuclear(N):
@@ -203,6 +204,7 @@ def nucleus_of_nuclear(N):
     space = N.space
     full = (1 << space.n) - 1
     down = closure_tables(space).down
+    # birkhoff.implies_set's rule N -> U, inline: a call per entry slows all_nuclei
     return Nucleus(space, {
         u: full & ~down[N.mask & ~u] for u in upset_masks(space)
     })
@@ -221,7 +223,7 @@ def admissible_upset(j):
         if v == full:
             h &= u
     h = set_of(h)
-    if h != order_closure(space, _bits(_nuclear_mask(j)), "up"):
+    if h != order_closure(space, _bits(unmoved_points(j.masks, full)), "up"):
         raise InternalAssertionError("admissible upset differs from up(N_j)")
     return h
 
@@ -234,7 +236,7 @@ def double_negation(space):
     """The nucleus U |-> U**; its nuclear set is max X."""
     pc = birkhoff.pseudocomplement_set
     j = Nucleus(space, {u: pc(space, pc(space, u)) for u in upset_masks(space)})
-    if _nuclear_mask(j) != _maximal_mask(space):
+    if unmoved_points(j.masks, (1 << space.n) - 1) != _maximal_mask(space):
         raise InternalAssertionError("double negation nuclear set is not max X")
     return j
 
@@ -266,7 +268,7 @@ def booleanization(space):
 def density_check(j):
     """dense: j(empty) = empty; cofinal: max X inside N_j; always equal."""
     dense = j.masks[0] == 0
-    cofinal = _maximal_mask(j.space) & ~_nuclear_mask(j) == 0
+    cofinal = _maximal_mask(j.space) & ~unmoved_points(j.masks, (1 << j.space.n) - 1) == 0
     if dense != cofinal:
         raise InternalAssertionError("density and cofinality disagree")
     return {"dense": dense, "cofinal": cofinal}

@@ -64,6 +64,7 @@ from .fans import (
 from .nuclei import (
     NuclearSet,
     Nucleus,
+    _maximal_mask,
     admissible_upset,
     booleanization,
     density_check,
@@ -72,9 +73,10 @@ from .nuclei import (
     nucleus_of_nuclear,
     nucleus_of_sublocale,
     sublocale_of_nucleus,
+    unmoved_points,
 )
 from .poset import (FinitePoset, _bits, _Frozen, _mask, _mask_union, _table,
-                    closure_tables, drop_tables, extrema, one_point_extensions,
+                    closure_tables, drop_tables, one_point_extensions,
                     sub_upset_unions, upset_index, upset_masks,
                     upset_meet_splits)
 
@@ -190,7 +192,7 @@ def _instances(P, kinds):
             pass
     if "engine" in kinds:
         E = sp.FiniteEngine(P)
-        out["engine"] = [(E.name, (E,))]
+        out["engine"] = [(label, (E,))]
     if "nuclei" in kinds and P.n <= NUCLEI_BOUND:
         out["nuclei"] = out["poset"]
     return out
@@ -261,8 +263,7 @@ def check_join_meet_formulas(E):
     arithmetic frame, so any finite family of clopen upsets tests it."""
     ups = E.all_upsets()
     closure = {w: E.closure(w) for w in {u | v for u in ups for v in ups}}
-    interior = {w: E.full & ~E.down(E.full & ~w)
-                for w in {u & v for u in ups for v in ups}}
+    interior = {w: sp.implies(E, E.full, w) for w in {u & v for u in ups for v in ups}}
     for u in ups:
         for v in ups:
             if closure[u | v] != (u | v):
@@ -287,8 +288,6 @@ def check_heyting_adjunction(E):
     rule, to be checked before the law is run there.  U* as the largest
     upset disjoint from U also reads every upset."""
     ups = E.all_upsets()
-    pc = lambda a: E.full & ~E.down(a)
-    imp = lambda a, b: E.full & ~E.down(a & ~b)
     missing = [0] * E.n
     for k, w in enumerate(ups):
         for p in _bits(E.full & ~w):
@@ -298,10 +297,10 @@ def check_heyting_adjunction(E):
         low = m & -m
         avoiding[m] = avoiding[m ^ low] & missing[low.bit_length() - 1]
 
-    # U -> V depends on U \ V alone: one implication per distinct difference
-    implied = {w: imp(w, 0) for w in {u & ~v for u in ups for v in ups}}
+    # U -> V = (U \ V) -> empty: one implication per distinct difference
+    implied = {w: sp.implies(E, w, E.empty) for w in {u & ~v for u in ups for v in ups}}
     for u in ups:
-        if pc(u) != _mask_union(ups, avoiding[u]):
+        if sp.pseudocomplement(E, u) != _mask_union(ups, avoiding[u]):
             return f"U* != U -> empty at {E.describe_set(u)}"
         for v in ups:
             if avoiding[u & ~v] != avoiding[E.full & ~implied[u & ~v]]:
@@ -351,7 +350,7 @@ def check_upset_nj_eq_fj(P):
 
 @_register("dense-iff-cofinal", "nuclei")
 def check_dense_iff_cofinal(P):
-    maxx = _mask(extrema(P, range(P.n), "max"))
+    maxx = _maximal_mask(P)
     for members, j in _nuclei_of_subsets(P):
         dense = j.masks[0] == 0
         cofinal = maxx & ~members == 0
@@ -362,7 +361,7 @@ def check_dense_iff_cofinal(P):
 @_register("max-least-cofinal", "nuclei")
 def check_max_least_cofinal(P):
     """max X is a nuclear set, cofinal, and contained in every cofinal one."""
-    maxx = _mask(extrema(P, range(P.n), "max"))
+    maxx = _maximal_mask(P)
     if nuclear_of_nucleus(double_negation(P)).mask != maxx:
         return "double negation nuclear set"
     for members, j in _nuclei_of_subsets(P):
@@ -557,15 +556,9 @@ def check_eqv_conditions_rmax(E):
     table = _d_table(E)
     # (1) points that cannot tell dU from U (the nuclear set, which
     # on the localic part is Y_d; here every point is localic)
-    moved = 0
-    for u in ups:
-        moved |= table[u] & ~u
-    c1 = E.full & ~moved
+    c1 = unmoved_points(table, E.full)
     # (2) membership of core_d U forces membership of U
-    moved = 0
-    for u in ups:
-        moved |= sp.core_d(E, u) & ~u
-    c2 = E.full & ~moved
+    c2 = unmoved_points({u: sp.core_d(E, u) for u in ups}, E.full)
     # (3) every clopen Scott upset catching max(up(x)) catches x
     c3 = 0
     for x in range(E.n):
@@ -642,18 +635,24 @@ def check_min_yd_homeomorphism(E):
     """The bijection transports the subspace topology of min Y_d onto
     the hull-kernel opens of the maximal d-fixed upsets.
 
-    Its finite cases cannot fail: an upset u meets down(y) iff y is in
-    u, so the hull-kernel open of u is ``u & m`` for every point set m,
-    the same family as the subspace opens, whatever min Y_d is.
+    The sides share nothing: each maximal d-fixed upset w of the d table
+    (:func:`_d_fixed_upsets`) is paired with the one maximal point y
+    outside it, the hull-kernel open of u holds each y whose w does not
+    hold u, and only the subspace opens ``u & min Y_d`` read min Y_d.
 
     Kind (c): both topologies are families over every upset, which
     only the whole space supplies."""
     m = sp.min_yd(E)
     ups = E.all_upsets()
-    points = E.member_reps(m)
-    image = {y: E.diff(E.full, E.down(E.point_set(y))) for y in points}
+    _, maximal = _d_fixed_upsets(E, ups, _d_table(E))
+    pairs = []
+    for w in maximal:
+        outside = E.member_reps(sp.maximal_of(E, E.diff(E.full, w)))
+        if len(outside) != 1:
+            return f"{E.describe_set(w)} leaves out {len(outside)} maximal points"
+        pairs.append((outside[0], w))
     subspace_opens = {u & m for u in ups}
-    hull_kernel_opens = {_mask(y for y in points if u & ~image[y] != 0) for u in ups}
+    hull_kernel_opens = {_mask(y for y, w in pairs if u & ~w) for u in ups}
     if subspace_opens != hull_kernel_opens:
         return f"open families differ on {E.describe_set(m)}"
 
@@ -813,7 +812,7 @@ def check_fan_d_laws(E, seed):
         return witness
     nd = sp.nd_set(E)
     for u in distinct:
-        if d(u) != E.diff(E.full, E.down(E.diff(nd, u))):
+        if d(u) != sp.implies(E, nd, u):
             return f"nuclear form differs at {E.describe_set(u)}"
         scott = E.clop_sup_test(u)
         if scott != sp.scott_upset_flag(E, u):

@@ -18,6 +18,11 @@ symbolic point classes; the functions below derive the rest:
   ``rho U = X \\ down(cl(min Y_d) \\ U)`` whose nuclear set is
   ``cl(min Y_d)``, d-initial sets, units, and the full analysis report.
 
+The Heyting rule ``a -> b = X \\ down(a \\ b)`` is coded once, as
+:func:`implies` over :func:`pseudocomplement`: ``N -> U`` is j_N U for
+a nuclear set N, and double negation, rho and the maximal d-upsets are
+cases of it.  Both are helpers over the contract, not engine names.
+
 Two engines implement the contract: :class:`FiniteEngine` below (point
 sets as bitmasks, closure is the identity, every upset is clopen Scott)
 and the symbolic fan engines in :mod:`priestley.fans`.  All set-level
@@ -120,10 +125,20 @@ def d_apply(E, u):
     return E.closure(core_d(E, u))
 
 
+def pseudocomplement(E, a):
+    """a* = X \\ down(a), the largest upset disjoint from a."""
+    return E.diff(E.full, E.down(a))
+
+
+def implies(E, a, b):
+    """a -> b = X \\ down(a \\ b): the Heyting implication of upsets,
+    and for a point set a the nucleus ``j_a b`` of the nuclear set a."""
+    return pseudocomplement(E, E.diff(a, b))
+
+
 def double_neg(E, u):
-    """u** with u* = X \\ down(u); used to cross-check d on Scott upsets."""
-    comp = lambda a: E.diff(E.full, E.down(a))
-    return comp(comp(u))
+    """u**; used to cross-check d on Scott upsets."""
+    return pseudocomplement(E, pseudocomplement(E, u))
 
 
 def yd_contains(E, y):
@@ -173,17 +188,10 @@ def nd_set(E):
 
 
 def maximal_d_upsets(E):
-    """The family {X \\ down(y) : y in min Y_d}, one set per member class.
-
-    The family is produced from min Y_d; on finite engines the oracle
-    additionally verifies maximality directly among proper d-fixed
-    upsets.
-    """
-    m = min_yd(E)
-    return [
-        E.diff(E.full, E.down(E.point_set(y)))
-        for y in E.member_reps(m)
-    ]
+    """The family {X \\ down(y) : y in min Y_d}, one set per member
+    class; on finite engines the oracle checks that these are the
+    maximal proper d-fixed upsets."""
+    return [pseudocomplement(E, E.point_set(y)) for y in E.member_reps(min_yd(E))]
 
 
 def rho_apply(E, u):
@@ -193,7 +201,7 @@ def rho_apply(E, u):
     fixpoints form the frame of opens of min Y_d.
     """
     _require_clopen_upset(E, u)
-    return E.diff(E.full, E.down(E.diff(rho_nuclear(E), u)))
+    return implies(E, rho_nuclear(E), u)
 
 
 def rho_nuclear(E):

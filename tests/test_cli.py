@@ -307,16 +307,20 @@ def test_verify_rejects_an_empty_only(only, capsys):
 
 
 # the eight cases of d-nucleus-laws at bound 3 under the fault below:
-# (instance, witness) per case, in case order
+# (instance, witness) per case, in case order; an instance is named by
+# its poset's repr, covers and all
 D_TABLE_FAILURES = [
-    ("finite poset on {p0}", "d is not dense"),
-    ("finite poset on {p0, p1}", "d is not dense"),
-    ("finite poset on {p0, p1}", "{p0} is not a clopen upset"),
-    ("finite poset on {p0, p1, p2}", "d is not dense"),
-    ("finite poset on {p0, p1, p2}", "d is not dense"),
-    ("finite poset on {p0, p1, p2}", "{p0} is not a clopen upset"),
-    ("finite poset on {p0, p1, p2}", "{p0} is not a clopen upset"),
-    ("finite poset on {p0, p1, p2}", "{p0} is not a clopen upset"),
+    ("FinitePoset(['p0'], covers=[])", "d is not dense"),
+    ("FinitePoset(['p0', 'p1'], covers=[])", "d is not dense"),
+    ("FinitePoset(['p0', 'p1'], covers=[('p0', 'p1')])", "{p0} is not a clopen upset"),
+    ("FinitePoset(['p0', 'p1', 'p2'], covers=[])", "d is not dense"),
+    ("FinitePoset(['p0', 'p1', 'p2'], covers=[('p1', 'p2')])", "d is not dense"),
+    ("FinitePoset(['p0', 'p1', 'p2'], covers=[('p0', 'p2'), ('p1', 'p2')])",
+     "{p0} is not a clopen upset"),
+    ("FinitePoset(['p0', 'p1', 'p2'], covers=[('p0', 'p1'), ('p0', 'p2')])",
+     "{p0} is not a clopen upset"),
+    ("FinitePoset(['p0', 'p1', 'p2'], covers=[('p0', 'p1'), ('p1', 'p2')])",
+     "{p0} is not a clopen upset"),
 ]
 
 

@@ -214,13 +214,20 @@ def test_the_shared_laws_are_engine_generic():
         "_core_laws:4 all_upsets"]
 
 
-def callers(node, name, owner="<module>"):
-    """The enclosing function (or class) of each ``name(...)`` call."""
+def sites(node, match, owner="<module>"):
+    """The enclosing function (or class) of each node that ``match``
+    accepts, in the tree under node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+        if match(child):
             yield owner
         scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
-        yield from callers(child, name, child.name if scope else owner)
+        yield from sites(child, match, child.name if scope else owner)
+
+
+def callers(node, name):
+    """The enclosing function (or class) of each ``name(...)`` call."""
+    return sites(node, lambda n: isinstance(n, ast.Call)
+                 and getattr(n.func, "id", None) == name)
 
 
 def test_tame_sets_are_built_only_by_the_constructor_and_the_algebra():
@@ -519,16 +526,13 @@ def definers(source, name):
             if isinstance(cls, ast.ClassDef) and any(map(binds, cls.body))]
 
 
-def bulk_index_sites(node, owner="<module>"):
+def bulk_index_sites(node):
     """The enclosing function of each representative index computed in
     a tree: a ``.bit_length()`` of an expression that calls ``_exc`` or
     ``_fan_indices`` (a bulk past its exceptions, or the fresh index)."""
-    for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "bit_length"
-                and calls_any(child.func.value, {"_exc", "_fan_indices"})):
-            yield owner
-        scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
-        yield from bulk_index_sites(child, child.name if scope else owner)
+    return sites(node, lambda n: isinstance(n, ast.Call)
+                 and getattr(n.func, "attr", None) == "bit_length"
+                 and calls_any(n.func.value, {"_exc", "_fan_indices"}))
 
 
 def test_each_derived_fan_rule_is_stated_once():
@@ -563,6 +567,72 @@ def test_each_derived_fan_rule_is_stated_once():
                "        def bulk(r): return _exc(r).bit_length()\n"
                "        return a.spine.bits.bit_length()\n")
     assert list(bulk_index_sites(ast.parse(planted))) == ["_walk", "member_reps", "bulk"]
+
+
+def named(node, name):
+    """Whether node is the name or the attribute ``name``."""
+    return getattr(node, "attr", getattr(node, "id", None)) == name
+
+
+def and_not(node):
+    """The two sides of ``a & ~b`` as (a, b), or None."""
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.Invert)):
+        return node.left, node.right.operand
+    return None
+
+
+def engine_pseudocomplement(node):
+    """``E.diff(E.full, E.down(a))`` or ``E.full & ~E.down(a)``."""
+    if isinstance(node, ast.Call) and named(node.func, "diff") and len(node.args) == 2:
+        sides = node.args
+    else:
+        sides = and_not(node)
+    return (sides is not None and named(sides[0], "full")
+            and isinstance(sides[1], ast.Call) and named(sides[1].func, "down"))
+
+
+def mask_pseudocomplement(node):
+    """``m & ~down[a]``: the complement of a downset row, on masks."""
+    sides = and_not(node)
+    return (sides is not None and isinstance(sides[1], ast.Subscript)
+            and named(sides[1].value, "down"))
+
+
+def union_of_moves(node):
+    """``moved |= v & ~u``: the points an entry U -> jU moves, gathered."""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+            and and_not(node.value) is not None)
+
+
+def test_the_nuclear_set_rules_are_coded_once():
+    # j_N U = X - down(N - U) is spectrum.pseudocomplement on the engine
+    # contract and birkhoff.implies_set on masks, where nucleus_of_nuclear
+    # keeps it inline for speed and the meet splits take X - down(m) of a
+    # point; N_j, the points no entry of j moves, is nuclei.unmoved_points
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+
+    def found(match):
+        return sorted({f"{module}.{owner}" for module, tree in trees.items()
+                       for owner in sites(tree, match)})
+
+    assert found(engine_pseudocomplement) == ["spectrum.pseudocomplement"]
+    assert found(mask_pseudocomplement) == [
+        "birkhoff.implies_set", "nuclei.nucleus_of_nuclear", "poset.upset_meet_splits"]
+    assert found(union_of_moves) == ["nuclei.unmoved_points"]
+    # and the lint sees each form of each rule, in a method or a lambda too
+    planted = ast.parse(
+        "def a(E, u):\n    return E.diff(E.full, E.down(u))\n"
+        "class B:\n    def b(self, u):\n        f = lambda v: self.full & ~self.down(v)\n"
+        "def c(E, u):\n    return E.diff(E.full, E.up(u)), E.full & ~E.up(u)\n"
+        "def d(X, full, u):\n    return full & ~closure_tables(X).down[u]\n"
+        "def e(down, u):\n    return u & down[u], u & ~down\n"
+        "def f(table):\n    moved = 0\n    for u, v in table.items():\n"
+        "        moved |= v & ~u\n    return moved\n")
+    assert list(sites(planted, engine_pseudocomplement)) == ["a", "b"]
+    assert list(sites(planted, mask_pseudocomplement)) == ["d"]
+    assert list(sites(planted, union_of_moves)) == ["f"]
 
 
 MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}

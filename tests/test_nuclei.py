@@ -24,6 +24,8 @@ from priestley import (
     order_closure,
     validate_nucleus,
 )
+from priestley import spectrum as sp
+from priestley.birkhoff import implies_set
 from priestley.errors import (
     NotAnUpset,
     NotInflationary,
@@ -34,7 +36,10 @@ from priestley.nuclei import (
     all_nuclei,
     nucleus_of_sublocale,
     sublocale_of_nucleus,
+    unmoved_points,
 )
+from priestley.oracle import posets_up_to
+from priestley.poset import upset_masks
 
 
 def two_chain():
@@ -213,6 +218,20 @@ def test_stone_restriction_lemma():
                 assert u & nj == j.table[u] & nj
 
 
+def test_the_dictionary_is_one_rule_each_way():
+    # j_N U = N -> U, whichever of the three codings computes it, and
+    # N_j = the points no entry of j moves, which gives N back
+    for P in posets_up_to(4):
+        E = sp.FiniteEngine(P)
+        full = (1 << P.n) - 1
+        for members in range(1 << P.n):
+            j = nucleus_of_nuclear(NuclearSet._of_mask(P, members))
+            for u in upset_masks(P):
+                assert (j.masks[u] == implies_set(P, members, u)
+                        == sp.implies(E, members, u)), (repr(P), members, u)
+            assert nuclear_of_nucleus(j).mask == unmoved_points(j.masks, full) == members
+
+
 def test_sublocale_round_trip():
     for P in spaces_up_to_three():
         for j in all_nuclei(P):
@@ -221,14 +240,16 @@ def test_sublocale_round_trip():
 
 
 def test_booleanization_checks_survive_optimized_mode():
-    # a broken implication must still be caught when asserts are stripped
+    # a broken implication must still be caught when asserts are stripped;
+    # U -> empty, the pseudocomplement double negation reads, stays right
     script = textwrap.dedent("""
         import sys
         import priestley.birkhoff as birkhoff
         from priestley import booleanization, build_poset
         from priestley.errors import InternalAssertionError
 
-        birkhoff.implies_set = lambda X, u, v: u
+        implies_set = birkhoff.implies_set
+        birkhoff.implies_set = lambda X, u, v: u if v else implies_set(X, u, v)
         P = build_poset(["x1", "x2"], [("x1", "x2")])
         try:
             booleanization(P)

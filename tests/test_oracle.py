@@ -253,17 +253,24 @@ ENGINE_FAULTS = [
      lambda P, images, fn=oracle.sub_upset_unions: [u | 1 for u in fn(P, images)],
      ["inductive-core-collapse"], {"inductive-core-collapse"}),
     (sp, "yd_set", _finite_only(sp.yd_set, lambda E, y: y ^ 1), FINITE_IDS,
-     {"eqv-conditions-rmax", "max-y-in-yd", "min-yd-max-d-upsets",
-      "regularity-equivalences"}),
+     {"eqv-conditions-rmax", "max-y-in-yd", "min-yd-homeomorphism",
+      "min-yd-max-d-upsets", "regularity-equivalences"}),
     (sp, "min_yd", _finite_only(sp.min_yd, lambda E, m: m ^ 1), FINITE_IDS,
-     {"compacts-d-initial", "max-bounded-iff-d-initial", "min-yd-max-d-upsets",
-      "t1-min-yd"}),
+     {"compacts-d-initial", "max-bounded-iff-d-initial", "min-yd-homeomorphism",
+      "min-yd-max-d-upsets", "t1-min-yd"}),
     (sp, "core_d", _finite_only(sp.core_d, lambda E, c: c ^ 1), FINITE_IDS,
      {"core-d-forms", "d-is-double-negation", "eqv-conditions-rmax"}),
     (sp, "rho_apply", _finite_only(sp.rho_apply, lambda E, r: r ^ 1), FINITE_IDS,
      {"rho-forms"}),
     (sp, "maximal_d_upsets", _finite_only(sp.maximal_d_upsets, lambda E, f: f[1:]),
      FINITE_IDS, {"min-yd-max-d-upsets", "rho-forms"}),
+    # a* loses point 0: the one Heyting rule that d, rho, the maximal
+    # d-upsets and the implication and interior checks read
+    (sp, "pseudocomplement", _finite_only(sp.pseudocomplement, lambda E, a: a & ~1),
+     FINITE_IDS,
+     {"core-d-forms", "d-is-double-negation", "d-nucleus-laws", "eqv-conditions-rmax",
+      "heyting-adjunction", "join-meet-formulas", "min-yd-homeomorphism",
+      "min-yd-max-d-upsets", "rho-forms"}),
     (sp, "unit_search", _finite_only(sp.unit_search, lambda E, r: {
         **r, "status": "refutation" if r["status"] == "witness" else "witness"}),
      FINITE_IDS, {"unit-criteria"}),
@@ -352,11 +359,7 @@ def _fault_ids(rows):
 FAULT_IDS = _fault_ids(ENGINE_FAULTS)
 
 # the checks that no row of ENGINE_FAULTS fails, each with the reason
-UNCOVERED = {
-    "min-yd-homeomorphism": (
-        "its finite cases cannot fail: an upset u meets down(y) iff y is in u, so "
-        "the hull-kernel opens are the subspace opens whatever min Y_d is"),
-}
+UNCOVERED = {}
 
 
 def test_every_check_is_failed_by_a_planted_fault_or_says_why_not():
