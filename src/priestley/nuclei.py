@@ -13,11 +13,16 @@ are mutually inverse, which is what the exhaustive sweeps in the oracle
 lean on.  Sublocales are represented by their fixpoint sets.
 
 Every table is validated, law by law: totality, upset images,
-inflation, idempotence, meets.  Meets take one lookup per upset, through
-its split into an upper cover and a meet-irreducible upset
+inflation, idempotence, meets.  The three entry laws are decided in one
+pass over the entries; only a table that breaks one of them runs them in
+turn, to name the first failing entry.  Meets take one lookup per upset,
+through its split into an upper cover and a meet-irreducible upset
 (:func:`~priestley.poset.upset_meet_splits`), not a scan over all pairs
 of upsets; the pair scan runs only to name the first failing pair of a
-rejected table.
+rejected table.  A validated nucleus keeps its nuclear set N_j as
+``nuclear_mask``, computed once, and max X is a table of the space
+(``_maximal_mask``), so the dictionary's checks read both and compute
+neither again.
 
 Point sets are int bitmasks here (bit i for point i): a nucleus holds
 ``masks``, upset mask -> image mask in ``upset_masks`` order, and a
@@ -44,18 +49,19 @@ from .errors import (
     NotMeetPreserving,
     SpaceMismatch,
 )
-from .poset import (_bits, _Frozen, _mask, closure_tables, enumerate_upsets,
-                    extrema, mask_of, order_closure, set_of, upset_index,
-                    upset_masks, upset_meet_splits)
+from .poset import (_bits, _extrema_mask, _Frozen, _mask, _table, closure_tables,
+                    enumerate_upsets, extrema, mask_of, order_closure, set_of,
+                    upset_index, upset_masks, upset_meet_splits)
 
 
 class Nucleus:
     """A validated nucleus table on the upset frame of a finite space.
 
-    ``masks`` maps every upset mask to its image mask; the first failing
-    law raises with the offending upset(s) as frozensets.  The laws are
-    checked in the order totality, upset images, inflation, idempotence,
-    meets.
+    ``masks`` maps every upset mask to its image mask, in a dict of the
+    nucleus's own; the first failing law raises with the offending
+    upset(s) as frozensets.  The laws are checked in the order totality,
+    upset images, inflation, idempotence, meets.  ``nuclear_mask`` is
+    N_j, the points no entry moves.
 
     Meets are decided through meet-irreducibles.  Each upset U other
     than the whole space X is the meet of the upsets X - down(x) over the
@@ -70,28 +76,23 @@ class Nucleus:
     for the scan over pairs that names the first failing one.
     """
 
-    __slots__ = ("space", "masks")
+    __slots__ = ("space", "masks", "nuclear_mask")
 
     def __init__(self, space, masks):
         ups = upset_masks(space)
         index = upset_index(space)
         if masks.keys() != index.keys():
             raise ValueError("table must be total on the upsets of the space")
-        masks = {u: masks[u] for u in ups}
-        for u, v in masks.items():
-            if v not in index:
-                raise ValueError(f"image of {list(_bits(u))} is not an upset")
-        for u, v in masks.items():
-            if u & ~v:
-                raise NotInflationary(set_of(u))
-        for u, v in masks.items():
-            if masks[v] != v:
-                raise NotIdempotent(set_of(u))
+        # a copy in any case: a nucleus never shares the caller's dict
+        masks = dict(masks) if tuple(masks) == ups else {u: masks[u] for u in ups}
+        if not _entries_hold(masks):
+            _reject_entries(masks, index)
         if not _meets_preserved(space, masks):
             u, v = _first_unmet_pair(ups, masks)
             raise NotMeetPreserving(set_of(u), set_of(v))
         self.space = space
         self.masks = masks
+        self.nuclear_mask = unmoved_points(masks, (1 << space.n) - 1)
 
     @property
     def table(self):
@@ -131,6 +132,34 @@ class Nucleus:
     def constant_top(cls, space):
         full = (1 << space.n) - 1
         return cls(space, {u: full for u in upset_masks(space)})
+
+
+def _entries_hold(masks):
+    """Whether every entry U -> V has an upset image (V has an entry of
+    its own), U inside V and jV = V, in one pass.  A value that the
+    masks cannot take is left to :func:`_reject_entries` to raise."""
+    try:
+        for u, v in masks.items():
+            if masks.get(v) != v or u & ~v:
+                return False
+    except TypeError:
+        return False
+    return True
+
+
+def _reject_entries(masks, index):
+    """Raise for the first entry law that a table breaks, the laws taken
+    in turn over every entry: upset images, inflation, idempotence."""
+    for u, v in masks.items():
+        if v not in index:
+            raise ValueError(f"image of {list(_bits(u))} is not an upset")
+    for u, v in masks.items():
+        if u & ~v:
+            raise NotInflationary(set_of(u))
+    for u, v in masks.items():
+        if masks[v] != v:
+            raise NotIdempotent(set_of(u))
+    raise InternalAssertionError("an entry fails but every entry law holds")
 
 
 def _meets_preserved(space, masks):
@@ -196,7 +225,7 @@ def unmoved_points(table, full):
 
 def nuclear_of_nucleus(j):
     """N_j: the points that cannot tell jU from U."""
-    return NuclearSet._of_mask(j.space, unmoved_points(j.masks, (1 << j.space.n) - 1))
+    return NuclearSet._of_mask(j.space, j.nuclear_mask)
 
 
 def nucleus_of_nuclear(N):
@@ -223,20 +252,22 @@ def admissible_upset(j):
         if v == full:
             h &= u
     h = set_of(h)
-    if h != order_closure(space, _bits(unmoved_points(j.masks, full)), "up"):
+    if h != order_closure(space, _bits(j.nuclear_mask), "up"):
         raise InternalAssertionError("admissible upset differs from up(N_j)")
     return h
 
 
+@_table
 def _maximal_mask(space):
-    return _mask(extrema(space, range(space.n), "max"))
+    """max X as a mask, a table of the space."""
+    return _extrema_mask(space.up, (1 << space.n) - 1)
 
 
 def double_negation(space):
     """The nucleus U |-> U**; its nuclear set is max X."""
     pc = birkhoff.pseudocomplement_set
     j = Nucleus(space, {u: pc(space, pc(space, u)) for u in upset_masks(space)})
-    if unmoved_points(j.masks, (1 << space.n) - 1) != _maximal_mask(space):
+    if j.nuclear_mask != _mask(extrema(space, range(space.n), "max")):
         raise InternalAssertionError("double negation nuclear set is not max X")
     return j
 
@@ -268,7 +299,7 @@ def booleanization(space):
 def density_check(j):
     """dense: j(empty) = empty; cofinal: max X inside N_j; always equal."""
     dense = j.masks[0] == 0
-    cofinal = _maximal_mask(j.space) & ~unmoved_points(j.masks, (1 << j.space.n) - 1) == 0
+    cofinal = _maximal_mask(j.space) & ~j.nuclear_mask == 0
     if dense != cofinal:
         raise InternalAssertionError("density and cofinality disagree")
     return {"dense": dense, "cofinal": cofinal}

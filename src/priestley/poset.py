@@ -319,7 +319,21 @@ def extrema(P, members, which):
         rows = P.up
     else:
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
-    return set_of(_mask(i for i in _bits(m) if rows[i] & m == 1 << i))
+    return set_of(_extrema_mask(rows, m))
+
+
+def _extrema_mask(rows, m):
+    """The points i of the mask m with ``rows[i] & m == {i}``: the maximal
+    points of m when ``rows`` are the up rows, the minimal ones when they
+    are the down rows."""
+    out = 0
+    bits = m
+    while bits:  # _bits inlined
+        low = bits & -bits
+        if rows[low.bit_length() - 1] & m == low:
+            out |= low
+        bits ^= low
+    return out
 
 
 @_table
@@ -392,10 +406,17 @@ def upset_lower_covers(P):
     """
     index = upset_index(P)
     down = P.down
-    return tuple(
-        tuple(index[u ^ 1 << m] for m in _bits(u) if down[m] & u == 1 << m)
-        for u in upset_masks(P)
-    )
+    covers = []
+    for u in upset_masks(P):
+        found = []
+        bits = u
+        while bits:  # _bits inlined
+            low = bits & -bits
+            if down[low.bit_length() - 1] & u == low:
+                found.append(index[u ^ low])
+            bits ^= low
+        covers.append(tuple(found))
+    return tuple(covers)
 
 
 def sub_upset_unions(P, values):

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -62,13 +63,40 @@ def test_benchmark_tracer_finds_every_boundary():
     assert out.returncode == 0, out.stderr
 
 
-def traced_boundaries():
-    """``BOUNDARIES`` of ``benchmarks/spec.py``, read from its source
-    without importing it (no bytecode is written there)."""
+def spec_value(name):
+    """A module-level value of ``benchmarks/spec.py``, read from its
+    source without importing it (no bytecode is written there)."""
     path = ROOT / "benchmarks" / "spec.py"
     namespace = {"__name__": "spec"}
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
-    return namespace["BOUNDARIES"]
+    return namespace[name]
+
+
+def test_the_duality_nuclei_path_reaches_its_boundaries():
+    # the duality workload's nuclei path is the only caller of extrema
+    # and order_closure there; each boundary it must reach is counted by
+    # the benchmark's own tracer while the worker runs it on one poset
+    names = [name for name in spec_value("REQUIRED")["duality"]
+             if name.startswith("nuclei.") or name in ("poset.extrema", "poset.order_closure")]
+    assert len(names) == 8, names
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    # x0, x1 < x2 < x3, and x4 apart: 5 points, 12 upsets
+    up = [0b01101, 0b01110, 0b01100, 0b01000, 0b10000]
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'benchmarks')!r})\n"
+            "from tracing import Tracer\nimport worker\n"
+            "tracer = Tracer(); tracer.install(); run = worker.Run(tracer)\n"
+            f"count = worker._nuclei(run, 'nuclei', {up!r})\n"
+            "print(json.dumps([count, run.failures, "
+            f"{{name: tracer.calls[name] for name in {names!r}}}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    count, failures, calls = json.loads(out.stdout)
+    assert (count, failures) == (32, [])
+    assert [name for name in names if not calls[name]] == []
 
 
 def unresolved(boundaries):
@@ -107,7 +135,7 @@ def test_every_traced_boundary_resolves():
     # installing the tracer stops at the first missing name and skips
     # a kind it does not know; this names every entry that resolves to
     # nothing in the package
-    boundaries = traced_boundaries()
+    boundaries = spec_value("BOUNDARIES")
     assert len(boundaries) > 40
     assert unresolved(boundaries) == []
     # and each kind can fail

@@ -13,7 +13,8 @@ from priestley.birkhoff import clopen_upset_lattice
 from priestley.errors import WorkbenchError
 from priestley.nuclei import all_nuclei, double_negation
 from priestley.poset import (FinitePoset, _bits, _mask_union, canonical_rows,
-                             closure_tables, sub_upset_unions, upset_masks)
+                             closure_tables, sub_upset_unions, upset_lower_covers,
+                             upset_masks)
 
 SMALL = oracle.posets_up_to(5)
 
@@ -114,6 +115,21 @@ def test_sub_upset_unions_match_the_literal_union_for_any_values():
         assert sub_upset_unions(P, values) == literal_sub_upset_unions(P, values), P
 
 
+def literal_lower_covers(P):
+    """For each upset U, the positions of the upsets U minus one point,
+    the point ascending."""
+    index = {u: k for k, u in enumerate(upset_masks(P))}
+    return tuple(
+        tuple(index[u ^ 1 << m] for m in range(P.n) if u >> m & 1 and u ^ 1 << m in index)
+        for u in upset_masks(P)
+    )
+
+
+def test_upset_lower_covers_match_the_literal_covers():
+    for P in oracle.posets_up_to(6):
+        assert upset_lower_covers(P) == literal_lower_covers(P), P
+
+
 def literal_d_table(E):
     ups = E.all_upsets()
     negs = [(v, sp.double_neg(E, v)) for v in ups]
@@ -204,16 +220,16 @@ def test_inductive_core_collapse_matches_the_literal_union(planted, monkeypatch)
 
 
 def literal_validation(P, masks):
-    """The class name and carried upsets of the first failing nucleus law,
-    checked in order with the pair scan over ``combinations``; None when
-    every law holds."""
+    """The class name and carried upsets (a ``ValueError``'s message) of
+    the first failing nucleus law, checked in order with the pair scan
+    over ``combinations``; None when every law holds."""
     ups = upset_masks(P)
     views = {u: frozenset(i for i in range(P.n) if u >> i & 1) for u in ups}
     if set(masks) != set(ups):
-        return "ValueError", None
+        return "ValueError", "table must be total on the upsets of the space"
     for u in ups:
         if masks[u] not in views:
-            return "ValueError", None
+            return "ValueError", f"image of {sorted(views[u])} is not an upset"
     for u in ups:
         if u & ~masks[u]:
             return "NotInflationary", views[u]
@@ -229,8 +245,10 @@ def literal_validation(P, masks):
 def validation(P, masks):
     try:
         Nucleus(P, masks)
-    except (WorkbenchError, ValueError) as e:
+    except WorkbenchError as e:
         return type(e).__name__, getattr(e, "upset", getattr(e, "pair", None))
+    except ValueError as e:
+        return type(e).__name__, str(e)
     return None
 
 
@@ -259,26 +277,81 @@ def closure_of_family(P, family):
     return out
 
 
+def with_entry(rng, masks, pick, image):
+    """A copy of the table with one entry U, chosen among the upsets
+    ``pick`` accepts (the table itself when none does), sent to
+    ``image(U)``."""
+    keys = [u for u in masks if pick(u)]
+    if not keys:
+        return masks
+    u = rng.choice(keys)
+    return {**masks, u: image(u)}
+
+
 def random_tables(rng, P):
     ups = upset_masks(P)
     full = (1 << P.n) - 1
+    others = [m for m in range(1 << P.n) if m not in set(ups)]
     for _ in range(40):
         family = {full} | {u for u in ups if rng.random() < 0.4}
         yield closure_of_family(P, family)
     for _ in range(10):
         # upset images, inflationary, usually not idempotent
         yield {u: rng.choice([v for v in ups if u & ~v == 0]) for u in ups}
+    for _ in range(10):
+        # those with one entry sent below itself: a non-inflationary
+        # entry before or after the idempotence failures
+        masks = {u: rng.choice([v for v in ups if u & ~v == 0]) for u in ups}
+        shrunk = with_entry(rng, masks, lambda u: u,
+                            lambda u: rng.choice([v for v in ups if u & ~v]))
+        yield shrunk
+        if others:
+            # and then one entry, after the shrunk one or not, sent to a
+            # mask that is not an upset
+            yield with_entry(rng, shrunk, lambda u: True, lambda u: rng.choice(others))
+            # a nucleus but for one image that is not an upset
+            yield with_entry(rng, closure_of_family(P, {full}), lambda u: True,
+                             lambda u: rng.choice(others))
+    # the same table with its keys in reverse order
+    yield dict(reversed(closure_of_family(P, {full} | set(ups[:2])).items()))
 
 
 def test_rejections_match_the_literal_scan():
     rng = random.Random(2024)
     verdicts = set()
+    orders = set()
     for P in oracle.posets_up_to(4) + DUALITY_SIZED:
+        ups = upset_masks(P)
         for masks in random_tables(rng, P):
             expected = literal_validation(P, masks)
             assert validation(P, masks) == expected, (P, masks)
             verdicts.add(expected and expected[0])
-    assert verdicts == {None, "NotIdempotent", "NotMeetPreserving"}
+            # where the first entry of each failing kind lies
+            shrunk = [k for k, u in enumerate(ups) if u & ~masks[u]]
+            unfixed = [k for k, u in enumerate(ups) if masks.get(masks[u]) != masks[u]]
+            outside = [k for k, u in enumerate(ups) if masks[u] not in masks]
+            if shrunk and outside:
+                orders.add(("inflation", "upset", shrunk[0] < outside[0]))
+            elif shrunk and unfixed:
+                orders.add(("inflation", "idempotence", shrunk[0] < unfixed[0]))
+    assert verdicts == {None, "ValueError", "NotInflationary", "NotIdempotent",
+                        "NotMeetPreserving"}
+    # each failing kind came both before and after the other in the
+    # table's order, and the earlier law still named its entry
+    assert orders == {(first, then, before) for first, then in
+                      (("inflation", "upset"), ("inflation", "idempotence"))
+                      for before in (True, False)}
+
+
+def test_a_nucleus_keeps_its_own_table():
+    # the constructor copies the dict it is given, in upset order or
+    # not, so a caller's later writes leave the nucleus as it was
+    for P in DUALITY_SIZED:
+        j = double_negation(P)
+        for masks in (dict(j.masks), dict(reversed(j.masks.items()))):
+            k = Nucleus(P, masks)
+            masks.update((u, 0) for u in masks)
+            assert k == j
 
 
 def literal_upset_lattice_rows(X):

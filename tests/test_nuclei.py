@@ -33,13 +33,14 @@ from priestley.errors import (
     UnknownPoint,
 )
 from priestley.nuclei import (
+    _maximal_mask,
     all_nuclei,
     nucleus_of_sublocale,
     sublocale_of_nucleus,
     unmoved_points,
 )
 from priestley.oracle import posets_up_to
-from priestley.poset import upset_masks
+from priestley.poset import _mask, upset_masks
 
 
 def two_chain():
@@ -83,6 +84,16 @@ def test_validate_nucleus_rejects_unknown_points():
         validate_nucleus(P, {u: u | {9} for u in enumerate_upsets(P)})
     with pytest.raises(UnknownPoint):
         validate_nucleus(P, {u | {-1}: u for u in enumerate_upsets(P)})
+
+
+def test_an_image_of_the_wrong_type_meets_the_laws_in_turn():
+    # 2.0 is found among the upsets but refuses ~: the upset-image law
+    # still names a later entry first, and only inflation meets the error
+    P = two_chain()  # upsets 0, {1}, {0, 1}
+    with pytest.raises(ValueError, match=r"image of \[0, 1\] is not an upset"):
+        Nucleus(P, {0: 0, 0b10: 2.0, 0b11: 0b01})
+    with pytest.raises(TypeError):
+        Nucleus(P, {0: 0, 0b10: 2.0, 0b11: 0b11})
 
 
 def test_applying_a_nucleus_checks_its_argument():
@@ -230,6 +241,17 @@ def test_the_dictionary_is_one_rule_each_way():
                 assert (j.masks[u] == implies_set(P, members, u)
                         == sp.implies(E, members, u)), (repr(P), members, u)
             assert nuclear_of_nucleus(j).mask == unmoved_points(j.masks, full) == members
+
+
+def test_the_kept_tables_follow_their_rules():
+    # N_j is computed once per nucleus and max X once per space; each
+    # equals its rule read afresh
+    for P in posets_up_to(5):
+        assert _maximal_mask(P) == _mask(extrema(P, range(P.n), "max")), repr(P)
+        if P.n <= 4:
+            full = (1 << P.n) - 1
+            for j in all_nuclei(P):
+                assert j.nuclear_mask == unmoved_points(j.masks, full), repr(P)
 
 
 def test_sublocale_round_trip():
